@@ -82,18 +82,20 @@ class NoiseModel:
     def apply_detection_noise(self, signal: np.ndarray) -> np.ndarray:
         """Apply shot + thermal + RIN noise to a detected photocurrent array.
 
-        Vectorized: one generator call per noise source regardless of the
-        array size.  Returns a new array; the input is never mutated.
+        One standard-normal draw into a C-ordered scratch buffer (shape order
+        for any input layout).  Returns a new array; the input is never mutated.
         """
         signal = np.asarray(signal, dtype=np.float64)
         if not self.enabled:
             return signal.copy()
-        std = np.sqrt(
-            self.shot_noise_coeff**2 * np.abs(signal)
-            + self.thermal_noise_std**2
-            + (self.rin_coeff * signal) ** 2
-        )
-        return signal + self._rng.standard_normal(signal.shape) * std
+        std = np.abs(signal, out=np.empty(signal.shape))
+        std *= self.shot_noise_coeff**2
+        std += self.thermal_noise_std**2
+        z = np.multiply(signal, self.rin_coeff, out=np.empty(signal.shape))
+        std += np.square(z, out=z)  # shot² |x| + thermal² + (rin x)²
+        self._rng.standard_normal(out=z)
+        z *= np.sqrt(std, out=std)
+        return np.add(z, signal, out=z)
 
     def apply_programming_noise(self, levels: np.ndarray, level_std: float) -> np.ndarray:
         """Perturb programmed PCM levels by ``level_std`` (in level units)."""

@@ -116,19 +116,17 @@ class BalancedPhotodetector:
         """Detect a normalized differential signal.
 
         ``differential`` is a dimensionless signed quantity (e.g. a weighted
-        sum of transmissions in [-N, N]); it is split onto the two branches
-        at ``scale_w`` watts per unit, detected, and renormalized back to the
-        dimensionless domain.  This is the entry point the functional MVM
-        uses — it exercises the same noise path as :meth:`detect` without
-        forcing callers to carry absolute power units.
+        sum of transmissions in [-N, N]) carried at ``scale_w`` watts per unit
+        on the two branches and renormalized after detection.  The functional
+        MVM uses this entry point: the noise path of :meth:`detect` without
+        absolute power units.  -0.0 detects as +0.0; NaN propagates.
         """
-        d = np.asarray(differential, dtype=np.float64)
-        plus = np.where(d > 0, d, 0.0) * scale_w
-        minus = np.where(d < 0, -d, 0.0) * scale_w
-        if np.any(plus < 0) or np.any(minus < 0):
-            raise DeviceError("optical powers must be non-negative")
+        if not scale_w > 0:
+            raise DeviceError(f"scale_w must be positive, got {scale_w}")
         r = self.detector.responsivity_a_per_w
-        exact = r * (plus - minus) / (r * scale_w)
-        # Noise coefficients are specified in normalized units, so the
-        # stochastic stage acts after renormalization.
-        return self.noise.apply_detection_noise(exact)
+        exact = np.asarray(differential, dtype=np.float64) * scale_w  # plus - minus
+        exact += 0.0  # -0.0 -> +0.0, as the plus/minus split gave
+        if r != 1.0:
+            exact *= r
+        exact /= r * scale_w
+        return self.noise.apply_detection_noise(exact)  # coefficients: normalized units

@@ -2,10 +2,46 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.devices.noise import NoiseModel
 from repro.devices.photodetector import BalancedPhotodetector, Photodetector
 from repro.errors import ConfigError, DeviceError
+
+
+def _reference_detection_noise(noise, signal):
+    """Reference for ``NoiseModel.apply_detection_noise``: one expression, temporaries."""
+    signal = np.asarray(signal, dtype=np.float64)
+    if not noise.enabled:
+        return signal.copy()
+    std = np.sqrt(
+        noise.shot_noise_coeff**2 * np.abs(signal)
+        + noise.thermal_noise_std**2
+        + (noise.rin_coeff * signal) ** 2
+    )
+    return signal + noise.rng.standard_normal(signal.shape) * std
+
+
+def _reference_detect_normalized(bpd, differential, scale_w):
+    """Reference for ``detect_normalized``: plus/minus split, detect, unscale."""
+    d = np.asarray(differential, dtype=np.float64)
+    plus = np.where(d > 0, d, 0.0) * scale_w
+    minus = np.where(d < 0, -d, 0.0) * scale_w
+    r = bpd.detector.responsivity_a_per_w
+    return _reference_detection_noise(bpd.noise, r * (plus - minus) / (r * scale_w))
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e300, -1e300]
+_signals = arrays(
+    np.float64,
+    array_shapes(min_dims=1, max_dims=3, max_side=6),
+    elements=st.one_of(
+        st.sampled_from(_EDGE_VALUES),
+        st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True),
+    ),
+)
 
 
 class TestPhotodetector:
@@ -88,3 +124,59 @@ class TestBalancedPhotodetector:
         a = BalancedPhotodetector(noise=NoiseModel.realistic(seed=9)).detect_normalized(sig)
         b = BalancedPhotodetector(noise=NoiseModel.realistic(seed=9)).detect_normalized(sig)
         assert np.array_equal(a, b)
+
+    def test_nan_propagates(self):
+        # NaN must not come out as a plausible finite detection.
+        sig = np.array([np.nan, 0.5])
+        out = BalancedPhotodetector().detect_normalized(sig)
+        assert np.isnan(out[0]) and out[1] == 0.5
+        noisy = BalancedPhotodetector(noise=NoiseModel.realistic(seed=1))
+        assert np.isnan(noisy.detect_normalized(sig)[0])
+
+    @pytest.mark.parametrize("scale_w", [0.0, -1e-3, float("nan")])
+    def test_rejects_nonpositive_scale(self, scale_w):
+        with pytest.raises(DeviceError, match="scale_w must be positive"):
+            BalancedPhotodetector().detect_normalized(np.ones(3), scale_w=scale_w)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestDetectionBitIdentity:
+    """The lean detection path reproduces the split/unscale path bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sig=_signals,
+        responsivity=st.one_of(st.just(1.0), st.floats(0.05, 4.0)),
+        scale_w=st.one_of(st.just(1e-3), st.floats(1e-9, 1e3)),
+        enabled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        transpose=st.booleans(),
+    )
+    def test_matches_reference(self, sig, responsivity, scale_w, enabled, seed, transpose):
+        if transpose:
+            sig = sig.T  # non-C-contiguous for 2-D and 3-D shapes
+        before = sig.copy()
+
+        def bpd():
+            return BalancedPhotodetector(
+                detector=Photodetector(responsivity_a_per_w=responsivity),
+                noise=NoiseModel(enabled=enabled, seed=seed),
+            )
+
+        lean, reference = bpd(), bpd()
+        for _ in range(2):  # the generators must stay in step across calls
+            got = lean.detect_normalized(sig, scale_w)
+            want = _reference_detect_normalized(reference, sig, scale_w)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(sig, before) and np.array_equal(np.signbit(sig), np.signbit(before))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sig=_signals, enabled=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_noise_matches_reference(self, sig, enabled, seed):
+        got = NoiseModel(enabled=enabled, seed=seed).apply_detection_noise(sig)
+        want = _reference_detection_noise(NoiseModel(enabled=enabled, seed=seed), sig)
+        assert got is not sig
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
