@@ -1,7 +1,8 @@
 """Disabled-chaos overhead gate on the batched forward path.
 
-The chaos hook points live in ``AcceleratorWorker.execute`` (and its
-sharded sibling), bracketing ``forward_batch``: two crash checks, one
+The chaos hook points live in ``AcceleratorWorker.execute`` (the one
+serving worker, single chip or pipeline), bracketing the stages'
+``forward_batch``: two crash checks, one
 output-corruption hook, and the always-on finite-output integrity gate.
 The contract (docs/ARCHITECTURE.md §13) is that with no active
 :class:`~repro.chaos.session.ChaosSession` each hook costs one

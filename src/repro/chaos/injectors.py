@@ -104,34 +104,24 @@ def _stuck_burst(session, index, injection, server):
     worker = _worker_by_id(server, injection.target)
     fraction = float(injection.params.get("fraction", 0.02))
     stuck_level = injection.params.get("stuck_level")
-    rng = session.plan.rng_for(index)
     stage = injection.params.get("stage")
-    if stage is not None and hasattr(worker, "degrade_stage"):
-        stuck = worker.degrade_stage(
-            int(stage), fraction, stuck_level=stuck_level, rng=rng
-        )
-    else:
-        stuck = worker.degrade(fraction, stuck_level=stuck_level, rng=rng)
+    stuck = worker.degrade(
+        fraction,
+        stuck_level=stuck_level,
+        rng=session.plan.rng_for(index),
+        stage=None if stage is None else int(stage),
+    )
     session.mark_applied(
         index, at_s=server.clock.now(), worker=worker.worker_id,
         stuck_cells=int(stuck),
     )
 
 
-def _iter_managers(worker):
-    if getattr(worker, "manager", None) is not None:
-        yield worker.manager
-    for runtime in getattr(worker, "stages", ()):
-        for manager in runtime.managers:
-            if manager is not None:
-                yield manager
-
-
 def _drift_burst(session, index, injection, server):
     worker = _worker_by_id(server, injection.target)
     age_s = float(injection.params.get("age_s", 1e7))
     refreshed = sum(
-        1 for manager in _iter_managers(worker) if manager.maybe_refresh(age_s)
+        1 for manager in worker.managers if manager.maybe_refresh(age_s)
     )
     session.mark_applied(
         index, at_s=server.clock.now(), worker=worker.worker_id,
@@ -147,8 +137,8 @@ def _breaker_storm(session, index, injection, server):
             continue
         server.breakers[worker.worker_id].trip(now, STORM_REASON)
         tripped += 1
-        for runtime in getattr(worker, "stages", ()):
-            runtime.breaker.trip(now, STORM_REASON)
+        for breaker in worker.stage_breakers:
+            breaker.trip(now, STORM_REASON)
             tripped += 1
     session.mark_applied(index, at_s=now, tripped=tripped)
 

@@ -730,9 +730,9 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
     The model provably overflows a single shard-sized chip; the
     cost-model planner cuts it into pipeline stages (row-sharding any
-    single layer too wide for one chip), and a :class:`~repro.serving.
-    ShardedWorker` serves a seeded request burst with overlapped stage
-    execution.  With ``--smoke``, runs the full self-audit instead —
+    single layer too wide for one chip), and a multi-stage
+    :class:`~repro.serving.AcceleratorWorker` serves a seeded request
+    burst with overlapped stage execution.  With ``--smoke``, runs the full self-audit instead —
     bit-identity vs a single large reference accelerator, overlap vs
     serialized makespans, stage-fault drain/repair, conservation, and
     bit-identical replay — as a CI gate.
@@ -961,7 +961,10 @@ def cmd_integrity(args: argparse.Namespace) -> int:
     print(f"  attestation counters: {line}")
     for worker in result.workers:
         thresholds = ", ".join(
-            f"{t:.4f}" for t in worker.integrity.unit.thresholds
+            f"{t:.4f}"
+            for row in worker.integrity.units
+            for unit in row
+            for t in unit.thresholds
         )
         print(f"  worker {worker.worker_id} thresholds: [{thresholds}]")
     return 0

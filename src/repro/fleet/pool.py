@@ -27,8 +27,9 @@ import hashlib
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.worker import AcceleratorWorker
-from repro.serving.workload import build_worker
+from repro.serving.worker import AcceleratorWorker, remap_manager
+from repro.serving.workload import build_worker, serving_chip
+from repro.sharding.pipeline import single_chip_pipeline
 
 #: Lifecycle states a pooled worker moves through.
 WORKER_STATES = ("warming", "active", "draining", "decommissioned")
@@ -87,28 +88,11 @@ class WorkerPool:
         return self._clone(worker_id)
 
     def _clone(self, worker_id: int) -> AcceleratorWorker:
-        from repro.arch import TridentAccelerator, TridentConfig
-        from repro.devices.program_verify import ProgramVerifyConfig
-        from repro.faults import FaultManager, RepairConfig
-
-        rows = max(max(self.dims), 2)
-        acc = TridentAccelerator(
-            config=TridentConfig(
-                bank_rows=rows,
-                bank_cols=rows,
-                spare_rows=4,
-                convergence_floor=0.0,
-            ),
-            seed=self.seed,
-            program_verify=ProgramVerifyConfig(),
-        )
-        acc.map_mlp(list(self.dims))
+        acc = serving_chip(self.dims, self.seed)
         acc.load_state_dict(self._template_state)
-        n_tiles = sum(len(layer.tiles) for layer in acc.layers)
-        manager = FaultManager(
-            acc, config=RepairConfig(policy="remap", max_migrations=n_tiles)
+        return AcceleratorWorker(
+            worker_id, single_chip_pipeline(acc), [[remap_manager(acc)]]
         )
-        return AcceleratorWorker(worker_id, acc, manager=manager)
 
     def bootstrap(self, n_workers: int) -> list[AcceleratorWorker]:
         """The initial fleet (already warm); call before the server exists."""

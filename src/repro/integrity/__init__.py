@@ -11,12 +11,13 @@ the Huang–Abraham checksum construction adapted to the PCM-MRR banks:
   **noise-aware thresholds** — an analytic quantization bound plus a
   margin over the worst residual of a seeded calibration pass on the
   realized banks — so clean runs never trip.
-- :class:`~repro.integrity.checker.IntegrityChecker` /
-  :class:`~repro.integrity.checker.PipelineChecker` attest every
-  executed batch via :func:`~repro.integrity.checker.attest_batch`'s
-  escalation ladder: verify → re-execute once → digital-spare
-  cross-check → retryable :class:`~repro.errors.IntegrityFault` that
-  feeds breaker, rollup SDC-rate, and fleet quarantine.
+- :class:`~repro.integrity.checker.PipelineChecker` gives every part
+  accelerator of a serving worker its own checksum unit (a single chip
+  is the one-stage, one-part case) and attests every executed batch via
+  :func:`~repro.integrity.checker.attest_batch`'s escalation ladder:
+  verify → re-execute once → digital-spare cross-check → retryable
+  :class:`~repro.errors.IntegrityFault` that feeds breaker, rollup
+  SDC-rate, and fleet quarantine.
 - :func:`~repro.integrity.workload.run_integrity_workload` and
   :func:`~repro.integrity.workload.smoke_checks` back the
   ``repro integrity --smoke`` CI gate: injected ``silent_corrupt``
@@ -27,7 +28,6 @@ the Huang–Abraham checksum construction adapted to the PCM-MRR banks:
 from repro.errors import IntegrityError, IntegrityFault
 from repro.integrity.abft import ChecksumUnit, IntegrityConfig, Violation
 from repro.integrity.checker import (
-    IntegrityChecker,
     IntegrityCounters,
     PipelineChecker,
     attest_batch,
@@ -42,7 +42,6 @@ from repro.integrity.workload import (
 
 __all__ = [
     "ChecksumUnit",
-    "IntegrityChecker",
     "IntegrityConfig",
     "IntegrityCounters",
     "IntegrityError",

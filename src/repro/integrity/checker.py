@@ -1,12 +1,11 @@
 """Output attestation and the SDC escalation ladder.
 
-:class:`IntegrityChecker` wraps one accelerator's
-:class:`~repro.integrity.abft.ChecksumUnit`;
-:class:`PipelineChecker` wraps every part accelerator of a
-:class:`~repro.sharding.pipeline.ShardedPipeline`.  Both expose the same
-surface — ``verify`` / ``digital_ok`` / ``reexecute`` /
-``rewrite_and_recalibrate`` — so :func:`attest_batch` can run the same
-ladder for single-chip and sharded workers:
+:class:`PipelineChecker` gives every part accelerator of a
+:class:`~repro.sharding.pipeline.ShardedPipeline` its own
+:class:`~repro.integrity.abft.ChecksumUnit`; a single chip is the
+one-stage, one-part pipeline, so every serving worker is attested the
+same way.  :func:`attest_batch` runs the ladder over the checker's
+``verify`` / ``digital_ok`` / ``reexecute`` / ``rewrite_and_recalibrate``:
 
 1. **Verify.**  Analog checksum residuals against calibrated
    thresholds.  Clean → done (the overwhelmingly common path: one
@@ -64,51 +63,16 @@ class IntegrityCounters:
         return dataclasses.asdict(self)
 
 
-class IntegrityChecker:
-    """ABFT attestation for a single accelerator worker."""
-
-    def __init__(
-        self, acc, config: IntegrityConfig | None = None, seed: int = 0
-    ) -> None:
-        self.config = config or IntegrityConfig()
-        self.unit = ChecksumUnit(acc, self.config, seed=seed)
-        self.unit.calibrate()
-        self.counters = IntegrityCounters()
-        #: Escalated/recovered SDC incidents, for the post-run audit.
-        self.incidents: list[dict] = []
-
-    def verify(self, outputs: np.ndarray):
-        """Analog checksum violations for the last recorded forward."""
-        return self.unit.violations(outputs)
-
-    def digital_ok(self, outputs: np.ndarray) -> bool:
-        """Exact digital-shadow checksum verdict (the rung-3 spare)."""
-        return self.unit.digital_ok(outputs)
-
-    def reexecute(self, xs: np.ndarray) -> np.ndarray:
-        """Second forward pass for the rung-2 transient check."""
-        return self.unit.acc.forward_batch(xs, record=True)
-
-    def rewrite_and_recalibrate(self) -> None:
-        """Re-track the data tiles after a repair sweep.
-
-        Repair rewrites data tiles (possibly onto migrated PEs) and may
-        leave residual degradation within budget; the checksum rows must
-        follow the new deployment and the thresholds must re-baseline
-        against it, or every post-repair batch would trip.
-        """
-        self.unit.rewrite()
-        self.unit.calibrate()
-
-
 class PipelineChecker:
-    """ABFT attestation for every part of a sharded pipeline.
+    """ABFT attestation for every part of a pipeline.
 
-    One :class:`ChecksumUnit` per part accelerator, each with a seed
-    derived from ``(seed, stage, part)`` so calibration draws are
-    independent but replay-stable.  ``verify`` checks hidden layers from
-    their recordings and maps the worker's final outputs back onto the
-    last stage's row-sharded column ranges.
+    One :class:`ChecksumUnit` per part accelerator, seeded ``seed + part
+    ordinal`` (stage-major, as :func:`~repro.sharding.build_pipeline`
+    seeds the parts), so calibration draws are independent but
+    replay-stable and a single chip calibrates with ``seed`` itself.
+    ``verify`` checks hidden layers from their recordings and maps the
+    worker's final outputs back onto the last stage's row-sharded column
+    ranges.
     """
 
     def __init__(
@@ -116,17 +80,19 @@ class PipelineChecker:
     ) -> None:
         self.config = config or IntegrityConfig()
         self.pipeline = pipeline
+        #: Per stage, one unit per part.
         self.units: list[list[ChecksumUnit]] = []
-        for s, stage in enumerate(pipeline.stages):
+        ordinal = 0
+        for stage in pipeline.stages:
             row = []
-            for p, part in enumerate(stage.parts):
-                unit = ChecksumUnit(
-                    part, self.config, seed=hash((seed, s, p)) & 0x7FFFFFFF
-                )
+            for part in stage.parts:
+                unit = ChecksumUnit(part, self.config, seed=seed + ordinal)
+                ordinal += 1
                 unit.calibrate()
                 row.append(unit)
             self.units.append(row)
         self.counters = IntegrityCounters()
+        #: Escalated/recovered SDC incidents, for the post-run audit.
         self.incidents: list[dict] = []
 
     def _final_slices(self):
@@ -142,31 +108,24 @@ class PipelineChecker:
     def verify(self, outputs: np.ndarray):
         """Checksum violations across every stage/part of the pipeline."""
         violations = []
-        for s, (stage, row) in enumerate(zip(self.pipeline.stages, self.units)):
-            last = s == len(self.units) - 1
-            if last:
-                for p, (unit, c0, c1) in enumerate(self._final_slices()):
-                    violations.extend(
-                        unit.violations(outputs[:, c0:c1], stage=s, part=p)
-                    )
-            else:
-                for p, unit in enumerate(row):
-                    violations.extend(unit.violations(stage=s, part=p))
+        for s, row in enumerate(self.units[:-1]):
+            for p, unit in enumerate(row):
+                violations.extend(unit.violations(stage=s, part=p))
+        last = len(self.units) - 1
+        for p, (unit, c0, c1) in enumerate(self._final_slices()):
+            violations.extend(
+                unit.violations(outputs[:, c0:c1], stage=last, part=p)
+            )
         return violations
 
     def digital_ok(self, outputs: np.ndarray) -> bool:
         """Exact digital-shadow verdict over every stage/part."""
-        for s, row in enumerate(self.units):
-            last = s == len(self.units) - 1
-            if last:
-                for unit, c0, c1 in self._final_slices():
-                    if not unit.digital_ok(outputs[:, c0:c1]):
-                        return False
-            else:
-                for unit in row:
-                    if not unit.digital_ok(None):
-                        return False
-        return True
+        return all(
+            unit.digital_ok(None) for row in self.units[:-1] for unit in row
+        ) and all(
+            unit.digital_ok(outputs[:, c0:c1])
+            for unit, c0, c1 in self._final_slices()
+        )
 
     def reexecute(self, xs: np.ndarray) -> np.ndarray:
         """Replay the batch through all stages for the rung-2 check."""
@@ -190,15 +149,14 @@ def attest_batch(
     *,
     worker_id: int,
     now_s: float,
-    manager=None,
+    managers=(),
 ) -> np.ndarray:
     """Run the escalation ladder over one executed batch.
 
     Returns the attested outputs (the re-executed batch when rung 2
-    recovered) or raises :class:`~repro.errors.IntegrityFault`.  The
-    ``manager`` (or, for sharded workers, an iterable of managers) gets
-    escalations charged to its repair log so worker health reflects SDC
-    history.
+    recovered) or raises :class:`~repro.errors.IntegrityFault`.  Every
+    fault manager in ``managers`` gets escalations charged to its repair
+    log so worker health reflects SDC history.
     """
     counters = checker.counters
     with telemetry.trace_span("integrity_check", worker=worker_id):
@@ -260,10 +218,8 @@ def attest_batch(
                 "violations": detail,
             }
         )
-        managers = manager if isinstance(manager, (list, tuple)) else [manager]
-        for m in managers:
-            if m is not None:
-                m.note_sdc()
+        for manager in managers:
+            manager.note_sdc()
         raise IntegrityFault(
             f"worker {worker_id}: batch failed ABFT attestation after "
             f"re-execution and digital cross-check "
@@ -272,7 +228,6 @@ def attest_batch(
 
 
 __all__ = [
-    "IntegrityChecker",
     "IntegrityCounters",
     "IntegrityError",
     "IntegrityFault",

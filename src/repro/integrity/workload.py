@@ -96,10 +96,9 @@ class IntegrityRunResult:
         """Attestation counters summed across workers."""
         total: dict[str, int] = {}
         for worker in self.workers:
-            checker = getattr(worker, "integrity", None)
-            if checker is None:
+            if worker.integrity is None:
                 continue
-            for key, value in checker.counters.as_dict().items():
+            for key, value in worker.integrity.counters.as_dict().items():
                 total[key] = total.get(key, 0) + value
         return total
 
@@ -130,7 +129,7 @@ def build_integrity_worker(
     with_integrity: bool = True,
     integrity_config: IntegrityConfig | None = None,
 ):
-    """The PR 5 serving worker plus an attached ABFT checker.
+    """The serving preset's single-chip worker plus an ABFT checker.
 
     Reuses :func:`repro.serving.workload.build_worker` unchanged —
     checksum rows are allocated on spare PEs *after* ``deploy``
@@ -142,10 +141,10 @@ def build_integrity_worker(
 
     worker = build_worker(worker_id, dims, seed)
     if with_integrity:
-        from repro.integrity.checker import IntegrityChecker
+        from repro.integrity.checker import PipelineChecker
 
-        worker.integrity = IntegrityChecker(
-            worker.acc, config=integrity_config, seed=seed
+        worker.integrity = PipelineChecker(
+            worker.pipeline, config=integrity_config, seed=seed
         )
     return worker
 

@@ -8,6 +8,13 @@ readback + the fault-repair log) drives per-worker circuit breakers.
 Overload sheds by priority with structured reasons, failures retry with
 jittered exponential backoff, and the whole loop runs on a seeded
 virtual clock so any run replays bit-identically.
+
+Every worker is one :class:`AcceleratorWorker`: an ordered list of
+stages, each a list of programmed accelerators plus their fault
+managers.  A single chip is the one-stage, one-part case
+(:func:`build_worker`); a model sharded across chips is the multi-stage
+case (:func:`build_sharded_worker`, whose result is also known as
+:class:`ShardedWorker`), with per-stage breakers and overlapped stages.
 """
 
 from repro.serving.batcher import MicroBatcher

@@ -735,9 +735,12 @@ class TridentServer:
     # ------------------------------------------------------------------
     def _execute(self, worker: AcceleratorWorker, batch: tuple):
         xs = np.stack([r.x for r in batch])
+        accs = worker.accelerators
         with _trace_span(
             "serve_batch",
-            accelerator=getattr(worker, "acc", None),
+            # Hardware deltas only for one chip: a span carries one
+            # accelerator's counters.
+            accelerator=accs[0] if len(accs) == 1 else None,
             worker=worker.worker_id,
             batch=len(batch),
         ):

@@ -218,7 +218,7 @@ def run_shard_workload(
         stage = config.degrade_stage
 
         def force_stage_degradation(srv: TridentServer) -> None:
-            srv.workers[0].degrade_stage(stage, fraction, stuck_level=254)
+            srv.workers[0].degrade(fraction, stuck_level=254, stage=stage)
 
         server.schedule_action(
             config.degrade_at_s, "degrade_stage", force_stage_degradation

@@ -1,42 +1,19 @@
-"""Serving one sharded model: a pipeline of accelerators as one worker.
+"""Serving one sharded model: the multi-stage worker preset.
 
-A :class:`ShardedWorker` wraps a :class:`~repro.sharding.ShardedPipeline`
-behind the same duck-typed surface :class:`~repro.serving.worker.
-AcceleratorWorker` gives the server — ``service_time_s`` /
-``dispatch_times_s``, health, ``execute``, ``repair`` — so
-:class:`~repro.serving.server.TridentServer` schedules it without knowing
-there are N chips behind the id.  Three things distinguish it:
+:func:`build_sharded_worker` plans nothing itself: it programs one
+accelerator per part of a :class:`~repro.sharding.ShardPlan` (optionally
+over-provisioned with spare PEs for migrate-tier repairs), attaches a
+remap-policy fault manager per part and an ABFT checker on request, and
+hands the pipeline to the one serving worker,
+:class:`~repro.serving.worker.AcceleratorWorker` — the same class, the
+same ``execute`` and the same ``repair`` a single chip runs, here with
+two or more stages, each behind its own breaker, on an overlapped
+flow-shop schedule.
 
-**Overlapped stage execution.**  ``dispatch_times_s`` runs the classic
-flow-shop recurrence over the worker's internal per-stage free times
-(``start_k = max(prev_stage_done, stage_free_k)``): the ingest-free
-instant it returns is when stage 0 frees — *before* the batch leaves the
-last stage — so the server can push batch i+1 into the pipe while batch
-i is still in flight (stage k of batch i runs concurrently with stage
-k-1 of batch i+1).  With ``overlap=False`` the whole pipe is held
-exclusive per batch, which is the serialized baseline the benchmark and
-smoke gate compare against.  Scheduling is pure virtual-time arithmetic;
-the numpy execution still happens at completion time, so determinism and
-the decision log are untouched.
-
-**Per-stage fault domains.**  Every stage carries its own health signal
-(worst program-verify ``unconverged_fraction`` across its part
-accelerators), its own :class:`~repro.serving.breaker.CircuitBreaker`,
-and its parts' :class:`~repro.faults.FaultManager`\\ s.  ``execute`` gates
-each stage in pipeline order: a quarantined or degraded stage fails the
-*whole* batch atomically before any output is returned — upstream stages
-may have burned symbols (that work is honestly lost), but no partial or
-corrupt outputs ever reach a requester, and the server's normal
-retry/shed machinery takes over.  The server-level breaker still sees
-every failure, so a sick stage quarantines the whole pipeline worker;
-``repair`` (invoked on the server's half-open probe) sweeps every
-stage's fault managers and re-closes stage breakers whose cooldown has
-elapsed and whose health has recovered.
-
-**Per-stage telemetry.**  Each stage execution runs inside a
-``shard_stage`` trace span (worker, stage, parts, batch), and stage
-breaker transitions emit structured events — a pipeline run is
-observable stage by stage, not as one opaque worker.
+``ShardedWorker`` is that class under its pipeline name, and the module
+keeps ``forward_batch_latency_s`` and ``_attest_batch`` next to it: the
+benchmark suite's layer tracer (``benchmarks/suite/spans.py``) resolves
+all three here.  The implementations live in :mod:`repro.serving.worker`.
 """
 
 from __future__ import annotations
@@ -45,430 +22,14 @@ import dataclasses
 
 import numpy as np
 
-from repro.chaos.session import (
-    corrupt_output as _chaos_corrupt,
-    crash_check as _chaos_crash,
-)
-from repro.dataflow.cost_model import PhotonicArch, forward_batch_latency_s
-from repro.errors import ServingError, WorkerFault
+from repro.dataflow.cost_model import forward_batch_latency_s
+from repro.errors import ServingError
 from repro.integrity.checker import attest_batch as _attest_batch
-from repro.serving.breaker import BreakerState, CircuitBreaker
-from repro.sharding.pipeline import PipelineStage, ShardedPipeline
-from repro.sharding.planner import ShardPlan, reduction_tile_count
-from repro.telemetry.log import get_logger
-from repro.telemetry.session import (
-    counter as _metric_counter,
-    emit_event as _emit_event,
-    trace_span as _trace_span,
-)
+from repro.serving.worker import AcceleratorWorker, remap_manager, rewrite_tiles
+from repro.sharding.planner import ShardPlan
 
-_log = get_logger("repro.serving.sharded")
-
-
-def _accelerator_unconverged(acc) -> float:
-    """Worst verify non-convergence over one accelerator's active banks."""
-    active = {tile[4] for layer in acc.layers for tile in layer.tiles}
-    fractions = [acc.pes[index].bank.unconverged_fraction for index in active]
-    return max(fractions, default=0.0)
-
-
-class StageRuntime:
-    """One pipeline stage as the worker schedules and polices it."""
-
-    def __init__(
-        self,
-        stage: PipelineStage,
-        managers: list,
-        breaker: CircuitBreaker,
-        arch: PhotonicArch,
-        dispatch_overhead_s: float,
-        bank_cols: int,
-    ) -> None:
-        if len(managers) != len(stage.parts):
-            raise ServingError(
-                f"stage {stage.spec.index}: {len(managers)} fault managers "
-                f"for {len(stage.parts)} parts"
-            )
-        self.stage = stage
-        self.managers = managers
-        self.breaker = breaker
-        self.arch = arch
-        self.dispatch_overhead_s = dispatch_overhead_s
-        #: Column (reduction) tiles of the stage's member layers — row
-        #: shards stream the same input concurrently, so the stage's
-        #: latency is the plain layer-chain latency regardless of parts.
-        self.reduction_tiles = tuple(
-            reduction_tile_count(d, bank_cols) for d in stage.spec.dims[:-1]
-        )
-        #: When this stage's hardware frees (flow-shop bookkeeping).
-        self.free_s = 0.0
-
-    @property
-    def index(self) -> int:
-        """Stage position in the pipeline."""
-        return self.stage.spec.index
-
-    def service_time_s(self, batch_size: int) -> float:
-        """Cost-model latency of one batch through this stage."""
-        return forward_batch_latency_s(
-            self.arch,
-            self.reduction_tiles,
-            batch_size,
-            overhead_s=self.dispatch_overhead_s,
-        )
-
-    @property
-    def unconverged_fraction(self) -> float:
-        """Worst verify non-convergence across the stage's parts."""
-        return max(
-            _accelerator_unconverged(acc) for acc in self.stage.parts
-        )
-
-    def health(self) -> dict:
-        """Structured stage-health snapshot."""
-        return {
-            "stage": self.index,
-            "parts": len(self.stage.parts),
-            "unconverged_fraction": self.unconverged_fraction,
-            "breaker": self.breaker.state.value,
-        }
-
-
-class ShardedWorker:
-    """N stage accelerators serving one model behind one worker id."""
-
-    def __init__(
-        self,
-        worker_id: int,
-        pipeline: ShardedPipeline,
-        stage_managers: "list[list] | None" = None,
-        unhealthy_threshold: float = 0.02,
-        dispatch_overhead_s: float = 1e-6,
-        overlap: bool = True,
-        stage_failure_threshold: int = 3,
-        stage_cooldown_s: float = 1e-5,
-        integrity=None,
-    ) -> None:
-        if not 0.0 < unhealthy_threshold <= 1.0:
-            raise ServingError(
-                f"unhealthy threshold must be in (0, 1], got {unhealthy_threshold}"
-            )
-        if dispatch_overhead_s < 0:
-            raise ServingError("dispatch overhead must be non-negative")
-        for stage in pipeline.stages:
-            for acc in stage.parts:
-                if any(layer.weights is None for layer in acc.layers):
-                    raise ServingError(
-                        f"worker {worker_id} stage {stage.spec.index}: all "
-                        "layers need programmed weights"
-                    )
-        self.worker_id = int(worker_id)
-        self.pipeline = pipeline
-        #: Optional :class:`~repro.integrity.PipelineChecker` attesting
-        #: every drained batch (per-part ABFT checksums + ladder).
-        self.integrity = integrity
-        self.unhealthy_threshold = float(unhealthy_threshold)
-        self.dispatch_overhead_s = float(dispatch_overhead_s)
-        self.overlap = bool(overlap)
-        self.batches_executed = 0
-        self.batches_failed = 0
-        #: Escalation count already covered by a scrub (see :meth:`repair`).
-        self._scrubbed_escalations = 0
-        self.stage_breaker_transitions: list[dict] = []
-        self._clock = None
-        config = pipeline.stages[0].parts[0].config
-        arch = PhotonicArch.trident(config)
-        if stage_managers is None:
-            stage_managers = [
-                [None] * len(stage.parts) for stage in pipeline.stages
-            ]
-        if len(stage_managers) != len(pipeline.stages):
-            raise ServingError(
-                f"{len(stage_managers)} manager groups for "
-                f"{len(pipeline.stages)} stages"
-            )
-        self.stages = [
-            StageRuntime(
-                stage,
-                managers,
-                CircuitBreaker(
-                    stage.spec.index,
-                    failure_threshold=stage_failure_threshold,
-                    cooldown_s=stage_cooldown_s,
-                    on_transition=self._on_stage_breaker_transition,
-                ),
-                arch,
-                self.dispatch_overhead_s,
-                config.bank_cols,
-            )
-            for stage, managers in zip(pipeline.stages, stage_managers)
-        ]
-
-    # ------------------------------------------------------------------
-    # Structure / clock
-    # ------------------------------------------------------------------
-    @property
-    def input_dim(self) -> int:
-        """Model input width this worker serves."""
-        return self.pipeline.input_dim
-
-    def bind_clock(self, clock) -> None:
-        """Adopt the server's virtual clock for stage-breaker timestamps."""
-        self._clock = clock
-
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else 0.0
-
-    def _on_stage_breaker_transition(self, now_s, stage_index, before, to, reason):
-        record = {
-            "t": now_s,
-            "worker": self.worker_id,
-            "stage": stage_index,
-            "from": before.value,
-            "to": to.value,
-            "reason": reason,
-        }
-        self.stage_breaker_transitions.append(record)
-        _emit_event("shard_stage_breaker", **record)
-        _metric_counter(
-            "repro_shard_stage_breaker_transitions_total", to=to.value
-        ).inc()
-        _log.info(
-            "worker %d stage %d breaker: %s -> %s (%s)",
-            self.worker_id, stage_index, before.value, to.value, reason,
-        )
-
-    # ------------------------------------------------------------------
-    # Cost model / overlap schedule
-    # ------------------------------------------------------------------
-    def service_time_s(self, batch_size: int) -> float:
-        """End-to-end (pipeline-fill) latency of one batch."""
-        return sum(s.service_time_s(batch_size) for s in self.stages)
-
-    def dispatch_times_s(
-        self, now_s: float, batch_size: int
-    ) -> tuple[float, float]:
-        """Flow-shop (ingest-free, finish) instants for a dispatch now.
-
-        Walks the batch through the stages against their current free
-        times: ``start_k = max(done_{k-1}, free_k)``.  With overlap the
-        worker re-opens for ingest when stage 0 frees; serialized, it
-        stays exclusive until the batch exits the last stage.
-        """
-        done = now_s
-        for runtime in self.stages:
-            start = max(done, runtime.free_s)
-            done = start + runtime.service_time_s(batch_size)
-            runtime.free_s = done
-        finish = done
-        if not self.overlap:
-            for runtime in self.stages:
-                runtime.free_s = finish
-            return finish, finish
-        return self.stages[0].free_s, finish
-
-    # ------------------------------------------------------------------
-    # Health
-    # ------------------------------------------------------------------
-    @property
-    def unconverged_fraction(self) -> float:
-        """Worst stage health signal (the pipeline is its sickest stage)."""
-        return max(s.unconverged_fraction for s in self.stages)
-
-    @property
-    def healthy(self) -> bool:
-        """True while every stage is within threshold and unquarantined."""
-        return all(
-            s.unconverged_fraction <= self.unhealthy_threshold
-            and s.breaker.state is not BreakerState.OPEN
-            for s in self.stages
-        )
-
-    def health(self) -> dict:
-        """Structured health snapshot, stage by stage."""
-        return {
-            "worker": self.worker_id,
-            "unconverged_fraction": self.unconverged_fraction,
-            "healthy": self.healthy,
-            "stages": [s.health() for s in self.stages],
-            "batches_executed": self.batches_executed,
-            "batches_failed": self.batches_failed,
-        }
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def execute(self, xs: np.ndarray) -> np.ndarray:
-        """Run one micro-batch stage by stage; fail atomically on a bad stage.
-
-        Each stage is gated twice — its breaker must allow traffic and
-        its health signal must be within threshold — *before* its physics
-        runs.  A gate failure raises :class:`~repro.errors.WorkerFault`
-        naming the stage: the batch is abandoned whole (stages already
-        traversed spent real symbols, but nothing is returned), so
-        requesters never see output that a degraded stage touched.
-
-        Chaos hook points bracket the pipeline: an armed ``worker_crash``
-        fires at dispatch (before stage 0) or drain (after the last
-        stage), and an armed ``corrupt_output`` poisons the drained
-        outputs — which the finite-output integrity gate then converts
-        into a :class:`WorkerFault`, proving corruption can never reach
-        a requester.  With no chaos session active each hook is one
-        global read.
-        """
-        now = self._now()
-        inputs = xs
-        reason = _chaos_crash(self.worker_id, "dispatch", now)
-        if reason is not None:
-            self.batches_failed += 1
-            raise WorkerFault(
-                f"worker {self.worker_id} crashed at dispatch: {reason}"
-            )
-        for runtime in self.stages:
-            if not runtime.breaker.allow(now):
-                self.batches_failed += 1
-                raise WorkerFault(
-                    f"worker {self.worker_id} stage {runtime.index} "
-                    "quarantined (stage breaker open)"
-                )
-            fraction = runtime.unconverged_fraction
-            if fraction > self.unhealthy_threshold:
-                runtime.breaker.record_failure(now)
-                self.batches_failed += 1
-                raise WorkerFault(
-                    f"worker {self.worker_id} stage {runtime.index} degraded: "
-                    f"unconverged fraction {fraction:.3f} > "
-                    f"{self.unhealthy_threshold:.3f}"
-                )
-            with _trace_span(
-                "shard_stage",
-                worker=self.worker_id,
-                stage=runtime.index,
-                parts=len(runtime.stage.parts),
-                batch=int(xs.shape[0]),
-            ):
-                xs = runtime.stage.forward_batch(
-                    xs, record=self.integrity is not None
-                )
-            runtime.breaker.record_success(now)
-        xs = _chaos_corrupt(self.worker_id, now, xs)
-        reason = _chaos_crash(self.worker_id, "drain", now)
-        if reason is not None:
-            self.batches_failed += 1
-            raise WorkerFault(
-                f"worker {self.worker_id} crashed at drain: {reason}"
-            )
-        if self.integrity is not None:
-            try:
-                xs = _attest_batch(
-                    self.integrity,
-                    inputs,
-                    xs,
-                    worker_id=self.worker_id,
-                    now_s=now,
-                    manager=[
-                        m
-                        for runtime in self.stages
-                        for m in runtime.managers
-                        if m is not None
-                    ],
-                )
-            except WorkerFault:
-                self.batches_failed += 1
-                raise
-        if not np.all(np.isfinite(xs)):
-            self.batches_failed += 1
-            raise WorkerFault(
-                f"worker {self.worker_id} output integrity check failed: "
-                "non-finite values in drained batch"
-            )
-        self.batches_executed += 1
-        return xs
-
-    # ------------------------------------------------------------------
-    # Degradation / repair
-    # ------------------------------------------------------------------
-    def degrade_stage(
-        self,
-        stage_index: int,
-        fraction: float,
-        stuck_level: int | None = None,
-        rng=None,
-    ) -> int:
-        """Inject stuck faults into one stage and refresh its readback.
-
-        Mirrors :meth:`AcceleratorWorker.degrade` for a single fault
-        domain; returns newly stuck cells across the stage's parts.  An
-        external ``rng`` (a chaos injection's derived stream) leaves the
-        parts' own generators untouched.
-        """
-        runtime = self.stages[stage_index]
-        stuck = 0
-        for acc in runtime.stage.parts:
-            stuck += acc.inject_stuck_faults(
-                fraction, stuck_level=stuck_level, rng=rng
-            )
-            if acc.verify_writer is not None:
-                for layer in acc.layers:
-                    for tile_index in range(len(layer.tiles)):
-                        acc.reprogram_tile(layer.index, tile_index)
-        _log.warning(
-            "worker %d stage %d degraded: %d stuck cells (health %.3f)",
-            self.worker_id, stage_index, stuck, runtime.unconverged_fraction,
-        )
-        return stuck
-
-    def repair(self) -> bool:
-        """Sweep every stage's fault managers; True when all stages recover.
-
-        Runs during the server's half-open quarantine window.  A stage
-        whose health recovers and whose own cooldown has elapsed gets its
-        breaker walked OPEN -> HALF_OPEN -> CLOSED here (the repair sweep
-        is the successful probe); a stage still inside its cooldown stays
-        quarantined until a later window.
-        """
-        now = self._now()
-        swept = False
-        for runtime in self.stages:
-            for manager in runtime.managers:
-                if manager is not None:
-                    manager.repair()
-                    swept = True
-            recovered = (
-                runtime.unconverged_fraction <= self.unhealthy_threshold
-            )
-            if recovered and runtime.breaker.state is not BreakerState.CLOSED:
-                if runtime.breaker.allow(now):
-                    runtime.breaker.record_success(now)
-            _log.info(
-                "worker %d stage %d repair: health %.3f, breaker %s",
-                self.worker_id,
-                runtime.index,
-                runtime.unconverged_fraction,
-                runtime.breaker.state.value,
-            )
-        if self.integrity is not None:
-            escalated = self.integrity.counters.escalated
-            scrub = escalated > self._scrubbed_escalations
-            if scrub:
-                # Escalated SDC means some part's data path was provably
-                # wrong with no stuck-cell signature the managers could
-                # see: scrub every part's data tiles from the digital
-                # weight shadow *before* recalibrating, or the checker
-                # would re-baseline against the corruption.
-                for runtime in self.stages:
-                    for acc in runtime.stage.parts:
-                        for layer in acc.layers:
-                            for tile_index in range(len(layer.tiles)):
-                                acc.reprogram_tile(layer.index, tile_index)
-                self._scrubbed_escalations = escalated
-            if swept or scrub:
-                # The sweep rewrote data tiles (possibly migrating them);
-                # checksum rows must re-track the deployment and
-                # thresholds must re-baseline or post-repair batches
-                # would false-trip.
-                self.integrity.rewrite_and_recalibrate()
-        return self.healthy
+#: The one serving worker, under the name pipeline callers know it by.
+ShardedWorker = AcceleratorWorker
 
 
 def build_sharded_worker(
@@ -482,12 +43,10 @@ def build_sharded_worker(
     program_verify=None,
     with_managers: bool = False,
     spare_pes: int = 0,
-    unhealthy_threshold: float = 0.02,
-    dispatch_overhead_s: float = 1e-6,
     stage_cooldown_s: float = 1e-5,
     with_integrity: bool = False,
     integrity_config=None,
-) -> ShardedWorker:
+) -> AcceleratorWorker:
     """Build, program, and (optionally) make repairable a pipeline worker.
 
     ``with_managers`` attaches a remap-policy :class:`~repro.faults.
@@ -519,37 +78,23 @@ def build_sharded_worker(
         program_verify=program_verify,
         seed=seed,
     )
-    stage_managers: list[list] = []
+    stage_managers = None
     if with_managers:
         if program_verify is None:
             raise ServingError(
                 "fault managers need program-verify readback; pass a "
                 "ProgramVerifyConfig (zero-sigma for bit-identity)"
             )
-        from repro.faults import FaultManager, RepairConfig
-
+        stage_managers = []
         for stage in pipeline.stages:
             managers = []
             for acc in stage.parts:
-                n_tiles = sum(len(layer.tiles) for layer in acc.layers)
-                manager = FaultManager(
-                    acc,
-                    config=RepairConfig(
-                        policy="remap", max_migrations=n_tiles
-                    ),
-                )
+                managers.append(remap_manager(acc))
                 # The manager attached after programming: replay every
                 # tile write (same weights, same stored scale) so its
                 # detector sees a baseline readback per tile.
-                for layer in acc.layers:
-                    for tile_index in range(len(layer.tiles)):
-                        acc.reprogram_tile(layer.index, tile_index)
-                managers.append(manager)
+                rewrite_tiles(acc)
             stage_managers.append(managers)
-    else:
-        stage_managers = [
-            [None] * len(stage.parts) for stage in pipeline.stages
-        ]
     integrity = None
     if with_integrity:
         from repro.integrity.checker import PipelineChecker
@@ -557,13 +102,19 @@ def build_sharded_worker(
         integrity = PipelineChecker(
             pipeline, config=integrity_config, seed=seed
         )
-    return ShardedWorker(
+    return AcceleratorWorker(
         worker_id,
         pipeline,
-        stage_managers=stage_managers,
-        unhealthy_threshold=unhealthy_threshold,
-        dispatch_overhead_s=dispatch_overhead_s,
+        stage_managers,
         overlap=overlap,
         stage_cooldown_s=stage_cooldown_s,
         integrity=integrity,
     )
+
+
+__all__ = [
+    "ShardedWorker",
+    "_attest_batch",
+    "build_sharded_worker",
+    "forward_batch_latency_s",
+]

@@ -22,7 +22,8 @@ import numpy as np
 from repro.errors import ServingError
 from repro.serving.request import InferenceRequest, ShedReason
 from repro.serving.server import ServeReport, ServerConfig, TridentServer
-from repro.serving.worker import AcceleratorWorker
+from repro.serving.worker import AcceleratorWorker, remap_manager
+from repro.sharding.pipeline import single_chip_pipeline
 
 
 @dataclass(frozen=True)
@@ -91,13 +92,15 @@ class WorkloadConfig:
 # ----------------------------------------------------------------------
 # Fleet construction
 # ----------------------------------------------------------------------
-def build_worker(
-    worker_id: int, dims: tuple[int, ...], seed: int
-) -> AcceleratorWorker:
-    """One mapped, programmed, repairable accelerator worker."""
+def serving_chip(dims: tuple[int, ...], seed: int):
+    """The serving presets' chip: mapped for ``dims``, not yet programmed.
+
+    Banks sized to the widest layer (one tile per layer), four spare
+    rows per bank, a program-verify writer, and no convergence floor so
+    readback alone decides health.
+    """
     from repro.arch import TridentAccelerator, TridentConfig
     from repro.devices.program_verify import ProgramVerifyConfig
-    from repro.faults import FaultManager, RepairConfig
 
     rows = max(max(dims), 2)
     config = TridentConfig(
@@ -107,20 +110,22 @@ def build_worker(
         config=config, seed=seed, program_verify=ProgramVerifyConfig()
     )
     acc.map_mlp(list(dims))
+    return acc
+
+
+def build_worker(
+    worker_id: int, dims: tuple[int, ...], seed: int
+) -> AcceleratorWorker:
+    """One mapped, programmed, repairable single-chip worker."""
+    acc = serving_chip(dims, seed)
     rng = np.random.default_rng(seed + 1)
     weights = [
         rng.normal(0.0, 0.4, (dims[i + 1], dims[i]))
         for i in range(len(dims) - 1)
     ]
-    # The migration budget must cover every mapped tile: serving declares a
-    # worker healthy only when *all* its active banks converge, so a
-    # single-migration budget would strand any second degraded tile.
-    n_tiles = sum(len(layer.tiles) for layer in acc.layers)
-    manager = FaultManager(
-        acc, config=RepairConfig(policy="remap", max_migrations=n_tiles)
-    )
+    manager = remap_manager(acc)
     manager.deploy([w.copy() for w in weights])
-    return AcceleratorWorker(worker_id, acc, manager=manager)
+    return AcceleratorWorker(worker_id, single_chip_pipeline(acc), [[manager]])
 
 
 def sustainable_rate_hz(workers: list[AcceleratorWorker], max_batch: int) -> float:

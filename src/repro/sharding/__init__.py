@@ -6,9 +6,10 @@ wide layers optionally row-sharded across chips).  :func:`plan_pipeline`
 chooses the cut points from the dataflow cost model;
 :func:`build_pipeline` programs one accelerator per stage part and
 returns a :class:`ShardedPipeline` whose outputs are bit-identical to a
-single large reference accelerator.  The serving-side pipeline worker
+single large reference accelerator; :func:`single_chip_pipeline` wraps
+one mapped accelerator as the one-stage case.  The serving-side worker
 (overlapped stage execution, per-stage breakers/fault managers) lives in
-:mod:`repro.serving.sharded`.
+:mod:`repro.serving.worker`.
 """
 
 from repro.sharding.pipeline import (
@@ -16,6 +17,7 @@ from repro.sharding.pipeline import (
     ShardedPipeline,
     build_pipeline,
     reference_weight_scale,
+    single_chip_pipeline,
     slice_stage_weights,
 )
 from repro.sharding.planner import (
@@ -38,5 +40,6 @@ __all__ = [
     "plan_pipeline",
     "reduction_tile_count",
     "reference_weight_scale",
+    "single_chip_pipeline",
     "slice_stage_weights",
 ]

@@ -4,11 +4,13 @@
 plus the model's true-valued weight matrices and instantiates one
 :class:`~repro.arch.TridentAccelerator` per stage part, each mapping its
 contiguous layer range (or its row slice of a wide layer).  The resulting
-:class:`ShardedPipeline` exposes the single-accelerator inference surface
-— ``forward`` / ``forward_batch``, merged :class:`~repro.arch.
+:class:`ShardedPipeline` exposes the single-accelerator batched
+inference surface — ``forward_batch``, merged :class:`~repro.arch.
 accelerator.EventCounters`, energy/time estimates, ``state_dict`` /
 ``load_state_dict`` — so callers swap a pipeline in wherever an
-accelerator fit before.
+accelerator fit before.  :func:`single_chip_pipeline` wraps one mapped
+accelerator as the one-stage, one-part case, which is how the serving
+layer runs every worker through the same stage loop.
 
 Why the outputs are bit-identical to one large reference accelerator:
 
@@ -52,7 +54,7 @@ from repro.arch.config import TridentConfig
 from repro.devices.noise import NoiseModel
 from repro.devices.program_verify import ProgramVerifyConfig
 from repro.errors import CheckpointError, ShapeError, ShardingError
-from repro.sharding.planner import ShardPlan, StageSpec
+from repro.sharding.planner import ShardPlan, StageSpec, plan_from_cuts
 from repro.telemetry.session import trace_span as _trace_span
 
 
@@ -70,16 +72,6 @@ class PipelineStage:
     #: One accelerator per row split (exactly one unless row-sharded).
     parts: list[TridentAccelerator]
 
-    @property
-    def in_dim(self) -> int:
-        """Stage input width."""
-        return self.spec.dims[0]
-
-    @property
-    def out_dim(self) -> int:
-        """Stage output width."""
-        return self.spec.dims[-1]
-
     def forward_batch(self, xs: np.ndarray, record: bool = False) -> np.ndarray:
         """Run a (B, in_dim) slab through this stage's accelerators."""
         if len(self.parts) == 1:
@@ -89,14 +81,6 @@ class PipelineStage:
         return np.concatenate(
             [part.forward_batch(xs, record=record) for part in self.parts],
             axis=1,
-        )
-
-    def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
-        """Per-sample counterpart of :meth:`forward_batch`."""
-        if len(self.parts) == 1:
-            return self.parts[0].forward(x, record=record)
-        return np.concatenate(
-            [part.forward(x, record=record) for part in self.parts]
         )
 
 
@@ -157,23 +141,6 @@ class ShardedPipeline:
                     batch=value.shape[0],
                 ):
                     value = stage.forward_batch(value, record=record)
-        return value
-
-    def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
-        """Forward one sample stage by stage."""
-        value = np.asarray(x, dtype=np.float64)
-        if value.shape != (self.input_dim,):
-            raise ShapeError(
-                f"input shape {value.shape} != ({self.input_dim},)"
-            )
-        with _trace_span("sharded_forward", stages=len(self.stages)):
-            for stage in self.stages:
-                with _trace_span(
-                    "pipeline_stage",
-                    stage=stage.spec.index,
-                    parts=len(stage.parts),
-                ):
-                    value = stage.forward(value, record=record)
         return value
 
     # ------------------------------------------------------------------
@@ -312,3 +279,12 @@ def build_pipeline(
             parts.append(acc)
         stages.append(PipelineStage(spec=spec, parts=parts))
     return ShardedPipeline(plan, stages)
+
+
+def single_chip_pipeline(acc: TridentAccelerator) -> ShardedPipeline:
+    """One mapped accelerator as a one-stage, one-part pipeline."""
+    if not acc.layers:
+        raise ShardingError("map a network onto the accelerator first")
+    dims = [acc.layers[0].in_dim] + [layer.out_dim for layer in acc.layers]
+    plan = plan_from_cuts(dims, (), acc.config)
+    return ShardedPipeline(plan, [PipelineStage(plan.stages[0], [acc])])

@@ -1,9 +1,10 @@
 """Tests for the deterministic chaos subsystem and soak harness.
 
-Covers the plan/session/injector/audit layers, the two regression
+Covers the plan/session/injector/audit layers, the regression
 satellites (corrupt-checkpoint skip telemetry; monotonic breaker probe
-scheduling under forced trips), the clock-jitter hook, and the soak
-cell/matrix machinery including the sabotage self-audit.
+scheduling under forced trips; stuck bursts against one- and
+multi-stage workers), the clock-jitter hook, and the soak cell/matrix
+machinery including the sabotage self-audit.
 """
 
 import dataclasses
@@ -256,6 +257,77 @@ class TestFileInjectors:
 
         with pytest.raises(ChaosError):
             action(FakeServer())
+
+
+# ---------------------------------------------------------------------------
+# Stuck bursts reach every worker shape
+# ---------------------------------------------------------------------------
+class TestStuckBurstTargets:
+    def test_stageless_burst_degrades_every_stage_of_a_pipeline(self):
+        # Regression: a profile without ``stages`` compiles stuck bursts
+        # with no stage; against a multi-stage worker the injector called
+        # a ``degrade`` that worker lacked and the run died mid-loop.
+        from repro.serving import TridentServer
+        from repro.serving.shard_workload import (
+            ShardWorkloadConfig,
+            build_pipeline_worker,
+            synthesize_shard_arrivals,
+        )
+
+        config = ShardWorkloadConfig(n_requests=48)
+        worker = build_pipeline_worker(config, overlap=True)
+        plan = compile_plan(
+            ChaosProfile(
+                window_s=config.arrival_window_s,
+                crashes=0,
+                corruptions=0,
+                breaker_storms=0,
+                stuck_fraction=0.04,
+                stuck_level=254,
+            ),
+            seed=5,
+        )
+        assert "stage" not in plan.injections[0].params
+        server = TridentServer([worker], config=config.server)
+        with chaos_scope(plan) as session:
+            server.install_chaos(session)
+            report = server.run(synthesize_shard_arrivals(config))
+        assert report.conservation_ok()
+        (applied,) = session.applied
+        assert applied["kind"] == "stuck_burst" and applied["stuck_cells"] > 0
+        for runtime in worker.stages:
+            assert any(
+                acc.pes[tile[4]].bank.stuck_fraction > 0
+                for acc in runtime.stage.parts
+                for layer in acc.layers
+                for tile in layer.tiles
+            )
+
+    def test_stage_beyond_the_worker_raises(self):
+        # Regression: a stage aimed at a single-chip worker was ignored.
+        from repro.serving import build_worker
+
+        worker = build_worker(0, (6, 4), seed=3)
+        assert worker.degrade(0.05, stuck_level=254, stage=0) > 0
+        with pytest.raises(ChaosError, match="stage 1"):
+            worker.degrade(0.05, stage=1)
+        session = ChaosSession(
+            ChaosPlan(
+                seed=0,
+                injections=(
+                    Injection(0.0, "stuck_burst", 0, {"stage": 1}),
+                ),
+            )
+        )
+        action = make_server_action(session, 0, session.plan.injections[0])
+
+        class FakeServer:
+            workers = [worker]
+            clock = VirtualClock()
+
+        with pytest.raises(ChaosError):
+            action(FakeServer())
+        assert session.applied == []
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ class TestEscalationLadder:
 
     def test_faulty_checksum_row_is_exonerated_by_digital_spare(self):
         worker = build_integrity_worker(0, DIMS, SEED)
-        unit = worker.integrity.unit
+        (unit,) = worker.integrity.units[0]
         rng = np.random.default_rng(5)
         for tiles in unit.tiles:
             for _, _, pe_index in tiles:
@@ -211,7 +211,8 @@ class TestEscalationLadder:
         assert counters.conserved()
         assert worker.batches_failed == 1
         # The escalation is charged to the worker's repair history.
-        assert worker.manager.log.sdc_escalations == 1
+        (manager,) = worker.managers
+        assert manager.log.sdc_escalations == 1
 
     def test_repair_scrubs_and_recalibrates_after_escalation(self):
         worker = build_integrity_worker(0, DIMS, SEED)
@@ -237,7 +238,7 @@ class TestEscalationLadder:
         _upset_data_tiles(worker)
         xs = _batch()
         outputs = worker.acc.forward_batch(xs, record=True)
-        spy = _Spy()
+        spies = [_Spy(), _Spy()]
         with pytest.raises(IntegrityFault):
             attest_batch(
                 worker.integrity,
@@ -245,9 +246,9 @@ class TestEscalationLadder:
                 outputs,
                 worker_id=0,
                 now_s=0.0,
-                manager=[spy, None],
+                managers=spies,
             )
-        assert spy.calls == 1
+        assert [spy.calls for spy in spies] == [1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +296,10 @@ class TestShardedIntegrity:
     def test_sharded_escalation_and_scrub(self):
         worker = _sharded()
         rng = np.random.default_rng((0xABF7, 3))
-        for runtime in worker.stages:
-            for acc in runtime.stage.parts:
-                for layer in acc.layers:
-                    for tile in layer.tiles:
-                        acc.pes[tile[4]].bank.upset_cells(48, rng, delta=0.6)
+        for acc in worker.accelerators:
+            for layer in acc.layers:
+                for tile in layer.tiles:
+                    acc.pes[tile[4]].bank.upset_cells(48, rng, delta=0.6)
         with pytest.raises(IntegrityFault):
             worker.execute(_batch(width=SHARD_DIMS[0]))
         counters = worker.integrity.counters

@@ -215,9 +215,22 @@ def make_worker(worker_id=0, dims=(6, 4), seed=3):
 class TestAcceleratorWorker:
     def test_requires_programmed_network(self):
         from repro.arch import TridentAccelerator
+        from repro.errors import ShardingError
+        from repro.sharding import single_chip_pipeline
 
+        acc = TridentAccelerator()
+        with pytest.raises(ShardingError):
+            single_chip_pipeline(acc)
+        acc.map_mlp([6, 4])
         with pytest.raises(ServingError):
-            AcceleratorWorker(0, TridentAccelerator())
+            AcceleratorWorker(0, single_chip_pipeline(acc))
+
+    def test_single_chip_is_one_stage_without_stage_breaker(self, tiny_dims):
+        worker = make_worker(dims=tiny_dims)
+        assert len(worker.stages) == 1
+        assert worker.stage_breakers == []
+        assert worker.accelerators == [worker.acc]
+        assert len(worker.managers) == 1
 
     def test_service_time_grows_with_batch(self, tiny_dims):
         worker = make_worker(dims=tiny_dims)
@@ -248,12 +261,6 @@ class TestAcceleratorWorker:
         assert worker.unconverged_fraction == 0.0
         out = worker.execute(np.zeros((2, tiny_dims[0])))
         assert out.shape == (2, tiny_dims[-1])
-
-    def test_health_snapshot_keys(self, tiny_dims):
-        health = make_worker(dims=tiny_dims).health()
-        assert set(health) >= {
-            "worker", "unconverged_fraction", "healthy", "tiles_unrepaired",
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +320,7 @@ class TestTridentServer:
 
     def test_unrepairable_worker_exhausts_retries_not_hangs(self):
         # One worker, no manager: degradation is permanent.
-        worker = make_worker(0, (6, 4), seed=3)
-        worker.manager = None
+        worker = AcceleratorWorker(0, make_worker(0, (6, 4), seed=3).pipeline)
         worker.degrade(0.3, stuck_level=254)
         server = TridentServer(
             [worker],
