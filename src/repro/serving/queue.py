@@ -22,6 +22,7 @@ invested and displacing it reorders the least.
 from __future__ import annotations
 
 import bisect
+import math
 
 from repro.errors import ServingError
 from repro.serving.request import InferenceRequest
@@ -42,6 +43,9 @@ class AdmissionQueue:
         self._items: list[InferenceRequest] = []
         #: Admission sequence per resident, aligned with ``_items``.
         self._seqs: list[int] = []
+        #: Deadline per resident (inf for best-effort), aligned with
+        #: ``_items`` — lets :meth:`drop_hopeless` skip its scan.
+        self._deadlines: list[float] = []
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -65,14 +69,19 @@ class AdmissionQueue:
         self._keys.insert(index, key)
         self._items.insert(index, request)
         self._seqs.insert(index, self._next_seq)
+        deadline = request.deadline_s
+        self._deadlines.insert(index, math.inf if deadline is None else deadline)
         self._next_seq += 1
 
     def _victim_index(self) -> int:
-        """Index of the displacement victim: last-admitted of the lowest tier."""
-        return min(
-            range(len(self._items)),
-            key=lambda i: (self._items[i].priority, -self._seqs[i]),
-        )
+        """Index of the displacement victim: last-admitted of the lowest tier.
+
+        The lowest-priority tier is the suffix of the sorted queue, so
+        bisect to its start and take its largest admission seq.
+        """
+        start = bisect.bisect_left(self._keys, self._keys[-1][:1])
+        seqs = self._seqs[start:]
+        return start + seqs.index(max(seqs))
 
     def offer(
         self, request: InferenceRequest
@@ -101,10 +110,7 @@ class AdmissionQueue:
         del self._keys[index]
         del self._items[index]
         del self._seqs[index]
-
-    def remove(self, request: InferenceRequest) -> None:
-        """Remove a specific resident (must be present)."""
-        self._delete(self._keys.index(_order_key(request)))
+        del self._deadlines[index]
 
     def pop_batch(self, limit: int) -> list[InferenceRequest]:
         """Pop up to ``limit`` requests in priority order."""
@@ -114,6 +120,7 @@ class AdmissionQueue:
         del self._items[:limit]
         del self._keys[:limit]
         del self._seqs[:limit]
+        del self._deadlines[:limit]
         return taken
 
     def drop_hopeless(
@@ -124,19 +131,30 @@ class AdmissionQueue:
         A request is hopeless once even an immediate solo dispatch would
         finish past its deadline — the "early shedding" half of deadline
         enforcement: capacity is never spent on work that is already lost.
+
+        The scan runs only when the earliest deadline is hopeless: IEEE
+        subtraction is monotone, so if ``min(deadlines) - now_s`` still
+        covers ``min_service_s``, every later deadline does too.
         """
+        if min(self._deadlines, default=math.inf) - now_s >= min_service_s:
+            return []
         kept_keys: list[tuple] = []
         kept_items: list[InferenceRequest] = []
         kept_seqs: list[int] = []
+        kept_deadlines: list[float] = []
         dropped: list[InferenceRequest] = []
-        for key, req, seq in zip(self._keys, self._items, self._seqs):
+        for key, req, seq, deadline in zip(
+            self._keys, self._items, self._seqs, self._deadlines
+        ):
             if req.slack_s(now_s) < min_service_s:
                 dropped.append(req)
             else:
                 kept_keys.append(key)
                 kept_items.append(req)
                 kept_seqs.append(seq)
+                kept_deadlines.append(deadline)
         self._keys, self._items, self._seqs = kept_keys, kept_items, kept_seqs
+        self._deadlines = kept_deadlines
         return dropped
 
     def snapshot(self) -> tuple[InferenceRequest, ...]:

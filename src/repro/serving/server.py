@@ -1015,12 +1015,10 @@ class TridentServer:
                         self._decide("action", name=name)
                         fn(self)
                     elif category == _RETRY:
+                        # A retried request was dispatched, so its arrival
+                        # is already in ``admitted_ids``.
                         _, _, request = heapq.heappop(self._retries)
                         self._admit(request, is_retry=True)
-                        if request.request_id not in {
-                            r.request.request_id for r in self.shed
-                        }:
-                            admitted_ids.add(request.request_id)
                     else:  # _ARRIVAL
                         request = self._arrivals[self._arrival_index]
                         self._arrival_index += 1

@@ -231,6 +231,9 @@ class AcceleratorWorker:
         self.stage_breakers = [
             s.breaker for s in self.stages if s.breaker is not None
         ]
+        #: Batch size -> service time, filled on first use (see
+        #: :meth:`service_time_s`).
+        self._service_s: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Structure / clock
@@ -284,12 +287,20 @@ class AcceleratorWorker:
     # Cost model / overlap schedule
     # ------------------------------------------------------------------
     def service_time_s(self, batch_size: int) -> float:
-        """End-to-end (pipeline-fill) latency of one batch."""
-        # A plain loop, not sum(): the server asks this about a dozen
-        # times per request.
-        total = 0.0
-        for runtime in self.stages:
-            total += runtime.service_time_s(batch_size)
+        """End-to-end (pipeline-fill) latency of one batch.
+
+        The server asks this about a dozen times per request, so each
+        batch size is priced once and tabulated.  The table is exact:
+        arch, reduction tiles and dispatch overhead are fixed at
+        construction, and degrade/repair/remap move tiles between PEs
+        without changing any layer's column-tile count.
+        """
+        total = self._service_s.get(batch_size)
+        if total is None:
+            total = 0.0
+            for runtime in self.stages:
+                total += runtime.service_time_s(batch_size)
+            self._service_s[batch_size] = total
         return total
 
     def dispatch_times_s(

@@ -1,10 +1,18 @@
 """Tests for the fault-aware serving layer (repro.serving)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro import telemetry
+from repro.dataflow.cost_model import PhotonicArch, forward_batch_latency_s
 from repro.errors import ServingError, WorkerFault
+from repro.fleet import WorkerPool
+from repro.integrity import build_integrity_worker
 from repro.runtime import VirtualClock
 from repro.serving import (
     AcceleratorWorker,
@@ -17,6 +25,7 @@ from repro.serving import (
     Phase,
     RejectedRequest,
     ServerConfig,
+    ShardWorkloadConfig,
     ShedReason,
     TridentServer,
     WorkloadConfig,
@@ -27,6 +36,9 @@ from repro.serving import (
     sustainable_rate_hz,
     synthesize_arrivals,
 )
+from repro.serving import worker as worker_module
+from repro.serving.shard_workload import build_pipeline_worker
+from repro.serving.worker import DISPATCH_OVERHEAD_S
 
 
 def req(rid, arrival=0.0, deadline=None, priority=0, n_in=4):
@@ -111,6 +123,138 @@ class TestAdmissionQueue:
         dropped = q.drop_hopeless(now_s=2.0, min_service_s=0.5)
         assert [r.request_id for r in dropped] == [0]
         assert len(q) == 2
+
+
+class ReferenceQueue:
+    """The admission queue's semantics written out plainly.
+
+    The oracle for the indexed queue: a sorted list, a lambda-``min``
+    displacement victim and a linear hopeless scan.
+    """
+
+    def __init__(self, max_depth):
+        self.max_depth = max_depth
+        self.entries = []  # (order key, admission seq, request)
+        self.next_seq = 0
+
+    def push(self, request):
+        key = (-request.priority, request.arrival_s, request.request_id)
+        self.entries.append((key, self.next_seq, request))
+        self.entries.sort(key=lambda entry: entry[0])
+        self.next_seq += 1
+
+    def offer(self, request):
+        if len(self.entries) < self.max_depth:
+            self.push(request)
+            return True, None
+        index = min(
+            range(len(self.entries)),
+            key=lambda i: (self.entries[i][2].priority, -self.entries[i][1]),
+        )
+        victim = self.entries[index][2]
+        if request.priority <= victim.priority:
+            return False, None
+        del self.entries[index]
+        self.push(request)
+        return True, victim
+
+    def pop_batch(self, limit):
+        taken = [entry[2] for entry in self.entries[:limit]]
+        del self.entries[:limit]
+        return taken
+
+    def drop_hopeless(self, now_s, min_service_s):
+        dropped, kept = [], []
+        for entry in self.entries:
+            if entry[2].slack_s(now_s) < min_service_s:
+                dropped.append(entry[2])
+            else:
+                kept.append(entry)
+        self.entries = kept
+        return dropped
+
+    def snapshot(self):
+        return tuple(entry[2] for entry in self.entries)
+
+
+def _ids(requests):
+    return [r.request_id for r in requests]
+
+
+_NOW = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(-3.0, 6.0)
+_REQUEST = st.tuples(
+    st.integers(0, 2),                                   # priority
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0),   # arrival
+    st.none()
+    | st.sampled_from([-1e9, 0.5, 1.0, 1.5, 3.0])        # long past / equal
+    | st.floats(-5.0, 5.0),
+)
+
+
+class AdmissionQueueMachine(RuleBasedStateMachine):
+    """The indexed queue against :class:`ReferenceQueue`, op by op."""
+
+    @initialize(max_depth=st.integers(1, 6))
+    def start(self, max_depth):
+        self.real = AdmissionQueue(max_depth)
+        self.ref = ReferenceQueue(max_depth)
+        self.next_id = 0
+
+    def request(self, spec):
+        priority, arrival, deadline = spec
+        self.next_id += 1
+        return req(self.next_id, arrival, deadline, priority)
+
+    @rule(spec=_REQUEST)
+    def push(self, spec):
+        request = self.request(spec)
+        if len(self.ref.entries) >= self.ref.max_depth:
+            with pytest.raises(ServingError):
+                self.real.push(request)
+        else:
+            self.real.push(request)
+            self.ref.push(request)
+
+    @rule(spec=_REQUEST)
+    def offer(self, spec):
+        request = self.request(spec)
+        admitted, evicted = self.real.offer(request)
+        ref_admitted, ref_evicted = self.ref.offer(request)
+        assert admitted == ref_admitted
+        assert evicted is ref_evicted
+
+    @rule(limit=st.integers(1, 4))
+    def pop_batch(self, limit):
+        assert _ids(self.real.pop_batch(limit)) == _ids(self.ref.pop_batch(limit))
+
+    @rule(now=_NOW, min_service=st.sampled_from([0.0, 0.5, 1.0, math.inf]))
+    def drop_hopeless(self, now, min_service):
+        assert _ids(self.real.drop_hopeless(now, min_service)) == _ids(
+            self.ref.drop_hopeless(now, min_service)
+        )
+
+    @rule(pick=st.integers(0, 7), now=_NOW)
+    def drop_at_boundary(self, pick, now):
+        """A drop exactly on a resident's ``deadline - now == min_service``."""
+        residents = self.ref.snapshot()
+        deadline = residents[pick % len(residents)].deadline_s if residents else None
+        self.drop_hopeless(now, (math.inf if deadline is None else deadline) - now)
+
+    @invariant()
+    def same_residents(self):
+        assert _ids(self.real.snapshot()) == _ids(self.ref.snapshot())
+        assert len(self.real) == len(self.ref.entries)
+        # The deadline index the early-out reads stays aligned.
+        assert self.real._deadlines == [
+            math.inf if r.deadline_s is None else r.deadline_s
+            for r in self.real.snapshot()
+        ]
+
+
+TestAdmissionQueueModel = AdmissionQueueMachine.TestCase
+TestAdmissionQueueModel.settings = settings(
+    max_examples=100, stateful_step_count=60, deadline=None
+)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +405,83 @@ class TestAcceleratorWorker:
         assert worker.unconverged_fraction == 0.0
         out = worker.execute(np.zeros((2, tiny_dims[0])))
         assert out.shape == (2, tiny_dims[-1])
+
+
+# ---------------------------------------------------------------------------
+def priced_s(worker, batch):
+    """A worker's service time priced afresh from its live mapping.
+
+    A layer's reduction tiles are its distinct column ranges, so a repair
+    that changed their count would show here.
+    """
+    arch = PhotonicArch.trident(worker.accelerators[0].config)
+    total = 0.0
+    for stage in worker.pipeline.stages:
+        tiles = [
+            len({tile[2:4] for tile in layer.tiles})
+            for layer in stage.parts[0].layers
+        ]
+        total += forward_batch_latency_s(
+            arch, tiles, batch, overhead_s=DISPATCH_OVERHEAD_S
+        )
+    return total
+
+
+def shuffled_sizes(seed):
+    """Batch sizes 1..64, each twice, in a seeded shuffled order."""
+    sizes = list(range(1, 65)) * 2
+    np.random.default_rng(seed).shuffle(sizes)
+    return sizes
+
+
+class TestServiceTimeTable:
+    """The tabulated service time equals a fresh cost-model pricing."""
+
+    @pytest.mark.parametrize(
+        "build, degrade",
+        [
+            (lambda: make_worker(), {"fraction": 0.2}),
+            (
+                lambda: build_integrity_worker(0, (12, 16, 4), 3),
+                {"fraction": 0.2},
+            ),
+            (
+                lambda: build_pipeline_worker(ShardWorkloadConfig(), overlap=True),
+                {"fraction": 0.04, "stage": 1},
+            ),
+        ],
+        ids=["single-chip", "integrity", "sharded"],
+    )
+    def test_exact_and_priced_once(self, build, degrade, monkeypatch):
+        worker = build()
+        if "stage" in degrade:
+            assert len(worker.stages) >= 2
+        priced = []
+
+        def counting(arch, tiles, batch, overhead_s):
+            priced.append(batch)
+            return forward_batch_latency_s(arch, tiles, batch, overhead_s)
+
+        monkeypatch.setattr(worker_module, "forward_batch_latency_s", counting)
+        for b in shuffled_sizes(0):
+            assert worker.service_time_s(b) == priced_s(worker, b)
+        assert sorted(priced) == sorted(list(range(1, 65)) * len(worker.stages))
+        pes = [tile[4] for acc in worker.accelerators for layer in acc.layers
+               for tile in layer.tiles]
+        worker.degrade(stuck_level=254, **degrade)
+        assert worker.repair()
+        # The repair remapped tiles onto other PEs.
+        assert pes != [tile[4] for acc in worker.accelerators
+                       for layer in acc.layers for tile in layer.tiles]
+        for b in shuffled_sizes(1):
+            assert worker.service_time_s(b) == priced_s(worker, b)
+
+    def test_pool_clone_matches_template(self):
+        pool = WorkerPool((6, 4), seed=3)
+        template, clone = pool.make_worker(0), pool.make_worker(1)
+        expected = {b: template.service_time_s(b) for b in shuffled_sizes(2)}
+        for b in shuffled_sizes(3):
+            assert clone.service_time_s(b) == expected[b] == priced_s(clone, b)
 
 
 # ---------------------------------------------------------------------------

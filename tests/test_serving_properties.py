@@ -11,6 +11,8 @@ The invariants under test, per ISSUE acceptance criteria:
   ``max_retries + 1`` times.
 - **Determinism** — replaying the same seed and arrival schedule yields
   a bit-identical admit/shed/dispatch decision sequence and outputs.
+- **Admission bookkeeping** — ``admitted_ids`` holds exactly the
+  first-time admissions, and only an admitted request is ever retried.
 """
 
 import numpy as np
@@ -112,6 +114,19 @@ class TestServingInvariants:
             assert 1 <= completion.attempts <= budget
         for rejection in report.shed:
             assert 0 <= rejection.attempts <= budget
+
+    @settings(max_examples=20, deadline=None)
+    @given(specs=request_specs, knobs=server_knobs)
+    def test_admitted_ids_are_first_admissions(self, specs, knobs):
+        # Degrade so batches fail and requests come back as retries.
+        report, _ = run_once(specs, knobs, degrade=True)
+        first_admits = set()
+        for decision in report.decisions:
+            if decision["kind"] == "admit" and not decision["retry"]:
+                first_admits.add(decision["request"])
+            elif decision["kind"] == "retry":
+                assert decision["request"] in first_admits
+        assert report.admitted_ids == first_admits
 
     @settings(max_examples=10, deadline=None)
     @given(specs=request_specs, knobs=server_knobs, degrade=st.booleans())
