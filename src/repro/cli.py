@@ -655,7 +655,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             breaker_failure_threshold=3,
             breaker_cooldown_s=5e-6,
             seed=args.seed,
-            executor_threads=args.threads,
         ),
     )
 
@@ -1244,8 +1243,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission queue depth bound")
     p.add_argument("--slo-us", type=float, default=10.0,
                    help="latency SLO in microseconds of virtual time")
-    p.add_argument("--threads", type=int, default=0,
-                   help="thread-pool size for batch execution (0 = inline)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", metavar="PATH", default=None,
                    help="Chrome trace output (--smoke defaults to a temp dir)")

@@ -39,7 +39,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import heapq
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,10 +98,6 @@ class ServerConfig:
     breaker_cooldown_s: float = 2e-5
     #: Seed for the retry-jitter generator.
     seed: int = 0
-    #: When > 0, batch executions run on a thread pool of this size
-    #: (scheduling stays single-threaded and decisions are unchanged —
-    #: only the numpy work fans out).
-    executor_threads: int = 0
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -124,10 +120,6 @@ class ServerConfig:
             raise ServingError(
                 f"retry_backoff_factor must be >= 1, got "
                 f"{self.retry_backoff_factor}"
-            )
-        if self.executor_threads < 0:
-            raise ServingError(
-                f"executor_threads must be >= 0, got {self.executor_threads}"
             )
 
 
@@ -325,7 +317,15 @@ class TridentServer:
         self._ingest_events: list[tuple[float, int]] = []
         self._event_seq = 0
         self._decision_seq = 0
-        self._pool: ThreadPoolExecutor | None = None
+        # -- readiness index (see _serving_workers, _free_workers) -----
+        self._class_ids: dict = {}  # price key -> price class id
+        self._price_class: dict[int, int] = {}  # worker id -> class id
+        for worker in self.workers:
+            self._classify(worker)
+        self._serving: list[AcceleratorWorker] | None = None
+        self._free: list[AcceleratorWorker] | None = None
+        self._serving_until = self._free_until = self._fastest_s = math.inf
+        self._full_batch_s: dict[int, float] = {}
         # -- results ----------------------------------------------------
         self.decisions: list[dict] = []
         self.breaker_transitions: list[dict] = []
@@ -345,6 +345,7 @@ class TridentServer:
         _emit_event(f"serve_{kind}", **payload)
 
     def _on_breaker_transition(self, now_s, worker_id, before, to, reason):
+        self._roster_changed()
         record = {
             "t": now_s,
             "worker": worker_id,
@@ -426,6 +427,8 @@ class TridentServer:
             on_transition=self._on_breaker_transition,
         )
         self._busy_until[wid] = None
+        self._classify(worker)
+        self._roster_changed()
         now = self.clock.now()
         if warm_at_s is not None and warm_at_s > now:
             self._warm_at[wid] = float(warm_at_s)
@@ -445,6 +448,7 @@ class TridentServer:
         if worker_id in self.draining:
             return
         self.draining.add(worker_id)
+        self._roster_changed()
         self._decide("drain_begin", worker=worker_id, fleet=len(self.workers))
 
     def worker_idle(self, worker_id: int) -> bool:
@@ -475,9 +479,11 @@ class TridentServer:
         self.workers = self.workers[:index] + self.workers[index + 1:]
         del self.breakers[worker_id]
         del self._busy_until[worker_id]
+        del self._price_class[worker_id]
         self.draining.discard(worker_id)
         self._warm_at.pop(worker_id, None)
         self._half_open_probed.discard(worker_id)
+        self._roster_changed()
         self._decide(
             "decommission", worker=worker_id, fleet=len(self.workers)
         )
@@ -513,28 +519,79 @@ class TridentServer:
         )
 
     # ------------------------------------------------------------------
-    # Capacity estimation (admission control)
+    # Readiness index
     # ------------------------------------------------------------------
+    def _classify(self, worker: AcceleratorWorker) -> None:
+        """Map the worker to the small integer id of its price class."""
+        ids = self._class_ids
+        self._price_class[worker.worker_id] = ids.setdefault(
+            worker.price_key, len(ids)
+        )
+
+    def _roster_changed(self) -> None:
+        """Drop the serving set and free list: who may serve changed."""
+        self._serving = self._free = None
+
     def _serving_workers(self) -> list[AcceleratorWorker]:
         """Workers that could take a batch right now.
 
         Excludes hard-open breakers, draining workers, and workers still
         inside their warm-up window — capacity estimates must price only
-        what dispatch would actually use.
+        what dispatch would actually use.  Cached, with the fastest
+        single-request price, until the roster changes or the next
+        warm-up ends.
         """
         now = self.clock.now()
-        return [
-            w
-            for w in self.workers
-            if self.breakers[w.worker_id].state is not BreakerState.OPEN
-            and w.worker_id not in self.draining
-            and self._warm_at.get(w.worker_id, now) <= now
-        ]
+        if self._serving is None or now >= self._serving_until:
+            self._serving = [
+                w
+                for w in self.workers
+                if self.breakers[w.worker_id].state is not BreakerState.OPEN
+                and w.worker_id not in self.draining
+                and self._warm_at.get(w.worker_id, now) <= now
+            ]
+            pending = [t for t in self._warm_at.values() if t > now]
+            self._serving_until = min(pending, default=math.inf)
+            self._fastest_s = min(
+                w.service_time_s(1) for w in self._serving or self.workers
+            )
+            self._full_batch_s = {}
+        return self._serving
 
+    def _free_workers(self, now: float) -> list[AcceleratorWorker]:
+        """Workers past the drain, warm-up and busy gates, in id order.
+
+        Cached until the earliest future busy-until or warm-up instant,
+        or until a dispatch or roster change.  A completion clears only a
+        busy-until at or before ``now``, which the list already counts.
+        """
+        if self._free is None or now >= self._free_until:
+            free, until = [], math.inf
+            for worker in self.workers:
+                wid = worker.worker_id
+                if wid in self.draining:
+                    continue
+                warm_at = self._warm_at.get(wid)
+                if warm_at is not None:
+                    if warm_at > now:
+                        until = min(until, warm_at)
+                        continue
+                    del self._warm_at[wid]
+                busy_until = self._busy_until[wid]
+                if busy_until is not None and busy_until > now:
+                    until = min(until, busy_until)
+                    continue
+                free.append(worker)
+            self._free, self._free_until = free, until
+        return self._free
+
+    # ------------------------------------------------------------------
+    # Capacity estimation (admission control)
+    # ------------------------------------------------------------------
     def _min_service_s(self) -> float:
         """Fastest possible single-request service time right now."""
-        serving = self._serving_workers() or self.workers
-        return min(w.service_time_s(1) for w in serving)
+        self._serving_workers()
+        return self._fastest_s
 
     def _worker_free_s(self, worker_id: int, now_s: float) -> float:
         """Instant the worker can ingest a new batch (``now_s`` if idle).
@@ -559,10 +616,13 @@ class TridentServer:
         if not serving:
             return float("inf")
         # Priced with the batcher's *live* size cap, not the static
-        # config: the fleet controller retunes the micro-batch knobs
-        # mid-run and admission must follow.
+        # config: ``batcher.max_batch`` is public and may change mid-run
+        # (the fleet controller retunes only ``slo_latency_s`` today).
         max_batch = self.batcher.max_batch
-        full_batch_s = max(w.service_time_s(max_batch) for w in serving)
+        full_batch_s = self._full_batch_s.get(max_batch)
+        if full_batch_s is None:
+            full_batch_s = max(w.service_time_s(max_batch) for w in serving)
+            self._full_batch_s[max_batch] = full_batch_s
         earliest_free = min(
             self._worker_free_s(w.worker_id, now_s) for w in serving
         )
@@ -645,6 +705,12 @@ class TridentServer:
         return min(candidates) if candidates else None
 
     def _dispatch_all(self) -> None:
+        """Offer the queue to the free workers, in worker-id order.
+
+        ``should_dispatch`` depends on the worker only through its price
+        table, so a pass asks it once per price class until a dispatch
+        changes the queue.
+        """
         now = self.clock.now()
         min_service = self._min_service_s()
         for hopeless in self.queue.drop_hopeless(now, min_service):
@@ -653,20 +719,17 @@ class TridentServer:
                 ShedReason.DEADLINE_EXPIRED,
                 "deadline unreachable even dispatching now",
             )
-        for worker in self.workers:
+        if not len(self.queue):
+            return
+        free = self._free_workers(now)
+        if not free:
+            return
+        refill = self._next_refill_s()
+        waiting: set[int] = set()  # price classes that answered "wait"
+        for worker in free:
             if not len(self.queue):
                 break
             wid = worker.worker_id
-            if wid in self.draining:
-                continue
-            warm_at = self._warm_at.get(wid)
-            if warm_at is not None:
-                if warm_at > now:
-                    continue
-                del self._warm_at[wid]
-            busy_until = self._busy_until[wid]
-            if busy_until is not None and busy_until > now:
-                continue
             breaker = self.breakers[wid]
             was_open = breaker.state is BreakerState.OPEN
             if not breaker.allow(now):
@@ -681,15 +744,20 @@ class TridentServer:
                 size = 1  # risk one request on an unproven worker
                 self._half_open_probed.add(wid)
             else:
+                price_class = self._price_class[wid]
+                if price_class in waiting:
+                    continue
                 if not self.batcher.should_dispatch(
-                    self.queue, now, self._next_refill_s(),
-                    worker.service_time_s,
+                    self.queue, now, refill, worker.service_time_s
                 ):
+                    waiting.add(price_class)
                     continue
                 size = self.batcher.size_batch(self.queue)
             batch = tuple(self.queue.pop_batch(size))
+            waiting.clear()
             ingest_free, finish = worker.dispatch_times_s(now, len(batch))
             self._busy_until[wid] = ingest_free
+            self._free = None
             self._event_seq += 1
             heapq.heappush(
                 self._completions,
@@ -923,30 +991,14 @@ class TridentServer:
         return due
 
     def _run_completions(self, due: list[tuple]) -> None:
-        """Execute and settle a set of same-instant batch completions.
-
-        Execution (the numpy work) happens first — serially or on the
-        thread pool — then outcomes settle in event order, so threading
-        changes neither the decision log nor any output.
-        """
+        """Execute and settle same-instant batch completions in event order."""
         worker_by_id = {w.worker_id: w for w in self.workers}
-        jobs = []
-        for _, seq, wid, batch, dispatch_s in due:
-            jobs.append((seq, worker_by_id[wid], batch, dispatch_s))
-
-        def run(job):
-            _, worker, batch, _ = job
+        for _, _, wid, batch, dispatch_s in due:
+            worker = worker_by_id[wid]
             try:
-                return self._execute(worker, batch)
+                outcome = self._execute(worker, batch)
             except WorkerFault as fault:
-                return fault
-
-        if self._pool is not None and len(jobs) > 1:
-            outcomes = list(self._pool.map(run, jobs))
-        else:
-            outcomes = [run(job) for job in jobs]
-        for job, outcome in zip(jobs, outcomes):
-            _, worker, batch, dispatch_s = job
+                outcome = fault
             self._process_completion(worker, batch, dispatch_s, outcome)
 
     def run(self, arrivals) -> ServeReport:
@@ -961,79 +1013,65 @@ class TridentServer:
         submitted = len(self._arrivals)
         admitted_ids: set[int] = set()
 
-        pool = (
-            ThreadPoolExecutor(
-                max_workers=self.config.executor_threads,
-                thread_name_prefix="repro-serve",
-            )
-            if self.config.executor_threads > 0
-            else None
-        )
-        self._pool = pool
-        try:
-            with _trace_span("serve", requests=submitted):
-                while True:
-                    event = self._next_event()
-                    if event is None:
-                        if len(self.queue) == 0:
-                            break
-                        # Queue is non-empty but no events remain: the only
-                        # way forward is an OPEN breaker becoming probeable.
-                        probes = [
-                            b.next_probe_s()
-                            for b in self.breakers.values()
-                            if b.next_probe_s() is not None
-                        ]
-                        if not probes:
-                            for request in self.queue.pop_batch(len(self.queue)):
-                                self._record_shed(
-                                    request,
-                                    ShedReason.NO_WORKER,
-                                    "all workers quarantined at drain",
-                                )
-                            break
-                        self.clock.advance_to(
-                            max(self.clock.now(), min(probes))
-                        )
-                        self._dispatch_all()
-                        continue
-                    t, category = event
-                    self.clock.advance_to(max(self.clock.now(), t))
-                    if category == _COMPLETION:
-                        self._run_completions(self._pop_due_completions(t))
-                    elif category == _INGEST:
-                        # Pure wake-up: an overlapped worker's first stage
-                        # freed; the dispatch pass below does the work.
-                        while (
-                            self._ingest_events
-                            and self._ingest_events[0][0] <= t
-                        ):
-                            heapq.heappop(self._ingest_events)
-                    elif category == _ACTION:
-                        _, _, name, fn = self._actions[self._action_index]
-                        self._action_index += 1
-                        self._decide("action", name=name)
-                        fn(self)
-                    elif category == _RETRY:
-                        # A retried request was dispatched, so its arrival
-                        # is already in ``admitted_ids``.
-                        _, _, request = heapq.heappop(self._retries)
-                        self._admit(request, is_retry=True)
-                    else:  # _ARRIVAL
-                        request = self._arrivals[self._arrival_index]
-                        self._arrival_index += 1
-                        before = len(self.shed)
-                        self._admit(request, is_retry=False)
-                        if len(self.shed) == before or (
-                            self.shed[-1].request.request_id
-                            != request.request_id
-                        ):
-                            admitted_ids.add(request.request_id)
+        with _trace_span("serve", requests=submitted):
+            while True:
+                event = self._next_event()
+                if event is None:
+                    if len(self.queue) == 0:
+                        break
+                    # Queue is non-empty but no events remain: the only
+                    # way forward is an OPEN breaker becoming probeable
+                    # (not a draining worker's: dispatch never polls it).
+                    probes = [
+                        b.next_probe_s()
+                        for wid, b in self.breakers.items()
+                        if wid not in self.draining
+                        and b.next_probe_s() is not None
+                    ]
+                    if not probes:
+                        for request in self.queue.pop_batch(len(self.queue)):
+                            self._record_shed(
+                                request,
+                                ShedReason.NO_WORKER,
+                                "all workers quarantined at drain",
+                            )
+                        break
+                    self.clock.advance_to(max(self.clock.now(), min(probes)))
                     self._dispatch_all()
-        finally:
-            self._pool = None
-            if pool is not None:
-                pool.shutdown(wait=True)
+                    continue
+                t, category = event
+                self.clock.advance_to(max(self.clock.now(), t))
+                if category == _COMPLETION:
+                    self._run_completions(self._pop_due_completions(t))
+                elif category == _INGEST:
+                    # Pure wake-up: an overlapped worker's first stage
+                    # freed; the dispatch pass below does the work.
+                    while (
+                        self._ingest_events
+                        and self._ingest_events[0][0] <= t
+                    ):
+                        heapq.heappop(self._ingest_events)
+                elif category == _ACTION:
+                    _, _, name, fn = self._actions[self._action_index]
+                    self._action_index += 1
+                    self._decide("action", name=name)
+                    fn(self)
+                elif category == _RETRY:
+                    # A retried request was dispatched, so its arrival
+                    # is already in ``admitted_ids``.
+                    _, _, request = heapq.heappop(self._retries)
+                    self._admit(request, is_retry=True)
+                else:  # _ARRIVAL
+                    request = self._arrivals[self._arrival_index]
+                    self._arrival_index += 1
+                    before = len(self.shed)
+                    self._admit(request, is_retry=False)
+                    if len(self.shed) == before or (
+                        self.shed[-1].request.request_id
+                        != request.request_id
+                    ):
+                        admitted_ids.add(request.request_id)
+                self._dispatch_all()
 
         report = ServeReport(
             submitted=submitted,

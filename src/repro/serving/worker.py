@@ -234,6 +234,9 @@ class AcceleratorWorker:
         #: Batch size -> service time, filled on first use (see
         #: :meth:`service_time_s`).
         self._service_s: dict[int, float] = {}
+        #: Everything :meth:`service_time_s` depends on: workers with
+        #: equal keys price every batch size identically.
+        self.price_key = (arch, tuple(s.reduction_tiles for s in self.stages))
 
     # ------------------------------------------------------------------
     # Structure / clock
@@ -289,8 +292,8 @@ class AcceleratorWorker:
     def service_time_s(self, batch_size: int) -> float:
         """End-to-end (pipeline-fill) latency of one batch.
 
-        The server asks this about a dozen times per request, so each
-        batch size is priced once and tabulated.  The table is exact:
+        The server prices batches on most events, so each batch size
+        is priced once and tabulated.  The table is exact:
         arch, reduction tiles and dispatch overhead are fixed at
         construction, and degrade/repair/remap move tiles between PEs
         without changing any layer's column-tile count.

@@ -580,14 +580,6 @@ class TestTridentServer:
         with pytest.raises(ServingError):
             ServerConfig(retry_backoff_factor=0.5)
 
-    def test_thread_pool_execution_matches_inline(self):
-        arrivals = [req(i, i * 1e-7, n_in=6) for i in range(12)]
-        inline, _ = self.serve(arrivals, n_workers=2)
-        pooled, _ = self.serve(arrivals, n_workers=2, executor_threads=2)
-        assert inline.decisions == pooled.decisions
-        for a, b in zip(inline.completed, pooled.completed):
-            assert np.array_equal(a.output, b.output)
-
 
 # ---------------------------------------------------------------------------
 class TestWorkloadAndSmoke:
@@ -760,3 +752,52 @@ class TestEstimateBusyUntilZero:
         report = server.run([req(0, 0.0, deadline=deadline, n_in=6)])
         assert report.completion_rate == 1.0
         assert not report.shed
+
+
+# ---------------------------------------------------------------------------
+class TestDrainingBreakerNoHang:
+    """Regression: an OPEN breaker on a draining worker never probes.
+
+    Dispatch skips a draining worker before it polls the breaker, so the
+    idle loop must not wait on that breaker's probe instant (it used to
+    spin forever with the clock parked there).
+    """
+
+    @staticmethod
+    def trip(worker_id, drain=False):
+        def action(server):
+            server.breakers[worker_id].trip(server.clock.now(), "test")
+            if drain:
+                server.begin_drain(worker_id)
+
+        return action
+
+    @staticmethod
+    def arrivals():
+        return [req(i, 3e-6 + i * 1e-7, n_in=6) for i in range(5)]
+
+    def test_probe_comes_from_the_serving_worker(self, hang_guard):
+        workers = [make_worker(i, (6, 4), seed=3 + i) for i in range(2)]
+        server = TridentServer(
+            workers, config=ServerConfig(breaker_cooldown_s=2e-5)
+        )
+        server.schedule_action(1e-6, "trip_drain_1", self.trip(1, drain=True))
+        server.schedule_action(2e-6, "trip_0", self.trip(0))
+        with hang_guard():
+            report = server.run(self.arrivals())
+        assert len(report.completed) == 5 and not report.shed
+        assert {c.worker_id for c in report.completed} == {0}
+        assert min(c.dispatch_s for c in report.completed) == pytest.approx(
+            22e-6
+        )
+
+    def test_lone_draining_worker_sheds_no_worker(self, hang_guard):
+        server = TridentServer(
+            [make_worker(0, (6, 4))],
+            config=ServerConfig(breaker_cooldown_s=2e-5),
+        )
+        server.schedule_action(1e-6, "trip_drain_0", self.trip(0, drain=True))
+        with hang_guard():
+            report = server.run(self.arrivals())
+        assert report.shed_by_reason() == {"no_worker": 5}
+        assert report.conservation_ok()
