@@ -4,7 +4,7 @@ The headline robustness claim for the fault-management subsystem: at a
 damaging stuck-cell rate (>= 5 %, stuck at weight +1), the spare-remap
 repair ladder recovers at least half of the accuracy the unrepaired
 accelerator loses, pays for every repair through the event accounting,
-and never breaks batched/per-sample execution parity.
+and never breaks batch invariance (one batch vs single-sample batches).
 """
 
 from repro.eval.formatting import format_table

@@ -28,8 +28,9 @@ def test_bank_program_speed(benchmark):
 
 
 def test_bank_matvec_speed(benchmark, programmed_bank):
-    x = np.random.default_rng(2).uniform(-1, 1, 16)
-    benchmark(programmed_bank.matvec, x)
+    # A matrix-vector product is a single-column matmat.
+    x = np.random.default_rng(2).uniform(-1, 1, (16, 1))
+    benchmark(programmed_bank.matmat, x)
 
 
 def test_bank_matmat_batch_speed(benchmark, programmed_bank):

@@ -46,7 +46,7 @@ def main() -> None:
     acc.set_weights(weights)
 
     x = rng.uniform(-1, 1, 16)
-    y_photonic = acc.forward(x)
+    y_photonic = acc.forward_batch(x[None])[0]  # one sample = a batch of one
 
     # The same math digitally (GST activation = 0.34 * relu).
     hidden = 0.34 * np.maximum(weights[0] @ x, 0)

@@ -20,13 +20,18 @@ being stretched to unit max for a finer step.  Because the GST activation
 is positively homogeneous (slope * max(0, h)), normalization commutes with
 it and the chain stays exact up to quantization + noise.
 
+Execution path: :meth:`TridentAccelerator.forward_batch` is the one
+functional engine; a single sample runs as a batch of one.
+
 Event accounting rule: ``counters.symbols`` counts streamed input vectors
-*per bank* — one symbol per tile a sample's vector enters, in every
-execution path — so it always equals the PEs' merged ``BankStats.symbols``.
+*per bank* — one symbol per tile a sample's vector enters, for inference
+and training alike — so it always equals the PEs' merged
+``BankStats.symbols``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +43,7 @@ from repro.arch.weight_bank import BankStats, WeightBank
 from repro.devices.noise import NoiseModel
 from repro.devices.photodetector import BalancedPhotodetector
 from repro.devices.program_verify import ProgramVerifyConfig, ProgramVerifyWriter
-from repro.errors import MappingError, RepairError, ShapeError
+from repro.errors import MappingError, ProgrammingError, RepairError, ShapeError
 from repro.telemetry.metrics import NULL_INSTRUMENT
 from repro.telemetry.session import (
     counter as _metric_counter,
@@ -102,10 +107,7 @@ class MappedLayer:
     weights: np.ndarray | None = None
     #: Scale dividing the true weights into [-1, 1].
     weight_scale: float = 1.0
-    #: Forward-pass bookkeeping for training (per-sample path).
-    last_input: np.ndarray | None = None
-    last_logits: np.ndarray | None = None
-    #: Forward-pass bookkeeping for batched training: (B, in_dim) inputs and
+    #: Forward-pass bookkeeping for training: (B, in_dim) inputs and
     #: (B, out_dim) true-unit logits of the last recorded forward_batch.
     last_input_batch: np.ndarray | None = None
     last_logits_batch: np.ndarray | None = None
@@ -260,6 +262,10 @@ class TridentAccelerator:
         # scale 1 and therefore the full-range quantization step (module
         # docstring, "Analog range management").
         peak = float(np.max(np.abs(weights))) if weights.size else 0.0
+        if not math.isfinite(peak):
+            raise ProgrammingError(
+                f"layer {layer.index} weights contain NaN or infinite values"
+            )
         scale = peak if peak > 1.0 else 1.0
         if scale_override is not None:
             if not scale_override >= max(peak, 1.0):
@@ -397,8 +403,10 @@ class TridentAccelerator:
         forward activations, the event counters, the control unit's mode,
         and the threaded RNG's bit-generator state (which the shared
         program-verify writer draws from).  Restoring it with
-        :meth:`load_state_dict` reproduces subsequent ``forward`` /
-        ``train_step`` outputs bit-for-bit.
+        :meth:`load_state_dict` reproduces subsequent ``forward_batch`` /
+        ``train_step`` outputs bit-for-bit.  Each layer still carries
+        ``last_input`` / ``last_logits`` keys, always None, so snapshot
+        bytes (and the digests taken over them) stay stable.
         """
 
         def opt(a: np.ndarray | None) -> np.ndarray | None:
@@ -420,8 +428,8 @@ class TridentAccelerator:
                     "tiles": [list(tile) for tile in layer.tiles],
                     "weights": opt(layer.weights),
                     "weight_scale": layer.weight_scale,
-                    "last_input": opt(layer.last_input),
-                    "last_logits": opt(layer.last_logits),
+                    "last_input": None,
+                    "last_logits": None,
                     "last_input_batch": opt(layer.last_input_batch),
                     "last_logits_batch": opt(layer.last_logits_batch),
                 }
@@ -477,8 +485,6 @@ class TridentAccelerator:
                 tiles=[tuple(int(v) for v in tile) for tile in spec["tiles"]],
                 weights=opt(spec["weights"]),
                 weight_scale=float(spec["weight_scale"]),
-                last_input=opt(spec["last_input"]),
-                last_logits=opt(spec["last_logits"]),
                 last_input_batch=opt(spec["last_input_batch"]),
                 last_logits_batch=opt(spec["last_logits_batch"]),
             )
@@ -499,78 +505,19 @@ class TridentAccelerator:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
-        """Run one input vector through the mapped network.
-
-        Returns the final-layer output in true (denormalized) units.  With
-        ``record`` the per-layer inputs/logits are kept for a training step.
-        """
-        if not self.layers:
-            raise MappingError("map a network before calling forward()")
-        if self.control.set_mode(OperatingMode.INFERENCE):
-            self.counters.mode_switches += 1
-        value = np.asarray(x, dtype=np.float64)
-        if value.shape != (self.layers[0].in_dim,):
-            raise ShapeError(
-                f"input shape {value.shape} != ({self.layers[0].in_dim},)"
-            )
-        with _trace_span("forward", accelerator=self):
-            value = self._forward_layers(value, record)
-        _metric_counter("repro_forward_samples_total").inc()
-        return value
-
-    def _forward_layers(self, value: np.ndarray, record: bool) -> np.ndarray:
-        for layer in self.layers:
-            if layer.weights is None:
-                raise MappingError(f"layer {layer.index} has no programmed weights")
-            if record:
-                layer.last_input = value.copy()
-                layer.last_input_batch = None
-                layer.last_logits_batch = None
-                layer.last_enc_batch = None
-                layer.last_enc_scales = None
-                layer.last_l1_batch = None
-            enc = RangeNormalizer.normalize(value)
-            logits_norm = np.zeros(layer.out_dim, dtype=np.float64)
-            single_tile = len(layer.tiles) == 1
-            for r0, r1, c0, c1, pe_index in layer.tiles:
-                pe = self.pes[pe_index]
-                part = pe.forward(
-                    enc.values[c0:c1],
-                    apply_activation=False,
-                    capture_derivative=single_tile,
-                )
-                logits_norm[r0:r1] += part
-                # One streamed symbol per bank the vector enters (module
-                # docstring accounting rule).
-                self.counters.symbols += 1
-            logits = logits_norm * enc.scale * layer.weight_scale
-            if record:
-                layer.last_logits = logits.copy()
-            if layer.apply_activation:
-                # Positive homogeneity lets the cell act on true-scaled
-                # logits via its normalized transfer; count firing events
-                # on the first tile's cell.
-                cell = self.pes[layer.tiles[0][4]].activation
-                before = cell.firing_events
-                value = cell.fire(logits)
-                self.counters.activation_events += cell.firing_events - before
-            else:
-                value = logits
-        return value
-
     def forward_batch(self, xs: np.ndarray, record: bool = False) -> np.ndarray:
         """Forward a (B, n_in) batch through the mapped network.
 
         Every layer — single-tile or tiled — streams as blocked ``matmat``
         calls: each tile's bank receives its (cols_used, B) input slab in
         one vectorized pass and the detected partial sums accumulate across
-        row/column tiles electronically, exactly as the per-sample path
-        does one sample at a time.  Batched and per-sample execution
-        produce identical outputs for noise-free hardware and identical
-        :class:`EventCounters` always; with noise enabled they differ only
-        in draw order.  With ``record`` each layer keeps its (B, in_dim)
-        inputs and (B, out_dim) logits for a batched training step.
+        row/column tiles electronically.  A single sample is a (1, n_in)
+        batch.  The engine is batch-invariant: one B-sample batch and B
+        single-sample batches produce the same outputs for noise-free
+        hardware and identical :class:`EventCounters` always; with noise
+        enabled they differ only in draw order.  With ``record`` each layer
+        keeps its (B, in_dim) inputs and (B, out_dim) logits for a training
+        step.
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2:
@@ -610,8 +557,6 @@ class TridentAccelerator:
                     batch=batch,
                 ):
                     if record:
-                        layer.last_input = None
-                        layer.last_logits = None
                         # A view, not a copy: the slab is the caller's
                         # batch (layer 0) or the previous layer's fresh
                         # activation output.  Recorded batches are
@@ -647,8 +592,7 @@ class TridentAccelerator:
                             validate=False,
                         )
                         logits_norm[r0:r1] += part
-                        # B streamed symbols per bank the slab enters — the
-                        # same per-bank rule as the per-sample path (module
+                        # B streamed symbols per bank the slab enters (module
                         # docstring).
                         self.counters.symbols += batch
                     logits = logits_norm * scales * layer.weight_scale

@@ -6,14 +6,16 @@ E/O lasers re-encoding the row outputs onto fresh wavelengths, and J GST
 activation cells.  The same silicon computes three different products
 depending on the control unit's encoding (Table II):
 
-- :meth:`forward` — inference: y = f(W x), capturing f'(h) in the LDSU.
-- :meth:`gradient_vector` — training step 1: (W_{k+1}^T d_{k+1}) ⊙ f'(h_k),
-  the Hadamard realized by programming the TIA gains from the LDSU bits.
-- :meth:`outer_product` — training step 2: dW_k = d_k ⊗ y_{k-1}, streamed
-  one wavelength per symbol through the bank.
+- :meth:`forward_batch` — inference: h = W x, capturing f'(h) in the LDSU.
+- :meth:`gradient_vector_batch` — training step 1:
+  (W_{k+1}^T d_{k+1}) ⊙ f'(h_k), the Hadamard realized by programming the
+  TIA gains from the LDSU bits.
+- :meth:`outer_product_batch` — training step 2: dW_k = d_k ⊗ y_{k-1},
+  streamed one wavelength per symbol through the bank.
 
-All vector math is normalized to the analog [-1, 1] range; the accelerator's
-control unit owns the scale factors.
+Every mode takes a batch, one sample per column (or row); a single sample
+is a batch of one.  All vector math is normalized to the analog [-1, 1]
+range; the accelerator's control unit owns the scale factors.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 from repro.arch.weight_bank import WeightBank
 from repro.devices.activation_cell import GSTActivationCell
 from repro.devices.ldsu import LDSU
-from repro.devices.noise import NoiseModel
 from repro.devices.photodetector import BalancedPhotodetector
 from repro.devices.tia import TransimpedanceAmplifier
 from repro.errors import ShapeError
@@ -56,14 +57,6 @@ class ProcessingElement:
             )
 
     # ------------------------------------------------------------------
-    @classmethod
-    def with_noise(cls, noise: NoiseModel, rows: int = 16, cols: int = 16) -> "ProcessingElement":
-        """Convenience constructor wiring one noise model everywhere."""
-        return cls(
-            bank=WeightBank(rows=rows, cols=cols, noise=noise),
-            bpd=BalancedPhotodetector(noise=noise),
-        )
-
     @property
     def rows(self) -> int:
         """Weight-bank row count (J)."""
@@ -99,28 +92,6 @@ class ProcessingElement:
     # ------------------------------------------------------------------
     # Mode 1: inference (Table II column 1)
     # ------------------------------------------------------------------
-    def forward(
-        self,
-        x: np.ndarray,
-        apply_activation: bool = True,
-        capture_derivative: bool = True,
-    ) -> np.ndarray:
-        """y = f(W x): one analog symbol through the full row chain.
-
-        When ``capture_derivative`` the LDSU latches the comparator outputs
-        so a later backward pass can replay f'(h) — this is free (it happens
-        in parallel with the E/O re-encode).
-        """
-        diff = self.bank.matvec(x)  # per-row weighted sums
-        logits = self.bpd.detect_normalized(diff)
-        if capture_derivative:
-            padded = np.zeros(self.bank.rows, dtype=np.float64)
-            padded[: logits.shape[0]] = logits
-            self.ldsu.capture(padded)
-        if not apply_activation:
-            return logits
-        return self.activation.fire(logits)
-
     def forward_batch(
         self,
         x: np.ndarray,
@@ -148,18 +119,6 @@ class ProcessingElement:
     # ------------------------------------------------------------------
     # Mode 2: gradient vector (Table II column 2)
     # ------------------------------------------------------------------
-    def gradient_vector(self, delta_next: np.ndarray) -> np.ndarray:
-        """d_k = (W_{k+1}^T d_{k+1}) ⊙ f'(h_k).
-
-        The bank must already hold W_{k+1}^T (the control unit reprograms it
-        before this call).  The Hadamard comes from the LDSU-programmed TIA
-        gains — no memory fetch of f'(h) (the paper's headline trick).
-        """
-        diff = self.bank.matvec(delta_next)
-        detected = self.bpd.detect_normalized(diff)
-        gains = self.ldsu.derivative_gains()[: detected.shape[0]]
-        return detected * gains
-
     def gradient_vector_batch(self, delta_next: np.ndarray) -> np.ndarray:
         """Batched Eq. (3): one (cols_used, B) slab of deltas in one pass.
 
@@ -177,47 +136,22 @@ class ProcessingElement:
     # ------------------------------------------------------------------
     # Mode 3: outer product (Table II column 3)
     # ------------------------------------------------------------------
-    def outer_product(self, delta_h: np.ndarray, y_prev: np.ndarray) -> np.ndarray:
-        """dW_k = d_k ⊗ y_{k-1} via the weight bank.
-
-        The bank is programmed column-constant with y_{k-1} (each ring of
-        row j holds y_{k-1}[j]); the elements of d_k stream one wavelength
-        per symbol, so symbol i reads out column i of (y ⊗ d^T), i.e. row i
-        of dW.  Costs len(d_k) symbols + one bank write.
-        """
-        delta_h = np.asarray(delta_h, dtype=np.float64)
-        y_prev = np.asarray(y_prev, dtype=np.float64)
-        if delta_h.ndim != 1 or y_prev.ndim != 1:
-            raise ShapeError("outer_product takes two vectors")
-        if y_prev.shape[0] > self.bank.rows:
-            raise ShapeError(
-                f"y_prev length {y_prev.shape[0]} exceeds bank rows {self.bank.rows}"
-            )
-        if delta_h.shape[0] > self.bank.cols:
-            raise ShapeError(
-                f"delta_h length {delta_h.shape[0]} exceeds bank cols {self.bank.cols}"
-            )
-        self.bank.program(np.tile(y_prev[:, None], (1, delta_h.shape[0])))
-        streamed = self.bank.matmat(np.diag(delta_h))  # (len(y), len(d))
-        detected = self.bpd.detect_normalized(streamed)
-        return detected.T  # (len(d), len(y)) == dW block
-
     def outer_product_batch(
         self, delta_h: np.ndarray, y_prev: np.ndarray
     ) -> np.ndarray:
-        """Emulate B per-sample :meth:`outer_product` calls in one pass.
+        """dW_k = d_k ⊗ y_{k-1} per sample, emulated in one array pass.
 
         ``delta_h`` is (B, d) and ``y_prev`` is (B, y), both normalized.
-        Physically each sample still programs the bank column-constant with
-        its own y_{k-1} and streams its delta_k, so the hardware cost —
-        B programming events of y*d cells and B*d symbols — is charged to
-        the bank's stats exactly as B sequential calls would be; only the
-        Python-side arithmetic is collapsed to one array pass, through the
-        same quantization + programming-noise model.  Results are identical
-        to the per-sample path for noise-free hardware (with noise they
-        differ in draw order/shape).  The bank's realized state is left
-        untouched; callers reprogram the forward weights afterwards anyway.
-        Returns the (B, d, y) detected gradient blocks.
+        Physically each sample programs the bank column-constant with its
+        own y_{k-1} (each ring of row j holds y_{k-1}[j]) and streams its
+        d_k one wavelength per symbol, so symbol i reads out column i of
+        (y ⊗ d^T), i.e. row i of dW.  That hardware cost — B programming
+        events of y*d cells and B*d symbols — is charged to the bank's
+        stats; only the arithmetic collapses to one pass, through the same
+        quantization + programming-noise model as a real program.  The
+        bank's realized state is left untouched; callers reprogram the
+        forward weights afterwards anyway.  Returns the (B, d, y) detected
+        gradient blocks.
         """
         delta_h = np.atleast_2d(np.asarray(delta_h, dtype=np.float64))
         y_prev = np.atleast_2d(np.asarray(y_prev, dtype=np.float64))

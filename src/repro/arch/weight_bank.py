@@ -186,8 +186,12 @@ class WeightBank:
             raise ShapeError(
                 f"block {r}x{c} does not fit bank {self.rows}x{self.cols}"
             )
-        if np.any(np.abs(w) > 1.0 + 1e-9):
-            raise ProgrammingError("weights must lie in [-1, 1] (normalize first)")
+        # Written so that NaN fails it too: a NaN would otherwise quantize
+        # to level 0 (weight -1) with only a cast warning.
+        if not np.all(np.abs(w) <= 1.0 + 1e-9):
+            raise ProgrammingError(
+                "weights must be finite and lie in [-1, 1] (normalize first)"
+            )
 
         levels = self._quantize(w)
         noisy = self.noise.apply_programming_noise(levels, self.programming_noise_levels)
@@ -375,8 +379,8 @@ class WeightBank:
     def occupancy(self) -> tuple[int, int]:
         """(r, c) shape of the currently programmed block.
 
-        Cached: the mask scan is O(rows x cols) and this sits on the
-        per-symbol MVM path; every mask mutation site resets the cache.
+        Cached: the mask scan is O(rows x cols) and this sits on every
+        MVM call; every mask mutation site resets the cache.
         """
         if self._occupancy is None:
             if not self._mask.any():
@@ -389,36 +393,6 @@ class WeightBank:
         return self._occupancy
 
     # ------------------------------------------------------------------
-    def _effective_inputs(self, x: np.ndarray) -> np.ndarray:
-        if self.crosstalk is None:
-            return x
-        return self.crosstalk @ x
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Analog MVP: realized block times input vector (one symbol).
-
-        ``x`` must have length <= cols and entries in [-1, 1] (the E/O
-        encoder's range).  Returns the per-row differential signals before
-        detection — length = programmed row count.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ShapeError(f"input must be a vector, got shape {x.shape}")
-        if self._needs_reprogram:
-            raise ProgrammingError(
-                "bank rows were remapped; reprogram before streaming"
-            )
-        r, c = self.occupancy
-        if x.shape[0] != c:
-            raise ShapeError(f"input length {x.shape[0]} != programmed columns {c}")
-        if np.any(np.abs(x) > 1.0 + 1e-9):
-            raise ProgrammingError("inputs must lie in [-1, 1] (normalize first)")
-        full = np.zeros(self.cols, dtype=np.float64)
-        full[:c] = x
-        eff = self._effective_inputs(full)
-        self.stats.symbols += 1
-        return self._realized[self._row_map[:r]] @ eff
-
     def matmat(self, x: np.ndarray, *, validate: bool = True) -> np.ndarray:
         """Batched MVP: (cols_used, B) inputs -> (rows_used, B) outputs.
 
@@ -456,8 +430,7 @@ class WeightBank:
         else:
             full = np.zeros((self.cols, x.shape[1]), dtype=np.float64)
             full[:c] = x
-        eff = self._effective_inputs(full)
-        return self._realized[self._row_map[:r]] @ eff
+        return self._realized[self._row_map[:r]] @ (self.crosstalk @ full)
 
     # ------------------------------------------------------------------
     def realize_virtually(self, weights: np.ndarray) -> np.ndarray:
@@ -471,8 +444,10 @@ class WeightBank:
         while the event accounting matches the per-sample hardware schedule.
         """
         w = np.asarray(weights, dtype=np.float64)
-        if np.any(np.abs(w) > 1.0 + 1e-9):
-            raise ProgrammingError("weights must lie in [-1, 1] (normalize first)")
+        if not np.all(np.abs(w) <= 1.0 + 1e-9):
+            raise ProgrammingError(
+                "weights must be finite and lie in [-1, 1] (normalize first)"
+            )
         levels = self._quantize(w)
         noisy = self.noise.apply_programming_noise(levels, self.programming_noise_levels)
         return self._dequantize(np.clip(noisy, 0, self.levels - 1))
@@ -786,19 +761,6 @@ class WeightBank:
         self._realized[old] = 0.0
         self._needs_reprogram = True
         return int(spare_physical)
-
-
-def program_with_verify(
-    bank: WeightBank,
-    weights: np.ndarray,
-    writer,
-) -> tuple[np.ndarray, object]:
-    """Program a bank through an iterative program-and-verify controller.
-
-    Thin functional wrapper over :meth:`WeightBank.program_verified`, kept
-    for callers that predate the bank-level method.
-    """
-    return bank.program_verified(weights, writer)
 
 
 def compensate_crosstalk(weights: np.ndarray, crosstalk: np.ndarray) -> np.ndarray:

@@ -274,14 +274,14 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile batched vs per-sample functional inference on one MLP.
+    """Profile one batch against single-sample batches on one MLP.
 
-    Maps a random MLP, streams one batch through ``forward_batch`` and then
-    sample-by-sample through ``forward``, each under a
-    :class:`~repro.arch.profiler.Profiler`, and prints both reports plus
-    the wall-clock speedup.  Exits non-zero if the two paths disagree —
-    outputs (noise-free hardware) or event counters — so it doubles as an
-    executable statement of the parity guarantee.
+    Maps a random MLP, streams one B-sample batch through
+    ``forward_batch`` and then the same samples as B single-sample
+    batches, each under a :class:`~repro.arch.profiler.Profiler`, and
+    prints both reports plus the wall-clock speedup.  Exits non-zero if
+    the two disagree — outputs (noise-free hardware) or event counters —
+    so it doubles as an executable statement of batch invariance.
     """
     import numpy as np
 
@@ -302,11 +302,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     with Profiler(acc) as prof_batch:
         out_batch = acc.forward_batch(xs)
     with Profiler(acc) as prof_sample:
-        out_sample = np.stack([acc.forward(x) for x in xs])
+        out_sample = np.concatenate([acc.forward_batch(x[None]) for x in xs])
 
     print(prof_batch.report.render(f"forward_batch (B={args.batch})"))
     print()
-    print(prof_sample.report.render(f"per-sample forward x{args.batch}"))
+    print(prof_sample.report.render(f"forward_batch (B=1) x{args.batch}"))
     wall_b = prof_batch.report.wall_time_s
     wall_s = prof_sample.report.wall_time_s
     if wall_b > 0:
@@ -319,7 +319,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print(f"outputs match: {outputs_match}")
     print(f"event counters match: {counters_match}")
     if not (outputs_match and counters_match):
-        print("PARITY VIOLATION between forward_batch and per-sample forward")
+        print("PARITY VIOLATION between one batch and single-sample batches")
         return 1
     return 0
 
@@ -330,8 +330,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
     Sweeps inference accuracy, in-situ-training survival, and repair
     overhead under PCM stuck-at faults for each repair tier (none /
     retry / spare-remap / tile-remap).  Exits non-zero if any run's
-    batched and per-sample execution paths disagree — fault repair must
-    never break the parity guarantee.
+    batch and the same samples as single-sample batches disagree — fault
+    repair must never break batch invariance.
     """
     from repro.faults import CampaignConfig, run_campaign
 
@@ -355,7 +355,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         for path in export_fault_campaign(report, args.export):
             print(path)
     if not report.parity_ok:
-        print("PARITY VIOLATION between forward_batch and per-sample forward")
+        print("PARITY VIOLATION between one batch and single-sample batches")
         return 1
     return 0
 
@@ -848,7 +848,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         for path in export_fault_campaign(report, args.export):
             print(path)
     if not report.parity_ok:
-        print("PARITY VIOLATION between forward_batch and per-sample forward")
+        print("PARITY VIOLATION between one batch and single-sample batches")
         return 1
     return 0
 
@@ -1142,7 +1142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser(
-        "profile", help="profile batched vs per-sample functional inference"
+        "profile", help="profile one batch vs single-sample batches"
     )
     p.add_argument("--dims", type=int, nargs="+", default=[64, 48, 10])
     p.add_argument("--batch", type=int, default=256)

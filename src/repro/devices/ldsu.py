@@ -65,9 +65,9 @@ class DFlipFlop:
 class LDSU:
     """Comparator + per-row flip-flop bank storing f'(h) for one PE.
 
-    One bit per weight-bank row (J bits total).  ``capture`` runs during the
-    forward pass; ``derivative_gains`` replays the stored bits as TIA gain
-    values during the gradient-vector step.
+    One bit per weight-bank row (J bits total).  ``capture_batch`` runs
+    during the forward pass; ``derivative_gains_batch`` replays the stored
+    bits as TIA gain values during the gradient-vector step.
     """
 
     n_rows: int = 16
@@ -86,29 +86,16 @@ class LDSU:
         self._bits = np.zeros(self.n_rows, dtype=bool)
 
     # ------------------------------------------------------------------
-    def capture(self, logits: np.ndarray) -> np.ndarray:
-        """Latch the comparator outputs for a row-vector of logits.
-
-        Returns the captured bits (copy).  Raises if the shape does not
-        match the number of rows — a mis-sized capture means the layer was
-        mapped onto the wrong PE geometry.
-        """
-        h = np.asarray(logits, dtype=np.float64)
-        if h.shape != (self.n_rows,):
-            raise DeviceError(
-                f"expected logits of shape ({self.n_rows},), got {h.shape}"
-            )
-        self._bits = self.comparator.compare(h)
-        return self._bits.copy()
-
     def capture_batch(self, logits: np.ndarray) -> np.ndarray:
         """Latch comparator outputs for a (n_rows, B) batch of logit columns.
 
         One column per streamed sample: the flip-flops latch per symbol and
         the control unit shifts each sample's bit plane out before the next
-        arrives.  Stores the full (n_rows, B) plane for a batched backward
-        pass and leaves the per-sample flip-flops holding the final column —
-        the state a per-sample sweep of :meth:`capture` would leave behind.
+        arrives.  Stores the full (n_rows, B) plane for the backward pass
+        and leaves the flip-flops holding the final column, which
+        :attr:`bits` and the checkpoint report.  Raises if the row count
+        does not match — a mis-sized capture means the layer was mapped
+        onto the wrong PE geometry.
         """
         h = np.asarray(logits, dtype=np.float64)
         if h.ndim != 2 or h.shape[0] != self.n_rows:
@@ -131,10 +118,6 @@ class LDSU:
         if self._batch_bits is None:
             raise DeviceError("no batched capture has run (call capture_batch)")
         return self._batch_bits.copy()
-
-    def derivative_gains(self) -> np.ndarray:
-        """f'(h) per row from the stored bits: derivative_high or 0."""
-        return np.where(self._bits, self.derivative_high, 0.0)
 
     def derivative_gains_batch(self) -> np.ndarray:
         """f'(h) per row per sample from the last batched capture."""

@@ -98,26 +98,25 @@ def table2_mapping_check(seed: int = 0) -> TableReport:
     n = 8
     errors: dict[OperatingMode, float] = {}
 
+    # Each mode runs as a batch of one through the batched engine.
     # Inference: y = W x.
     pe = ProcessingElement()
     w = rng.uniform(-1, 1, (n, n))
     x = rng.uniform(-1, 1, n)
     pe.program_weights(w)
-    y_hw = pe.forward(x, apply_activation=False)
+    y_hw = pe.forward_batch(x[:, None])[:, 0]
     errors[OperatingMode.INFERENCE] = float(np.max(np.abs(y_hw - w @ x)))
 
-    # Gradient vector: (W^T d) ⊙ f'(h).  LDSU bits were captured above.
+    # Gradient vector: (W^T d) ⊙ f'(h), with f'(h) latched in the LDSU.
     pe2 = ProcessingElement()
     w_next = rng.uniform(-1, 1, (n, n))
     delta = rng.uniform(-1, 1, n)
     h = rng.uniform(-1, 1, n)
-    pe2.program_weights(rng.uniform(-1, 1, (n, n)))
-    pe2.forward(np.zeros(n), apply_activation=False)  # benign capture
-    padded = np.zeros(pe2.rows)
-    padded[:n] = h
-    pe2.ldsu.capture(padded)
+    padded = np.zeros((pe2.rows, 1))
+    padded[:n, 0] = h
+    pe2.ldsu.capture_batch(padded)
     pe2.program_weights(w_next.T)
-    g_hw = pe2.gradient_vector(delta)
+    g_hw = pe2.gradient_vector_batch(delta[:, None])[:, 0]
     fprime = np.where(h > 0, 0.34, 0.0)
     errors[OperatingMode.GRADIENT_VECTOR] = float(
         np.max(np.abs(g_hw - (w_next.T @ delta) * fprime))
@@ -127,7 +126,7 @@ def table2_mapping_check(seed: int = 0) -> TableReport:
     pe3 = ProcessingElement()
     d = rng.uniform(-1, 1, n)
     y_prev = rng.uniform(-1, 1, n)
-    dw_hw = pe3.outer_product(d, y_prev)
+    dw_hw = pe3.outer_product_batch(d[None], y_prev[None])[0]
     errors[OperatingMode.OUTER_PRODUCT] = float(
         np.max(np.abs(dw_hw - np.outer(d, y_prev)))
     )

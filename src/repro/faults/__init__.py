@@ -18,7 +18,8 @@ repair runs out of resources.  This package provides that loop:
 - :mod:`repro.faults.campaign` — the fault-injection campaign engine
   behind ``python -m repro faults``: sweeps stuck-cell fraction x repair
   policy, measuring inference accuracy, in-situ-training survival,
-  repair overhead, and batched/per-sample execution parity.
+  repair overhead, and batch invariance (one batch vs single-sample
+  batches).
 """
 
 from repro.faults.campaign import (

@@ -42,7 +42,7 @@ class PhysicalBankOutput:
     currents_a: np.ndarray
     #: TIA output voltage per row [V].
     voltages_v: np.ndarray
-    #: Recovered normalized weighted sums (comparable to WeightBank.matvec).
+    #: Recovered normalized weighted sums (comparable to WeightBank.matmat).
     normalized: np.ndarray
     #: Per-row electrical SNR [dB] (signal over shot+thermal noise).
     snr_db: np.ndarray

@@ -52,9 +52,7 @@ from repro.telemetry.metrics import (
     parse_prometheus_text,
 )
 from repro.telemetry.otlp import (
-    encode_protobuf,
     metrics_to_otlp,
-    otlp_protobuf_available,
     spans_to_otlp,
     validate_otlp,
 )
@@ -109,12 +107,10 @@ __all__ = [
     "emit_event",
     "enable",
     "enabled",
-    "encode_protobuf",
     "gauge",
     "get_logger",
     "histogram",
     "metrics_to_otlp",
-    "otlp_protobuf_available",
     "parse_prometheus_text",
     "reset_cli_logging",
     "session",

@@ -3,9 +3,7 @@
 Builds plain dicts shaped like OTLP/JSON (the ``ExportTraceServiceRequest``
 / ``ExportMetricsServiceRequest`` protobuf JSON mapping), so any OTLP
 collector's HTTP/JSON endpoint — or plain ``json.dumps`` — can consume
-them without this repo depending on the ``opentelemetry`` packages.  The
-import of the real SDK is gated: :func:`encode_protobuf` uses it when
-present and raises a clean :class:`~repro.errors.ConfigError` when not.
+them without this repo depending on the ``opentelemetry`` packages.
 
 Like the Chrome-trace exporter, the output is schema-checked in-repo:
 :func:`validate_otlp` returns the list of structural problems a
@@ -325,47 +323,3 @@ def validate_otlp(doc) -> list[str]:
                         problems.append(f"{pwhere}: need asInt or asDouble")
     return problems
 
-
-# ----------------------------------------------------------------------
-# Gated protobuf encode
-# ----------------------------------------------------------------------
-def otlp_protobuf_available() -> bool:
-    """True when the optional ``opentelemetry-proto`` package is importable."""
-    try:
-        import opentelemetry.proto  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def encode_protobuf(doc: dict) -> bytes:
-    """Encode an OTLP-model document to protobuf wire bytes.
-
-    Requires the optional ``opentelemetry-proto`` package; everything
-    else in this module works without it.  Raises
-    :class:`~repro.errors.ConfigError` with an actionable message when
-    the dependency is absent — callers wanting a hard-dependency-free
-    path should ship the JSON mapping from :func:`spans_to_otlp` /
-    :func:`metrics_to_otlp` directly.
-    """
-    if not otlp_protobuf_available():
-        raise ConfigError(
-            "protobuf OTLP encoding needs the optional 'opentelemetry-proto' "
-            "package (pip install opentelemetry-proto); the JSON-mapping "
-            "dicts from spans_to_otlp/metrics_to_otlp need no dependency"
-        )
-    from google.protobuf.json_format import ParseDict
-    from opentelemetry.proto.collector.metrics.v1.metrics_service_pb2 import (
-        ExportMetricsServiceRequest,
-    )
-    from opentelemetry.proto.collector.trace.v1.trace_service_pb2 import (
-        ExportTraceServiceRequest,
-    )
-
-    if "resourceSpans" in doc:
-        message = ParseDict(doc, ExportTraceServiceRequest())
-    elif "resourceMetrics" in doc:
-        message = ParseDict(doc, ExportMetricsServiceRequest())
-    else:
-        raise ConfigError("need resourceSpans and/or resourceMetrics")
-    return message.SerializeToString()

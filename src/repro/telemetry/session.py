@@ -43,7 +43,7 @@ from repro.telemetry.tracer import NullTracer, Tracer, NULL_SPAN
 #: even before (or without) the corresponding activity.
 WELL_KNOWN_COUNTERS = (
     ("repro_forward_batches_total", "Batched forward passes executed"),
-    ("repro_forward_samples_total", "Samples forwarded (batched or streaming)"),
+    ("repro_forward_samples_total", "Samples forwarded"),
     ("repro_train_steps_total", "In-situ optimizer steps completed"),
     ("repro_checkpoints_written_total", "Checkpoints written by the runtime"),
     ("repro_rollbacks_total", "Divergence rollbacks performed"),

@@ -25,10 +25,9 @@ import numpy as np
 from repro.arch.accelerator import TridentAccelerator
 from repro.arch.control import RangeNormalizer
 from repro.arch.pe import ProcessingElement
-from repro.arch.weight_bank import WeightBank
-from repro.devices.photodetector import BalancedPhotodetector
-from repro.errors import MappingError, ShapeError
+from repro.errors import MappingError
 from repro.nn.reference import ACTIVATIONS, DigitalMLP, cross_entropy_loss
+from repro.training.insitu import InSituTrainer
 
 
 class DigitalDFA:
@@ -68,13 +67,17 @@ class DigitalDFA:
         return self.mlp.accuracy(x, labels)
 
 
-class DFATrainer:
+class DFATrainer(InSituTrainer):
     """DFA on the functional Trident accelerator.
 
-    With ``dedicated_feedback`` (default), one extra PE per hidden layer
-    holds its feedback matrix permanently — the backward projection costs
-    symbols but *no* bank writes.  Without it, feedback matrices are
-    programmed into the layer PEs per sample (costed like backprop).
+    The step is :meth:`InSituTrainer.train_step` with a DFA backward pass:
+    one recorded ``forward_batch``, one ``matmat`` per feedback
+    projection, the outer products through ``outer_product_batch`` and
+    one ``set_weights``.  With ``dedicated_feedback`` (default), one extra
+    PE per hidden layer, allocated on the accelerator, holds its feedback
+    matrix permanently — the backward projection costs symbols but *no*
+    bank writes.  Without it, each batch programs the feedback matrices
+    into the layer PEs (costed like backprop's W^T).
     """
 
     def __init__(
@@ -84,17 +87,7 @@ class DFATrainer:
         seed: int = 0,
         dedicated_feedback: bool = True,
     ) -> None:
-        if lr <= 0:
-            raise MappingError(f"learning rate must be positive, got {lr}")
-        if not accelerator.layers:
-            raise MappingError("map and program a network before training")
-        for layer in accelerator.layers:
-            if len(layer.tiles) != 1:
-                raise MappingError(
-                    "DFA training requires each layer to fit one PE"
-                )
-        self.acc = accelerator
-        self.lr = lr
+        super().__init__(accelerator, lr=lr)
         self.dedicated_feedback = dedicated_feedback
 
         rng = np.random.default_rng(seed + 1)
@@ -104,100 +97,78 @@ class DFATrainer:
             raise MappingError(
                 f"output width {n_out} exceeds bank columns {cfg.bank_cols}"
             )
-        self.feedback: list[np.ndarray] = []
-        self.feedback_pes: list[ProcessingElement] = []
-        for layer in accelerator.layers[:-1]:
-            b = rng.normal(0.0, 1.0 / np.sqrt(n_out), size=(layer.out_dim, n_out))
-            self.feedback.append(b)
-            if dedicated_feedback:
-                pe = ProcessingElement(
-                    bank=WeightBank(
-                        rows=cfg.bank_rows, cols=cfg.bank_cols,
-                        tuning=cfg.tuning, noise=accelerator.noise,
-                    ),
-                    bpd=BalancedPhotodetector(noise=accelerator.noise),
-                )
-                norm = RangeNormalizer.normalize(b.ravel())
-                pe.program_weights(b / norm.scale)
-                pe.bank.stats.write_events = 1  # programmed exactly once
-                self.feedback_pes.append(pe)
-                setattr(pe, "_dfa_scale", norm.scale)
-        total_pes = len(accelerator.pes) + len(self.feedback_pes)
+        hidden = accelerator.layers[:-1]
+        total_pes = len(accelerator.pes) + (len(hidden) if dedicated_feedback else 0)
         if total_pes > cfg.n_pes:
             raise MappingError(
                 f"network + dedicated feedback needs {total_pes} PEs; "
                 f"configuration has {cfg.n_pes}"
             )
+        self.feedback = [
+            rng.normal(0.0, 1.0 / np.sqrt(n_out), size=(layer.out_dim, n_out))
+            for layer in hidden
+        ]
+        #: Analog scale of each feedback matrix (true = programmed * scale).
+        self.feedback_scales = [
+            RangeNormalizer.normalize(b.ravel()).scale for b in self.feedback
+        ]
+        self.feedback_pes: list[ProcessingElement] = []
+        if dedicated_feedback:
+            # Ordinary PEs of this chip, so the accelerator's counters and
+            # energy/time estimates see their writes and streaming.
+            for b, scale in zip(self.feedback, self.feedback_scales):
+                pe = accelerator._new_pe()
+                pe.program_weights(b / scale)
+                accelerator.counters.bank_writes += 1
+                accelerator.counters.cells_written += b.size
+                self.feedback_pes.append(pe)
 
     # ------------------------------------------------------------------
     def _project_error(self, k: int, error: np.ndarray) -> np.ndarray:
-        """B_k e through a photonic bank (dedicated or layer PE)."""
-        e_norm = RangeNormalizer.normalize(error)
+        """B_k e for a (B, n_out) error batch: one ``matmat`` through the
+        dedicated feedback PE, or through layer k's PE after programming
+        B_k into it (one write per batch)."""
+        b, scale = self.feedback[k], self.feedback_scales[k]
         if self.dedicated_feedback:
             pe = self.feedback_pes[k]
-            out = pe.bpd.detect_normalized(pe.bank.matvec(e_norm.values))
-            self.acc.counters.symbols += 1
-            return out * getattr(pe, "_dfa_scale") * e_norm.scale
-        # Fallback: program B_k into the layer's PE (costs a write).
-        layer = self.acc.layers[k]
-        pe = self.acc.pes[layer.tiles[0][4]]
-        b_norm = RangeNormalizer.normalize(self.feedback[k].ravel())
-        pe.program_weights(self.feedback[k] / b_norm.scale)
-        self.acc.counters.bank_writes += 1
-        self.acc.counters.cells_written += self.feedback[k].size
-        out = pe.bpd.detect_normalized(pe.bank.matvec(e_norm.values))
-        self.acc.counters.symbols += 1
-        return out * b_norm.scale * e_norm.scale
+        else:
+            pe = self._pe_for(k)
+            pe.program_weights(b / scale)
+            self.acc.counters.bank_writes += 1
+            self.acc.counters.cells_written += b.size
+        e_norm, e_scales = RangeNormalizer.normalize_columns(error.T)
+        out = pe.bpd.detect_normalized(pe.bank.matmat(e_norm))
+        self.acc.counters.symbols += error.shape[0]
+        return (out * scale * e_scales).T
 
-    def _outer(self, k: int, delta: np.ndarray, y_prev: np.ndarray) -> np.ndarray:
-        pe = self.acc.pes[self.acc.layers[k].tiles[0][4]]
-        d_norm = RangeNormalizer.normalize(delta)
-        y_norm = RangeNormalizer.normalize(y_prev)
-        grad = pe.outer_product(d_norm.values, y_norm.values)
-        self.acc.counters.bank_writes += 1
-        self.acc.counters.cells_written += y_prev.size * delta.size
-        self.acc.counters.symbols += delta.size
-        return grad * d_norm.scale * y_norm.scale
+    def backward_batch(self, grad_logits: np.ndarray) -> list[np.ndarray]:
+        """DFA backward pass for the last recorded batch.
 
-    # ------------------------------------------------------------------
-    def train_step(self, x_batch: np.ndarray, labels: np.ndarray) -> float:
-        """One photonic DFA step over a minibatch; returns the loss."""
-        x_batch = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
-        labels = np.atleast_1d(np.asarray(labels))
-        if x_batch.shape[0] != labels.shape[0]:
-            raise ShapeError("batch and labels must have matching lengths")
+        The output layer's gradient uses the true error; every hidden
+        layer's delta is the projected error gated by its LDSU bits,
+        ``(B_k e) ⊙ f'(h_k)``.  Samples whose delta is exactly zero stream
+        nothing into the outer product.  Returns per-layer gradients
+        summed over the batch.
+        """
         layers = self.acc.layers
-        accum = [np.zeros((l.out_dim, l.in_dim)) for l in layers]
-        total_loss = 0.0
-        for i, (x, label) in enumerate(zip(x_batch, labels)):
-            if i > 0:
-                self.acc.set_weights([layer.weights for layer in layers])
-            logits = self.acc.forward(x, record=True)
-            loss, grad = cross_entropy_loss(logits[None, :], np.array([label]))
-            total_loss += loss
-            error = grad[0]
-            # Output layer uses the true error (as in DFA).
-            accum[-1] += self._outer(len(layers) - 1, error, layers[-1].last_input)
-            for k in range(len(layers) - 1):
-                projected = self._project_error(k, error)
-                pe = self.acc.pes[layers[k].tiles[0][4]]
-                gains = pe.ldsu.derivative_gains()[: layers[k].out_dim]
-                delta = projected * gains
-                if np.max(np.abs(delta)) > 0:
-                    accum[k] += self._outer(k, delta, layers[k].last_input)
-        batch = x_batch.shape[0]
-        self.acc.set_weights(
-            [layer.weights - self.lr * a / batch for layer, a in zip(layers, accum)]
+        if layers[-1].last_input_batch is None:
+            raise MappingError(
+                "run a recorded forward_batch before backward_batch"
+            )
+        error = np.atleast_2d(np.asarray(grad_logits, dtype=np.float64))
+        last = len(layers) - 1
+        grads = [np.zeros(0)] * len(layers)
+        grads[last] = self._outer_product_batch(
+            last, error, layers[last].last_input_batch
         )
-        return total_loss / batch
-
-    def predict(self, x_batch: np.ndarray) -> np.ndarray:
-        """Argmax classes from hardware forward passes."""
-        return np.argmax(self.acc.forward_batch(np.atleast_2d(x_batch)), axis=-1)
-
-    def accuracy(self, x_batch: np.ndarray, labels: np.ndarray) -> float:
-        """Classification accuracy measured on the hardware."""
-        return float(np.mean(self.predict(x_batch) == np.asarray(labels)))
+        for k, layer in enumerate(layers[:last]):
+            gains = self._pe_for(k).ldsu.derivative_gains_batch()[: layer.out_dim]
+            delta = self._project_error(k, error) * gains.T
+            live = np.max(np.abs(delta), axis=1) > 0
+            grads[k] = self._outer_product_batch(
+                k, delta[live], layer.last_input_batch[live]
+            )
+        return grads
 
     @property
     def feedback_writes(self) -> int:

@@ -3,8 +3,8 @@
 Implements the paper's training flow (Sec. III-A-2, Table II) against the
 *functional* photonic model — real numbers through quantized, noisy banks:
 
-1. **Forward** (per sample): each layer's PE computes y = f(W x); its LDSU
-   latches the one-bit derivative f'(h).
+1. **Forward**: each layer's PE computes y = f(W x) for the whole
+   minibatch; its LDSU latches the one-bit derivative f'(h) per sample.
 2. **Gradient vector**: the control unit reprograms PE k's bank with
    W_{k+1}^T; the error delta_{k+1} streams through; the LDSU-programmed
    TIA gains apply the Hadamard with f'(h_k) — Eq. (3).
@@ -15,22 +15,14 @@ Implements the paper's training flow (Sec. III-A-2, Table II) against the
    every update is re-quantized to 255 levels, exactly the constraint the
    paper's 8-bit-training argument is about.
 
-Two execution schedules compute the same step:
-
-- :meth:`InSituTrainer.train_step` — **batched**: the whole minibatch
-  streams through each layer's bank as one blocked ``matmat``, the LDSU
-  latches the batch's bit plane, the W^T reprogram of the gradient-vector
-  pass is *grouped* (once per layer instead of once per sample), and the
-  per-sample outer products collapse to one vectorized pass with
-  per-sample write accounting.  A minibatch costs O(layers) Python
-  iterations.
-- :meth:`InSituTrainer.train_step_streaming` — **per-sample**: the
-  original one-sample-at-a-time schedule, including the inter-sample
-  forward-weight restores the per-sample backward passes force.
-
-For noise-free hardware both schedules produce identical losses and
-updated weights; their event counts legitimately differ (grouped
-reprogramming is the saving), which the write-cost-law tests pin down.
+:meth:`InSituTrainer.train_step` runs the minibatch as one batch: it
+streams through each layer's bank as one blocked ``matmat``, the LDSU
+latches the batch's bit plane, the W^T reprogram of the gradient-vector
+pass is *grouped* (once per layer per batch, not once per sample), and
+the per-sample outer products collapse to one vectorized pass with
+per-sample write accounting.  A minibatch costs O(layers) Python
+iterations.  On noise-free hardware the summed gradients equal the sum of
+single-sample backward passes; only the grouped W^T writes differ.
 
 Because the trained weights are the physically realized (quantized + noisy)
 ones, there is no train/deploy mismatch — the property the paper contrasts
@@ -78,71 +70,8 @@ class InSituTrainer:
     def _pe_for(self, layer_index: int):
         return self.acc.pes[self.acc.layers[layer_index].tiles[0][4]]
 
-    def _gradient_vector(self, layer_index: int, delta_next: np.ndarray) -> np.ndarray:
-        """delta_k for layer ``layer_index`` given delta_{k+1} (Eq. 3).
-
-        Runs on PE k: bank <- W_{k+1}^T, inputs <- delta_{k+1}, TIA gains <-
-        the LDSU bits PE k captured during the forward pass.
-        """
-        layers = self.acc.layers
-        w_next = layers[layer_index + 1].weights
-        pe = self._pe_for(layer_index)
-
-        w_norm = RangeNormalizer.normalize(w_next.T.ravel())
-        pe.program_weights(w_next.T / w_norm.scale)
-        self.acc.counters.bank_writes += 1
-        self.acc.counters.cells_written += w_next.size
-        if self.acc.control.set_mode(OperatingMode.GRADIENT_VECTOR):
-            self.acc.counters.mode_switches += 1
-
-        d_norm = RangeNormalizer.normalize(delta_next)
-        out = pe.gradient_vector(d_norm.values)
-        self.acc.counters.symbols += 1
-        return out * w_norm.scale * d_norm.scale
-
-    def _outer_product(self, layer_index: int, delta: np.ndarray, y_prev: np.ndarray) -> np.ndarray:
-        """dW_k = delta_k (x) y_{k-1} on PE k's bank (Eq. 2)."""
-        pe = self._pe_for(layer_index)
-        if self.acc.control.set_mode(OperatingMode.OUTER_PRODUCT):
-            self.acc.counters.mode_switches += 1
-        d_norm = RangeNormalizer.normalize(delta)
-        y_norm = RangeNormalizer.normalize(y_prev)
-        grad = pe.outer_product(d_norm.values, y_norm.values)
-        self.acc.counters.bank_writes += 1
-        self.acc.counters.cells_written += y_prev.size * delta.size
-        self.acc.counters.symbols += delta.size
-        return grad * d_norm.scale * y_norm.scale
-
     # ------------------------------------------------------------------
-    def backward_sample(self, grad_logits: np.ndarray) -> list[np.ndarray]:
-        """Run the photonic backward pass for the last forwarded sample.
-
-        ``grad_logits`` is dL/dh for the final layer.  Returns per-layer
-        weight gradients.  Must follow a ``forward(..., record=True)``.
-        """
-        layers = self.acc.layers
-        if layers[-1].last_input is None:
-            raise MappingError("run a recorded forward pass before backward")
-        grads: list[np.ndarray] = [np.zeros(0)] * len(layers)
-        delta = np.asarray(grad_logits, dtype=np.float64)
-        if delta.shape != (layers[-1].out_dim,):
-            raise ShapeError(
-                f"grad_logits shape {delta.shape} != ({layers[-1].out_dim},)"
-            )
-        for k in reversed(range(len(layers))):
-            grads[k] = self._outer_product(k, delta, layers[k].last_input)
-            if k > 0:
-                delta = self._gradient_vector(k - 1, delta)
-                if np.max(np.abs(delta)) < _GRAD_EPS:
-                    # Dead path: remaining upstream gradients are zero.
-                    for j in range(k):
-                        layer = layers[j]
-                        grads[j] = np.zeros((layer.out_dim, layer.in_dim))
-                    break
-        return grads
-
-    # ------------------------------------------------------------------
-    # Batched backward pass
+    # Backward pass
     # ------------------------------------------------------------------
     def _gradient_vector_batch(self, layer_index: int, delta_next: np.ndarray) -> np.ndarray:
         """Batched Eq. (3): (B, out_{k+1}) deltas -> (B, out_k) deltas.
@@ -193,8 +122,8 @@ class InSituTrainer:
 
         ``grad_logits`` is (B, n_out) of *per-sample* dL/dh for the final
         layer.  Returns per-layer weight gradients summed over the batch —
-        the same totals as accumulating :meth:`backward_sample` over the
-        batch on noise-free hardware.  Must follow a
+        the same totals as summing single-sample backward passes on
+        noise-free hardware.  Must follow a
         ``forward_batch(..., record=True)``.
         """
         layers = self.acc.layers
@@ -219,8 +148,8 @@ class InSituTrainer:
                 # Dead-path compaction: a sample whose delta has died
                 # contributes nothing upstream, and the control unit (which
                 # holds the deltas digitally) does not stream its zero
-                # column — so the batched schedule charges exactly the
-                # symbols/writes the per-sample schedule would.
+                # column — so a batch charges exactly the symbols and
+                # outer-product writes its samples would one at a time.
                 live = np.max(np.abs(delta), axis=1) >= _GRAD_EPS
                 if not live.all():
                     alive = alive[live]
@@ -237,16 +166,17 @@ class InSituTrainer:
         """One SGD step on a minibatch (softmax cross-entropy), batched.
 
         The minibatch streams through every bank as blocked ``matmat``
-        calls, the backward pass groups each layer's W^T reprogram, and
-        the outer products run as one vectorized pass with per-sample
-        write accounting — O(layers) Python iterations per batch.  For
-        noise-free hardware the loss and updated weights are identical to
-        :meth:`train_step_streaming`.
+        calls, :meth:`backward_batch` computes the summed gradients, and
+        one reprogram per layer applies the update — O(layers) Python
+        iterations per batch.  An empty batch raises
+        :class:`~repro.errors.ShapeError` before any hardware work.
         """
         x_batch = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
         labels = np.atleast_1d(np.asarray(labels))
         if x_batch.shape[0] != labels.shape[0]:
             raise ShapeError("batch and labels must have matching lengths")
+        if x_batch.shape[0] == 0:
+            raise ShapeError("cannot train on an empty batch")
         layers = self.acc.layers
         batch = x_batch.shape[0]
         # Live power streaming: the step's write + streaming window lands
@@ -263,8 +193,7 @@ class InSituTrainer:
             loss, grad = cross_entropy_loss(logits, labels)
             # cross_entropy_loss returns the mean-loss gradient (divided by
             # B); the backward pass streams per-sample deltas, so undo the
-            # division here and reapply it at the update — mirroring the
-            # per-sample path.
+            # division here and reapply it at the update.
             with _trace_span("backward_batch", accelerator=self.acc, batch=batch):
                 grads = self.backward_batch(grad * batch)
             new_weights = [
@@ -285,51 +214,6 @@ class InSituTrainer:
                 ) / (time_after - time_before)
                 power_gauge.set_at(mean_power_w, time_after)
         return loss
-
-    def train_step_streaming(self, x_batch: np.ndarray, labels: np.ndarray) -> float:
-        """One SGD step with the per-sample streaming schedule.
-
-        Forward and backward run one sample at a time; between samples the
-        control unit restores the forward weights the backward pass
-        clobbered (a real retuning cost — counted).  Gradients accumulate
-        digitally and one update + reprogram happens per batch.  Kept as
-        the hardware-faithful reference schedule the batched
-        :meth:`train_step` is verified against.
-        """
-        x_batch = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
-        labels = np.atleast_1d(np.asarray(labels))
-        if x_batch.shape[0] != labels.shape[0]:
-            raise ShapeError("batch and labels must have matching lengths")
-        layers = self.acc.layers
-        accum = [np.zeros((l.out_dim, l.in_dim)) for l in layers]
-        total_loss = 0.0
-        batch = x_batch.shape[0]
-        with _trace_span(
-            "train_step_streaming", accelerator=self.acc, batch=batch
-        ):
-            for i, (x, label) in enumerate(zip(x_batch, labels)):
-                if i > 0:
-                    # The previous sample's backward pass left W^T / outer-
-                    # product operands in the banks; the control unit
-                    # restores the forward weights (a real retuning cost —
-                    # counted).
-                    self.acc.set_weights([layer.weights for layer in layers])
-                logits = self.acc.forward(x, record=True)
-                loss, grad = cross_entropy_loss(logits[None, :], np.array([label]))
-                total_loss += loss
-                grads = self.backward_sample(grad[0])
-                for a, g in zip(accum, grads):
-                    a += g
-            new_weights = [
-                layer.weights - self.lr * a / batch for layer, a in zip(layers, accum)
-            ]
-            # One reprogram per layer per batch: weights re-enter the grid.
-            self.acc.set_weights(new_weights)
-            if self.acc.control.set_mode(OperatingMode.INFERENCE):
-                self.acc.counters.mode_switches += 1
-        _metric_counter("repro_train_steps_total").inc()
-        _metric_histogram("repro_train_loss").observe(total_loss / batch)
-        return total_loss / batch
 
     # ------------------------------------------------------------------
     def predict(self, x_batch: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Tests for the processing element's three operating modes."""
+"""Tests for the processing element's three operating modes.
+
+Every mode takes a batch; a single sample is a batch of one.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +9,6 @@ import pytest
 from repro.arch.pe import ProcessingElement
 from repro.arch.weight_bank import WeightBank
 from repro.devices.ldsu import LDSU
-from repro.devices.noise import NoiseModel
 from repro.errors import ShapeError
 
 
@@ -32,19 +34,13 @@ class TestConstruction:
         with pytest.raises(ShapeError):
             ProcessingElement(tias=[TransimpedanceAmplifier()])
 
-    def test_with_noise_factory(self):
-        pe = ProcessingElement.with_noise(NoiseModel.realistic(seed=0), rows=8, cols=8)
-        assert pe.rows == 8
-        assert pe.bank.noise.enabled
-        assert pe.bpd.noise.enabled
-
 
 class TestForward:
     def test_matches_digital_gst_network(self, pe, rng):
         w = rng.uniform(-1, 1, (16, 16))
         x = rng.uniform(-1, 1, 16)
         pe.program_weights(w)
-        out = pe.forward(x)
+        out = pe.activation.fire(pe.forward_batch(x[:, None])[:, 0])
         expected = 0.34 * np.maximum(w @ x, 0)
         assert np.max(np.abs(out - expected)) < 0.1
 
@@ -52,25 +48,26 @@ class TestForward:
         w = rng.uniform(-1, 1, (8, 8))
         x = rng.uniform(-1, 1, 8)
         pe.program_weights(w)
-        logits = pe.forward(x, apply_activation=False)
+        logits = pe.forward_batch(x[:, None])[:, 0]
+        assert pe.activation.firing_events == 0  # the accelerator fires
         assert np.max(np.abs(logits - w @ x)) < 0.05
 
     def test_ldsu_captures_derivative_bits(self, pe, rng):
         w = rng.uniform(-1, 1, (16, 16))
         x = rng.uniform(-1, 1, 16)
         pe.program_weights(w)
-        logits = pe.forward(x, apply_activation=False)
+        logits = pe.forward_batch(x[:, None])[:, 0]
         expected_bits = logits > 0
         assert np.array_equal(pe.ldsu.bits, expected_bits)
 
     def test_capture_can_be_disabled(self, pe, rng):
         pe.program_weights(rng.uniform(-1, 1, (16, 16)))
-        pe.forward(rng.uniform(-1, 1, 16), capture_derivative=False)
+        pe.forward_batch(rng.uniform(-1, 1, (16, 1)), capture_derivative=False)
         assert not pe.ldsu.bits.any()
 
     def test_activation_firing_counted(self, pe, rng):
         pe.program_weights(rng.uniform(-1, 1, (16, 16)))
-        pe.forward(rng.uniform(-1, 1, 16))
+        pe.activation.fire(pe.forward_batch(rng.uniform(-1, 1, (16, 1))))
         assert pe.activation.firing_events > 0
 
 
@@ -81,21 +78,21 @@ class TestGradientVector:
         w = rng.uniform(-1, 1, (n, n))
         x = rng.uniform(-1, 1, n)
         pe.program_weights(w)
-        h = pe.forward(x, apply_activation=False)
+        h = pe.forward_batch(x[:, None])[:, 0]
         # Backward with W_next^T programmed.
         w_next = rng.uniform(-1, 1, (n, n))
         pe.program_weights(w_next.T)
         delta = rng.uniform(-1, 1, n)
-        got = pe.gradient_vector(delta)
+        got = pe.gradient_vector_batch(delta[:, None])[:, 0]
         expected = (w_next.T @ delta) * np.where(h > 0, 0.34, 0.0)
         assert np.max(np.abs(got - expected)) < 0.1
 
     def test_dead_rows_zeroed(self, pe, rng):
         n = 8
         pe.program_weights(-np.ones((n, n)))  # all logits negative
-        pe.forward(np.ones(n) * 0.5, apply_activation=False)
+        pe.forward_batch(np.full((n, 1), 0.5))
         pe.program_weights(rng.uniform(-1, 1, (n, n)))
-        out = pe.gradient_vector(rng.uniform(-1, 1, n))
+        out = pe.gradient_vector_batch(rng.uniform(-1, 1, (n, 1)))
         assert np.allclose(out, 0.0)
 
 
@@ -103,35 +100,41 @@ class TestOuterProduct:
     def test_matches_numpy_outer(self, pe, rng):
         d = rng.uniform(-1, 1, 10)
         y = rng.uniform(-1, 1, 12)
-        got = pe.outer_product(d, y)
+        got = pe.outer_product_batch(d[None], y[None])[0]
         assert got.shape == (10, 12)
         assert np.max(np.abs(got - np.outer(d, y))) < 0.05
 
     def test_full_bank(self, pe, rng):
         d = rng.uniform(-1, 1, 16)
         y = rng.uniform(-1, 1, 16)
-        got = pe.outer_product(d, y)
+        got = pe.outer_product_batch(d[None], y[None])[0]
         assert np.max(np.abs(got - np.outer(d, y))) < 0.05
 
     def test_rejects_oversize(self, pe, rng):
         with pytest.raises(ShapeError):
-            pe.outer_product(rng.uniform(-1, 1, 17), rng.uniform(-1, 1, 4))
+            pe.outer_product_batch(rng.uniform(-1, 1, (1, 17)), rng.uniform(-1, 1, (1, 4)))
         with pytest.raises(ShapeError):
-            pe.outer_product(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 17))
-
-    def test_rejects_matrices(self, pe):
-        with pytest.raises(ShapeError):
-            pe.outer_product(np.zeros((2, 2)), np.zeros(2))
+            pe.outer_product_batch(rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, (1, 17)))
 
     def test_costs_one_write_and_len_delta_symbols(self, pe, rng):
         d = rng.uniform(-1, 1, 6)
         y = rng.uniform(-1, 1, 4)
-        pe.outer_product(d, y)
+        pe.outer_product_batch(d[None], y[None])
         assert pe.bank.stats.write_events == 1
         assert pe.bank.stats.symbols == 6
 
 
+def physical_outer_product(d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """dW = d ⊗ y the way the silicon computes it: program a fresh bank
+    column-constant with y, stream d one wavelength per symbol, detect."""
+    pe = ProcessingElement()
+    pe.bank.program(np.tile(y[:, None], (1, d.shape[0])))
+    return pe.bpd.detect_normalized(pe.bank.matmat(np.diag(d))).T
+
+
 class TestBatchedModes:
+    """Batch invariance: a B-sample call equals B single-sample calls."""
+
     def test_forward_batch_matches_per_sample(self, rng):
         w = rng.uniform(-1, 1, (16, 16))
         xs = rng.uniform(-1, 1, (16, 5))
@@ -140,13 +143,14 @@ class TestBatchedModes:
         got = batched_pe.forward_batch(xs)
         single_pe = ProcessingElement()
         single_pe.program_weights(w)
-        expected = np.stack(
-            [single_pe.forward(xs[:, b], apply_activation=False) for b in range(5)],
-            axis=1,
+        expected = np.concatenate(
+            [single_pe.forward_batch(xs[:, b : b + 1]) for b in range(5)], axis=1
         )
-        assert np.allclose(got, expected)
+        assert np.allclose(got, expected, atol=1e-12)
         assert np.array_equal(batched_pe.ldsu.batch_bits, got > 0)
-        # Same streamed-symbol cost as five per-sample passes.
+        # The flip-flops hold the last sample's bits either way.
+        assert np.array_equal(batched_pe.ldsu.bits, single_pe.ldsu.bits)
+        # Same streamed-symbol cost as five single-sample passes.
         assert batched_pe.bank.stats.symbols == single_pe.bank.stats.symbols
 
     def test_gradient_vector_batch_matches_per_sample(self, rng):
@@ -162,12 +166,16 @@ class TestBatchedModes:
         pe_b.program_weights(w_next.T)
         got = pe_b.gradient_vector_batch(deltas)
 
+        symbols = 0
         for b in range(B):
             pe_s = ProcessingElement()
             pe_s.program_weights(w)
-            pe_s.forward(x_cols[:, b], apply_activation=False)
+            pe_s.forward_batch(x_cols[:, b : b + 1])
             pe_s.program_weights(w_next.T)
-            assert np.allclose(got[:, b], pe_s.gradient_vector(deltas[:, b]))
+            single = pe_s.gradient_vector_batch(deltas[:, b : b + 1])
+            assert np.allclose(got[:, b], single[:, 0], atol=1e-12)
+            symbols += pe_s.bank.stats.symbols
+        assert pe_b.bank.stats.symbols == symbols
 
     def test_outer_product_batch_matches_per_sample(self, rng):
         B, d, y = 3, 6, 4
@@ -177,15 +185,17 @@ class TestBatchedModes:
         got = pe_b.outer_product_batch(deltas, ys)
         assert got.shape == (B, d, y)
         for b in range(B):
-            pe_s = ProcessingElement()
-            assert np.allclose(got[b], pe_s.outer_product(deltas[b], ys[b]))
+            single = ProcessingElement().outer_product_batch(deltas[b : b + 1], ys[b : b + 1])
+            assert np.allclose(got[b], single[0], atol=1e-12)
+            # The emulation against a real bank program + stream.
+            assert np.allclose(got[b], physical_outer_product(deltas[b], ys[b]), atol=1e-12)
 
     def test_outer_product_batch_charges_per_sample_costs(self, rng):
         B, d, y = 5, 6, 4
         pe = ProcessingElement()
         pe.outer_product_batch(rng.uniform(-1, 1, (B, d)), rng.uniform(-1, 1, (B, y)))
         # B programming events of y*d cells and B*d symbols — exactly what
-        # B sequential outer_product calls would charge.
+        # B sequential column-constant programs and streams would charge.
         assert pe.bank.stats.write_events == B
         assert pe.bank.stats.cells_written == B * d * y
         assert pe.bank.stats.symbols == B * d

@@ -42,6 +42,17 @@ class TestProgramming:
         with pytest.raises(ProgrammingError):
             bank.program(np.full((2, 2), 1.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bank, bad):
+        # NaN used to slip through the range check and land on level 0.
+        w = np.zeros((2, 2))
+        w[1, 0] = bad
+        with pytest.raises(ProgrammingError):
+            bank.program(w)
+        with pytest.raises(ProgrammingError):
+            bank.realize_virtually(w)
+        assert bank.stats.write_events == 0
+
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ShapeError):
             WeightBank(rows=0, cols=16)
@@ -77,56 +88,55 @@ class TestProgramming:
 
 
 class TestMatvec:
+    """A matrix-vector product is a single-column ``matmat``."""
+
     def test_matches_realized_weights(self, bank, rng):
         w = rng.uniform(-1, 1, (16, 16))
         realized = bank.program(w)
         x = rng.uniform(-1, 1, 16)
-        assert np.allclose(bank.matvec(x), realized @ x)
+        assert np.allclose(bank.matmat(x[:, None])[:, 0], realized @ x)
 
     def test_quantized_accuracy(self, bank, rng):
         w = rng.uniform(-1, 1, (16, 16))
         bank.program(w)
         x = rng.uniform(-1, 1, 16)
         # Error bounded by accumulated quantization: N * step/2.
-        assert np.max(np.abs(bank.matvec(x) - w @ x)) <= 16 * bank.weight_step / 2
+        out = bank.matmat(x[:, None])[:, 0]
+        assert np.max(np.abs(out - w @ x)) <= 16 * bank.weight_step / 2
 
     def test_partial_block_matvec(self, bank, rng):
         w = rng.uniform(-1, 1, (4, 6))
         realized = bank.program(w)
         x = rng.uniform(-1, 1, 6)
-        out = bank.matvec(x)
-        assert out.shape == (4,)
-        assert np.allclose(out, realized @ x)
+        out = bank.matmat(x[:, None])
+        assert out.shape == (4, 1)
+        assert np.allclose(out[:, 0], realized @ x)
 
     def test_rejects_wrong_length(self, bank, rng):
         bank.program(rng.uniform(-1, 1, (4, 6)))
         with pytest.raises(ShapeError):
-            bank.matvec(np.zeros(5))
+            bank.matmat(np.zeros((5, 1)))
 
     def test_rejects_overrange_input(self, bank, rng):
         bank.program(rng.uniform(-1, 1, (4, 4)))
         with pytest.raises(ProgrammingError):
-            bank.matvec(np.array([2.0, 0, 0, 0]))
-
-    def test_rejects_matrix_input(self, bank, rng):
-        bank.program(rng.uniform(-1, 1, (4, 4)))
-        with pytest.raises(ShapeError):
-            bank.matvec(np.zeros((4, 4)))
+            bank.matmat(np.array([[2.0], [0], [0], [0]]))
 
     def test_symbols_counted(self, bank, rng):
         bank.program(rng.uniform(-1, 1, (4, 4)))
         for _ in range(3):
-            bank.matvec(np.zeros(4))
+            bank.matmat(np.zeros((4, 1)))
         assert bank.stats.symbols == 3
 
 
 class TestMatmat:
     def test_matches_matvec_columns(self, bank, rng):
+        """Batch invariance: each column equals its own one-column call."""
         bank.program(rng.uniform(-1, 1, (8, 8)))
         x = rng.uniform(-1, 1, (8, 5))
         batched = bank.matmat(x)
         for j in range(5):
-            assert np.allclose(batched[:, j], bank.matvec(x[:, j]))
+            assert np.allclose(batched[:, j], bank.matmat(x[:, j : j + 1])[:, 0])
 
     def test_counts_one_symbol_per_column(self, bank, rng):
         bank.program(rng.uniform(-1, 1, (8, 8)))
@@ -140,7 +150,7 @@ class TestMatmat:
 
     def test_remapped_rows_match_matvec(self, rng):
         # Remapping flips matmat off its identity-view fast path onto
-        # the row-map gather; both must agree with matvec exactly.
+        # the row-map gather, which must read the remapped rows exactly.
         bank = WeightBank(rows=4, cols=4, spare_rows=2)
         w = rng.uniform(-1, 1, (4, 4))
         bank.program(w)
@@ -148,21 +158,19 @@ class TestMatmat:
         bank.program(w)
         x = rng.uniform(-1, 1, (4, 5))
         batched = bank.matmat(x)
-        for j in range(5):
-            assert np.allclose(
-                batched[:, j], bank.matvec(x[:, j]), atol=1e-12
-            )
+        assert np.allclose(batched, bank.logical_weights @ x, atol=1e-12)
 
     def test_crosstalk_partial_block_matches_matvec(self, rng):
         # With channel mixing the padded slab path runs; a partial block
-        # must still match the per-column matvec bit for bit.
+        # must still see the mixed, zero-padded input.
         mix = np.eye(8) + 0.01 * rng.uniform(-1, 1, (8, 8))
         bank = WeightBank(rows=8, cols=8, crosstalk=mix)
         bank.program(rng.uniform(-1, 1, (5, 6)))
         x = rng.uniform(-1, 1, (6, 3))
-        batched = bank.matmat(x)
-        for j in range(3):
-            assert np.allclose(batched[:, j], bank.matvec(x[:, j]))
+        padded = np.zeros((8, 3))
+        padded[:6] = x
+        expected = bank.realized_weights[:5] @ (mix @ padded)
+        assert np.allclose(bank.matmat(x), expected)
 
 
 class TestCrosstalk:
@@ -172,8 +180,8 @@ class TestCrosstalk:
         w = rng.uniform(-1, 1, (16, 16))
         clean.program(w)
         xtalk.program(w)
-        x = rng.uniform(-1, 1, 16)
-        assert np.allclose(clean.matvec(x), xtalk.matvec(x))
+        x = rng.uniform(-1, 1, (16, 1))
+        assert np.allclose(clean.matmat(x), xtalk.matmat(x))
 
     def test_leakage_perturbs_output(self, rng):
         leak = np.eye(16) + 0.01 * (np.ones((16, 16)) - np.eye(16))
@@ -182,8 +190,8 @@ class TestCrosstalk:
         w = rng.uniform(-1, 1, (16, 16))
         bank.program(w)
         clean.program(w)
-        x = rng.uniform(-1, 1, 16)
-        assert not np.allclose(bank.matvec(x), clean.matvec(x))
+        x = rng.uniform(-1, 1, (16, 1))
+        assert not np.allclose(bank.matmat(x), clean.matmat(x))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ShapeError):

@@ -90,8 +90,8 @@ class TestOtherCommands:
         assert "activation" in out
 
     def test_profile_parity_gate(self, run):
-        """The profile command exercises the batched/per-sample parity
-        guarantee end to end and exits 0 only when it holds."""
+        """The profile command exercises batch invariance (one batch vs
+        single-sample batches) end to end and exits 0 only when it holds."""
         code, out = run("profile", "--dims", "20", "12", "3", "--batch", "8")
         assert code == 0
         assert "outputs match: True" in out

@@ -138,28 +138,29 @@ class TestDFlipFlop:
 class TestLDSU:
     def test_capture_stores_bits(self):
         ldsu = LDSU(n_rows=4)
-        bits = ldsu.capture(np.array([1.0, -1.0, 0.5, 0.0]))
+        bits = ldsu.capture_batch(np.array([[1.0], [-1.0], [0.5], [0.0]]))[:, 0]
         assert list(bits) == [True, False, True, False]
+        assert list(ldsu.bits) == list(bits)
 
     def test_derivative_gains_match_paper(self):
         ldsu = LDSU(n_rows=3)
-        ldsu.capture(np.array([2.0, -2.0, 1.0]))
-        assert np.allclose(ldsu.derivative_gains(), [0.34, 0.0, 0.34])
+        ldsu.capture_batch(np.array([[2.0], [-2.0], [1.0]]))
+        assert np.allclose(ldsu.derivative_gains_batch()[:, 0], [0.34, 0.0, 0.34])
 
     def test_capture_rejects_wrong_shape(self):
         ldsu = LDSU(n_rows=4)
         with pytest.raises(DeviceError):
-            ldsu.capture(np.zeros(3))
+            ldsu.capture_batch(np.zeros((3, 1)))
 
     def test_clear(self):
         ldsu = LDSU(n_rows=2)
-        ldsu.capture(np.array([1.0, 1.0]))
+        ldsu.capture_batch(np.ones((2, 1)))
         ldsu.clear()
         assert not ldsu.bits.any()
 
     def test_bits_returns_copy(self):
         ldsu = LDSU(n_rows=2)
-        ldsu.capture(np.array([1.0, 1.0]))
+        ldsu.capture_batch(np.ones((2, 1)))
         external = ldsu.bits
         external[:] = False
         assert ldsu.bits.all()
@@ -168,7 +169,8 @@ class TestLDSU:
         """The paper's point: the GST activation has exactly two derivative
         values so the LDSU needs only 1 bit/row."""
         ldsu = LDSU(n_rows=8)
-        gains = ldsu.derivative_gains()
+        ldsu.capture_batch(np.random.default_rng(0).normal(size=(8, 5)))
+        gains = ldsu.derivative_gains_batch()
         assert set(np.unique(gains)) <= {0.0, 0.34}
 
     def test_rejects_bad_rows(self):
@@ -184,12 +186,14 @@ class TestLDSUBatch:
         ldsu = LDSU(n_rows=3)
         logits = np.array([[1.0, -1.0], [-0.5, 0.5], [0.0, 2.0]])
         plane = ldsu.capture_batch(logits)
+        sweep = LDSU(n_rows=3)
         for b in range(2):
-            single = LDSU(n_rows=3)
-            assert np.array_equal(single.capture(logits[:, b]), plane[:, b])
+            single = sweep.capture_batch(logits[:, b : b + 1])
+            assert np.array_equal(single[:, 0], plane[:, b])
         # Flip-flops end up holding the final column, exactly as a
-        # per-sample sweep would leave them.
+        # sweep of single-sample captures leaves them.
         assert np.array_equal(ldsu.bits, plane[:, -1])
+        assert np.array_equal(ldsu.bits, sweep.bits)
 
     def test_derivative_gains_batch(self):
         ldsu = LDSU(n_rows=2)

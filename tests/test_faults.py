@@ -118,9 +118,9 @@ class TestSpareRemap:
         bank.program(rng.uniform(-1, 1, (4, 4)))
         bank.remap_row(0)
         with pytest.raises(ProgrammingError):
-            bank.matvec(np.zeros(4))
+            bank.matmat(np.zeros((4, 1)))
         bank.program(rng.uniform(-1, 1, (4, 4)))
-        bank.matvec(np.zeros(4))  # streams again
+        bank.matmat(np.zeros((4, 1)))  # streams again
 
     def test_remap_routes_around_stuck_row(self, rng):
         bank = WeightBank(rows=4, cols=4, spare_rows=2)
@@ -172,7 +172,7 @@ class TestSelftest:
         bank.selftest(writer)
         assert bank.stats.write_energy_j > before  # BIST is not free
         with pytest.raises(ProgrammingError):
-            bank.matvec(np.zeros(4))
+            bank.matmat(np.zeros((4, 1)))
 
     def test_selftest_validates_levels(self, rng):
         bank = WeightBank()

@@ -1,9 +1,9 @@
-"""Golden serving ledger: pinned decision logs of the three serving workloads.
+"""Golden ledgers: pinned seeded replays of five benchmark workloads.
 
-Drives the smoke-size ``serve-burst``, ``shard-pipeline`` and
-``fleet-diurnal`` workloads of the repo benchmark (``benchmarks/suite/
-workloads.py``, loaded read-only) at seed 0 and compares each run with
-``tests/golden/serving.json``:
+Drives smoke-size workloads of the repo benchmark (``benchmarks/suite/
+workloads.py``, loaded read-only) at seed 0 and compares each run with a
+ledger in ``tests/golden/``.  ``serving.json`` pins ``serve-burst``,
+``shard-pipeline`` and ``fleet-diurnal``:
 
 - portable fields, checked on every machine: the request counts, shed
   counts by reason, scheduled retries and the sha256 of the decision log;
@@ -12,10 +12,19 @@ workloads.py``, loaded read-only) at seed 0 and compares each run with
   fingerprint (Python, NumPy, platform) matches, because output bits pass
   through BLAS kernels that may round differently elsewhere.
 
-Each workload is built and served twice in one process, so state leaking
-from one server into the next fails the test too.
+``chip.json`` pins the two chip workloads, ``infer-tiled`` (4 batched
+forwards) and ``train-insitu`` (20 training steps):
 
-Regenerate the ledger (and print what moved) after an intended change:
+- portable fields: the schedule counters ``symbols``, ``bank_writes`` and
+  ``mode_switches`` after build plus ops;
+- on the recorded fingerprint only: the digest of every op's output (or
+  loss), ``cells_written``, ``activation_events`` and the modeled energy
+  and time the ops charged — all of them follow the noisy arithmetic.
+
+Each workload is built and run twice in one process, so state leaking
+from one build into the next fails the test too.
+
+Regenerate both ledgers (and print what moved) after an intended change:
 
     PYTHONPATH=src python tests/test_golden_serving.py
 """
@@ -35,7 +44,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden" / "serving.json"
+CHIP_GOLDEN = GOLDEN.with_name("chip.json")
 WORKLOADS = ("serve-burst", "shard-pipeline", "fleet-diurnal")
+#: Chip workload -> ops replayed (the smoke size's check window).
+CHIP_OPS = {"infer-tiled": 4, "train-insitu": 20}
 SEED = 0
 
 
@@ -84,16 +96,49 @@ def record(bench, name: str) -> dict:
     }
 
 
-def ledger(bench) -> dict:
+def record_chip(bench, name: str) -> dict:
+    """Run one smoke-size chip workload's ops at :data:`SEED`."""
+    workload = bench.WORKLOADS[name](smoke=True)
+    ctx = workload.build(SEED)
+    digest = hashlib.sha256()
+    modeled_j = modeled_s = 0.0
+    for index in range(CHIP_OPS[name]):
+        result = workload.inspect(ctx, index, workload.op(ctx, index))
+        digest.update(result.digest)
+        modeled_j += result.modeled_j
+        modeled_s += result.modeled_s
+    counters = ctx.acc.counters
+    return {
+        "portable": {
+            "symbols": counters.symbols,
+            "bank_writes": counters.bank_writes,
+            "mode_switches": counters.mode_switches,
+        },
+        "machine": {
+            "ops_digest": _hex(digest.digest()),
+            "cells_written": counters.cells_written,
+            "activation_events": counters.activation_events,
+            "modeled_j": repr(modeled_j),
+            "modeled_s": repr(modeled_s),
+        },
+    }
+
+
+def ledger(bench, recorder, names) -> dict:
     return {
         "fingerprint": fingerprint(),
-        "workloads": {name: record(bench, name) for name in WORKLOADS},
+        "workloads": {name: recorder(bench, name) for name in names},
     }
 
 
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def chip_golden():
+    return json.loads(CHIP_GOLDEN.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -112,15 +157,32 @@ def test_serving_ledger_replays(golden, bench, name):
             assert got["serve_digest"] == expected["serve_digest"]
 
 
-def main() -> int:
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    new = ledger(_load_workloads())
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+@pytest.mark.parametrize("name", sorted(CHIP_OPS))
+def test_chip_ledger_replays(chip_golden, bench, name):
+    expected = chip_golden["workloads"][name]
+    same_machine = chip_golden["fingerprint"] == fingerprint()
+    for _ in range(2):
+        got = record_chip(bench, name)
+        assert got["portable"] == expected["portable"]
+        if same_machine:
+            assert got["machine"] == expected["machine"]
+
+
+def regenerate(path: Path, new: dict) -> None:
+    """Write one ledger and print its diff against the previous one."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
     before = json.dumps(old, indent=2, sort_keys=True).splitlines()
     after = json.dumps(new, indent=2, sort_keys=True).splitlines()
     diff = list(difflib.unified_diff(before, after, "old", "new", lineterm=""))
-    print("\n".join(diff) if diff else "golden ledger unchanged")
+    print("\n".join(diff) if diff else f"{path.name} unchanged")
+
+
+def main() -> int:
+    bench = _load_workloads()
+    regenerate(GOLDEN, ledger(bench, record, WORKLOADS))
+    regenerate(CHIP_GOLDEN, ledger(bench, record_chip, CHIP_OPS))
     return 0
 
 

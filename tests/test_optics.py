@@ -122,7 +122,8 @@ class TestPhysicalWeightBank:
         normalized.program(w)
         x = rng.uniform(0, 1, 8)
         out = bank.forward(x)
-        assert np.max(np.abs(out.normalized - normalized.matvec(x))) < 1e-6
+        expected = normalized.matmat(x[:, None])[:, 0]
+        assert np.max(np.abs(out.normalized - expected)) < 1e-6
 
     def test_expected_matches_forward_without_noise(self, bank, rng):
         w = rng.uniform(-1, 1, (8, 8))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch.weight_bank import WeightBank, program_with_verify
+from repro.arch.weight_bank import WeightBank
 from repro.dataflow.cost_model import PhotonicArch
 from repro.dataflow.power_trace import power_trace
 from repro.dataflow.schedule_sim import simulate_layer
@@ -92,22 +92,22 @@ class TestProgramWithVerify:
         cfg = ProgramVerifyConfig(write_std_levels=3.0, tolerance_levels=1.0)
 
         verified_bank = WeightBank()
-        realized, result = program_with_verify(
-            verified_bank, w, ProgramVerifyWriter(cfg, seed=5)
+        realized, result = verified_bank.program_verified(
+            w, ProgramVerifyWriter(cfg, seed=5)
         )
         single_cfg = ProgramVerifyConfig(
             write_std_levels=3.0, tolerance_levels=1.0, max_iterations=1
         )
         single_bank = WeightBank()
-        single_real, _ = program_with_verify(
-            single_bank, w, ProgramVerifyWriter(single_cfg, seed=5)
+        single_real, _ = single_bank.program_verified(
+            w, ProgramVerifyWriter(single_cfg, seed=5)
         )
         assert np.abs(realized - w).mean() < np.abs(single_real - w).mean()
 
     def test_accounting_reflects_extra_pulses(self, rng):
         w = rng.uniform(-1, 1, (8, 8))
         bank = WeightBank()
-        _, result = program_with_verify(bank, w, ProgramVerifyWriter(seed=2))
+        _, result = bank.program_verified(w, ProgramVerifyWriter(seed=2))
         assert bank.stats.cells_written == result.total_pulses
         expected_energy = (
             result.total_pulses * 660e-12 + result.total_reads * 20e-12
@@ -117,15 +117,15 @@ class TestProgramWithVerify:
     def test_matvec_consistent_with_achieved_levels(self, rng):
         w = rng.uniform(-1, 1, (8, 8))
         bank = WeightBank()
-        realized, _ = program_with_verify(bank, w, ProgramVerifyWriter(seed=3))
+        realized, _ = bank.program_verified(w, ProgramVerifyWriter(seed=3))
         x = rng.uniform(-1, 1, 8)
-        assert np.allclose(bank.matvec(x), realized @ x)
+        assert np.allclose(bank.matmat(x[:, None])[:, 0], realized @ x)
 
     def test_noiseless_writer_equals_plain_program(self, rng):
         w = rng.uniform(-1, 1, (8, 8))
         cfg = ProgramVerifyConfig(write_std_levels=0.0, read_std_levels=0.0)
         pv_bank = WeightBank()
-        realized, _ = program_with_verify(pv_bank, w, ProgramVerifyWriter(cfg, seed=0))
+        realized, _ = pv_bank.program_verified(w, ProgramVerifyWriter(cfg, seed=0))
         plain = WeightBank()
         expected = plain.program(w)
         assert np.allclose(realized, expected)
@@ -138,7 +138,7 @@ class TestProgramWithVerify:
             write_std_levels=50.0, tolerance_levels=0.1, max_iterations=4
         )
         bank = WeightBank()
-        _, result = program_with_verify(bank, w, ProgramVerifyWriter(cfg, seed=0))
+        _, result = bank.program_verified(w, ProgramVerifyWriter(cfg, seed=0))
         rounds = int(result.pulses.max())
         assert rounds > 1
         assert bank.stats.write_time_s == pytest.approx(
@@ -165,7 +165,7 @@ class TestProgramWithVerify:
 
         w = rng.uniform(-1, 1, (8, 8))
         bank = WeightBank()
-        realized, _ = program_with_verify(bank, w, ConvergedWriter())
+        realized, _ = bank.program_verified(w, ConvergedWriter())
         assert bank.stats.write_time_s == pytest.approx(bank.tuning.write_time())
         assert bank.stats.write_time_s >= 0.0
         plain = WeightBank()

@@ -78,7 +78,7 @@ class TestProfiler:
     def test_reusable_context(self, mapped, rng):
         prof = Profiler(mapped)
         with prof:
-            mapped.forward(rng.uniform(-1, 1, 10))
+            mapped.forward_batch(rng.uniform(-1, 1, (1, 10)))
         first = prof.report.counters.symbols
         with prof:
             mapped.forward_batch(rng.uniform(-1, 1, (3, 10)))

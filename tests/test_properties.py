@@ -149,8 +149,8 @@ class TestWeightBankProperties:
         n = w.shape[1]
         x1 = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
         x2 = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
-        lhs = bank.matvec(np.clip(x1 + x2, -1, 1))
-        rhs = bank.matvec(x1) + bank.matvec(x2)
+        lhs = bank.matmat(np.clip(x1 + x2, -1, 1)[:, None])
+        rhs = bank.matmat(x1[:, None]) + bank.matmat(x2[:, None])
         if np.max(np.abs(x1 + x2)) <= 1.0:
             assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -160,8 +160,7 @@ class TestWeightBankProperties:
         """|output| <= number of columns (inputs and weights in [-1, 1])."""
         bank = WeightBank()
         bank.program(w)
-        x = np.ones(w.shape[1])
-        out = bank.matvec(x)
+        out = bank.matmat(np.ones((w.shape[1], 1)))
         assert np.all(np.abs(out) <= w.shape[1] + 1e-9)
 
 
@@ -228,7 +227,8 @@ class TestPhysicalBankProperties:
         normalized = WeightBank(rows=4, cols=4)
         normalized.program(w)
         out = physical.forward(x)
-        assert np.max(np.abs(out.normalized - normalized.matvec(x))) < 1e-6
+        expected = normalized.matmat(x[:, None])[:, 0]
+        assert np.max(np.abs(out.normalized - expected)) < 1e-6
 
 
 class TestLinkBudgetProperties:
@@ -375,7 +375,7 @@ class TestRepairProperties:
         out_batch = acc.forward_batch(xs)
         batch_delta = acc.counters.diff(before).as_dict()
         before = acc.counters.snapshot()
-        out_sample = np.stack([acc.forward(x) for x in xs])
+        out_sample = np.concatenate([acc.forward_batch(x[None]) for x in xs])
         sample_delta = acc.counters.diff(before).as_dict()
         assert batch_delta == sample_delta
         assert np.allclose(out_batch, out_sample)

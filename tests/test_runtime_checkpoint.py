@@ -158,7 +158,7 @@ class TestAcceleratorStateDict:
     def test_forward_bit_identical_after_restore(self):
         acc = _built_acc(seed=3)
         rng = np.random.default_rng(0)
-        acc.forward(rng.normal(0, 0.5, 6))  # advance RNG + wear counters
+        acc.forward_batch(rng.normal(0, 0.5, (1, 6)))  # advance RNG + wear counters
         state = acc.state_dict()
         # Restore into a *differently seeded* twin: every divergence source
         # must be overwritten by the snapshot.
@@ -172,8 +172,8 @@ class TestAcceleratorStateDict:
         )
         twin.load_state_dict(state)
         for _ in range(4):
-            x = rng.normal(0, 0.5, 6)
-            assert np.array_equal(acc.forward(x), twin.forward(x))
+            x = rng.normal(0, 0.5, (1, 6))
+            assert np.array_equal(acc.forward_batch(x), twin.forward_batch(x))
         assert acc.counters.as_dict() == twin.counters.as_dict()
 
     def test_train_step_bit_identical_after_restore(self):
@@ -197,8 +197,8 @@ class TestAcceleratorStateDict:
         twin.load_state_dict(
             load_checkpoint(path, expect_kind="unit")["accelerator"]
         )
-        x = np.random.default_rng(1).normal(0, 0.5, 6)
-        assert np.array_equal(acc.forward(x), twin.forward(x))
+        x = np.random.default_rng(1).normal(0, 0.5, (1, 6))
+        assert np.array_equal(acc.forward_batch(x), twin.forward_batch(x))
 
     def test_fault_and_remap_state_round_trips(self):
         acc = _built_acc(seed=13)
@@ -262,8 +262,8 @@ class TestStateDictProperty:
             assert pe_a.bank.free_spare_rows == pe_b.bank.free_spare_rows
         assert acc.counters.as_dict() == twin.counters.as_dict()
 
-        x = np.random.default_rng(seed ^ 0x5EED).normal(0, 0.5, 6)
-        assert np.array_equal(acc.forward(x), twin.forward(x))
+        x = np.random.default_rng(seed ^ 0x5EED).normal(0, 0.5, (1, 6))
+        assert np.array_equal(acc.forward_batch(x), twin.forward_batch(x))
         t2 = InSituTrainer(twin, lr=0.05)
         assert trainer.train_step(data.x[8:16], data.y[8:16]) == t2.train_step(
             data.x[8:16], data.y[8:16]

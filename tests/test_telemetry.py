@@ -796,12 +796,3 @@ class TestOtlpExport:
         problems = telemetry.validate_otlp(bad_metric)
         assert any("exactly one of" in p for p in problems)
         assert any("bucketCounts" in p for p in problems)
-
-    def test_protobuf_encode_is_gated(self):
-        t = self.session_doc()
-        doc = telemetry.spans_to_otlp(t.tracer.records)
-        if telemetry.otlp_protobuf_available():
-            assert isinstance(telemetry.encode_protobuf(doc), bytes)
-        else:
-            with pytest.raises(ConfigError, match="opentelemetry-proto"):
-                telemetry.encode_protobuf(doc)

@@ -119,5 +119,5 @@ class TestPipelining:
 
         rng = np.random.default_rng(0)
         acc.set_weights([rng.uniform(-1, 1, (16, 16)), rng.uniform(-1, 1, (4, 16))])
-        acc.forward(rng.uniform(-1, 1, 16))
+        acc.forward_batch(rng.uniform(-1, 1, (1, 16)))
         assert acc.pipeline_latency_s() < acc.time_estimate_s()

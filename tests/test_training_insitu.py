@@ -19,6 +19,43 @@ def make_accelerator(dims, seed=0, noise=None):
     return acc, mlp
 
 
+def single_sample_gradients(acc, trainer, xb, grads_logits):
+    """Summed gradients of B single-sample backward passes, each after its
+    own recorded B=1 forward, plus the symbols and bank writes those
+    backward passes charged."""
+    accum = [np.zeros((layer.out_dim, layer.in_dim)) for layer in acc.layers]
+    symbols = writes = 0
+    for x, g in zip(xb, grads_logits):
+        # The previous backward pass left W^T in the banks: restore the
+        # forward weights before the next sample's forward.
+        acc.set_weights([layer.weights for layer in acc.layers])
+        acc.forward_batch(x[None], record=True)
+        before = acc.counters.snapshot()
+        for a, gr in zip(accum, trainer.backward_batch(g[None])):
+            a += gr
+        spent = acc.counters.diff(before)
+        symbols += spent.symbols
+        writes += spent.bank_writes
+    return accum, symbols, writes
+
+
+def single_sample_step(trainer, xb, yb):
+    """The batch's SGD step built from B=1 batches: per-sample losses and
+    gradients, one update with the batch mean.  Returns the mean loss."""
+    acc = trainer.acc
+    losses, grads_logits = [], []
+    for x, label in zip(xb, yb):
+        acc.set_weights([layer.weights for layer in acc.layers])
+        loss, g = cross_entropy_loss(acc.forward_batch(x[None]), np.array([label]))
+        losses.append(loss)
+        grads_logits.append(g[0])
+    accum, _, _ = single_sample_gradients(acc, trainer, xb, grads_logits)
+    acc.set_weights(
+        [layer.weights - trainer.lr * a / len(xb) for layer, a in zip(acc.layers, accum)]
+    )
+    return float(np.mean(losses))
+
+
 @pytest.fixture
 def blob_data():
     data = make_blobs(n_samples=240, n_features=8, n_classes=3, spread=0.7, seed=1)
@@ -54,9 +91,9 @@ class TestGradientFidelity:
         x = rng.uniform(-1, 1, 8)
         label = 2
 
-        logits_hw = acc.forward(x, record=True)
-        _, grad = cross_entropy_loss(logits_hw[None, :], np.array([label]))
-        grads_hw = trainer.backward_sample(grad[0])
+        logits_hw = acc.forward_batch(x[None], record=True)
+        _, grad = cross_entropy_loss(logits_hw, np.array([label]))
+        grads_hw = trainer.backward_batch(grad)
 
         grads_ref = mlp.gradients(x[None, :], grad).weights
         for g_hw, g_ref in zip(grads_hw, grads_ref):
@@ -67,14 +104,14 @@ class TestGradientFidelity:
         acc, _ = make_accelerator([8, 4])
         trainer = InSituTrainer(acc)
         with pytest.raises(MappingError):
-            trainer.backward_sample(np.zeros(4))
+            trainer.backward_batch(np.zeros((1, 4)))
 
     def test_backward_shape_checked(self):
         acc, _ = make_accelerator([8, 4])
         trainer = InSituTrainer(acc)
-        acc.forward(np.zeros(8), record=True)
-        with pytest.raises(ShapeError):
-            trainer.backward_sample(np.zeros(5))
+        acc.forward_batch(np.zeros((1, 8)), record=True)
+        with pytest.raises(ShapeError):  # gradients for 2 samples, 1 recorded
+            trainer.backward_batch(np.zeros((2, 4)))
 
 
 class TestTrainStep:
@@ -106,6 +143,19 @@ class TestTrainStep:
         trainer = InSituTrainer(acc)
         with pytest.raises(ShapeError):
             trainer.train_step(np.zeros((4, 8)), np.zeros(3, dtype=int))
+
+    def test_empty_batch_rejected_before_hardware_work(self):
+        """A (0, n) batch used to return a NaN loss and write NaN into
+        every layer's weight shadow and bank."""
+        acc, _ = make_accelerator([8, 4])
+        trainer = InSituTrainer(acc)
+        counters = acc.counters.as_dict()
+        weights = trainer.weights
+        with pytest.raises(ShapeError):
+            trainer.train_step(np.zeros((0, 8)), np.zeros(0, dtype=int))
+        assert acc.counters.as_dict() == counters
+        for before, after in zip(weights, trainer.weights):
+            assert np.array_equal(before, after)
 
     def test_hardware_events_accumulate(self, blob_data):
         train, _ = blob_data
@@ -168,8 +218,9 @@ class TestEndToEnd:
 
 
 class TestBatchedMatchesStreaming:
-    """The batched schedule must reproduce the per-sample reference exactly
-    on noise-free hardware — same losses, same updated weights."""
+    """Batch invariance of training: a B-sample batch must reproduce its
+    samples run as single-sample batches on noise-free hardware — same
+    losses, same summed gradients, same updated weights."""
 
     def test_identical_losses_and_weights(self, blob_data):
         train, _ = blob_data
@@ -181,7 +232,7 @@ class TestBatchedMatchesStreaming:
             xb = train.x[start : start + 16]
             yb = train.y[start : start + 16]
             loss_b = batched.train_step(xb, yb)
-            loss_s = streaming.train_step_streaming(xb, yb)
+            loss_s = single_sample_step(streaming, xb, yb)
             assert np.isclose(loss_b, loss_s, rtol=0, atol=1e-12)
         for w_b, w_s in zip(batched.weights, streaming.weights):
             np.testing.assert_allclose(w_b, w_s, rtol=0, atol=1e-12)
@@ -195,26 +246,24 @@ class TestBatchedMatchesStreaming:
 
         logits = acc.forward_batch(xb, record=True)
         _, grad = cross_entropy_loss(logits, yb)
+        before = acc.counters.snapshot()
         grads_batch = trainer.backward_batch(grad * B)
+        spent = acc.counters.diff(before)
 
-        accum = [np.zeros((l.out_dim, l.in_dim)) for l in acc.layers]
-        for x, label in zip(xb, yb):
-            # The previous backward pass (batched or per-sample) left W^T in
-            # the banks — restore forward weights before every sample.
-            acc.set_weights([layer.weights for layer in acc.layers])
-            lg = acc.forward(x, record=True)
-            _, g = cross_entropy_loss(lg[None, :], np.array([label]))
-            for a, gr in zip(accum, trainer.backward_sample(g[0])):
-                a += gr
+        accum, symbols, writes = single_sample_gradients(acc, trainer, xb, grad * B)
         for g_b, g_s in zip(grads_batch, accum):
             np.testing.assert_allclose(g_b, g_s, rtol=0, atol=1e-10)
+        assert spent.symbols == symbols
+        # The one hidden layer's W^T is programmed once per batch instead
+        # of once per sample: that grouping is the only write saving.
+        assert writes - spent.bank_writes == B - 1
 
     def test_dead_path_accounting_parity(self):
         """A sample whose hidden layer never fires dies after one
-        gradient-vector hop.  The per-sample schedule skips its upstream
-        outer product; the batched engine must compact the dead column
-        out and charge exactly the same symbols — not stream a zero
-        vector the control unit already knows is dead."""
+        gradient-vector hop.  Run alone, it skips its upstream outer
+        product; in a batch the engine must compact the dead column out
+        and charge exactly the same symbols — not stream a zero vector
+        the control unit already knows is dead."""
         dims = [8, 12, 3]
         weights = [w.copy() for w in DigitalMLP(dims, activation="gst", seed=2).weights]
         # All-positive first layer + an all-negative sample => its hidden
@@ -239,16 +288,9 @@ class TestBatchedMatchesStreaming:
         symbols_batch = acc_b.counters.symbols - before
 
         acc_s, streaming = fresh()
-        symbols_sample = 0
-        accum = [np.zeros((l.out_dim, l.in_dim)) for l in acc_s.layers]
-        for x, g in zip(xb, grad * B):
-            acc_s.set_weights([layer.weights for layer in acc_s.layers])
-            acc_s.forward(x, record=True)
-            before = acc_s.counters.symbols
-            for a, gr in zip(accum, streaming.backward_sample(g)):
-                a += gr
-            symbols_sample += acc_s.counters.symbols - before
-
+        accum, symbols_sample, _ = single_sample_gradients(
+            acc_s, streaming, xb, grad * B
+        )
         assert symbols_batch == symbols_sample
         # The dead sample really was skipped: one layer-0 outer product
         # (12 symbols) short of the no-dead-path law B*(3 + 1 + 12).
@@ -259,7 +301,7 @@ class TestBatchedMatchesStreaming:
     def test_backward_batch_requires_recorded_forward_batch(self):
         acc, _ = make_accelerator([8, 4])
         trainer = InSituTrainer(acc)
-        acc.forward(np.zeros(8), record=True)  # per-sample record only
+        acc.forward_batch(np.zeros((1, 8)))  # not recorded
         with pytest.raises(MappingError):
             trainer.backward_batch(np.zeros((1, 4)))
 
@@ -272,27 +314,11 @@ class TestBatchedMatchesStreaming:
 
 
 class TestWriteCostLaw:
-    def test_streaming_bank_writes_follow_closed_form(self, blob_data):
-        """The per-sample schedule's write count obeys the analytical law
-        the latency model charges: per batch of B samples on an L-layer
-        MLP, (B-1)*L weight restores + B*(L outer products + (L-1)
-        gradient programs) + L update reprograms."""
-        train, _ = blob_data
-        for B in (1, 4, 9):
-            acc, _ = make_accelerator([8, 12, 3], seed=2)
-            trainer = InSituTrainer(acc, lr=0.1)
-            L = len(acc.layers)
-            base = acc.counters.bank_writes
-            trainer.train_step_streaming(train.x[:B], train.y[:B])
-            got = acc.counters.bank_writes - base
-            predicted = (B - 1) * L + B * (L + (L - 1)) + L
-            assert got == predicted, (B, got, predicted)
-
     def test_batched_bank_writes_follow_closed_form(self, blob_data):
-        """Grouped reprogramming is *the* saving of the batched schedule:
-        B*L per-sample outer-product programs survive, but the W^T
-        programs collapse to one per hidden layer and the inter-sample
-        restores disappear entirely."""
+        """Grouped reprogramming is *the* saving of a batch: B*L per-sample
+        outer-product programs survive, but the W^T programs collapse to
+        one per hidden layer and no forward weights need restoring
+        between samples."""
         train, _ = blob_data
         for B in (1, 4, 9):
             acc, _ = make_accelerator([8, 12, 3], seed=2)
@@ -307,17 +333,15 @@ class TestWriteCostLaw:
     def test_symbols_follow_closed_form(self, blob_data):
         """Symbols per batch: B forward symbols per layer + B gradient
         symbols per hidden layer + B outer-product streams (one symbol per
-        delta element).  Batching saves writes, not symbols — both
-        schedules stream exactly the same vectors through the banks."""
+        delta element).  Batching saves writes, not symbols."""
         train, _ = blob_data
         B = 5
         # forward: 2 layers -> 2B; gradient: 1 hidden -> B;
         # outer: layer1 streams len(delta1)=3, layer0 streams len(delta0)=12.
         predicted = 2 * B + B + B * (3 + 12)
-        for step in ("train_step", "train_step_streaming"):
-            acc, _ = make_accelerator([8, 12, 3], seed=2)
-            trainer = InSituTrainer(acc, lr=0.1)
-            base = acc.counters.symbols
-            getattr(trainer, step)(train.x[:B], train.y[:B])
-            got = acc.counters.symbols - base
-            assert got == predicted, (step, got, predicted)
+        acc, _ = make_accelerator([8, 12, 3], seed=2)
+        trainer = InSituTrainer(acc, lr=0.1)
+        base = acc.counters.symbols
+        trainer.train_step(train.x[:B], train.y[:B])
+        got = acc.counters.symbols - base
+        assert got == predicted, (got, predicted)
