@@ -19,8 +19,8 @@ MIN_SPEEDUP = 1.2
 
 def test_overlap_beats_serialized_stage_execution(record_report):
     plan = plan_workload(CONFIG)
-    overlap_report, _, _ = run_shard_workload(CONFIG, overlap=True)
-    serial_report, _, _ = run_shard_workload(CONFIG, overlap=False)
+    overlap_report = run_shard_workload(CONFIG, overlap=True).report
+    serial_report = run_shard_workload(CONFIG, overlap=False).report
     assert overlap_report.completion_rate == 1.0
     assert serial_report.completion_rate == 1.0
 

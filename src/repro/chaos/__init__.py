@@ -19,9 +19,12 @@ chaos seed) pair reproduces a run bit-for-bit, and a disabled session
 costs one global read per hook (``benchmarks/bench_chaos_overhead.py``
 enforces < 1% on the batched forward path).
 
-``python -m repro soak`` sweeps the serve/shard/resume/train scenarios
-across seeds with chaos on, emitting a pass/flake matrix; ``--gate``
-turns any failure into a non-zero exit for CI.
+``python -m repro soak`` sweeps the serve/shard/resume/train/fleet/sdc
+scenarios across seeds with chaos on, emitting a pass/flake matrix;
+``--smoke`` turns any failure into a non-zero exit for CI.
+:mod:`repro.chaos.audit` is the one implementation of the run
+invariants: every serving ``--smoke`` gate and soak cell is a scenario
+run plus its audit.
 """
 
 from repro.chaos.audit import AuditResult, audit_serve_run, capture_accounting

@@ -1,9 +1,11 @@
 """Post-mortem invariant auditing for chaos runs.
 
-A chaos run is only evidence of robustness if the *system-level*
-contracts held while the faults landed.  :func:`audit_serve_run` checks
-a :class:`~repro.serving.server.ServeReport` (and optionally a replay
-and pre-run accounting baselines) against the stack-wide invariants:
+A run is only evidence of robustness if the *system-level* contracts
+held while the faults landed.  This module is the one implementation of
+those contracts.  :func:`audit_serve_run` checks a
+:class:`~repro.serving.server.ServeRun` (its report, workers, chaos
+session and pre-run accounting, optionally against a replay) for the
+stack-wide invariants:
 
 1. **Conservation** — every submitted request terminated exactly once
    (completed xor shed), chaos or not.
@@ -19,20 +21,25 @@ and pre-run accounting baselines) against the stack-wide invariants:
    the energy accounting (``bank_writes`` strictly increased whenever a
    repair or refresh fired); recovery is never free.
 6. **Bit-identical replay** — a second run under the same workload seed
-   and chaos plan reproduces the decision log and every output byte.
+   and chaos plan reproduces the decision log and every output byte
+   (:func:`run_digest` is the same contract as one hash).
 7. **Integrity** (when workers carry ABFT checkers) — attestation
    counters are conserved (every trip resolved to exactly one ladder
    outcome) and every applied ``silent_corrupt`` injection has a
    matching attestation incident: no corrupted batch settled unverified.
 
 Each check lands in an :class:`AuditResult` as ``(name, ok, detail)``;
-``result.ok`` is the conjunction.  The soak harness runs this after
-every cell, but it is equally usable standalone.
+``result.ok`` is the conjunction.  :func:`audit_fleet_run` adds the
+control-plane contracts on top.  Every ``--smoke`` serving gate and
+every serving soak cell is a scenario run plus one of these two audits;
+a gate records only its scenario's own checks into the same result.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 
@@ -55,6 +62,11 @@ class AuditResult:
     def ok(self) -> bool:
         """True when every check passed."""
         return all(ok for _, ok, _ in self.checks)
+
+    def record_audit(self, name: str, *audits: "AuditResult") -> None:
+        """Fold other runs' audits into one named check."""
+        failed = [f for audit in audits for f in audit.failed()]
+        self.record(name, not failed, "; ".join(failed))
 
     def failed(self) -> list[str]:
         """Names of failed checks (with details when present)."""
@@ -183,6 +195,15 @@ def _worker_checkers(workers):
             yield worker, worker.integrity
 
 
+def attestation_totals(workers) -> dict[str, int]:
+    """ABFT attestation counters summed over the checked workers."""
+    total: dict[str, int] = {}
+    for _, checker in _worker_checkers(workers):
+        for key, value in checker.counters.as_dict().items():
+            total[key] = total.get(key, 0) + value
+    return total
+
+
 def _check_integrity(result, workers, session) -> None:
     """The `integrity` section: conserved counters + attested corruption.
 
@@ -192,21 +213,20 @@ def _check_integrity(result, workers, session) -> None:
     ``silent_corrupt``, each applied injection has a matching incident —
     no finitely-corrupted batch settled unverified.
     """
-    unconserved = []
-    counters_total: dict[str, int] = {}
-    incidents: list[dict] = []
-    for worker, checker in _worker_checkers(workers):
-        if not checker.counters.conserved():
-            unconserved.append(worker.worker_id)
-        for key, value in checker.counters.as_dict().items():
-            counters_total[key] = counters_total.get(key, 0) + value
-        incidents.extend(checker.incidents)
+    checkers = list(_worker_checkers(workers))
+    unconserved = [
+        worker.worker_id
+        for worker, checker in checkers
+        if not checker.counters.conserved()
+    ]
     result.record(
         "integrity_conserved",
         not unconserved,
         f"workers {unconserved[:5]} have unbalanced attestation counters"
         if unconserved
-        else ", ".join(f"{k}={v}" for k, v in sorted(counters_total.items())),
+        else ", ".join(
+            f"{k}={v}" for k, v in sorted(attestation_totals(workers).items())
+        ),
     )
     if session is None:
         return
@@ -218,7 +238,9 @@ def _check_integrity(result, workers, session) -> None:
     if not applied:
         return
     incident_keys = {
-        (incident["worker"], incident["t"]) for incident in incidents
+        (incident["worker"], incident["t"])
+        for _, checker in checkers
+        for incident in checker.incidents
     }
     unattested = [
         record["index"]
@@ -235,74 +257,77 @@ def _check_integrity(result, workers, session) -> None:
     )
 
 
+def run_digest(report) -> str:
+    """Replay digest of one serving run: SHA-256 over the decision log
+    plus every completed output's bytes, in completion order."""
+    h = hashlib.sha256()
+    h.update(
+        json.dumps(report.decisions, sort_keys=True, default=str).encode("utf-8")
+    )
+    for completion in report.completed:
+        h.update(np.ascontiguousarray(np.asarray(completion.output)).tobytes())
+    return h.hexdigest()
+
+
 def _check_replay(result, report, replay) -> None:
-    if report.decisions != replay.decisions:
-        first = next(
-            (
-                i
-                for i, (a, b) in enumerate(
-                    zip(report.decisions, replay.decisions)
-                )
-                if a != b
-            ),
-            min(len(report.decisions), len(replay.decisions)),
-        )
-        result.record(
-            "bit_identical_replay", False, f"decision logs diverge at seq {first}"
-        )
-        return
-    if len(report.completed) != len(replay.completed):
-        result.record(
-            "bit_identical_replay",
-            False,
-            f"{len(report.completed)} vs {len(replay.completed)} completions",
-        )
-        return
-    for a, b in zip(report.completed, replay.completed):
-        if a.request.request_id != b.request.request_id or not np.array_equal(
-            np.asarray(a.output), np.asarray(b.output)
-        ):
-            result.record(
-                "bit_identical_replay",
-                False,
-                f"outputs differ for request {a.request.request_id}",
-            )
-            return
-    result.record("bit_identical_replay", True)
+    ours, theirs = run_digest(report), run_digest(replay)
+    result.record(
+        "bit_identical_replay",
+        ours == theirs,
+        f"run digest {ours[:16]} vs replay {theirs[:16]}" if ours != theirs else "",
+    )
+
+
+def record_breaker_arc(result, report, worker=None) -> None:
+    """Record the breaker arc a fault scenario must show: a server breaker
+    (``worker``'s, when given) tripped open, and a half-open probe closed
+    it again."""
+    arc = [
+        (t["to"], t["reason"])
+        for t in report.breaker_transitions
+        if worker is None or t.get("worker") == worker
+    ]
+    where = "" if worker is None else f" (worker {worker})"
+    result.record(
+        "breaker_tripped",
+        any(to == "open" for to, _ in arc),
+        f"a server breaker opened{where}",
+    )
+    result.record(
+        "breaker_restored",
+        ("closed", "probe_succeeded") in arc,
+        f"a half-open probe closed it{where}",
+    )
 
 
 # ---------------------------------------------------------------------------
-# Entry point
+# Entry points
 # ---------------------------------------------------------------------------
-def audit_serve_run(
-    report,
-    *,
-    workers=None,
-    pre_accounting: dict | None = None,
-    replay=None,
-    session=None,
-) -> AuditResult:
+def audit_serve_run(run, *, replay=None) -> AuditResult:
     """Run the full invariant suite over one serving run.
 
-    ``workers``/``pre_accounting`` (from :func:`capture_accounting`,
-    taken *before* the run) enable the repairs-charged check; ``replay``
-    (a second ``ServeReport`` from an identically seeded run) enables
-    the bit-identity check; ``session`` adds an informational record of
-    applied chaos.
+    ``run`` is a :class:`~repro.serving.server.ServeRun`.  Its
+    ``pre_accounting`` (from :func:`capture_accounting`, taken *before*
+    the run) enables the repairs-charged check, checked workers enable
+    the integrity section, and its chaos ``session`` adds an
+    informational record of applied chaos.  ``replay`` (a second run
+    record from an identically seeded run) enables the bit-identity
+    check.
     """
+    report = run.report
     result = AuditResult()
     _check_conservation(result, report)
     _check_structured_sheds(result, report)
     _check_atomic_batches(result, report)
     _check_finite_outputs(result, report)
-    if workers is not None and pre_accounting is not None:
-        _check_repairs_charged(result, workers, pre_accounting)
-    if workers is not None and any(_worker_checkers(workers)):
-        _check_integrity(result, workers, session)
+    if run.pre_accounting is not None:
+        _check_repairs_charged(result, run.workers, run.pre_accounting)
+    if any(_worker_checkers(run.workers)):
+        _check_integrity(result, run.workers, run.session)
     if replay is not None:
-        _check_replay(result, report, replay)
-    if session is not None:
-        applied = session.applied_counts()
+        _check_replay(result, report, replay.report)
+    if run.session is not None:
+        applied = run.session.applied_counts()
         result.record(
             "chaos_applied",
             True,
@@ -311,39 +336,29 @@ def audit_serve_run(
     return result
 
 
-def audit_fleet_run(
-    fleet_result,
-    *,
-    replay=None,
-    session=None,
-) -> AuditResult:
+def audit_fleet_run(run, *, replay=None) -> AuditResult:
     """Invariant suite for a fleet control-plane run.
 
-    Runs every :func:`audit_serve_run` check over the run's
-    ``ServeReport``, then layers the control-plane contracts on top:
-    every decommissioned worker checkpointed its bank state before
-    leaving the roster, the degraded-mode ladder balanced its entries
-    and exits and converged back to nominal, no worker was stranded
-    mid-lifecycle, and every controller actuation landed in the decision
-    log.  ``fleet_result``/``replay`` are
+    Runs every :func:`audit_serve_run` check, then layers the
+    control-plane contracts on top: exactly the decommissioned workers
+    checkpointed their bank state before leaving the roster, no worker
+    was stranded mid-lifecycle, and, for a controlled run, the
+    degraded-mode ladder balanced its entries and exits and converged
+    back to nominal, every controller actuation landed in the decision
+    log, and the controller stopped at drain.  ``run``/``replay`` are
     :class:`~repro.fleet.workload.FleetRunResult` objects.
     """
-    result = audit_serve_run(
-        fleet_result.report,
-        replay=None if replay is None else replay.report,
-        session=session,
-    )
-    pool = fleet_result.pool
+    result = audit_serve_run(run, replay=replay)
+    pool = run.pool
     decommissioned = pool.ids_in("decommissioned")
-    missing = [
-        wid for wid in decommissioned if wid not in pool.checkpoint_digests
-    ]
+    checkpointed = sorted(pool.checkpoint_digests)
     result.record(
         "decommissions_checkpointed",
-        not missing,
-        f"workers {missing[:5]} retired without a bank-state digest"
-        if missing
-        else "",
+        checkpointed == decommissioned,
+        f"decommissioned {decommissioned[:5]} vs checkpointed "
+        f"{checkpointed[:5]}"
+        if checkpointed != decommissioned
+        else f"{len(decommissioned)} decommissioned, each checkpointed",
     )
     counts = pool.counts()
     settled = counts["warming"] == 0 and counts["draining"] == 0
@@ -353,7 +368,7 @@ def audit_fleet_run(
         f"run ended with {counts['warming']} warming / "
         f"{counts['draining']} draining workers" if not settled else "",
     )
-    controller = fleet_result.controller
+    controller = run.controller
     if controller is not None:
         from repro.fleet.controller import LADDER
 
@@ -366,17 +381,22 @@ def audit_fleet_run(
             balanced,
             f"entries={controller.degraded_entries} "
             f"exits={controller.degraded_exits} "
-            f"final={LADDER[controller.rung]}" if not balanced else "",
+            f"final={LADDER[controller.rung]}",
         )
         logged = sum(
             1
-            for record in fleet_result.report.decisions
+            for record in run.report.decisions
             if record["kind"] == "controller"
         )
         result.record(
             "actuations_logged",
             logged == len(controller.actuations),
-            f"{len(controller.actuations)} actuations vs {logged} decision "
-            "records" if logged != len(controller.actuations) else "",
+            f"{len(controller.actuations)} actuations, {logged} decision "
+            "records",
+        )
+        result.record(
+            "controller_stopped",
+            controller.stopped,
+            "stopped at drain" if controller.stopped else "still ticking",
         )
     return result

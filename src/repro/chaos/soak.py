@@ -7,13 +7,13 @@ post-mortem audit passes *and* every repeat produced the same run digest
 and nondeterminism show up as failures, and intermittent ones show up
 as flake.  Scenarios:
 
-- ``serve``  — the PR 5 multi-worker Poisson workload under a compiled
+- ``serve``  — the multi-worker Poisson workload under a compiled
   chaos plan (crashes, output corruption, stuck bursts, drift, breaker
   storms, clock jitter), audited by :func:`repro.chaos.audit.audit_serve_run`
   including a full bit-identical replay.
-- ``shard``  — the PR 6 pipeline worker under stage-targeted chaos,
-  with the single-accelerator reference oracle asserting that no chaos
-  run ever completed a request with non-reference output bytes.
+- ``shard``  — the pipeline worker under stage-targeted chaos, with the
+  single-accelerator reference oracle asserting that no chaos run ever
+  completed a request with non-reference output bytes.
 - ``resume`` — a fault campaign halted mid-sweep whose JSONL ledger
   tail is torn by chaos; the resumed report must be complete and
   bit-identical to an uninterrupted baseline.
@@ -22,29 +22,33 @@ as flake.  Scenarios:
   file (emitting ``checkpoint_corrupt_skipped``), fall back to the
   previous snapshot, and still finish bit-identical to an
   uninterrupted baseline.
-- ``fleet``  — the PR 8 closed-loop control plane under a diurnal +
-  burst multi-tenant trace with a breaker-storm volley mid-peak and a
-  worker crash, audited by :func:`repro.chaos.audit.audit_fleet_run`:
-  request conservation, recovery to nominal (degraded-ladder entries ==
-  exits), checkpointed decommissions, and a bit-identical replay.
+- ``fleet``  — the closed-loop control plane under a diurnal + burst
+  multi-tenant trace with a breaker-storm volley mid-peak and a worker
+  crash, audited by :func:`repro.chaos.audit.audit_fleet_run`: request
+  conservation, recovery to nominal (degraded-ladder entries == exits),
+  exactly the decommissioned workers checkpointed, a stopped
+  controller, and a bit-identical replay.
 - ``sdc``    — the ABFT-attested serving fleet under ``silent_corrupt``
   chaos (finite corruption the non-finite gate cannot see): every
   injection must land, trip the checksum attestation, and show up
   attested in the audit; the chaos-off run of the same cell is the
   false-positive gate (zero trips).
 
-The result is a JSON **flake matrix** (:func:`run_soak`): per-cell
-verdicts, failed checks, applied-injection counts, and — for failing
-cells — a telemetry snapshot from an instrumented re-run.
-``--gate`` mode turns any failure into a non-zero exit;
-:func:`run_self_audit` proves the gate *can* fail by running a cell
-with a deliberately unhandled sabotage injection and requiring the
-harness to flag it.
+The four serving cells build their runs through the scenario runners
+(the same ones the ``--smoke`` gates use) and share one
+run-twice-and-audit step (:func:`_audited_cell`).  The result is a JSON
+**flake matrix** (:func:`run_soak`): per-cell verdicts, failed checks,
+applied-injection counts, and — for failing cells — a telemetry
+snapshot from an instrumented re-run.  ``repro soak --smoke`` turns any
+failure into a non-zero exit; :func:`run_self_audit` proves the gate
+*can* fail by running a cell with a deliberately unhandled sabotage
+injection and requiring the harness to flag it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import tempfile
@@ -56,7 +60,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.chaos.session import session as chaos_scope
-from repro.chaos.audit import audit_serve_run, capture_accounting
+from repro.chaos.audit import audit_fleet_run, audit_serve_run, run_digest
 from repro.chaos.injectors import apply_file_injection
 from repro.chaos.plan import ChaosPlan, ChaosProfile, Injection, compile_plan
 from repro.errors import ChaosError
@@ -109,10 +113,33 @@ def _digest(doc, arrays=()) -> str:
     return h.hexdigest()
 
 
-def _serve_digest(report) -> str:
-    return _digest(
-        report.decisions, arrays=[c.output for c in report.completed]
-    )
+def _audited_cell(execute, audit=audit_serve_run, scenario_checks=None):
+    """One serving cell: run ``execute()`` twice from scratch, audit the
+    first run against the replay, and require both runs to have applied
+    the same injections.  ``scenario_checks(result, run)`` records the
+    scenario's own checks into the same audit."""
+    run, replay = execute(), execute()
+    result = audit(run, replay=replay)
+    if run.session is not None and run.session.applied != replay.session.applied:
+        result.record(
+            "chaos_replay", False, "applied injections differ between runs"
+        )
+    if scenario_checks is not None:
+        scenario_checks(result, run)
+    report = run.report
+    return {
+        "ok": result.ok,
+        "failed": result.failed(),
+        "digest": run_digest(report),
+        "applied": {} if run.session is None else run.session.applied_counts(),
+        "detail": {
+            "submitted": report.submitted,
+            "completed": len(report.completed),
+            "shed": report.shed_by_reason(),
+            "retries": report.retries_scheduled,
+            "audit": {name: detail for name, _, detail in result.checks},
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +157,8 @@ def _serve_workload_config(seed: int):
             Phase("burst", 80, 2.0),
             Phase("drain", 80, 0.35),
         ),
+        # The chaos plan is the only fault source here.
+        degrade_fraction=0.0,
         server=ServerConfig(
             max_queue_depth=64,
             max_batch=16,
@@ -144,48 +173,35 @@ def _serve_workload_config(seed: int):
     )
 
 
-def _serve_exec(seed: int, chaos_enabled: bool, sabotage: bool = False):
-    """One full serving run (fresh fleet); returns run artifacts."""
-    from repro.serving.server import TridentServer
-    from repro.serving.workload import (
-        build_worker,
-        sustainable_rate_hz,
-        synthesize_arrivals,
-    )
+def _serve_run(seed: int, chaos_enabled: bool, sabotage: bool = False):
+    """One serve-cell run.  Its chaos plan is sized to the arrival span;
+    ``sabotage`` adds a deliberately unhandled injection mid-run."""
+    from repro.serving.workload import run_serve_workload
 
     config = _serve_workload_config(seed)
-    workers = [
-        build_worker(i, config.dims, config.seed + 101 * i)
-        for i in range(config.n_workers)
-    ]
-    server = TridentServer(workers, config=config.server)
-    rate = sustainable_rate_hz(workers, config.server.max_batch)
-    rng = np.random.default_rng(config.seed)
-    arrivals, _ = synthesize_arrivals(config, rate, rng)
-    window_s = arrivals[-1].arrival_s
-    pre = capture_accounting(workers)
-    if not chaos_enabled:
-        report = server.run(arrivals)
-        return report, workers, pre, None
-    plan = compile_plan(
-        ChaosProfile(
-            window_s=window_s,
-            workers=tuple(range(config.n_workers)),
-            crashes=2,
-            corruptions=1,
-            stuck_bursts=1,
-            drift_bursts=1,
-            breaker_storms=1,
-            stuck_fraction=0.05,
-            stuck_level=254,
-            clock_jitter_s=1e-8,
-        ),
-        _chaos_seed(seed),
-    )
-    if sabotage:
-        plan = ChaosPlan(
-            seed=plan.seed,
-            injections=plan.injections
+
+    def plan(window_s):
+        """Chaos-plan factory: size the plan to the arrival span."""
+        compiled = compile_plan(
+            ChaosProfile(
+                window_s=window_s,
+                workers=tuple(range(config.n_workers)),
+                crashes=2,
+                corruptions=1,
+                stuck_bursts=1,
+                drift_bursts=1,
+                breaker_storms=1,
+                stuck_fraction=0.05,
+                stuck_level=254,
+                clock_jitter_s=1e-8,
+            ),
+            _chaos_seed(seed),
+        )
+        if not sabotage:
+            return compiled
+        return ChaosPlan(
+            seed=compiled.seed,
+            injections=compiled.injections
             + (
                 Injection(
                     0.5 * window_s,
@@ -194,42 +210,16 @@ def _serve_exec(seed: int, chaos_enabled: bool, sabotage: bool = False):
                     {"note": "soak self-audit: intentionally unhandled fault"},
                 ),
             ),
-            clock_jitter_s=plan.clock_jitter_s,
+            clock_jitter_s=compiled.clock_jitter_s,
         )
-    with chaos_scope(plan) as session:
-        server.install_chaos(session)
-        report = server.run(arrivals)
-    return report, workers, pre, session
+
+    return run_serve_workload(
+        config, chaos_plan=plan if chaos_enabled else None
+    )
 
 
 def _run_serve(seed: int, chaos_enabled: bool, sabotage: bool = False) -> dict:
-    report, workers, pre, session = _serve_exec(seed, chaos_enabled, sabotage)
-    replay_report, _, _, replay_session = _serve_exec(
-        seed, chaos_enabled, sabotage
-    )
-    result = audit_serve_run(
-        report,
-        workers=workers,
-        pre_accounting=pre,
-        replay=replay_report,
-        session=session,
-    )
-    failed = result.failed()
-    applied = session.applied_counts() if session is not None else {}
-    if session is not None and session.applied != replay_session.applied:
-        failed.append("chaos_replay: applied injections differ between runs")
-    return {
-        "ok": not failed,
-        "failed": failed,
-        "digest": _serve_digest(report),
-        "applied": applied,
-        "detail": {
-            "submitted": report.submitted,
-            "completed": len(report.completed),
-            "shed": report.shed_by_reason(),
-            "retries": report.retries_scheduled,
-        },
-    }
+    return _audited_cell(lambda: _serve_run(seed, chaos_enabled, sabotage))
 
 
 # ---------------------------------------------------------------------------
@@ -257,82 +247,44 @@ def _shard_workload_config(seed: int):
     )
 
 
-def _shard_exec(seed: int, chaos_enabled: bool):
-    from repro.serving.server import TridentServer
+def _run_shard(seed: int, chaos_enabled: bool) -> dict:
     from repro.serving.shard_workload import (
-        build_pipeline_worker,
+        outputs_bit_identical,
         plan_workload,
-        synthesize_shard_arrivals,
+        run_shard_workload,
     )
 
     config = _shard_workload_config(seed)
-    worker = build_pipeline_worker(config, overlap=True)
-    server = TridentServer([worker], config=config.server)
-    arrivals = synthesize_shard_arrivals(config)
-    pre = capture_accounting([worker])
-    if not chaos_enabled:
-        report = server.run(arrivals)
-        return config, report, [worker], pre, None
-    n_stages = plan_workload(config).n_stages
-    plan = compile_plan(
-        ChaosProfile(
-            window_s=config.arrival_window_s * 2.0,
-            workers=(0,),
-            stages=tuple(range(n_stages)),
-            crashes=1,
-            corruptions=1,
-            stuck_bursts=1,
-            drift_bursts=0,
-            breaker_storms=1,
-            stuck_fraction=0.04,
-            stuck_level=254,
-            clock_jitter_s=1e-8,
-        ),
-        _chaos_seed(seed),
-    )
-    with chaos_scope(plan) as session:
-        server.install_chaos(session)
-        report = server.run(arrivals)
-    return config, report, [worker], pre, session
-
-
-def _run_shard(seed: int, chaos_enabled: bool) -> dict:
-    from repro.serving.shard_workload import outputs_bit_identical
-
-    config, report, workers, pre, session = _shard_exec(seed, chaos_enabled)
-    _, replay_report, _, _, replay_session = _shard_exec(seed, chaos_enabled)
-    result = audit_serve_run(
-        report,
-        workers=workers,
-        pre_accounting=pre,
-        replay=replay_report,
-        session=session,
-    )
-    result.record(
-        "reference_oracle_outputs",
-        outputs_bit_identical(config, report),
-        "a completed output differs from the single-accelerator reference",
-    )
-    failed = [f for f in result.failed() if not f.startswith("reference_oracle")]
-    if not outputs_bit_identical(config, report):
-        failed.append(
-            "reference_oracle_outputs: completed output differs from reference"
+    plan = None
+    if chaos_enabled:
+        plan = compile_plan(
+            ChaosProfile(
+                window_s=config.arrival_window_s * 2.0,
+                workers=(0,),
+                stages=tuple(range(plan_workload(config).n_stages)),
+                crashes=1,
+                corruptions=1,
+                stuck_bursts=1,
+                drift_bursts=0,
+                breaker_storms=1,
+                stuck_fraction=0.04,
+                stuck_level=254,
+                clock_jitter_s=1e-8,
+            ),
+            _chaos_seed(seed),
         )
-    applied = session.applied_counts() if session is not None else {}
-    if session is not None and session.applied != replay_session.applied:
-        failed.append("chaos_replay: applied injections differ between runs")
-    return {
-        "ok": not failed,
-        "failed": failed,
-        "digest": _serve_digest(report),
-        "applied": applied,
-        "detail": {
-            "submitted": report.submitted,
-            "completed": len(report.completed),
-            "shed": report.shed_by_reason(),
-            "retries": report.retries_scheduled,
-        },
-    }
+
+    def reference_oracle(result, run):
+        result.record(
+            "reference_oracle_outputs",
+            outputs_bit_identical(config, run.report),
+            "completed outputs vs the single-accelerator reference",
+        )
+
+    return _audited_cell(
+        lambda: run_shard_workload(config, chaos_plan=plan),
+        scenario_checks=reference_oracle,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +499,7 @@ def _fleet_plan(scenario):
     )
 
 
-def _fleet_exec(seed: int, chaos_enabled: bool):
+def _fleet_run(seed: int, chaos_enabled: bool):
     from repro.fleet import run_fleet_workload
 
     scenario = _fleet_scenario(seed)
@@ -561,37 +513,13 @@ def _run_fleet(seed: int, chaos_enabled: bool) -> dict:
     Storm/crash times here are fixed fractions of the horizon, but the
     *trace* varies per seed, so degraded-mode depth and scaling activity
     vary by cell — the audit gates on the always-true contracts (ladder
-    entries == exits ending nominal, every decommission checkpointed,
-    conservation, replay), not on smoke's exact-episode counts.
+    entries == exits ending nominal, exactly the decommissioned workers
+    checkpointed, a stopped controller, conservation, replay), not on
+    smoke's exact-episode counts.
     """
-    from repro.chaos.audit import audit_fleet_run
-    from repro.fleet import fleet_digest
-
-    result = _fleet_exec(seed, chaos_enabled)
-    replay = _fleet_exec(seed, chaos_enabled)
-    audit = audit_fleet_run(result, replay=replay)
-    failed = audit.failed()
-    if result.chaos_applied != replay.chaos_applied:
-        failed.append("chaos_replay: applied injections differ between runs")
-    applied: dict[str, int] = {}
-    for record in result.chaos_applied:
-        applied[record["kind"]] = applied.get(record["kind"], 0) + 1
-    controller = result.controller
-    return {
-        "ok": not failed,
-        "failed": failed,
-        "digest": fleet_digest(result),
-        "applied": applied,
-        "detail": {
-            "submitted": result.report.submitted,
-            "completed": len(result.report.completed),
-            "shed": result.report.shed_by_reason(),
-            "fleet": result.pool.counts(),
-            "scale_ups": controller.scale_up_events,
-            "scale_downs": controller.scale_down_events,
-            "degraded_entries": controller.degraded_entries,
-        },
-    }
+    return _audited_cell(
+        lambda: _fleet_run(seed, chaos_enabled), audit=audit_fleet_run
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -607,21 +535,6 @@ def _sdc_workload_config(seed: int):
     )
 
 
-def _sdc_exec(seed: int, chaos_enabled: bool):
-    from repro.integrity import make_sdc_plan, run_integrity_workload
-
-    config = _sdc_workload_config(seed)
-    plan = None
-    if chaos_enabled:
-        # run_integrity_workload calls the factory with the computed
-        # arrival span, which is not known before the fleet is built.
-        def plan(window_s):
-            """Chaos-plan factory: size the plan to the arrival span."""
-            return make_sdc_plan(config, window_s)
-
-    return config, run_integrity_workload(config, chaos_plan=plan)
-
-
 def _run_sdc(seed: int, chaos_enabled: bool) -> dict:
     """Gate: injections land + trip + attest, zero trips when clean.
 
@@ -631,50 +544,17 @@ def _run_sdc(seed: int, chaos_enabled: bool) -> dict:
     checks added here are the scenario-specific ones — that the chaos
     actually exercised the defense.
     """
-    config, result = _sdc_exec(seed, chaos_enabled)
-    _, replay = _sdc_exec(seed, chaos_enabled)
-    audit = audit_serve_run(
-        result.report,
-        workers=result.workers,
-        pre_accounting=result.pre_accounting,
-        replay=replay.report,
-        session=result.session,
+    from repro.integrity import make_sdc_plan, run_integrity_workload
+    from repro.integrity.workload import record_sdc_checks
+
+    config = _sdc_workload_config(seed)
+    plan = functools.partial(make_sdc_plan, config) if chaos_enabled else None
+    return _audited_cell(
+        lambda: run_integrity_workload(config, chaos_plan=plan),
+        scenario_checks=lambda result, run: record_sdc_checks(
+            result, config, run
+        ),
     )
-    failed = audit.failed()
-    if (
-        result.session is not None
-        and replay.session is not None
-        and result.session.applied != replay.session.applied
-    ):
-        failed.append("chaos_replay: applied injections differ between runs")
-    applied = result.session.applied_counts() if result.session else {}
-    counters = result.counters_total()
-    n_injected = applied.get("silent_corrupt", 0)
-    if chaos_enabled and n_injected < config.silent_corruptions:
-        failed.append(
-            f"sdc_injection: only {n_injected}/{config.silent_corruptions} "
-            "silent corruptions landed inside the run"
-        )
-    if counters.get("tripped", 0) < n_injected:
-        failed.append(
-            f"sdc_detection: {n_injected} corruptions landed but only "
-            f"{counters.get('tripped', 0)} attestation trips"
-        )
-    if not chaos_enabled and counters.get("tripped", 0):
-        failed.append("sdc_false_positive: clean run tripped the checksum")
-    return {
-        "ok": not failed,
-        "failed": failed,
-        "digest": _serve_digest(result.report),
-        "applied": applied,
-        "detail": {
-            "submitted": result.report.submitted,
-            "completed": len(result.report.completed),
-            "shed": result.report.shed_by_reason(),
-            "retries": result.report.retries_scheduled,
-            "attestation": counters,
-        },
-    }
 
 
 _SCENARIOS = {

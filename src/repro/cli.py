@@ -57,6 +57,55 @@ def _metrics_session(path: str | None):
     print(f"metrics written to {out}")
 
 
+def _gate_verdict(result, gate: str) -> int:
+    """Print a gate's check list and verdict; returns the exit code."""
+    for name, ok, detail in result.checks:
+        line = f"  {'OK  ' if ok else 'FAIL'} {name}"
+        print(f"{line}: {detail}" if detail else line)
+    print(f"{gate}: {'OK' if result.ok else 'FAIL'}")
+    return 0 if result.ok else 1
+
+
+def _write_json(path: str, doc: dict, label: str) -> None:
+    """Write ``doc`` as indented JSON to ``path`` (parents created)."""
+    import json
+    from pathlib import Path
+
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    print(f"{label}: {out}")
+
+
+def _export_session(t, args) -> tuple[dict, list[str]]:
+    """Write a telemetry session's Chrome trace to ``args.out`` and its
+    metrics and events beside it (or to ``--metrics-out`` /
+    ``--events-out``), then read them back: returns (metric samples,
+    trace-schema problems)."""
+    import json
+    from pathlib import Path
+
+    from repro import telemetry
+
+    out = Path(args.out)
+    base = out.with_suffix("")
+    metrics = Path(args.metrics_out or base.with_suffix(".metrics.prom"))
+    events = Path(args.events_out or base.with_suffix(".events.jsonl"))
+    t.tracer.write_chrome_trace(out)
+    t.metrics.write_prometheus(metrics)
+    t.events.write_jsonl(events)
+    samples = telemetry.parse_prometheus_text(
+        metrics.read_text(encoding="utf-8")
+    )
+    problems = telemetry.validate_chrome_trace(
+        json.loads(out.read_text(encoding="utf-8"))
+    )
+    print(f"trace written to {out} ({len(t.tracer.records)} spans)")
+    print(f"metrics written to {metrics} ({len(samples)} samples)")
+    print(f"events written to {events} ({len(t.events.records)} events)")
+    return samples, problems
+
+
 def _comparisons_text(comparisons) -> str:
     if not comparisons:
         return ""
@@ -453,7 +502,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     check exits non-zero — with ``--smoke`` this is the CI observability
     gate.
     """
-    import json
     import tempfile
     from pathlib import Path
 
@@ -461,6 +509,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     from repro import telemetry
     from repro.arch import TridentAccelerator, TridentConfig
+    from repro.chaos.audit import AuditResult
     from repro.dataflow.cost_model import PhotonicArch, PhotonicCostModel
     from repro.dataflow.schedule_sim import simulate_model
     from repro.devices.program_verify import ProgramVerifyConfig
@@ -477,13 +526,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
             else "."
         )
         args.out = str(base / "repro_run.trace.json")
-    out_path = Path(args.out)
-    metrics_path = Path(
-        args.metrics_out or out_path.with_suffix("").with_suffix(".metrics.prom")
-    )
-    events_path = Path(
-        args.events_out or out_path.with_suffix("").with_suffix(".events.jsonl")
-    )
 
     dims = list(args.dims)
     steps = 6 if args.smoke else args.steps
@@ -552,17 +594,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 simulate_model(net, keep_events=False)
 
         coverage = t.tracer.coverage()
-        t.tracer.write_chrome_trace(out_path)
-        t.metrics.write_prometheus(metrics_path)
-        t.events.write_jsonl(events_path)
-        samples = telemetry.parse_prometheus_text(
-            metrics_path.read_text(encoding="utf-8")
-        )
-        trace_problems = telemetry.validate_chrome_trace(
-            json.loads(out_path.read_text(encoding="utf-8"))
-        )
-        n_spans = len(t.tracer.records)
-        n_events = len(t.events.records)
+        samples, trace_problems = _export_session(t, args)
 
     rollbacks = samples.get("repro_rollbacks_total", 0.0)
     missing = [
@@ -576,17 +608,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
         if key not in samples
     ]
-    checks = [
-        ("chrome trace schema valid", not trace_problems),
-        ("span coverage >= 95%", coverage >= 0.95),
-        ("repair-tier + rollback counters exposed", not missing),
-        ("rollback exercised", rollbacks >= 1),
-        ("training completed", run_report.completed),
-    ]
+    checks = AuditResult()
+    checks.record(
+        "chrome trace schema valid",
+        not trace_problems,
+        "; ".join(trace_problems[:5]),
+    )
+    checks.record("span coverage >= 95%", coverage >= 0.95)
+    checks.record(
+        "repair-tier + rollback counters exposed",
+        not missing,
+        f"missing {missing}" if missing else "",
+    )
+    checks.record("rollback exercised", rollbacks >= 1)
+    checks.record("training completed", run_report.completed)
 
-    print(f"trace written to {out_path} ({n_spans} spans)")
-    print(f"metrics written to {metrics_path} ({len(samples)} samples)")
-    print(f"events written to {events_path} ({n_events} events)")
     print(f"span coverage of root wall time: {coverage * 100:.1f}%")
     repairs = sum(
         value
@@ -598,15 +634,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         f"{int(rollbacks)} rollback(s), {int(repairs)} repair(s), "
         f"{int(samples.get('repro_tiles_unrepaired_total', 0))} tile(s) degraded"
     )
-    ok = True
-    for label, passed in checks:
-        print(f"  {'OK  ' if passed else 'FAIL'} {label}")
-        ok = ok and passed
-    for problem in trace_problems[:5]:
-        print(f"    trace problem: {problem}")
-    for key in missing:
-        print(f"    missing metric: {key}")
-    return 0 if ok else 1
+    return _gate_verdict(checks, "trace gate")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -619,7 +647,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     With ``--smoke``, replays the run (telemetry disabled) and audits
     the robustness invariants as a CI gate.
     """
-    import json
     import tempfile
     from pathlib import Path
 
@@ -629,8 +656,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ServerConfig,
         WorkloadConfig,
         run_serve_workload,
+        serve_gate,
         shed_rate_by_priority,
-        smoke_checks,
     )
 
     requests = args.requests
@@ -658,70 +685,48 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
     )
 
-    out_path = metrics_path = events_path = None
     if args.smoke and args.out is None:
         args.out = str(
             Path(tempfile.mkdtemp(prefix="repro-serve-")) / "serve.trace.json"
         )
-    if args.out:
-        out_path = Path(args.out)
-        metrics_path = Path(
-            args.metrics_out
-            or out_path.with_suffix("").with_suffix(".metrics.prom")
-        )
-        events_path = Path(
-            args.events_out or out_path.with_suffix("").with_suffix(".events.jsonl")
-        )
-
     with telemetry.session() as t:
-        report, _server = run_serve_workload(config)
-        if out_path:
-            t.tracer.write_chrome_trace(out_path)
-            t.metrics.write_prometheus(metrics_path)
-            t.events.write_jsonl(events_path)
-            samples = telemetry.parse_prometheus_text(
-                metrics_path.read_text(encoding="utf-8")
-            )
-            trace_problems = telemetry.validate_chrome_trace(
-                json.loads(out_path.read_text(encoding="utf-8"))
-            )
+        run = run_serve_workload(config)
+        if args.out:
+            samples, trace_problems = _export_session(t, args)
 
-    print(report.render())
-    rates = shed_rate_by_priority(report)
+    print(run.report.render())
+    rates = shed_rate_by_priority(run.report)
     if rates:
         shed_line = ", ".join(
             f"p{priority}={rate * 100:.1f}%" for priority, rate in rates.items()
         )
         print(f"  shed rate by priority: {shed_line}")
-    if out_path:
-        print(f"trace written to {out_path}")
-        print(f"metrics written to {metrics_path} ({len(samples)} samples)")
-        print(f"events written to {events_path} ({len(t.events.records)} events)")
-
     if not args.smoke:
         return 0
 
     # Replay with telemetry disabled: same decisions proves both seeded
     # determinism and that observability never perturbs the simulation.
-    replay, _ = run_serve_workload(config)
-    checks = smoke_checks(report, replay)
-    if out_path:
-        expected_samples = (
-            "repro_requests_admitted_total",
-            "repro_requests_completed_total",
-            'repro_requests_shed_total{reason="queue_full"}',
-            'repro_breaker_transitions_total{to="open"}',
-            "repro_serve_queue_depth",
-            "repro_power_draw_w",
-        )
-        missing = [key for key in expected_samples if key not in samples]
-        checks.append(("chrome trace schema valid", not trace_problems))
-        checks.append(("serving + power metrics exposed", not missing))
-    ok = True
-    for label, passed in checks:
-        print(f"  {'OK  ' if passed else 'FAIL'} {label}")
-        ok = ok and passed
-    return 0 if ok else 1
+    result = serve_gate(run, run_serve_workload(config))
+    expected_samples = (
+        "repro_requests_admitted_total",
+        "repro_requests_completed_total",
+        'repro_requests_shed_total{reason="queue_full"}',
+        'repro_breaker_transitions_total{to="open"}',
+        "repro_serve_queue_depth",
+        "repro_power_draw_w",
+    )
+    missing = [key for key in expected_samples if key not in samples]
+    result.record(
+        "chrome_trace_schema_valid",
+        not trace_problems,
+        "; ".join(trace_problems[:5]),
+    )
+    result.record(
+        "serving_metrics_exposed",
+        not missing,
+        f"missing {missing}" if missing else "serving + power metrics",
+    )
+    return _gate_verdict(result, "serve gate")
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
@@ -742,7 +747,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
         ShardWorkloadConfig,
         makespan_s,
         run_shard_workload,
-        shard_smoke_checks,
+        shard_gate,
     )
     from repro.serving.shard_workload import (
         plan_workload,
@@ -759,37 +764,18 @@ def cmd_shard(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, **overrides)
 
     if args.smoke:
-        checks, details = shard_smoke_checks(config)
-        plan = details["plan"]
-        print(
-            f"plan: {plan['n_stages']} stage(s), "
-            f"{plan['n_accelerators']} accelerator(s), "
-            f"bottleneck {plan['bottleneck_s'] * 1e6:.3f} us"
-        )
-        print(f"single-shard mapping: {details['single_shard_error']}")
-        print(
-            f"makespan: overlap {details['overlap_makespan_s'] * 1e6:.2f} us, "
-            f"serialized {details['serialized_makespan_s'] * 1e6:.2f} us "
-            f"(speedup {details['overlap_speedup']:.2f}x)"
-        )
-        ok = True
-        for label, passed in checks:
-            print(f"  {'OK  ' if passed else 'FAIL'} {label}")
-            ok = ok and passed
-        return 0 if ok else 1
+        return _gate_verdict(shard_gate(config), "shard gate")
 
     error = single_shard_mapping_error(config)
     if error is not None:
         print(f"single shard refuses the model: {error}")
     print(plan_workload(config).render())
-    report, _, worker = run_shard_workload(
-        config, overlap=not args.serialized
-    )
-    print(report.render())
+    run = run_shard_workload(config, overlap=not args.serialized)
+    print(run.report.render())
     mode = "serialized" if args.serialized else "overlapped"
     print(
-        f"  {mode} makespan: {makespan_s(report) * 1e6:.2f} us over "
-        f"{len(worker.stages)} stage(s)"
+        f"  {mode} makespan: {makespan_s(run.report) * 1e6:.2f} us over "
+        f"{len(run.workers[0].stages)} stage(s)"
     )
     return 0
 
@@ -856,16 +842,16 @@ def cmd_resume(args: argparse.Namespace) -> int:
 def cmd_soak(args: argparse.Namespace) -> int:
     """Soak the stack under deterministic chaos; emit a flake matrix.
 
-    Sweeps the serve/shard/resume/train/fleet scenarios across a seed range,
-    each cell repeated and audited (conservation, structured sheds,
-    atomic batches, finite outputs, charged repairs, bit-identical
-    replay).  ``--gate`` makes any failing or flaky cell — or a
-    self-audit that cannot detect a deliberately unhandled fault — exit
-    non-zero, which is how CI consumes it.
+    Sweeps the serve/shard/resume/train/fleet/sdc scenarios across a
+    seed range, each cell repeated and audited (conservation, structured
+    sheds, atomic batches, finite outputs, charged repairs, bit-identical
+    replay).  ``--smoke`` is the CI gate: it also runs the self-audit (a
+    deliberately unhandled fault must be flagged) and exits non-zero on
+    any failing or flaky cell, a matrix schema problem, or a self-audit
+    that cannot fail.
     """
-    import json
-
     from repro.chaos import (
+        AuditResult,
         SoakConfig,
         render_matrix,
         run_self_audit,
@@ -889,33 +875,28 @@ def cmd_soak(args: argparse.Namespace) -> int:
         )
 
     doc = run_soak(config, progress=progress)
-    if args.gate or args.smoke:
+    if args.smoke:
         doc["self_audit"] = run_self_audit(config.seeds[0])
-        print(
-            f"  {'pass' if doc['self_audit']['ok'] else 'FAIL'}  self-audit "
-            "(sabotaged cell must be flagged)"
-        )
-    problems = validate_matrix(doc)
-    if problems:
-        for problem in problems:
-            print(f"  FAIL  matrix schema: {problem}")
     if args.out:
-        from pathlib import Path
-
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(doc, indent=2), encoding="utf-8")
-        print(f"flake matrix: {out}")
+        _write_json(args.out, doc, "flake matrix")
     print(render_matrix(doc))
-    gate_ok = (
-        not doc["flaky"]
-        and not problems
-        and doc.get("self_audit", {"ok": True})["ok"]
+    if not args.smoke:
+        return 0
+    result = AuditResult()
+    passed = sum(cell["ok"] for cell in doc["cells"])
+    result.record(
+        "soak_cells_pass",
+        not doc["flaky"],
+        f"{passed}/{len(doc['cells'])} cells pass",
     )
-    if args.gate:
-        print(f"soak gate: {'OK' if gate_ok else 'FAIL'}")
-        return 0 if gate_ok else 1
-    return 0
+    problems = validate_matrix(doc)
+    result.record("matrix_schema_valid", not problems, "; ".join(problems))
+    result.record(
+        "self_audit_flags_sabotage",
+        doc["self_audit"]["ok"],
+        "; ".join(doc["self_audit"]["failed_checks"]),
+    )
+    return _gate_verdict(result, "soak gate")
 
 
 def cmd_integrity(args: argparse.Namespace) -> int:
@@ -930,10 +911,11 @@ def cmd_integrity(args: argparse.Namespace) -> int:
     """
     import dataclasses
 
+    from repro.chaos.audit import attestation_totals
     from repro.integrity import (
         IntegrityWorkloadConfig,
+        integrity_gate,
         run_integrity_workload,
-        smoke_checks,
     )
 
     config = IntegrityWorkloadConfig()
@@ -946,16 +928,11 @@ def cmd_integrity(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, **overrides)
 
     if args.smoke:
-        ok = True
-        for label, passed in smoke_checks(config):
-            print(f"  {'OK  ' if passed else 'FAIL'} {label}")
-            ok = ok and passed
-        print(f"integrity gate: {'OK' if ok else 'FAIL'}")
-        return 0 if ok else 1
+        return _gate_verdict(integrity_gate(config), "integrity gate")
 
     result = run_integrity_workload(config)
     print(result.report.render())
-    counters = result.counters_total()
+    counters = attestation_totals(result.workers)
     line = ", ".join(f"{k}={v}" for k, v in sorted(counters.items()))
     print(f"  attestation counters: {line}")
     for worker in result.workers:
@@ -980,11 +957,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     within SLO, baseline demonstrably missing it, scale-up *and*
     scale-down observed, exactly one degraded episode, conservation.
     """
-    import json
-
     from repro.fleet import (
         SCENARIOS,
-        fleet_smoke_checks,
+        fleet_gate,
         run_fleet_workload,
         smoke_chaos_plan,
     )
@@ -993,35 +968,18 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     plan = None if args.no_chaos else smoke_chaos_plan(scenario)
 
     if args.smoke:
-        result = run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
-        replay = run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
-        baseline = run_fleet_workload(
-            scenario, controlled=False, chaos_plan=plan
-        )
-        checks = fleet_smoke_checks(result, replay, baseline)
-        ok = True
-        for label, passed in checks:
-            print(f"  {'OK  ' if passed else 'FAIL'} {label}")
-            ok = ok and passed
+        result, run, baseline = fleet_gate(scenario, plan)
         if args.out:
-            from pathlib import Path
-
-            doc = {
-                "scenario": result.as_dict(),
+            _write_json(args.out, {
+                "scenario": run.as_dict(),
                 "baseline": baseline.as_dict(),
-                "checks": [
-                    {"name": label, "ok": passed} for label, passed in checks
-                ],
-            }
-            out = Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(doc, indent=2), encoding="utf-8")
-            print(f"fleet report: {out}")
-        print(f"fleet smoke: {'OK' if ok else 'FAIL'}")
-        return 0 if ok else 1
+                "checks": result.as_dict()["checks"],
+            }, "fleet report")
+        return _gate_verdict(result, "fleet gate")
 
-    result = run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
-    doc = result.as_dict()
+    doc = run_fleet_workload(
+        scenario, controlled=True, chaos_plan=plan
+    ).as_dict()
     controller = doc["controller"]
     serve = doc["serve"]
     print(
@@ -1047,13 +1005,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         )
     )
     if args.out:
-        from pathlib import Path
-
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(doc, indent=2), encoding="utf-8")
-        print(f"fleet report: {out}")
-    return 0 if serve["conservation_ok"] else 1
+        _write_json(args.out, doc, "fleet report")
+    return 0
 
 
 def cmd_endurance(args: argparse.Namespace) -> int:
@@ -1306,11 +1259,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep without injections (baseline variability)")
     p.add_argument("--out", metavar="FILE",
                    help="write the flake matrix JSON here")
-    p.add_argument("--gate", action="store_true",
-                   help="exit non-zero on any flake/failure (CI gate)")
     p.add_argument("--smoke", action="store_true",
-                   help="CI-bounded sweep: also run the sabotage self-audit "
-                        "and matrix schema validation")
+                   help="CI gate: also run the sabotage self-audit; exit "
+                        "non-zero on any failing or flaky cell, matrix "
+                        "schema problem or self-audit miss")
     p.set_defaults(func=cmd_soak)
 
     p = sub.add_parser(

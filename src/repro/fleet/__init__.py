@@ -25,11 +25,9 @@ from repro.fleet.workload import (
     FleetRunResult,
     FleetScenario,
     SCENARIOS,
-    fleet_digest,
-    fleet_smoke_checks,
+    fleet_gate,
     large_scenario,
     peak_fleet_size,
-    run_fleet_smoke,
     run_fleet_workload,
     smoke_chaos_plan,
     smoke_scenario,
@@ -50,11 +48,9 @@ __all__ = [
     "TraceConfig",
     "WORKER_STATES",
     "WorkerPool",
-    "fleet_digest",
-    "fleet_smoke_checks",
+    "fleet_gate",
     "large_scenario",
     "peak_fleet_size",
-    "run_fleet_smoke",
     "run_fleet_workload",
     "smoke_chaos_plan",
     "smoke_scenario",

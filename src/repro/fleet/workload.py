@@ -1,4 +1,4 @@
-"""End-to-end fleet runs: scenario presets, the runner, and the smoke gate.
+"""End-to-end fleet runs: scenario presets, the runner, and the fleet gate.
 
 A fleet run wires the whole control plane together: a
 :class:`~repro.fleet.pool.WorkerPool` bootstraps the initial fleet, a
@@ -19,15 +19,19 @@ passes only if at least 99% of burst-window arrivals complete on time.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
 
 from repro.errors import ServingError
-from repro.fleet.controller import ControllerConfig, FleetController, LADDER
+from repro.fleet.controller import ControllerConfig, FleetController
 from repro.fleet.pool import WorkerPool
 from repro.fleet.trace import Burst, TraceConfig, synthesize_trace
-from repro.serving.server import ServeReport, ServerConfig, TridentServer
+from repro.serving.server import (
+    ServeReport,
+    ServerConfig,
+    ServeRun,
+    TridentServer,
+    serve_run,
+)
 from repro.telemetry.rollup import ServingRollup
 
 #: Where the smoke scenario's breaker storm lands, as a fraction of the
@@ -191,16 +195,15 @@ def smoke_chaos_plan(scenario: FleetScenario):
 # ----------------------------------------------------------------------
 # The run itself
 # ----------------------------------------------------------------------
-@dataclasses.dataclass
-class FleetRunResult:
-    """Everything one fleet run produced."""
+@dataclasses.dataclass(kw_only=True)
+class FleetRunResult(ServeRun):
+    """Everything one fleet run produced: the served run plus the
+    control plane that shaped it."""
 
     scenario: FleetScenario
-    report: ServeReport
     pool: WorkerPool
     #: None for uncontrolled (static-knob baseline) runs.
     controller: FleetController | None
-    chaos_applied: list[dict]
     unit_rate_hz: float
     n_requests: int
 
@@ -211,7 +214,9 @@ class FleetRunResult:
             "requests": self.n_requests,
             "unit_rate_hz": self.unit_rate_hz,
             "fleet": self.pool.counts(),
-            "chaos_applied": len(self.chaos_applied),
+            "chaos_applied": (
+                0 if self.session is None else len(self.session.applied)
+            ),
             "serve": self.report.as_dict(),
         }
         if self.controller is not None:
@@ -249,23 +254,11 @@ def run_fleet_workload(
         controller = FleetController(server, pool, rollup, scenario.controller)
         controller.install(start_s=scenario.controller.interval_s)
 
-    if chaos_plan is not None:
-        from repro.chaos.session import session as chaos_scope
-
-        with chaos_scope(chaos_plan) as chaos_session:
-            server.install_chaos(chaos_session)
-            report = server.run(arrivals)
-        applied = list(chaos_session.applied)
-    else:
-        report = server.run(arrivals)
-        applied = []
-
     return FleetRunResult(
+        **vars(serve_run(server, arrivals, chaos_plan)),
         scenario=scenario,
-        report=report,
         pool=pool,
         controller=controller,
-        chaos_applied=applied,
         unit_rate_hz=unit_rate,
         n_requests=len(arrivals),
     )
@@ -299,21 +292,6 @@ def window_p99_latency_s(
     return latencies[index]
 
 
-def fleet_digest(result: FleetRunResult) -> str:
-    """Replay digest: decision log + every completed output, bit-exact."""
-    h = hashlib.sha256()
-    h.update(
-        json.dumps(
-            result.report.decisions, sort_keys=True, default=repr
-        ).encode()
-    )
-    for completion in sorted(
-        result.report.completed, key=lambda c: c.request.request_id
-    ):
-        h.update(completion.output.tobytes())
-    return h.hexdigest()
-
-
 def peak_fleet_size(result: FleetRunResult) -> int:
     """Largest commissioned-and-not-yet-decommissioned roster the run saw."""
     size = result.scenario.initial_workers
@@ -330,61 +308,71 @@ def peak_fleet_size(result: FleetRunResult) -> int:
 # ----------------------------------------------------------------------
 # Smoke gate
 # ----------------------------------------------------------------------
-def fleet_smoke_checks(
-    result: FleetRunResult,
-    replay: FleetRunResult,
-    baseline: FleetRunResult,
-) -> list[tuple[str, bool]]:
-    """The ``repro fleet --smoke`` pass/fail list."""
-    controller = result.controller
-    if controller is None:
-        raise ServingError("smoke checks need the controlled run's controller")
-    slo = result.scenario.controller.slo_latency_s
-    peak = result.scenario.trace.peak_window()
-    peak_p99 = window_p99_latency_s(result.report, *peak)
+def fleet_gate(scenario: FleetScenario, chaos_plan=None):
+    """The ``repro fleet --smoke`` verdict; returns (audit, run, baseline).
+
+    A controlled run, its replay and a static-knob baseline of the same
+    trace and chaos.  The shared fleet audit covers conservation,
+    checkpointed decommissions, the settled lifecycle, logged
+    actuations, the stopped controller and replay; the gate adds the
+    scenario's control-plane outcomes.
+    """
+    from repro.chaos.audit import audit_fleet_run
+
+    run = run_fleet_workload(scenario, controlled=True, chaos_plan=chaos_plan)
+    replay = run_fleet_workload(scenario, controlled=True, chaos_plan=chaos_plan)
+    baseline = run_fleet_workload(
+        scenario, controlled=False, chaos_plan=chaos_plan
+    )
+    result = audit_fleet_run(run, replay=replay)
+    controller = run.controller
+    slo = scenario.controller.slo_latency_s
+    peak = scenario.trace.peak_window()
+    peak_p99 = window_p99_latency_s(run.report, *peak)
     baseline_p99 = window_p99_latency_s(baseline.report, *peak)
-    counts = result.pool.counts()
-    decommissioned = result.pool.ids_in("decommissioned")
-    controller_decisions = [
-        d for d in result.report.decisions if d["kind"] == "controller"
-    ]
-    return [
-        ("request conservation (no silent drops)",
-         result.report.conservation_ok()),
-        ("burst absorbed: p99 over peak-window arrivals within SLO",
-         peak_p99 <= slo),
-        ("static baseline misses the p99 SLO at peak",
-         baseline_p99 > slo),
-        ("fleet scaled up under load",
-         controller.scale_up_events > 0
-         and peak_fleet_size(result) > result.scenario.initial_workers),
-        ("fleet scaled back down after the trough (hysteresis observed)",
-         controller.scale_down_events > 0 and len(decommissioned) > 0),
-        ("every decommissioned worker checkpointed its bank state",
-         sorted(result.pool.checkpoint_digests) == decommissioned),
-        ("degraded mode entered exactly once (the storm)",
-         controller.degraded_entries == 1),
-        ("degraded mode exited exactly once (converged back to nominal)",
-         controller.degraded_exits == 1
-         and LADDER[controller.rung] == "nominal"),
-        ("chaos storm applied",
-         any(a["kind"] == "breaker_storm" for a in result.chaos_applied)),
-        ("every actuation in the decision log",
-         len(controller_decisions) == len(controller.actuations) > 0),
-        ("controller stopped cleanly at drain", controller.stopped),
-        ("no worker left mid-lifecycle",
-         counts["warming"] == 0 and counts["draining"] == 0),
-        ("replay is bit-identical",
-         fleet_digest(result) == fleet_digest(replay)),
-    ]
-
-
-def run_fleet_smoke(seed: int = 11):
-    """Controlled run + fresh replay + static baseline, then the checks."""
-    scenario = smoke_scenario(seed)
-    plan = smoke_chaos_plan(scenario)
-    result = run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
-    replay = run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
-    baseline = run_fleet_workload(scenario, controlled=False, chaos_plan=plan)
-    checks = fleet_smoke_checks(result, replay, baseline)
-    return checks, result, baseline
+    peak_size = peak_fleet_size(run)
+    n_decommissioned = len(run.pool.ids_in("decommissioned"))
+    applied = {} if run.session is None else run.session.applied_counts()
+    result.record(
+        "burst_absorbed",
+        peak_p99 <= slo,
+        f"peak-window p99 {peak_p99 * 1e6:.2f} us vs SLO {slo * 1e6:.2f} us",
+    )
+    result.record(
+        "baseline_misses_slo",
+        baseline_p99 > slo,
+        f"static fleet peak-window p99 {baseline_p99 * 1e6:.2f} us",
+    )
+    result.record(
+        "scaled_up",
+        controller.scale_up_events > 0
+        and peak_size > scenario.initial_workers,
+        f"{controller.scale_up_events} events, peak {peak_size} workers",
+    )
+    result.record(
+        "scaled_down",
+        controller.scale_down_events > 0 and n_decommissioned > 0,
+        f"{controller.scale_down_events} events, "
+        f"{n_decommissioned} decommissioned",
+    )
+    result.record(
+        "degraded_entered_once",
+        controller.degraded_entries == 1,
+        f"{controller.degraded_entries} entries",
+    )
+    result.record(
+        "degraded_exited_once",
+        controller.degraded_exits == 1,
+        f"{controller.degraded_exits} exits",
+    )
+    result.record(
+        "storm_applied",
+        applied.get("breaker_storm", 0) > 0,
+        f"{applied.get('breaker_storm', 0)} breaker storms",
+    )
+    result.record(
+        "actuated",
+        len(controller.actuations) > 0,
+        f"{len(controller.actuations)} actuations",
+    )
+    return result, run, baseline

@@ -19,7 +19,7 @@ the Huang–Abraham checksum construction adapted to the PCM-MRR banks:
   :class:`~repro.errors.IntegrityFault` that feeds breaker, rollup
   SDC-rate, and fleet quarantine.
 - :func:`~repro.integrity.workload.run_integrity_workload` and
-  :func:`~repro.integrity.workload.smoke_checks` back the
+  :func:`~repro.integrity.workload.integrity_gate` back the
   ``repro integrity --smoke`` CI gate: injected ``silent_corrupt``
   chaos is provably caught (none settles unverified, per the audit),
   clean seeds never trip, and checked runs replay bit-identically.
@@ -35,9 +35,9 @@ from repro.integrity.checker import (
 from repro.integrity.workload import (
     IntegrityWorkloadConfig,
     build_integrity_worker,
+    integrity_gate,
     make_sdc_plan,
     run_integrity_workload,
-    smoke_checks,
 )
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
     "Violation",
     "attest_batch",
     "build_integrity_worker",
+    "integrity_gate",
     "make_sdc_plan",
     "run_integrity_workload",
-    "smoke_checks",
 ]

@@ -2,7 +2,8 @@
 
 A deliberately under-capacity single-phase Poisson serving run (no
 admission pressure — the point is the *attestation* arc, not shedding)
-executed in five scenarios:
+executed in five scenarios, each audited by :mod:`repro.chaos.audit`
+(:func:`integrity_gate` records its own checks into the same result):
 
 1. **Clean seed matrix** — checks enabled, no chaos, several seeds:
    every batch is attested, zero trips.  This is the false-positive
@@ -10,13 +11,14 @@ executed in five scenarios:
 2. **Parity** — the same run with checks disabled must produce
    bit-identical outputs and decisions: attestation observes, it never
    perturbs.
-3. **Replay** — two checks-enabled runs are bit-identical (calibration
-   and checksum programming draw from seeded streams only).
+3. **Replay** — checks-enabled runs replay bit-identically, clean and
+   under chaos (calibration and checksum programming draw from seeded
+   streams only).
 4. **Injected SDC** — a crash-free chaos plan of ``silent_corrupt``
    injections (finite bias/scale/sign-flip corruption that sails
    through the serving layer's non-finite gate).  Every injection must
    trip the checksum, recover via re-execution (one-shot chaos does
-   not repeat), and show up attested in the post-run audit.
+   not repeat), and show up attested in the audit (``sdc_attested``).
 5. **Escalation** — persistent analog corruption
    (:meth:`~repro.arch.weight_bank.WeightBank.upset_cells` — realized
    levels drift with no stuck-cell signature, so worker health stays
@@ -34,6 +36,7 @@ so module-level imports here would be circular.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -77,30 +80,6 @@ class IntegrityWorkloadConfig:
             raise IntegrityError("upset_cells must be >= 1")
         if not 0.0 < self.upset_delta <= 2.0:
             raise IntegrityError("upset_delta must be in (0, 2]")
-
-
-@dataclasses.dataclass
-class IntegrityRunResult:
-    """Everything one attestation workload run produced."""
-
-    report: object
-    server: object
-    workers: list
-    rollup: object
-    session: object
-    pre_accounting: dict
-    #: Arrival span of the run (chaos windows are sized from this).
-    window_s: float = 0.0
-
-    def counters_total(self) -> dict:
-        """Attestation counters summed across workers."""
-        total: dict[str, int] = {}
-        for worker in self.workers:
-            if worker.integrity is None:
-                continue
-            for key, value in worker.integrity.counters.as_dict().items():
-                total[key] = total.get(key, 0) + value
-        return total
 
 
 def _server_config(seed: int):
@@ -222,8 +201,9 @@ def run_integrity_workload(
     with_integrity: bool = True,
     chaos_plan=None,
     upset_worker: int | None = None,
-) -> IntegrityRunResult:
-    """Build the checked fleet, serve the workload, return run artifacts.
+):
+    """Build the checked fleet, serve the workload, return the
+    :class:`~repro.serving.server.ServeRun`.
 
     ``chaos_plan`` (see :func:`make_sdc_plan`) runs the serve under a
     chaos session; pass a *callable* to have it invoked with the
@@ -232,12 +212,10 @@ def run_integrity_workload(
     ``upset_worker`` schedules a persistent realized-level drift on
     that worker a sixth of the way into the arrivals.
     A :class:`~repro.telemetry.rollup.ServingRollup` sized to cover the
-    whole (virtual-time) run is always attached so the SDC-rate signal
-    is observable afterwards.
+    whole (virtual-time) run is always attached (``run.server.rollup``)
+    so the SDC-rate signal is observable afterwards.
     """
-    from repro.chaos.audit import capture_accounting
-    from repro.chaos.session import session as chaos_scope
-    from repro.serving.server import TridentServer
+    from repro.serving.server import TridentServer, serve_run
     from repro.serving.workload import sustainable_rate_hz
     from repro.telemetry.rollup import ServingRollup
 
@@ -258,9 +236,6 @@ def run_integrity_workload(
     rate = sustainable_rate_hz(workers, server_config.max_batch)
     rng = np.random.default_rng(config.seed)
     arrivals = synthesize_integrity_arrivals(config, rate, rng)
-    window_s = arrivals[-1].arrival_s
-    if callable(chaos_plan):
-        chaos_plan = chaos_plan(window_s)
 
     if upset_worker is not None:
         target = int(upset_worker)
@@ -271,198 +246,123 @@ def run_integrity_workload(
 
         # Early enough that escalations, the breaker trip, the cooldown,
         # and the scrubbing half-open probe all fit inside the arrivals.
-        server.schedule_action(0.15 * window_s, "silent_upset", inject)
-
-    pre = capture_accounting(workers)
-    if chaos_plan is None:
-        report = server.run(arrivals)
-        session = None
-    else:
-        with chaos_scope(chaos_plan) as session:
-            server.install_chaos(session)
-            report = server.run(arrivals)
-    return IntegrityRunResult(
-        report=report,
-        server=server,
-        workers=workers,
-        rollup=rollup,
-        session=session,
-        pre_accounting=pre,
-        window_s=window_s,
-    )
+        server.schedule_action(
+            0.15 * arrivals[-1].arrival_s, "silent_upset", inject
+        )
+    return serve_run(server, arrivals, chaos_plan)
 
 
 # ----------------------------------------------------------------------
 # Smoke gate
 # ----------------------------------------------------------------------
-def _run_digest(report) -> tuple:
-    """Hashable (decisions, output bytes) fingerprint of one run."""
-    outputs = tuple(
-        (c.request.request_id, np.asarray(c.output).tobytes())
-        for c in report.completed
+def record_sdc_checks(result, config: IntegrityWorkloadConfig, run) -> None:
+    """Record what silent-corruption chaos must show on a checked run:
+    every planned injection landed and tripped the checksum; a run
+    without chaos tripped nothing."""
+    from repro.chaos.audit import attestation_totals
+
+    totals = attestation_totals(run.workers)
+    tripped = totals.get("tripped", 0)
+    if run.session is None:
+        result.record(
+            "sdc_false_positive",
+            tripped == 0,
+            f"{tripped} trips in {totals.get('checks', 0)} attested batches",
+        )
+        return
+    injected = run.session.applied_counts().get("silent_corrupt", 0)
+    result.record(
+        "sdc_injection",
+        injected == config.silent_corruptions > 0,
+        f"{injected}/{config.silent_corruptions} silent corruptions landed",
     )
-    return (tuple(repr(d) for d in report.decisions), outputs)
-
-
-def _audit(result: IntegrityRunResult, replay=None):
-    from repro.chaos.audit import audit_serve_run
-
-    return audit_serve_run(
-        result.report,
-        workers=result.workers,
-        pre_accounting=result.pre_accounting,
-        replay=replay,
-        session=result.session,
+    result.record(
+        "sdc_detection",
+        tripped >= injected,
+        f"{injected} injected, {tripped} attestation trips",
     )
 
 
-def smoke_checks(
-    config: IntegrityWorkloadConfig | None = None,
-) -> list[tuple[str, bool]]:
-    """The ``repro integrity --smoke`` pass/fail list."""
+def integrity_gate(config: IntegrityWorkloadConfig | None = None):
+    """The ``repro integrity --smoke`` verdict (an ``AuditResult``).
+
+    The audit covers the injected-SDC run against its replay; the clean
+    seed matrix (with the clean replay) and the escalation run fold their
+    own audits into one check each.
+    """
+    from repro.chaos.audit import (
+        attestation_totals,
+        audit_serve_run,
+        record_breaker_arc,
+        run_digest,
+    )
+
     config = config or IntegrityWorkloadConfig()
-    checks: list[tuple[str, bool]] = []
+    sdc_plan = functools.partial(make_sdc_plan, config)
 
-    # 1. Clean seed matrix: every batch attested, zero trips, audit holds.
-    clean_runs = []
-    for offset in range(3):
-        cfg = dataclasses.replace(config, seed=config.seed + offset)
-        clean_runs.append((cfg, run_integrity_workload(cfg)))
-    attested_all = all(
-        worker.integrity.counters.checks == worker.batches_executed > 0
-        for _, run in clean_runs
-        for worker in run.workers
+    # Injected SDC: every silent_corrupt lands, trips and is attested.
+    chaos = run_integrity_workload(config, chaos_plan=sdc_plan)
+    result = audit_serve_run(
+        chaos, replay=run_integrity_workload(config, chaos_plan=sdc_plan)
     )
-    checks.append(("every clean batch attested (3-seed matrix)", attested_all))
-    checks.append(
-        (
-            "zero false trips across clean seed matrix",
-            all(
-                run.counters_total().get("tripped", 0) == 0
-                for _, run in clean_runs
-            ),
-        )
-    )
-    checks.append(
-        ("clean-run audits pass", all(_audit(run).ok for _, run in clean_runs))
-    )
+    record_sdc_checks(result, config, chaos)
 
-    # 2. Parity: checks enabled vs disabled is bit-identical.
-    baseline = run_integrity_workload(config, with_integrity=False)
-    checks.append(
-        (
-            "attestation never perturbs outputs (parity with unchecked run)",
-            _run_digest(clean_runs[0][1].report)
-            == _run_digest(baseline.report),
-        )
-    )
-
-    # 3. Replay: two checks-enabled runs are bit-identical.
-    replay = run_integrity_workload(config)
-    checks.append(
-        (
-            "bit-identical replay with checks enabled",
-            _run_digest(clean_runs[0][1].report) == _run_digest(replay.report),
-        )
-    )
-
-    # 4. Injected SDC: every silent_corrupt trips and is attested.  The
-    # arrival span is seed-deterministic, so the clean run's span sizes
-    # the chaos window for both the run and its replay.
-    span = clean_runs[0][1].window_s
-    chaos_run = run_integrity_workload(
-        config, chaos_plan=make_sdc_plan(config, span)
-    )
-    chaos_replay = run_integrity_workload(
-        config, chaos_plan=make_sdc_plan(config, span)
-    )
-    applied = (
-        chaos_run.session.applied_counts().get("silent_corrupt", 0)
-        if chaos_run.session is not None
-        else 0
-    )
-    chaos_counters = chaos_run.counters_total()
-    checks.append(
-        (
-            "all injected silent corruptions landed",
-            applied == config.silent_corruptions > 0,
-        )
-    )
-    checks.append(
-        (
-            "injected SDC detected by checksum",
-            chaos_counters.get("tripped", 0) >= applied,
-        )
-    )
-    chaos_audit = _audit(chaos_run, replay=chaos_replay.report)
-    checks.append(
-        (
-            "no corrupted batch settled unverified (audit)",
-            chaos_audit.ok
-            and any(name == "sdc_attested" for name, _, _ in chaos_audit.checks),
-        )
-    )
-
-    # 5. Escalation: persistent drift -> IntegrityFault -> quarantine ->
-    #    scrub -> restore.
-    esc = run_integrity_workload(config, upset_worker=0)
-    esc_counters = esc.counters_total()
-    checks.append(
-        (
-            "persistent corruption escalated to peer retry",
-            esc_counters.get("escalated", 0) > 0,
-        )
-    )
-    transitions = [
-        (t.get("worker"), t["to"], t["reason"])
-        for t in esc.report.breaker_transitions
+    # Clean seed matrix: every batch attested, zero trips; parity with an
+    # unchecked run and a clean replay.
+    clean = [
+        run_integrity_workload(dataclasses.replace(config, seed=config.seed + k))
+        for k in range(3)
     ]
-    checks.append(
-        (
-            "escalations tripped the worker breaker",
-            any(w == 0 and to == "open" for w, to, _ in transitions),
-        )
+    trips = [attestation_totals(run.workers).get("tripped", 0) for run in clean]
+    result.record("zero_false_trips", not any(trips), f"trips per seed {trips}")
+    result.record(
+        "clean_batches_attested",
+        all(
+            worker.integrity.counters.checks == worker.batches_executed > 0
+            for run in clean
+            for worker in run.workers
+        ),
+        "3-seed matrix",
     )
-    checks.append(
-        (
-            "quarantined worker scrubbed and restored",
-            any(
-                w == 0 and to == "closed" and reason == "probe_succeeded"
-                for w, to, reason in transitions
-            ),
-        )
+    result.record_audit(
+        "clean_run_audits",
+        audit_serve_run(clean[0], replay=run_integrity_workload(config)),
+        *(audit_serve_run(run) for run in clean[1:]),
     )
-    end = max(
-        (record["t"] for record in esc.report.decisions), default=0.0
+    unchecked = run_integrity_workload(config, with_integrity=False)
+    result.record(
+        "unchecked_parity",
+        run_digest(clean[0].report) == run_digest(unchecked.report),
+        "attestation never perturbs decisions or outputs",
     )
-    stats = esc.rollup.window_stats(end, 1e-5)
-    checks.append(
-        (
-            "SDC rate surfaced in the serving rollup",
-            stats.sdc_count > 0
-            and stats.sdc_by_worker.get(0, 0) > 0
-            and stats.sdc_rate() > 0.0,
-        )
+
+    # Escalation: persistent drift -> IntegrityFault -> quarantine ->
+    # scrub -> restore.
+    esc = run_integrity_workload(config, upset_worker=0)
+    escalated = attestation_totals(esc.workers).get("escalated", 0)
+    result.record(
+        "escalated", escalated > 0, f"{escalated} batches to peer retry"
     )
-    checks.append(("escalation-run audit passes", _audit(esc).ok))
-    checks.append(
-        (
-            "escalation conserved + requests all settled",
-            esc.report.conservation_ok()
-            and all(
-                worker.integrity.counters.conserved() for worker in esc.workers
-            ),
-        )
+    record_breaker_arc(result, esc.report, worker=0)
+    end = max((record["t"] for record in esc.report.decisions), default=0.0)
+    stats = esc.server.rollup.window_stats(end, 1e-5)
+    result.record(
+        "sdc_rate_in_rollup",
+        stats.sdc_count > 0
+        and stats.sdc_by_worker.get(0, 0) > 0
+        and stats.sdc_rate() > 0.0,
+        f"{stats.sdc_count} SDC events, rate {stats.sdc_rate():.3g}",
     )
-    return checks
+    result.record_audit("escalation_run_audit", audit_serve_run(esc))
+    return result
 
 
 __all__ = [
-    "IntegrityRunResult",
     "IntegrityWorkloadConfig",
     "build_integrity_worker",
+    "integrity_gate",
     "make_sdc_plan",
+    "record_sdc_checks",
     "run_integrity_workload",
-    "smoke_checks",
     "synthesize_integrity_arrivals",
 ]

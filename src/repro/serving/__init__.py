@@ -26,12 +26,18 @@ from repro.serving.request import (
     RejectedRequest,
     ShedReason,
 )
-from repro.serving.server import ServeReport, ServerConfig, TridentServer
+from repro.serving.server import (
+    ServeReport,
+    ServerConfig,
+    ServeRun,
+    TridentServer,
+    serve_run,
+)
 from repro.serving.shard_workload import (
     ShardWorkloadConfig,
     makespan_s,
     run_shard_workload,
-    shard_smoke_checks,
+    shard_gate,
 )
 from repro.serving.sharded import ShardedWorker, build_sharded_worker
 from repro.serving.worker import AcceleratorWorker
@@ -40,8 +46,8 @@ from repro.serving.workload import (
     WorkloadConfig,
     build_worker,
     run_serve_workload,
+    serve_gate,
     shed_rate_by_priority,
-    smoke_checks,
     sustainable_rate_hz,
     synthesize_arrivals,
 )
@@ -57,6 +63,7 @@ __all__ = [
     "Phase",
     "RejectedRequest",
     "ServeReport",
+    "ServeRun",
     "ServerConfig",
     "ShardWorkloadConfig",
     "ShardedWorker",
@@ -68,9 +75,10 @@ __all__ = [
     "makespan_s",
     "run_serve_workload",
     "run_shard_workload",
-    "shard_smoke_checks",
+    "serve_gate",
+    "serve_run",
+    "shard_gate",
     "shed_rate_by_priority",
-    "smoke_checks",
     "sustainable_rate_hz",
     "synthesize_arrivals",
 ]

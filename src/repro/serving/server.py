@@ -1090,3 +1090,40 @@ class TridentServer:
                 f"{len(report.shed)} shed"
             )
         return report
+
+
+@dataclass
+class ServeRun:
+    """One served workload, as :mod:`repro.chaos.audit` reads it."""
+
+    report: ServeReport
+    server: TridentServer
+    #: The roster the run started with.
+    workers: list[AcceleratorWorker]
+    #: The chaos session the run served under (None without chaos).
+    session: object = None
+    #: :func:`repro.chaos.audit.capture_accounting` taken before the run.
+    pre_accounting: dict | None = None
+
+
+def serve_run(server: TridentServer, arrivals, chaos_plan=None) -> ServeRun:
+    """Serve ``arrivals`` to completion and record the run for the audit.
+
+    ``chaos_plan`` is a :class:`~repro.chaos.plan.ChaosPlan` or a
+    callable of the arrival span (the last arrival instant) returning
+    one, for plans sized to a workload not yet synthesized; the run then
+    serves inside that plan's chaos session.
+    """
+    from repro.chaos.audit import capture_accounting
+    from repro.chaos.session import session as chaos_scope
+
+    if callable(chaos_plan):
+        chaos_plan = chaos_plan(arrivals[-1].arrival_s)
+    workers = list(server.workers)
+    pre = capture_accounting(workers)
+    if chaos_plan is None:
+        return ServeRun(server.run(arrivals), server, workers, None, pre)
+    with chaos_scope(chaos_plan) as session:
+        server.install_chaos(session)
+        report = server.run(arrivals)
+    return ServeRun(report, server, workers, session, pre)

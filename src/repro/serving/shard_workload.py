@@ -5,8 +5,10 @@ count exceeds one shard-sized accelerator (provably — the smoke gate
 first tries the single-chip mapping and requires the
 :class:`~repro.errors.MappingError`), planned into a >= 2 stage pipeline
 by the cost model, served by one :class:`~repro.serving.sharded.
-ShardedWorker` on the virtual clock, and checked for the properties that
-make sharding trustworthy rather than merely plausible:
+ShardedWorker` on the virtual clock.  :func:`shard_gate` runs the shared
+:mod:`repro.chaos.audit` invariants over the stage-fault run and its
+replay, and adds the properties that make sharding trustworthy rather
+than merely plausible:
 
 - every completed output is **bit-identical** to a single large
   reference accelerator running the same model (deterministic
@@ -17,11 +19,10 @@ make sharding trustworthy rather than merely plausible:
   concurrently);
 - a degraded stage **drains cleanly**: its breaker (and the server's)
   trips, in-flight batches fail atomically into retries — never partial
-  outputs — repair wins the pipeline back through the half-open window,
-  and request conservation holds throughout;
+  outputs — and repair wins the pipeline back through the half-open
+  window;
 - per-stage **event accounting is conserved** vs the reference (forward
-  deltas of symbols/activations match exactly);
-- the whole run **replays bit-identically** from the seed.
+  deltas of symbols/activations match exactly).
 """
 
 from __future__ import annotations
@@ -31,8 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MappingError, ServingError
-from repro.serving.request import InferenceRequest, ShedReason
-from repro.serving.server import ServeReport, ServerConfig, TridentServer
+from repro.serving.request import InferenceRequest
+from repro.serving.server import (
+    ServeReport,
+    ServerConfig,
+    ServeRun,
+    TridentServer,
+    serve_run,
+)
 from repro.serving.sharded import ShardedWorker, build_sharded_worker
 from repro.sharding import ShardPlan, plan_pipeline
 
@@ -207,8 +214,11 @@ def run_shard_workload(
     *,
     overlap: bool = True,
     degrade: bool = False,
-) -> tuple[ServeReport, TridentServer, ShardedWorker]:
-    """Serve the burst on one sharded worker; optional mid-run stage fault."""
+    chaos_plan=None,
+) -> ServeRun:
+    """Serve the burst on one sharded worker; optional mid-run stage
+    fault, optional chaos plan (a plan, or a callable of the arrival
+    span; see :func:`~repro.serving.server.serve_run`)."""
     config = config or ShardWorkloadConfig()
     worker = build_pipeline_worker(config, overlap)
     server = TridentServer([worker], config=config.server)
@@ -223,8 +233,7 @@ def run_shard_workload(
         server.schedule_action(
             config.degrade_at_s, "degrade_stage", force_stage_degradation
         )
-    report = server.run(arrivals)
-    return report, server, worker
+    return serve_run(server, arrivals, chaos_plan)
 
 
 def makespan_s(report: ServeReport) -> float:
@@ -293,85 +302,87 @@ def forward_accounting_conserved(config: ShardWorkloadConfig) -> bool:
     return np.array_equal(out_ref, out_pipe) and ref_delta == pipe_delta
 
 
-def shard_smoke_checks(
-    config: ShardWorkloadConfig | None = None,
-) -> tuple[list[tuple[str, bool]], dict]:
-    """Run the full audit; returns (pass/fail list, detail numbers)."""
+def shard_gate(config: ShardWorkloadConfig | None = None):
+    """The ``repro shard --smoke`` verdict (an ``AuditResult``).
+
+    The audit covers the stage-fault run against its replay; the overlap
+    run's own audit folds into one check.
+    """
+    from repro.chaos.audit import audit_serve_run, record_breaker_arc
+
     config = config or ShardWorkloadConfig()
     plan = plan_workload(config)
     infeasible_msg = single_shard_mapping_error(config)
-
-    overlap_report, _, _ = run_shard_workload(config, overlap=True)
-    serial_report, _, _ = run_shard_workload(config, overlap=False)
-    fault_report, _, fault_worker = run_shard_workload(
-        config, overlap=True, degrade=True
-    )
-    replay_report, _, _ = run_shard_workload(config, overlap=True, degrade=True)
-
-    overlap_makespan = makespan_s(overlap_report)
-    serial_makespan = makespan_s(serial_report)
-
-    transitions = [
-        (t["to"], t["reason"]) for t in fault_report.breaker_transitions
+    overlap = run_shard_workload(config, overlap=True)
+    serial = run_shard_workload(config, overlap=False)
+    fault = run_shard_workload(config, degrade=True)
+    replay = run_shard_workload(config, degrade=True)
+    overlap_makespan = makespan_s(overlap.report)
+    serial_makespan = makespan_s(serial.report)
+    stage_transitions = [
+        t["to"]
+        for t in fault.workers[0].stage_breaker_transitions
+        if t["stage"] == config.degrade_stage
     ]
-    tripped = any(to == "open" for to, _ in transitions)
-    restored = any(
-        to == "closed" and reason == "probe_succeeded"
-        for to, reason in transitions
-    )
-    stage_tripped = any(
-        t["to"] == "open" and t["stage"] == config.degrade_stage
-        for t in fault_worker.stage_breaker_transitions
-    )
-    stage_restored = any(
-        t["to"] == "closed" and t["stage"] == config.degrade_stage
-        for t in fault_worker.stage_breaker_transitions
-    )
-    reasons_ok = all(
-        isinstance(r.reason, ShedReason) and r.detail
-        for r in fault_report.shed
-    )
 
-    checks = [
-        ("model provably overflows one shard", infeasible_msg is not None),
-        (">= 2 pipeline stages, each within shard capacity",
-         plan.n_stages >= 2
-         and all(
-             s.n_tiles <= plan.capacity_tiles or s.row_sharded
-             for s in plan.stages
-         )),
-        ("all requests completed (overlap run)",
-         overlap_report.completion_rate == 1.0
-         and overlap_report.conservation_ok()),
-        ("outputs bit-identical to single-accelerator reference",
-         outputs_bit_identical(config, overlap_report)),
-        ("forward event accounting conserved vs reference",
-         forward_accounting_conserved(config)),
-        ("pipeline overlap beats serialized stages",
-         0.0 < overlap_makespan < serial_makespan),
-        ("stage fault: server breaker tripped", tripped),
-        ("stage fault: degraded stage's breaker tripped", stage_tripped),
-        ("stage fault: drained cleanly (conservation + structured sheds)",
-         fault_report.conservation_ok() and reasons_ok),
-        ("stage fault: no corrupted outputs (all bit-identical)",
-         outputs_bit_identical(config, fault_report)),
-        ("stage fault: repair restored the pipeline",
-         restored and stage_restored),
-        ("retries exercised by the stage fault",
-         fault_report.retries_scheduled > 0),
-        ("replay is bit-identical",
-         replay_report.decisions == fault_report.decisions),
-    ]
-    details = {
-        "plan": plan.as_dict(),
-        "single_shard_error": infeasible_msg,
-        "overlap_makespan_s": overlap_makespan,
-        "serialized_makespan_s": serial_makespan,
-        "overlap_speedup": (
-            serial_makespan / overlap_makespan if overlap_makespan else 0.0
+    result = audit_serve_run(fault, replay=replay)
+    result.record(
+        "single_shard_overflow",
+        infeasible_msg is not None,
+        infeasible_msg or "the model fits one shard",
+    )
+    result.record(
+        "stages_within_capacity",
+        plan.n_stages >= 2
+        and all(
+            s.n_tiles <= plan.capacity_tiles or s.row_sharded
+            for s in plan.stages
         ),
-        "fault_completion_rate": fault_report.completion_rate,
-        "fault_shed": fault_report.shed_by_reason(),
-        "stage_breaker_transitions": fault_worker.stage_breaker_transitions,
-    }
-    return checks, details
+        f"{plan.n_stages} stages on {plan.n_accelerators} accelerators "
+        f"of {plan.capacity_tiles} tiles, bottleneck "
+        f"{plan.bottleneck_s * 1e6:.3f} us",
+    )
+    result.record_audit("overlap_run_audit", audit_serve_run(overlap))
+    result.record(
+        "overlap_run_completed",
+        overlap.report.completion_rate == 1.0,
+        f"{len(overlap.report.completed)}/{overlap.report.submitted}",
+    )
+    result.record(
+        "overlap_reference_outputs",
+        outputs_bit_identical(config, overlap.report),
+        "bit-identical to the single-accelerator reference",
+    )
+    result.record(
+        "reference_oracle_outputs",
+        outputs_bit_identical(config, fault.report),
+        "stage-fault run, bit-identical to the reference",
+    )
+    result.record(
+        "forward_accounting_conserved",
+        forward_accounting_conserved(config),
+        "one forward's event deltas equal the reference's",
+    )
+    result.record(
+        "overlap_beats_serialized",
+        0.0 < overlap_makespan < serial_makespan,
+        f"makespan {overlap_makespan * 1e6:.2f} vs "
+        f"{serial_makespan * 1e6:.2f} us",
+    )
+    record_breaker_arc(result, fault.report)
+    result.record(
+        "stage_breaker_tripped",
+        "open" in stage_transitions,
+        f"stage {config.degrade_stage}",
+    )
+    result.record(
+        "stage_breaker_restored",
+        "closed" in stage_transitions,
+        f"stage {config.degrade_stage}",
+    )
+    result.record(
+        "retries_exercised",
+        fault.report.retries_scheduled > 0,
+        f"{fault.report.retries_scheduled} scheduled",
+    )
+    return result

@@ -1,4 +1,4 @@
-"""Synthetic open-loop serving workloads and the smoke-gate checks.
+"""Synthetic open-loop serving workloads and the ``repro serve`` gate.
 
 The canonical workload is a three-phase Poisson arrival process —
 **warm** (comfortably under capacity), **burst** (2x the sustainable
@@ -8,9 +8,9 @@ breaker's trip / repair / restore arc is exercised under live traffic.
 
 Everything is generated from one seeded :class:`numpy.random.Generator`
 and served on the virtual clock, so a given seed replays to a
-bit-identical decision log; :func:`smoke_checks` turns that plus the
-robustness invariants into the pass/fail list the ``repro serve
---smoke`` CI gate prints.
+bit-identical decision log.  :func:`serve_gate` is the ``repro serve
+--smoke`` CI gate: the shared :mod:`repro.chaos.audit` invariants over a
+run and its replay, plus this scenario's own checks.
 """
 
 from __future__ import annotations
@@ -20,8 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.request import InferenceRequest, ShedReason
-from repro.serving.server import ServeReport, ServerConfig, TridentServer
+from repro.serving.request import InferenceRequest
+from repro.serving.server import (
+    ServeReport,
+    ServerConfig,
+    ServeRun,
+    TridentServer,
+    serve_run,
+)
 from repro.serving.worker import AcceleratorWorker, remap_manager
 from repro.sharding.pipeline import single_chip_pipeline
 
@@ -58,7 +64,8 @@ class WorkloadConfig:
     priority_probs: tuple[float, ...] = (0.97, 0.025, 0.005)
     #: Fraction of requests carrying a hard deadline (rest best-effort).
     deadline_fraction: float = 0.9
-    #: Stuck-cell fraction injected into the degraded worker mid-run.
+    #: Stuck-cell fraction injected into the degraded worker mid-run
+    #: (0.0 schedules no forced degradation).
     degrade_fraction: float = 0.08
     #: Which phase the forced degradation lands in (by name).
     degrade_phase: str = "drain"
@@ -180,13 +187,17 @@ def synthesize_arrivals(
 # ----------------------------------------------------------------------
 def run_serve_workload(
     config: WorkloadConfig | None = None,
-) -> tuple[ServeReport, TridentServer]:
+    *,
+    chaos_plan=None,
+) -> ServeRun:
     """Build the fleet, synthesize arrivals, serve to completion.
 
     The first worker is forced into PCM degradation a quarter of the way
     into ``degrade_phase`` (stuck-cell injection + readback refresh), so
     its batches start failing, its breaker trips, and the half-open
     repair path has to win the worker back under live traffic.
+    ``chaos_plan`` (a plan, or a callable of the arrival span) serves
+    the run under chaos (see :func:`~repro.serving.server.serve_run`).
     """
     config = config or WorkloadConfig()
     workers = [
@@ -198,16 +209,17 @@ def run_serve_workload(
     rng = np.random.default_rng(config.seed)
     arrivals, windows = synthesize_arrivals(config, rate, rng)
 
-    start, end = windows[config.degrade_phase]
-    degrade_at = start + 0.25 * (end - start)
-    fraction = config.degrade_fraction
+    if config.degrade_fraction > 0.0:
+        start, end = windows[config.degrade_phase]
+        fraction = config.degrade_fraction
 
-    def force_degradation(srv: TridentServer) -> None:
-        srv.workers[0].degrade(fraction, stuck_level=254)
+        def force_degradation(srv: TridentServer) -> None:
+            srv.workers[0].degrade(fraction, stuck_level=254)
 
-    server.schedule_action(degrade_at, "force_degradation", force_degradation)
-    report = server.run(arrivals)
-    return report, server
+        server.schedule_action(
+            start + 0.25 * (end - start), "force_degradation", force_degradation
+        )
+    return serve_run(server, arrivals, chaos_plan)
 
 
 # ----------------------------------------------------------------------
@@ -229,34 +241,43 @@ def shed_rate_by_priority(report: ServeReport) -> dict[int, float]:
     }
 
 
-def smoke_checks(
-    report: ServeReport, replay: ServeReport
-) -> list[tuple[str, bool]]:
-    """The ``repro serve --smoke`` pass/fail list."""
-    transitions = [(t["to"], t["reason"]) for t in report.breaker_transitions]
-    tripped = any(to == "open" for to, _ in transitions)
-    restored = any(
-        to == "closed" and reason == "probe_succeeded"
-        for to, reason in transitions
-    )
+def serve_gate(run: ServeRun, replay: ServeRun):
+    """The ``repro serve --smoke`` verdict on a run and its replay.
+
+    The shared audit (conservation, structured sheds, atomic batches,
+    finite outputs, charged repairs, bit-identical replay) plus the
+    serve scenario's own checks: completion, latency, priority-aware
+    backpressure, the breaker arc and retries.
+    """
+    from repro.chaos.audit import audit_serve_run, record_breaker_arc
+
+    result = audit_serve_run(run, replay=replay)
+    report = run.report
+    p99 = report.latency_quantile_s(0.99)
     rates = shed_rate_by_priority(report)
     high = [rate for p, rate in rates.items() if p > 0]
-    priority_skewed = not report.shed or (
-        0 in rates and (not high or rates[0] >= max(high))
+    result.record(
+        "completion_rate",
+        report.completion_rate >= 0.99,
+        f"{report.completion_rate * 100:.2f}% of admitted (>= 99%)",
     )
-    reasons_ok = all(
-        isinstance(r.reason, ShedReason) and r.detail for r in report.shed
+    result.record(
+        "p99_within_slo",
+        p99 <= report.slo_latency_s,
+        f"p99 {p99 * 1e6:.2f} us vs SLO {report.slo_latency_s * 1e6:.2f} us",
     )
-    return [
-        ("request conservation (no silent drops)", report.conservation_ok()),
-        (">= 99% of admitted requests completed", report.completion_rate >= 0.99),
-        ("p99 admitted latency within SLO",
-         report.latency_quantile_s(0.99) <= report.slo_latency_s),
-        ("overload shed requests (backpressure engaged)", len(report.shed) > 0),
-        ("shedding skewed away from high priority", priority_skewed),
-        ("every shed carries a structured reason", reasons_ok),
-        ("breaker tripped on degradation", tripped),
-        ("breaker restored via half-open probe", restored),
-        ("retries exercised", report.retries_scheduled > 0),
-        ("replay is bit-identical", replay.decisions == report.decisions),
-    ]
+    result.record(
+        "overload_shed", len(report.shed) > 0, f"{len(report.shed)} shed"
+    )
+    result.record(
+        "shed_skews_low_priority",
+        not report.shed or (0 in rates and (not high or rates[0] >= max(high))),
+        ", ".join(f"p{p}={rate * 100:.1f}%" for p, rate in rates.items()),
+    )
+    record_breaker_arc(result, report)
+    result.record(
+        "retries_exercised",
+        report.retries_scheduled > 0,
+        f"{report.retries_scheduled} scheduled",
+    )
+    return result

@@ -7,6 +7,7 @@ multi-stage workers), the clock-jitter hook, and the soak cell/matrix
 machinery including the sabotage self-audit.
 """
 
+import copy
 import dataclasses
 import json
 
@@ -32,11 +33,12 @@ from repro.chaos.session import (
     enabled,
     session as chaos_scope,
 )
+from repro.chaos.audit import audit_fleet_run, audit_serve_run, run_digest
 from repro.chaos.soak import (
     SoakConfig,
+    _fleet_run,
     _run_serve,
-    _serve_digest,
-    _serve_exec,
+    _serve_run,
     render_matrix,
     run_cell,
     run_self_audit,
@@ -426,20 +428,14 @@ class TestAudit:
         assert outcome["applied"]  # chaos actually fired
 
     def test_tampered_decision_log_fails_atomicity(self):
-        from repro.chaos import audit_serve_run
-
-        report, _, _, _ = _serve_exec(0, False)
-        dropped = [r for r in report.decisions if r["kind"] != "complete"]
-        tampered = dataclasses.replace(report, decisions=dropped)
-        result = audit_serve_run(tampered)
+        run = _serve_run(0, False)
+        dropped = [r for r in run.report.decisions if r["kind"] != "complete"]
+        tampered = dataclasses.replace(run.report, decisions=dropped)
+        result = audit_serve_run(dataclasses.replace(run, report=tampered))
         assert any("atomic_batches" in f for f in result.failed())
 
     def test_replay_mismatch_detected(self):
-        from repro.chaos import audit_serve_run
-
-        report, _, _, _ = _serve_exec(0, False)
-        other, _, _, _ = _serve_exec(1, False)
-        result = audit_serve_run(report, replay=other)
+        result = audit_serve_run(_serve_run(0, False), replay=_serve_run(1, False))
         assert any("bit_identical_replay" in f for f in result.failed())
 
 
@@ -450,10 +446,10 @@ class TestChaosDeterminismProperties:
     @given(seed=st.integers(0, 50))
     @settings(max_examples=5, deadline=None)
     def test_same_seeds_same_bits_under_chaos(self, seed):
-        a, _, _, sa = _serve_exec(seed, True)
-        b, _, _, sb = _serve_exec(seed, True)
-        assert _serve_digest(a) == _serve_digest(b)
-        assert sa.applied == sb.applied
+        a = _serve_run(seed, True)
+        b = _serve_run(seed, True)
+        assert run_digest(a.report) == run_digest(b.report)
+        assert a.session.applied == b.session.applied
 
     @given(seed=st.integers(0, 50))
     @settings(max_examples=5, deadline=None)
@@ -464,10 +460,10 @@ class TestChaosDeterminismProperties:
         config = dataclasses.replace(
             _small_workload_config(), seed=int(seed)
         )
-        report_off, _ = run_serve_workload(config)
+        run_off = run_serve_workload(config)
         with chaos_scope(ChaosPlan(seed=0)):
-            report_on, _ = run_serve_workload(config)
-        assert _serve_digest(report_off) == _serve_digest(report_on)
+            run_on = run_serve_workload(config)
+        assert run_digest(run_off.report) == run_digest(run_on.report)
 
 
 def _small_workload_config():
@@ -522,3 +518,51 @@ class TestSoak:
         cell = run_cell("serve", 0, repeats=1, chaos_enabled=False)
         assert cell["ok"], cell["failed_checks"]
         assert cell["injections_applied"] == {}
+
+    def test_smoke_gate_fails_when_self_audit_cannot(self, monkeypatch, capsys):
+        import repro.chaos
+        from repro.cli import main
+
+        argv = ["soak", "--smoke", "--scenarios", "sdc", "--seeds", "1",
+                "--repeats", "1"]
+        assert main(argv) == 0
+        monkeypatch.setattr(
+            repro.chaos,
+            "run_self_audit",
+            lambda seed: {"ok": False, "sabotaged_cell_failed": False,
+                          "failed_checks": []},
+        )
+        assert main(argv) == 1
+        assert "FAIL self_audit_flags_sabotage" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def soak_fleet_run():
+    """Seed 0 of the soak's fleet cell, chaos on."""
+    return _fleet_run(0, True)
+
+
+class TestSoakFleetAudit:
+    def test_untampered_run_passes(self, soak_fleet_run):
+        result = audit_fleet_run(soak_fleet_run)
+        assert result.ok, result.failed()
+
+    def test_checkpoint_of_a_rostered_worker_fails(self, soak_fleet_run):
+        run = soak_fleet_run
+        assert 0 not in run.pool.ids_in("decommissioned")
+        pool = copy.copy(run.pool)
+        pool.checkpoint_digests = {**run.pool.checkpoint_digests, 0: "0" * 64}
+        result = audit_fleet_run(dataclasses.replace(run, pool=pool))
+        assert any(
+            f.startswith("decommissions_checkpointed") for f in result.failed()
+        )
+
+    def test_running_controller_fails(self, soak_fleet_run):
+        controller = copy.copy(soak_fleet_run.controller)
+        controller.stopped = False
+        result = audit_fleet_run(
+            dataclasses.replace(soak_fleet_run, controller=controller)
+        )
+        assert [f.split(":")[0] for f in result.failed()] == [
+            "controller_stopped"
+        ]

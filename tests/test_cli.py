@@ -194,14 +194,15 @@ class TestServeCommand:
         assert "serving summary" in out
         assert "FAIL" not in out
         for check in (
-            "request conservation",
-            "breaker tripped on degradation",
-            "breaker restored via half-open probe",
-            "replay is bit-identical",
-            "chrome trace schema valid",
-            "serving + power metrics exposed",
+            "request_conservation",
+            "breaker_tripped",
+            "breaker_restored",
+            "bit_identical_replay",
+            "chrome_trace_schema_valid",
+            "serving_metrics_exposed",
         ):
-            assert check in out, check
+            assert f"OK   {check}" in out, check
+        assert "serve gate: OK" in out
         assert (tmp_path / "serve.trace.json").exists()
         assert (tmp_path / "serve.metrics.prom").exists()
         assert (tmp_path / "serve.events.jsonl").exists()

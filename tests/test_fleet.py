@@ -15,7 +15,6 @@ from repro.fleet import (
     TenantSpec,
     TraceConfig,
     WorkerPool,
-    fleet_digest,
     run_fleet_workload,
     smoke_chaos_plan,
     smoke_scenario,
@@ -23,6 +22,7 @@ from repro.fleet import (
     synthesize_trace,
     window_p99_latency_s,
 )
+from repro.chaos.audit import run_digest
 from repro.serving.server import ServerConfig, TridentServer
 from repro.telemetry.rollup import ServingRollup
 
@@ -348,7 +348,7 @@ class TestFleetRuns:
         scenario = _tiny_scenario()
         a = run_fleet_workload(scenario, controlled=True)
         b = run_fleet_workload(scenario, controlled=True)
-        assert fleet_digest(a) == fleet_digest(b)
+        assert run_digest(a.report) == run_digest(b.report)
 
     def test_storm_drives_one_degraded_episode(self):
         scenario = smoke_scenario(seed=11)

@@ -31,8 +31,8 @@ from repro.serving import (
     WorkloadConfig,
     build_worker,
     run_serve_workload,
+    serve_gate,
     shed_rate_by_priority,
-    smoke_checks,
     sustainable_rate_hz,
     synthesize_arrivals,
 )
@@ -592,17 +592,14 @@ class TestWorkloadAndSmoke:
                 Phase("drain", 250, 0.35),
             ),
         )
-        report, server = run_serve_workload(config)
-        replay, _ = run_serve_workload(config)
-        return report, replay, server
+        return run_serve_workload(config), run_serve_workload(config)
 
     def test_smoke_checks_all_pass(self, runs):
-        report, replay, _ = runs
-        failed = [name for name, ok in smoke_checks(report, replay) if not ok]
-        assert not failed
+        result = serve_gate(*runs)
+        assert result.ok, result.failed()
 
     def test_breaker_arc_trip_repair_restore(self, runs):
-        report, _, _ = runs
+        report = runs[0].report
         sequence = [
             (t["to"], t["reason"]) for t in report.breaker_transitions
         ]
@@ -611,7 +608,7 @@ class TestWorkloadAndSmoke:
         assert ("closed", "probe_succeeded") in sequence
 
     def test_replay_outputs_bit_identical(self, runs):
-        report, replay, _ = runs
+        report, replay = (run.report for run in runs)
         assert report.decisions == replay.decisions
         assert len(report.completed) == len(replay.completed)
         for a, b in zip(report.completed, replay.completed):
@@ -619,7 +616,7 @@ class TestWorkloadAndSmoke:
             assert np.array_equal(a.output, b.output)
 
     def test_shedding_skews_low_priority(self, runs):
-        report, _, _ = runs
+        report = runs[0].report
         rates = shed_rate_by_priority(report)
         assert rates.get(0, 0.0) >= max(
             (rate for p, rate in rates.items() if p > 0), default=0.0
@@ -628,7 +625,7 @@ class TestWorkloadAndSmoke:
     def test_report_dict_round_trips_to_json(self, runs):
         import json
 
-        report, _, _ = runs
+        report = runs[0].report
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["conservation_ok"] is True
         assert payload["submitted"] == 550

@@ -383,7 +383,7 @@ class TestShardServing:
     CFG = ShardWorkloadConfig(n_requests=96)
 
     def test_serves_capacity_infeasible_model_bit_identically(self):
-        report, _, _ = run_shard_workload(self.CFG, overlap=True)
+        report = run_shard_workload(self.CFG, overlap=True).report
         assert report.conservation_ok()
         assert report.completion_rate == 1.0
         reference = build_reference_accelerator(self.CFG)
@@ -397,12 +397,12 @@ class TestShardServing:
                 assert np.array_equal(np.asarray(c.output), expected[i])
 
     def test_overlap_beats_serialized(self):
-        overlap_report, _, _ = run_shard_workload(self.CFG, overlap=True)
-        serial_report, _, _ = run_shard_workload(self.CFG, overlap=False)
+        overlap_report = run_shard_workload(self.CFG, overlap=True).report
+        serial_report = run_shard_workload(self.CFG, overlap=False).report
         assert 0.0 < makespan_s(overlap_report) < makespan_s(serial_report)
 
     def test_overlap_keeps_multiple_batches_in_flight(self):
-        _, server, _ = run_shard_workload(self.CFG, overlap=True)
+        server = run_shard_workload(self.CFG, overlap=True).server
         dispatches = [
             d for d in server.decisions if d["kind"] == "dispatch"
         ]
@@ -423,11 +423,10 @@ class TestShardServing:
         assert max_in_flight >= 2
 
     def test_stage_fault_trips_drains_and_recovers(self):
-        report, _, worker = run_shard_workload(
-            self.CFG, overlap=True, degrade=True
-        )
+        run = run_shard_workload(self.CFG, overlap=True, degrade=True)
+        report = run.report
         assert report.conservation_ok()
-        stage_events = worker.stage_breaker_transitions
+        stage_events = run.workers[0].stage_breaker_transitions
         assert any(
             t["to"] == "open" and t["stage"] == self.CFG.degrade_stage
             for t in stage_events
@@ -439,8 +438,8 @@ class TestShardServing:
         assert any(t["to"] == "open" for t in report.breaker_transitions)
 
     def test_replay_is_bit_identical(self):
-        first, _, _ = run_shard_workload(self.CFG, overlap=True, degrade=True)
-        second, _, _ = run_shard_workload(self.CFG, overlap=True, degrade=True)
+        first = run_shard_workload(self.CFG, overlap=True, degrade=True).report
+        second = run_shard_workload(self.CFG, overlap=True, degrade=True).report
         assert first.decisions == second.decisions
 
     def test_stage_spans_emitted(self):
