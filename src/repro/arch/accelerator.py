@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.arch.config import TridentConfig
 from repro.arch.control import ControlUnit, OperatingMode, RangeNormalizer
-from repro.arch.pe import ProcessingElement
+from repro.arch.pe import ProcessingElement, stream_tiles
 from repro.arch.weight_bank import BankStats, WeightBank
 from repro.devices.noise import NoiseModel
 from repro.devices.photodetector import BalancedPhotodetector
@@ -511,13 +511,15 @@ class TridentAccelerator:
         Every layer — single-tile or tiled — streams as blocked ``matmat``
         calls: each tile's bank receives its (cols_used, B) input slab in
         one vectorized pass and the detected partial sums accumulate across
-        row/column tiles electronically.  A single sample is a (1, n_in)
-        batch.  The engine is batch-invariant: one B-sample batch and B
-        single-sample batches produce the same outputs for noise-free
-        hardware and identical :class:`EventCounters` always; with noise
-        enabled they differ only in draw order.  With ``record`` each layer
-        keeps its (B, in_dim) inputs and (B, out_dim) logits for a training
-        step.
+        row/column tiles electronically (:func:`~repro.arch.pe.stream_tiles`),
+        with one detection-noise draw per observed (output, sample) sum.  A
+        single sample is a (1, n_in) batch.  The engine is batch-invariant:
+        one B-sample batch and B single-sample batches produce the same
+        outputs for noise-free hardware and identical
+        :class:`EventCounters` always; with noise enabled they differ only
+        in draw order, since either way each (output, sample) sum takes one
+        draw under the same law.  With ``record`` each layer keeps its
+        (B, in_dim) inputs and (B, out_dim) logits for a training step.
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2:
@@ -579,22 +581,16 @@ class TridentAccelerator:
                         layer.last_l1_batch = l1
                     else:
                         enc, scales = RangeNormalizer.normalize_columns(value)
-                    logits_norm = np.zeros(
-                        (layer.out_dim, batch), dtype=np.float64
+                    logits_norm = stream_tiles(
+                        self.pes,
+                        layer.tiles,
+                        enc,
+                        layer.out_dim,
+                        capture_derivative=len(layer.tiles) == 1,
                     )
-                    single_tile = len(layer.tiles) == 1
-                    for r0, r1, c0, c1, pe_index in layer.tiles:
-                        pe = self.pes[pe_index]
-                        part = pe.forward_batch(
-                            enc[c0:c1],
-                            capture_derivative=single_tile,
-                            # The encoder bounded this slab two lines up.
-                            validate=False,
-                        )
-                        logits_norm[r0:r1] += part
-                        # B streamed symbols per bank the slab enters (module
-                        # docstring).
-                        self.counters.symbols += batch
+                    # B streamed symbols per bank the slab enters (module
+                    # docstring).
+                    self.counters.symbols += batch * len(layer.tiles)
                     logits = logits_norm * scales * layer.weight_scale
                     if record:
                         layer.last_logits_batch = logits.T  # fresh per layer

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.config import TridentConfig
-from repro.arch.pe import ProcessingElement
+from repro.arch.pe import ProcessingElement, stream_tiles
 from repro.arch.weight_bank import BankStats, WeightBank
 from repro.devices.noise import NoiseModel
 from repro.devices.photodetector import BalancedPhotodetector
@@ -185,17 +185,13 @@ class FunctionalConvNet:
     def _gemm_forward(self, layer_index: int, m: int, cols: np.ndarray, scale_w: float) -> np.ndarray:
         """Stream (positions, k) im2col rows through the layer's PE tiles."""
         positions = cols.shape[0]
-        out = np.zeros((positions, m), dtype=np.float64)
         enc_scale = float(np.max(np.abs(cols))) if cols.size else 0.0
         enc_scale = enc_scale if enc_scale > 1.0 else 1.0
-        normalized = (cols / enc_scale).T  # (k, positions)
-        for r0, r1, c0, c1, pe_index in self._pe_of_layer[layer_index]:
-            pe = self.pes[pe_index]
-            part = pe.bank.matmat(np.clip(normalized[c0:c1], -1, 1))
-            part = pe.bpd.detect_normalized(part)
-            out[:, r0:r1] += part.T
-            self.symbols += positions
-        return out * enc_scale * scale_w
+        normalized = np.clip(cols / enc_scale, -1, 1).T  # (k, positions)
+        tiles = self._pe_of_layer[layer_index]
+        out = stream_tiles(self.pes, tiles, normalized, m)
+        self.symbols += positions * len(tiles)
+        return out.T * enc_scale * scale_w
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         """Run one (H, W, C) image; returns the final logits."""

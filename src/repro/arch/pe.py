@@ -11,7 +11,8 @@ depending on the control unit's encoding (Table II):
   (W_{k+1}^T d_{k+1}) ⊙ f'(h_k), the Hadamard realized by programming the
   TIA gains from the LDSU bits.
 - :meth:`outer_product_batch` — training step 2: dW_k = d_k ⊗ y_{k-1},
-  streamed one wavelength per symbol through the bank.
+  streamed one wavelength per symbol through the bank and summed over
+  the batch.
 
 Every mode takes a batch, one sample per column (or row); a single sample
 is a batch of one.  All vector math is normalized to the analog [-1, 1]
@@ -97,6 +98,7 @@ class ProcessingElement:
         x: np.ndarray,
         capture_derivative: bool = True,
         validate: bool = True,
+        variance: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched inference: a (cols_used, B) slab streams in one pass.
 
@@ -106,10 +108,13 @@ class ProcessingElement:
         never fires the cell.  With ``capture_derivative`` the LDSU latches
         the whole batch's bit plane (see :meth:`LDSU.capture_batch`).
         ``validate=False`` forwards to :meth:`WeightBank.matmat` for slabs
-        the encoder already bounded.
+        the encoder already bounded.  ``variance`` marks the result as one
+        partial of an electronically summed output (see
+        :func:`stream_tiles`): it comes back noise-free and its detection
+        variance is added into ``variance``.
         """
         diff = self.bank.matmat(x, validate=validate)
-        logits = self.bpd.detect_normalized(diff)
+        logits = self.bpd.detect_normalized(diff, variance=variance)
         if capture_derivative:
             padded = np.zeros((self.bank.rows, x.shape[1]), dtype=np.float64)
             padded[: logits.shape[0]] = logits
@@ -137,21 +142,29 @@ class ProcessingElement:
     # Mode 3: outer product (Table II column 3)
     # ------------------------------------------------------------------
     def outer_product_batch(
-        self, delta_h: np.ndarray, y_prev: np.ndarray
+        self,
+        delta_h: np.ndarray,
+        y_prev: np.ndarray,
+        scales: np.ndarray | None = None,
     ) -> np.ndarray:
-        """dW_k = d_k ⊗ y_{k-1} per sample, emulated in one array pass.
+        """Batch-summed dW_k = sum_b s_b * (d_b ⊗ y_b), as one (d, y) block.
 
-        ``delta_h`` is (B, d) and ``y_prev`` is (B, y), both normalized.
-        Physically each sample programs the bank column-constant with its
-        own y_{k-1} (each ring of row j holds y_{k-1}[j]) and streams its
-        d_k one wavelength per symbol, so symbol i reads out column i of
-        (y ⊗ d^T), i.e. row i of dW.  That hardware cost — B programming
-        events of y*d cells and B*d symbols — is charged to the bank's
-        stats; only the arithmetic collapses to one pass, through the same
-        quantization + programming-noise model as a real program.  The
+        ``delta_h`` is (B, d) and ``y_prev`` is (B, y), both normalized;
+        ``scales`` are the (B,) per-sample weights s_b (unit weights when
+        omitted).  Physically each sample programs the bank
+        column-constant with its own y_{k-1} (each ring of row j holds
+        y_{k-1}[j]) and streams its d_k one wavelength per symbol, so
+        symbol i reads out column i of (y ⊗ d^T), i.e. row i of dW; the
+        control unit sums the B weighted blocks electronically.  That
+        hardware cost — B programming events of y*d cells and B*d symbols
+        — is charged to the bank's stats; the arithmetic is three small
+        GEMMs over the batch, through the same quantization +
+        programming-noise model as a real program.  Detection noise is
+        drawn once per (d, y) cell of the sum, with the weighted sum of
+        the B detections' variances
+        (:meth:`~repro.devices.noise.NoiseModel.detection_variance`).  The
         bank's realized state is left untouched; callers reprogram the
-        forward weights afterwards anyway.  Returns the (B, d, y) detected
-        gradient blocks.
+        forward weights afterwards anyway.
         """
         delta_h = np.atleast_2d(np.asarray(delta_h, dtype=np.float64))
         y_prev = np.atleast_2d(np.asarray(y_prev, dtype=np.float64))
@@ -162,6 +175,9 @@ class ProcessingElement:
             )
         batch, d = delta_h.shape
         y = y_prev.shape[1]
+        scales = np.ones(batch) if scales is None else np.asarray(scales, dtype=np.float64)
+        if scales.shape != (batch,):
+            raise ShapeError(f"expected {batch} sample scales, got shape {scales.shape}")
         if y > self.bank.rows:
             raise ShapeError(
                 f"y_prev width {y} exceeds bank rows {self.bank.rows}"
@@ -179,11 +195,20 @@ class ProcessingElement:
             colsum = self.bank.crosstalk[:d, :d].sum(axis=0)
         else:
             colsum = np.ones(d)
-        streamed = realized_y[:, :, None] * (delta_h * colsum)[:, None, :]
-        detected = self.bpd.detect_normalized(streamed)  # (B, y, d)
+        streamed = delta_h * colsum  # (B, d)
         self.bank.account_writes(batch, y * d)
         self.bank.account_symbols(batch * d)
-        return detected.transpose(0, 2, 1)  # (B, d, y)
+        dw = (streamed * scales[:, None]).T @ realized_y  # (d, y)
+        noise = self.bpd.noise
+        if not noise.enabled:
+            return dw
+        weight = np.square(scales)[:, None]
+        magnitude = (np.abs(streamed) * weight).T @ np.abs(realized_y)
+        power = (np.square(streamed) * weight).T @ np.square(realized_y)
+        variance = noise.detection_variance(
+            magnitude, np.sqrt(power, out=power), float(weight.sum())
+        )
+        return noise.apply_detection_noise(dw, variance)
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -210,3 +235,41 @@ class ProcessingElement:
     def write_energy_j(self) -> float:
         """Total programming energy spent by this PE's bank."""
         return self.bank.stats.write_energy_j
+
+
+def stream_tiles(
+    pes: list[ProcessingElement],
+    tiles: list[tuple[int, int, int, int, int]],
+    slab: np.ndarray,
+    rows: int,
+    capture_derivative: bool = False,
+) -> np.ndarray:
+    """A tiled MVM: the (rows, B) electronic sum of its tiles' detections.
+
+    Each ``(r0, r1, c0, c1, pe_index)`` tile streams ``slab[c0:c1]`` (an
+    encoder-bounded (cols, B) slab) through its PE's
+    :meth:`ProcessingElement.forward_batch`, and the detected partial adds
+    into output rows ``r0:r1``.  Detection noise is drawn once per observed
+    sum.  When the tiles reduce over more than one column block and the
+    receivers are noisy, each tile returns its exact partial and adds the
+    partial's variance into an accumulator; one draw then covers each
+    (output, sample), because a sum of independent Gaussians is one
+    Gaussian with the summed variance.  Otherwise each tile draws for its
+    own rows, which is already once per output.  Noise-free runs allocate
+    no accumulator.
+    """
+    out = np.zeros((rows, slab.shape[1]), dtype=np.float64)
+    noise = pes[tiles[0][4]].bpd.noise
+    variance = None
+    if noise.enabled and any(c0 > 0 for _, _, c0, _, _ in tiles):
+        variance = np.zeros_like(out)
+    for r0, r1, c0, c1, pe_index in tiles:
+        out[r0:r1] += pes[pe_index].forward_batch(
+            slab[c0:c1],
+            capture_derivative=capture_derivative,
+            validate=False,
+            variance=None if variance is None else variance[r0:r1],
+        )
+    if variance is None:
+        return out
+    return noise.apply_detection_noise(out, variance)

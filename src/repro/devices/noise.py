@@ -9,6 +9,7 @@ HPC-style rule: never loop over per-element ``rng.normal`` calls).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +54,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         for name in ("shot_noise_coeff", "thermal_noise_std", "rin_coeff", "crosstalk_floor"):
             value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"{name} must be non-negative, got {value}")
+            if not math.isfinite(value) or value < 0:
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         self._rng = np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------------
@@ -79,22 +80,42 @@ class NoiseModel:
         return self._rng
 
     # ------------------------------------------------------------------
-    def apply_detection_noise(self, signal: np.ndarray) -> np.ndarray:
+    def detection_variance(
+        self, magnitude: np.ndarray, amplitude: np.ndarray, weight: float = 1.0
+    ) -> np.ndarray:
+        """Detection-noise variance of one observed value (the noise law).
+
+        One detection of ``x`` has variance shot²·|x| + thermal² + (rin·x)²:
+        pass ``magnitude=|x|`` and ``amplitude=x``.  A weighted electronic
+        sum of independent detections, Σ_k w_k·x_k, is observed as one value
+        whose variance is the weighted sum of theirs: pass ``magnitude`` =
+        Σ w_k²·|x_k|, ``amplitude`` = sqrt(Σ w_k²·x_k²) and ``weight`` =
+        Σ w_k².  Returns a new array; the arguments are never mutated.
+        """
+        variance = np.multiply(magnitude, self.shot_noise_coeff**2)
+        variance += self.thermal_noise_std**2 * weight
+        rin = np.multiply(amplitude, self.rin_coeff)
+        variance += np.square(rin, out=rin)
+        return variance
+
+    def apply_detection_noise(
+        self, signal: np.ndarray, variance: np.ndarray | None = None
+    ) -> np.ndarray:
         """Apply shot + thermal + RIN noise to a detected photocurrent array.
 
-        One standard-normal draw into a C-ordered scratch buffer (shape order
-        for any input layout).  Returns a new array; the input is never mutated.
+        ``variance`` defaults to :meth:`detection_variance` of ``signal`` as
+        one detection; a caller observing a sum of detections passes the sum
+        of their variances, so each observed value takes one draw.  One
+        standard-normal draw in C (shape) order for any input layout.
+        Returns a new array; the inputs are never mutated.
         """
         signal = np.asarray(signal, dtype=np.float64)
         if not self.enabled:
             return signal.copy()
-        std = np.abs(signal, out=np.empty(signal.shape))
-        std *= self.shot_noise_coeff**2
-        std += self.thermal_noise_std**2
-        z = np.multiply(signal, self.rin_coeff, out=np.empty(signal.shape))
-        std += np.square(z, out=z)  # shot² |x| + thermal² + (rin x)²
-        self._rng.standard_normal(out=z)
-        z *= np.sqrt(std, out=std)
+        if variance is None:
+            variance = self.detection_variance(np.abs(signal), signal)
+        z = self._rng.standard_normal(signal.shape)
+        z *= np.sqrt(variance)
         return np.add(z, signal, out=z)
 
     def apply_programming_noise(self, levels: np.ndarray, level_std: float) -> np.ndarray:

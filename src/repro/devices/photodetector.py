@@ -112,6 +112,7 @@ class BalancedPhotodetector:
         self,
         differential: np.ndarray | float,
         scale_w: float = 1.0e-3,
+        variance: np.ndarray | None = None,
     ) -> np.ndarray:
         """Detect a normalized differential signal.
 
@@ -120,6 +121,11 @@ class BalancedPhotodetector:
         on the two branches and renormalized after detection.  The functional
         MVM uses this entry point: the noise path of :meth:`detect` without
         absolute power units.  -0.0 detects as +0.0; NaN propagates.
+
+        With ``variance`` (an accumulator shaped like the output) the
+        detection is one partial of an electronically summed output: the
+        exact detected value is returned and its noise variance is added
+        into ``variance``, so the caller draws once for the sum.
         """
         if not scale_w > 0:
             raise DeviceError(f"scale_w must be positive, got {scale_w}")
@@ -129,4 +135,7 @@ class BalancedPhotodetector:
         if r != 1.0:
             exact *= r
         exact /= r * scale_w
-        return self.noise.apply_detection_noise(exact)  # coefficients: normalized units
+        if variance is None:
+            return self.noise.apply_detection_noise(exact)  # coefficients: normalized units
+        variance += self.noise.detection_variance(np.abs(exact), exact)
+        return exact

@@ -126,7 +126,7 @@ def table2_mapping_check(seed: int = 0) -> TableReport:
     pe3 = ProcessingElement()
     d = rng.uniform(-1, 1, n)
     y_prev = rng.uniform(-1, 1, n)
-    dw_hw = pe3.outer_product_batch(d[None], y_prev[None])[0]
+    dw_hw = pe3.outer_product_batch(d[None], y_prev[None])
     errors[OperatingMode.OUTER_PRODUCT] = float(
         np.max(np.abs(dw_hw - np.outer(d, y_prev)))
     )

@@ -83,6 +83,12 @@ class RepairConfig:
     #: is within this many levels (default: well beyond verify tolerance
     #: but far below a stuck cell's typical error).
     tile_error_budget_levels: float = 4.0
+    #: When set, a tile is healthy only if its last verified write also
+    #: left at most this fraction of cells unconverged — the criterion a
+    #: caller that gates on ``unconverged_fraction`` must repair to, or
+    #: a tile within the error budget could still fail that gate with
+    #: nothing left to repair it.  None judges by the error budget alone.
+    max_unconverged_fraction: float | None = None
     #: Remap a logical row once this many of its cells are flagged faulty.
     row_fault_threshold: int = 1
     #: Tile migrations allowed per repair sweep (PEs are the scarcest
@@ -101,6 +107,13 @@ class RepairConfig:
             raise ConfigError(f"backoff must be >= 1, got {self.backoff}")
         if self.tile_error_budget_levels <= 0:
             raise ConfigError("tile error budget must be positive")
+        if self.max_unconverged_fraction is not None and not (
+            0.0 <= self.max_unconverged_fraction < 1.0
+        ):
+            raise ConfigError(
+                "max_unconverged_fraction must be in [0, 1), got "
+                f"{self.max_unconverged_fraction}"
+            )
         if self.row_fault_threshold < 1:
             raise ConfigError(
                 f"row_fault_threshold must be >= 1, got {self.row_fault_threshold}"
@@ -194,7 +207,10 @@ class FaultManager:
         if errors is None:
             # Never verified: no evidence of trouble (NONE-policy banks).
             return True
-        return float(np.max(errors, initial=0.0)) <= self.config.tile_error_budget_levels
+        if float(np.max(errors, initial=0.0)) > self.config.tile_error_budget_levels:
+            return False
+        limit = self.config.max_unconverged_fraction
+        return limit is None or bank.unconverged_fraction <= limit
 
     def _repaired(self, tier: str, layer_index: int, tile_index: int) -> None:
         """Record one successful repair (log line, counter, event)."""

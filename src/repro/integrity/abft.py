@@ -46,6 +46,7 @@ import dataclasses
 import numpy as np
 
 from repro.arch.control import RangeNormalizer
+from repro.arch.pe import stream_tiles
 from repro.errors import IntegrityError
 
 
@@ -195,7 +196,9 @@ class ChecksumUnit:
 
         Encodes the inputs exactly as the data path did (per-sample
         normalization) and accumulates the checksum tiles' detected
-        outputs — the analog ``c . x`` per sample, in true units.  When
+        outputs through the data path's own reduction
+        (:func:`~repro.arch.pe.stream_tiles`, one noise draw per observed
+        sum) — the analog ``c . x`` per sample, in true units.  When
         ``inputs`` is the layer's recorded batch, the forward pass's
         cached E/O encoding is re-streamed directly (the hot verify
         path; saves an O(in x B) re-encode).  Charges one streamed
@@ -212,14 +215,11 @@ class ChecksumUnit:
             enc, scales = layer.last_enc_batch, layer.last_enc_scales
         else:
             enc, scales = RangeNormalizer.normalize_columns(inputs.T)
-        total = np.zeros(batch, dtype=np.float64)
-        for c0, c1, pe_index in self.tiles[layer_index]:
-            part = acc.pes[pe_index].forward_batch(
-                # The encoder bounded the slab; skip the range re-check.
-                enc[c0:c1], capture_derivative=False, validate=False,
-            )
-            total += part[0]
-            acc.counters.symbols += batch
+        tiles = self.tiles[layer_index]
+        total = stream_tiles(
+            acc.pes, [(0, 1, c0, c1, pe_index) for c0, c1, pe_index in tiles], enc, 1
+        )[0]
+        acc.counters.symbols += batch * len(tiles)
         return total * scales * self.scales[layer_index]
 
     def digital_sums(self, layer_index: int, inputs: np.ndarray) -> np.ndarray:

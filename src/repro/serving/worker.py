@@ -96,17 +96,25 @@ def rewrite_tiles(acc) -> None:
 
 
 def remap_manager(acc):
-    """A remap-policy fault manager whose migration budget covers every tile.
+    """A remap-policy fault manager that repairs to serving's health gate.
 
     Serving declares a stage healthy only when *all* its active banks
-    converge, so a smaller budget would strand the first degraded tile
-    past it.
+    converge to within :data:`UNHEALTHY_THRESHOLD`, so the manager judges
+    tiles by that same fraction (a tile inside the error budget but over
+    the threshold would otherwise fail every batch with no repair left to
+    run), and its migration budget covers every tile so a smaller one
+    cannot strand the first degraded tile past it.
     """
     from repro.faults import FaultManager, RepairConfig
 
     n_tiles = sum(len(layer.tiles) for layer in acc.layers)
     return FaultManager(
-        acc, config=RepairConfig(policy="remap", max_migrations=n_tiles)
+        acc,
+        config=RepairConfig(
+            policy="remap",
+            max_migrations=n_tiles,
+            max_unconverged_fraction=UNHEALTHY_THRESHOLD,
+        ),
     )
 
 

@@ -19,8 +19,9 @@ Implements the paper's training flow (Sec. III-A-2, Table II) against the
 streams through each layer's bank as one blocked ``matmat``, the LDSU
 latches the batch's bit plane, the W^T reprogram of the gradient-vector
 pass is *grouped* (once per layer per batch, not once per sample), and
-the per-sample outer products collapse to one vectorized pass with
-per-sample write accounting.  A minibatch costs O(layers) Python
+the per-sample outer products collapse to one batch-summed gradient per
+layer (three small GEMMs and one detection-noise draw per gradient cell)
+with per-sample write accounting.  A minibatch costs O(layers) Python
 iterations.  On noise-free hardware the summed gradients equal the sum of
 single-sample backward passes; only the grouped W^T writes differ.
 
@@ -103,19 +104,20 @@ class InSituTrainer:
         """Batch-summed Eq. (2): sum_b delta_b (x) y_prev_b on PE k's bank.
 
         The hardware still pays one bank program + len(delta) symbols per
-        sample (the PE charges them); only the Python-side loop collapses.
+        sample (the PE charges them); the PE returns the scale-weighted sum
+        over the batch, with one detection-noise draw per gradient cell.
         """
         pe = self._pe_for(layer_index)
         if self.acc.control.set_mode(OperatingMode.OUTER_PRODUCT):
             self.acc.counters.mode_switches += 1
         d_norm, d_scales = RangeNormalizer.normalize_columns(delta.T)
         y_norm, y_scales = RangeNormalizer.normalize_columns(y_prev.T)
-        grads = pe.outer_product_batch(d_norm.T, y_norm.T)  # (B, d, y)
+        grad = pe.outer_product_batch(d_norm.T, y_norm.T, d_scales * y_scales)
         batch, d = delta.shape
         self.acc.counters.bank_writes += batch
         self.acc.counters.cells_written += batch * d * y_prev.shape[1]
         self.acc.counters.symbols += batch * d
-        return np.einsum("bij,b->ij", grads, d_scales * y_scales)
+        return grad
 
     def backward_batch(self, grad_logits: np.ndarray) -> list[np.ndarray]:
         """Batched photonic backward pass for the last recorded batch.

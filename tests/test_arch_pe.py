@@ -98,16 +98,19 @@ class TestGradientVector:
 
 class TestOuterProduct:
     def test_matches_numpy_outer(self, pe, rng):
-        d = rng.uniform(-1, 1, 10)
-        y = rng.uniform(-1, 1, 12)
-        got = pe.outer_product_batch(d[None], y[None])[0]
+        d = rng.uniform(-1, 1, (3, 10))
+        y = rng.uniform(-1, 1, (3, 12))
+        scales = rng.uniform(0.5, 2.0, 3)
+        got = pe.outer_product_batch(d, y, scales)
         assert got.shape == (10, 12)
-        assert np.max(np.abs(got - np.outer(d, y))) < 0.05
+        expected = np.einsum("b,bi,bj->ij", scales, d, y)
+        assert np.max(np.abs(got - expected)) < 0.05
 
     def test_full_bank(self, pe, rng):
         d = rng.uniform(-1, 1, 16)
         y = rng.uniform(-1, 1, 16)
-        got = pe.outer_product_batch(d[None], y[None])[0]
+        got = pe.outer_product_batch(d[None], y[None])
+        assert got.shape == (16, 16)
         assert np.max(np.abs(got - np.outer(d, y))) < 0.05
 
     def test_rejects_oversize(self, pe, rng):
@@ -181,14 +184,17 @@ class TestBatchedModes:
         B, d, y = 3, 6, 4
         deltas = rng.uniform(-1, 1, (B, d))
         ys = rng.uniform(-1, 1, (B, y))
+        scales = rng.uniform(0.5, 2.0, B)
         pe_b = ProcessingElement()
-        got = pe_b.outer_product_batch(deltas, ys)
-        assert got.shape == (B, d, y)
+        got = pe_b.outer_product_batch(deltas, ys, scales)
+        assert got.shape == (d, y)
+        expected = np.zeros((d, y))
         for b in range(B):
             single = ProcessingElement().outer_product_batch(deltas[b : b + 1], ys[b : b + 1])
-            assert np.allclose(got[b], single[0], atol=1e-12)
             # The emulation against a real bank program + stream.
-            assert np.allclose(got[b], physical_outer_product(deltas[b], ys[b]), atol=1e-12)
+            assert np.allclose(single, physical_outer_product(deltas[b], ys[b]), atol=1e-12)
+            expected += scales[b] * single
+        assert np.allclose(got, expected, atol=1e-12)
 
     def test_outer_product_batch_charges_per_sample_costs(self, rng):
         B, d, y = 5, 6, 4

@@ -269,6 +269,42 @@ class TestRepairLadder:
         restored.load_state_dict(state)
         assert restored.log.sdc_escalations == 0
 
+    def test_unconverged_limit_is_validated(self):
+        for bad in (-0.1, 1.0, float("nan")):
+            with pytest.raises(ConfigError, match="max_unconverged_fraction"):
+                RepairConfig(max_unconverged_fraction=bad)
+        RepairConfig(max_unconverged_fraction=0.0)  # fine
+
+    def test_unconverged_limit_retries_a_tile_inside_the_error_budget(self):
+        from repro.serving.workload import serving_chip
+
+        dims = (12, 16, 4)
+
+        def deploy(config):
+            # Seed 377's deploy leaves 2 of the last layer's 64 cells
+            # unconverged, both within the default error budget.
+            acc = serving_chip(dims, 377)
+            rng = np.random.default_rng(378)
+            weights = [
+                rng.normal(0.0, 0.4, (dims[i + 1], dims[i]))
+                for i in range(len(dims) - 1)
+            ]
+            log = FaultManager(acc, config=config).deploy(weights)
+            worst = max(
+                acc.pes[tile[4]].bank.unconverged_fraction
+                for layer in acc.layers
+                for tile in layer.tiles
+            )
+            return log, worst
+
+        log, worst = deploy(RepairConfig(policy="retry"))
+        assert log.retries == 0 and worst > 0.02
+        log, worst = deploy(
+            RepairConfig(policy="retry", max_unconverged_fraction=0.02)
+        )
+        assert log.retries >= 1 and log.tiles_unrepaired == 0
+        assert worst <= 0.02
+
     def test_retry_cannot_fix_stuck_cells(self, rng):
         acc = _verified_acc(seed=3)
         acc.inject_stuck_faults(0.1, stuck_level=254)

@@ -9,8 +9,11 @@ ledger in ``tests/golden/``.  ``serving.json`` pins ``serve-burst``,
   counts by reason, scheduled retries and the sha256 of the decision log;
 - the full serving digest (decision log, every output's bits and the
   chips' event counters), checked only where the recorded machine
-  fingerprint (Python, NumPy, platform) matches, because output bits pass
-  through BLAS kernels that may round differently elsewhere.
+  fingerprint matches, because output bits pass through BLAS kernels that
+  may round differently elsewhere.  The fingerprint holds what decides
+  output bits: the Python and NumPy versions, the machine architecture,
+  the CPU model and the BLAS build; the operating-system kernel release
+  is left out.
 
 ``chip.json`` pins the two chip workloads, ``infer-tiled`` (4 batched
 forwards) and ``train-insitu`` (20 training steps):
@@ -21,10 +24,14 @@ forwards) and ``train-insitu`` (20 training steps):
   loss), ``cells_written``, ``activation_events`` and the modeled energy
   and time the ops charged — all of them follow the noisy arithmetic.
 
+``paper.json`` pins one ``paper-repro`` collect: the comparison count
+everywhere; the digest of the results text and ``paper_max_rel_err`` on
+the recorded fingerprint only.
+
 Each workload is built and run twice in one process, so state leaking
 from one build into the next fails the test too.
 
-Regenerate both ledgers (and print what moved) after an intended change:
+Regenerate the three ledgers (and print what moved) after an intended change:
 
     PYTHONPATH=src python tests/test_golden_serving.py
 """
@@ -45,6 +52,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden" / "serving.json"
 CHIP_GOLDEN = GOLDEN.with_name("chip.json")
+PAPER_GOLDEN = GOLDEN.with_name("paper.json")
 WORKLOADS = ("serve-burst", "shard-pipeline", "fleet-diurnal")
 #: Chip workload -> ops replayed (the smoke size's check window).
 CHIP_OPS = {"infer-tiled": 4, "train-insitu": 20}
@@ -61,12 +69,27 @@ def _load_workloads():
     return module
 
 
+def _cpu_model() -> str:
+    """The CPU model name (BLAS picks its kernels by CPU)."""
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
 def fingerprint() -> dict:
     """What the full (output-bit) digest is allowed to depend on."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu": _cpu_model(),
+        "blas": f"{blas.get('name')} {blas.get('version')}",
     }
 
 
@@ -124,6 +147,20 @@ def record_chip(bench, name: str) -> dict:
     }
 
 
+def record_paper(bench, name: str) -> dict:
+    """Run one ``paper-repro`` collect."""
+    workload = bench.WORKLOADS[name]()
+    raw = workload.op(workload.build(SEED), 0)
+    result = workload.inspect(None, 0, raw)
+    return {
+        "portable": {"comparisons": len(raw.results)},
+        "machine": {
+            "results_digest": _hex(hashlib.sha256(result.digest).digest()),
+            "paper_max_rel_err": repr(result.sim["paper_max_rel_err"]),
+        },
+    }
+
+
 def ledger(bench, recorder, names) -> dict:
     return {
         "fingerprint": fingerprint(),
@@ -139,6 +176,11 @@ def golden():
 @pytest.fixture(scope="module")
 def chip_golden():
     return json.loads(CHIP_GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def paper_golden():
+    return json.loads(PAPER_GOLDEN.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +210,23 @@ def test_chip_ledger_replays(chip_golden, bench, name):
             assert got["machine"] == expected["machine"]
 
 
+def test_paper_ledger_replays(paper_golden, bench):
+    expected = paper_golden["workloads"]["paper-repro"]
+    same_machine = paper_golden["fingerprint"] == fingerprint()
+    for _ in range(2):
+        got = record_paper(bench, "paper-repro")
+        assert got["portable"] == expected["portable"]
+        if same_machine:
+            assert got["machine"] == expected["machine"]
+
+
+def test_fingerprint_ignores_kernel_release(monkeypatch):
+    before = fingerprint()
+    monkeypatch.setattr(platform, "platform", lambda *a, **k: "Linux-0.0-other-x86_64")
+    monkeypatch.setattr(platform, "release", lambda: "0.0-other")
+    assert fingerprint() == before
+
+
 def regenerate(path: Path, new: dict) -> None:
     """Write one ledger and print its diff against the previous one."""
     old = json.loads(path.read_text()) if path.exists() else {}
@@ -183,6 +242,7 @@ def main() -> int:
     bench = _load_workloads()
     regenerate(GOLDEN, ledger(bench, record, WORKLOADS))
     regenerate(CHIP_GOLDEN, ledger(bench, record_chip, CHIP_OPS))
+    regenerate(PAPER_GOLDEN, ledger(bench, record_paper, ("paper-repro",)))
     return 0
 
 

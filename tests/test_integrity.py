@@ -7,6 +7,7 @@ import pytest
 from repro.arch import TridentAccelerator, TridentConfig
 from repro.chaos import ChaosPlan, Injection
 from repro.chaos.session import session as chaos_scope
+from repro.devices.noise import NoiseModel
 from repro.devices.program_verify import ProgramVerifyConfig
 from repro.errors import IntegrityError, IntegrityFault
 from repro.integrity import (
@@ -131,6 +132,31 @@ class TestCleanAttestation:
         assert worker.integrity.counters.checks == 3
         assert worker.integrity.counters.tripped == 0
         assert worker.integrity.counters.conserved()
+
+    def test_noisy_tiled_chips_never_trip(self):
+        """Detection noise on every tile and checksum row: calibrated
+        thresholds absorb it, so clean batches never trip."""
+        dims = [64, 48, 10]
+        trips = 0
+        for chip in range(20):
+            acc = TridentAccelerator(
+                config=TridentConfig(n_pes=24, bank_rows=16, bank_cols=16),
+                noise=NoiseModel.realistic(seed=chip),
+                seed=chip,
+            )
+            acc.map_mlp(dims)
+            rng = np.random.default_rng(chip + 1)
+            acc.set_weights(
+                [rng.normal(0.0, 0.3, (dims[i + 1], dims[i])) for i in range(2)]
+            )
+            unit = ChecksumUnit(acc, seed=chip)
+            unit.calibrate()
+            for _ in range(25):
+                outputs = acc.forward_batch(
+                    rng.uniform(-1.0, 1.0, (16, dims[0])), record=True
+                )
+                trips += len(unit.violations(outputs))
+        assert trips == 0
 
     def test_attestation_never_perturbs_outputs(self):
         checked = build_integrity_worker(0, DIMS, SEED, with_integrity=True)

@@ -406,6 +406,19 @@ class TestAcceleratorWorker:
         out = worker.execute(np.zeros((2, tiny_dims[0])))
         assert out.shape == (2, tiny_dims[-1])
 
+    @pytest.mark.parametrize("seed", [65, 377, 1182])
+    def test_built_worker_passes_its_own_health_gate(self, seed):
+        # At these seeds the first deploy leaves 3-5% of a bank's cells
+        # unconverged, each within the repair ladder's error budget: the
+        # deploy must repair to the gate execute() applies, or the worker
+        # fails every batch and no later repair sweep can restore it.
+        dims = (12, 16, 4)
+        worker = make_worker(dims=dims, seed=seed)
+        assert worker.healthy
+        assert worker.managers[0].log.retries >= 1
+        out = worker.execute(np.zeros((2, dims[0])))
+        assert out.shape == (2, dims[-1])
+
 
 # ---------------------------------------------------------------------------
 def priced_s(worker, batch):
