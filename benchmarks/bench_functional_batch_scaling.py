@@ -5,16 +5,17 @@ MLP tiled over 16x16 banks, one ``forward_batch`` of 256 samples must (a)
 reproduce the same samples run as 256 single-sample batches — identical
 outputs on noise-free hardware and identical event counters always — and
 (b) beat them by >= 5x wall-clock.  Timed with ``time.perf_counter`` over
-whole passes rather than the pytest-benchmark fixture because the parity
-comparison needs both sides run once each against the same programmed
-state.
+whole untraced passes rather than the pytest-benchmark fixture because the
+parity comparison needs both sides run once each against the same
+programmed state; each side's event counters are an
+``EventCounters.snapshot()`` / ``diff()`` pair around it.
 """
 
 import time
 
 import numpy as np
 
-from repro.arch import Profiler, TridentAccelerator
+from repro.arch import TridentAccelerator
 
 DIMS = [64, 48, 10]
 BATCH = 256
@@ -38,16 +39,15 @@ def test_batched_forward_parity_and_speedup(record_report):
     )
     xs = np.random.default_rng(1).uniform(-1, 1, (BATCH, DIMS[0]))
 
-    with Profiler(acc) as prof_batch:
-        out_batch = acc.forward_batch(xs)
-    with Profiler(acc) as prof_sample:
-        out_sample = _single_sample_batches(acc, xs)
+    before = acc.counters.snapshot()
+    out_batch = acc.forward_batch(xs)
+    middle = acc.counters.snapshot()
+    out_sample = _single_sample_batches(acc, xs)
+    counters_batch = middle.diff(before)
+    counters_sample = acc.counters.diff(middle)
 
     np.testing.assert_allclose(out_batch, out_sample, rtol=0, atol=1e-12)
-    assert (
-        prof_batch.report.counters.as_dict()
-        == prof_sample.report.counters.as_dict()
-    )
+    assert counters_batch == counters_sample
 
     # Re-time over fresh passes so first-call warmup does not flatter
     # either side; take the best of a few repeats each.
@@ -59,10 +59,12 @@ def test_batched_forward_parity_and_speedup(record_report):
 
     record_report(
         "functional_batch_scaling",
-        "\n\n".join(
+        "\n".join(
             [
-                prof_batch.report.render(f"forward_batch (B={BATCH})"),
-                prof_sample.report.render(f"forward_batch (B=1) x{BATCH}"),
+                f"forward_batch (B={BATCH}): {wall_batch * 1e3:.3f} ms, "
+                f"counters {counters_batch.as_dict()}",
+                f"forward_batch (B=1) x{BATCH}: {wall_sample * 1e3:.3f} ms, "
+                f"counters {counters_sample.as_dict()}",
                 f"speedup (best-of-3): {speedup:.1f}x",
             ]
         ),

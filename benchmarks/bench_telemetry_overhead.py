@@ -12,7 +12,10 @@ one pass actually executes, and requires
 
 The enabled-session cost is measured too and recorded in the report as
 an informational line — enabling tracing is allowed to cost something;
-*shipping it disabled* is what must stay free.
+*shipping it disabled* is what must stay free.  Both sides of that ratio
+are timed the same way, as the best of five loops of ``LOOP_PASSES``
+passes, the untraced and traced loops alternating so that a change in
+machine load hits both: a single ~0.5 ms pass is too noisy to compare.
 """
 
 import time
@@ -26,6 +29,7 @@ DIMS = [64, 48, 10]
 BATCH = 256
 MAX_DISABLED_OVERHEAD = 0.02
 MICRO_ITERS = 100_000
+LOOP_PASSES = 200
 
 
 def _mapped_accelerator(seed: int = 0) -> TridentAccelerator:
@@ -52,6 +56,22 @@ def _per_call(fn, iters: int = MICRO_ITERS) -> float:
     return min(_time_once(loop) for _ in range(3)) / iters
 
 
+def _untraced_and_traced_per_pass(fn) -> tuple[float, float]:
+    """Best of five alternating untraced / live-session loops of
+    ``LOOP_PASSES`` calls each, per call."""
+    def loop():
+        for _ in range(LOOP_PASSES):
+            fn()
+
+    untraced, traced = [], []
+    for _ in range(5):
+        untraced.append(_time_once(loop))
+        with telemetry.session():
+            fn()  # warm up the session's instruments
+            traced.append(_time_once(loop))
+    return min(untraced) / LOOP_PASSES, min(traced) / LOOP_PASSES
+
+
 def test_disabled_overhead_under_two_percent(record_report):
     telemetry.disable()
     acc = _mapped_accelerator()
@@ -73,12 +93,11 @@ def test_disabled_overhead_under_two_percent(record_report):
     budget = (1 + n_layers) * span_cost + 2 * counter_cost
     ratio = budget / wall_disabled
 
-    # Informational: the same pass with a live session collecting spans.
-    with telemetry.session():
-        acc.forward_batch(xs)  # warmup registry/tracer
-        wall_enabled = min(
-            _time_once(lambda: acc.forward_batch(xs)) for _ in range(5)
-        )
+    # Informational: the same pass with a live session collecting spans,
+    # against untraced passes timed the same way.
+    loop_disabled, loop_enabled = _untraced_and_traced_per_pass(
+        lambda: acc.forward_batch(xs)
+    )
     assert not telemetry.enabled()
 
     record_report(
@@ -93,9 +112,10 @@ def test_disabled_overhead_under_two_percent(record_report):
                 f"disabled-hook cost per pass: {budget * 1e6:.2f} us "
                 f"({ratio * 100:.3f}% of the pass; bar "
                 f"{MAX_DISABLED_OVERHEAD * 100:.0f}%)",
-                f"same pass with a live session: {wall_enabled * 1e3:.2f} ms "
-                f"({(wall_enabled / wall_disabled - 1) * 100:+.1f}%, "
-                "informational)",
+                f"same pass with a live session: {loop_enabled * 1e3:.3f} ms "
+                f"vs {loop_disabled * 1e3:.3f} ms untraced "
+                f"({(loop_enabled / loop_disabled - 1) * 100:+.1f}%, best of 5 "
+                f"alternating loops of {LOOP_PASSES} passes; informational)",
             ]
         ),
     )

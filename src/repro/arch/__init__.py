@@ -14,7 +14,6 @@ Structure (paper Fig 1):
 - :mod:`repro.arch.power` — Table III power breakdown and 30 W scaling.
 - :mod:`repro.arch.area` — Fig 5 chip-area breakdown.
 - :mod:`repro.arch.cache` — L1/L2 cache energy model.
-- :mod:`repro.arch.profiler` — per-PE/per-layer event + wall-time profiling.
 """
 
 from repro.arch.accelerator import EventCounters, TridentAccelerator
@@ -24,7 +23,6 @@ from repro.arch.config import TridentConfig
 from repro.arch.control import ControlUnit, OperatingMode, RangeNormalizer, table2_mapping
 from repro.arch.pe import ProcessingElement
 from repro.arch.power import PEPowerBreakdown, PowerModel
-from repro.arch.profiler import LayerProfile, PEProfile, ProfileReport, Profiler
 from repro.arch.weight_bank import WeightBank
 
 __all__ = [
@@ -33,15 +31,11 @@ __all__ = [
     "CacheModel",
     "ControlUnit",
     "EventCounters",
-    "LayerProfile",
     "OperatingMode",
     "PEAreaBreakdown",
     "PEPowerBreakdown",
-    "PEProfile",
     "PowerModel",
     "ProcessingElement",
-    "ProfileReport",
-    "Profiler",
     "RangeNormalizer",
     "table2_mapping",
     "TridentAccelerator",

@@ -534,11 +534,9 @@ class TridentAccelerator:
             self.counters.mode_switches += 1
         batch = xs.shape[0]
         value = xs.T  # (features, batch)
-        # Live power streaming: snapshot the hardware-time/energy estimate
-        # so the window this batch executes over can be emitted as a timed
-        # power sample.  One shared gauge (same series the modeled
-        # power-trace replay feeds); skipped entirely when telemetry is
-        # off — the estimate roll-ups are not free.
+        # Live power gauge: snapshot the hardware-time/energy estimate so
+        # the gauge can show this batch's mean power draw; skipped entirely
+        # when telemetry is off — the estimate roll-ups are not free.
         power_gauge = _metric_gauge(
             "repro_power_draw_w", "Chip power draw over hardware time [W]"
         )
@@ -611,7 +609,7 @@ class TridentAccelerator:
                 mean_power_w = (self.energy_estimate_j() - energy_before) / (
                     time_after - time_before
                 )
-                power_gauge.set_at(mean_power_w, time_after)
+                power_gauge.set(mean_power_w)
         return value.T
 
     # ------------------------------------------------------------------

@@ -327,15 +327,19 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     Maps a random MLP, streams one B-sample batch through
     ``forward_batch`` and then the same samples as B single-sample
-    batches, each under a :class:`~repro.arch.profiler.Profiler`, and
-    prints both reports plus the wall-clock speedup.  Exits non-zero if
-    the two disagree — outputs (noise-free hardware) or event counters —
-    so it doubles as an executable statement of batch invariance.
+    batches, each side in its own telemetry session, and prints one row
+    per layer summed from that side's ``layer`` spans (tiles, symbols,
+    writes, cells, activation events, simulator wall time) plus the
+    wall-clock speedup.  Exits non-zero if the two sides disagree —
+    outputs (noise-free hardware) or event counters — so it doubles as an
+    executable statement of batch invariance.
     """
     import numpy as np
 
-    from repro.arch import Profiler, TridentAccelerator
+    from repro import telemetry
+    from repro.arch import TridentAccelerator
     from repro.errors import ConfigError
+    from repro.eval.formatting import format_table
 
     if args.batch < 1:
         raise ConfigError(f"batch must be positive, got {args.batch}")
@@ -348,23 +352,52 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     xs = rng.uniform(-1, 1, (args.batch, dims[0]))
 
-    with Profiler(acc) as prof_batch:
-        out_batch = acc.forward_batch(xs)
-    with Profiler(acc) as prof_sample:
-        out_sample = np.concatenate([acc.forward_batch(x[None]) for x in xs])
+    def profile(title, run):
+        before = acc.counters.snapshot()
+        with telemetry.session() as t:
+            out = run()
+        counters = acc.counters.diff(before)
+        records = t.tracer.records
+        wall_s = sum(r.duration_s for r in records if r.name == "forward_batch")
+        rows = [
+            [
+                k,
+                len(acc.layers[k].tiles),
+                row["symbols"],
+                row["bank_writes"],
+                row["cells_written"],
+                row["activation_events"],
+                row["duration_s"] * 1e3,
+            ]
+            for k, row in telemetry.span_totals(records, "layer", "layer").items()
+        ]
+        print(
+            f"{title}: {wall_s * 1e3:.3f} ms wall, {counters.symbols} symbols, "
+            f"{counters.bank_writes} bank writes, "
+            f"{counters.activation_events} activation events"
+        )
+        print(
+            format_table(
+                ["layer", "tiles", "symbols", "writes", "cells",
+                 "activations", "wall ms"],
+                rows,
+            )
+        )
+        return out, counters, wall_s
 
-    print(prof_batch.report.render(f"forward_batch (B={args.batch})"))
+    out_batch, counters_batch, wall_b = profile(
+        f"forward_batch (B={args.batch})", lambda: acc.forward_batch(xs)
+    )
     print()
-    print(prof_sample.report.render(f"forward_batch (B=1) x{args.batch}"))
-    wall_b = prof_batch.report.wall_time_s
-    wall_s = prof_sample.report.wall_time_s
+    out_sample, counters_sample, wall_s = profile(
+        f"forward_batch (B=1) x{args.batch}",
+        lambda: np.concatenate([acc.forward_batch(x[None]) for x in xs]),
+    )
     if wall_b > 0:
         print(f"\nbatched speedup: {wall_s / wall_b:.1f}x")
 
     outputs_match = bool(np.allclose(out_batch, out_sample))
-    counters_match = (
-        prof_batch.report.counters.as_dict() == prof_sample.report.counters.as_dict()
-    )
+    counters_match = counters_batch == counters_sample
     print(f"outputs match: {outputs_match}")
     print(f"event counters match: {counters_match}")
     if not (outputs_match and counters_match):

@@ -18,7 +18,7 @@ from repro.dataflow.cost_model import (
     PhotonicCostModel,
     forward_batch_latency_s,
 )
-from repro.dataflow.power_trace import PowerTrace, power_trace, stream_power_trace
+from repro.dataflow.power_trace import PowerTrace, power_trace
 from repro.dataflow.report import LayerCost, ModelCost
 from repro.dataflow.schedule_sim import (
     LayerSimResult,
@@ -44,6 +44,5 @@ __all__ = [
     "PhotonicCostModel",
     "power_trace",
     "PowerTrace",
-    "stream_power_trace",
     "TileSchedule",
 ]

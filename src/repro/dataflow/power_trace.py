@@ -18,12 +18,6 @@ import numpy as np
 from repro.dataflow.cost_model import PhotonicArch
 from repro.dataflow.schedule_sim import LayerSimResult
 from repro.errors import ConfigError
-from repro.telemetry.metrics import NULL_INSTRUMENT
-from repro.telemetry.session import gauge as _metric_gauge
-
-#: The well-known gauge both modeled traces and the live functional path
-#: stream power samples into (timed samples via ``Gauge.set_at``).
-POWER_GAUGE = "repro_power_draw_w"
 
 
 @dataclass(frozen=True)
@@ -84,25 +78,3 @@ def power_trace(
         write_power_pe_w=arch.sizing_power_pe_w,
         stream_power_pe_w=arch.streaming_power_pe_w,
     )
-
-
-def stream_power_trace(
-    trace: PowerTrace, t_offset_s: float = 0.0, gauge_name: str = POWER_GAUGE
-) -> int:
-    """Replay a modeled power trace into the active telemetry session.
-
-    Each sampled instant lands as a timed gauge update
-    (:meth:`~repro.telemetry.metrics.Gauge.set_at`), so a modeled
-    schedule's power draw shows up in the same ``repro_power_draw_w``
-    series the live functional path feeds — watchable as it streams,
-    not reconstructed post-hoc.  Returns the number of samples streamed
-    (0 when telemetry is disabled).
-    """
-    gauge = _metric_gauge(
-        gauge_name, "Chip power draw over hardware time [W]"
-    )
-    if gauge is NULL_INSTRUMENT:
-        return 0
-    for t, p in zip(trace.times_s, trace.power_w):
-        gauge.set_at(float(p), float(t) + t_offset_s)
-    return int(trace.times_s.size)

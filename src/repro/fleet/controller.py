@@ -239,12 +239,10 @@ class FleetController:
         utilization = demand_hz / capacity_hz
 
         self.rollup.record_power(now, n_active * cfg.per_worker_power_w)
-        _metric_gauge("repro_fleet_workers", "Active fleet size").set_at(
-            n_active, now
-        )
+        _metric_gauge("repro_fleet_workers", "Active fleet size").set(n_active)
         _metric_gauge(
             "repro_fleet_power_w", "Modeled fleet power draw"
-        ).set_at(n_active * cfg.per_worker_power_w, now)
+        ).set(n_active * cfg.per_worker_power_w)
 
         self._drive_sdc(server, stats, now)
         self._drive_ladder(stats)

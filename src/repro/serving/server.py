@@ -60,6 +60,7 @@ from repro.telemetry.log import get_logger
 from repro.telemetry.session import (
     counter as _metric_counter,
     emit_event as _emit_event,
+    enabled as _telemetry_enabled,
     gauge as _metric_gauge,
     histogram as _metric_histogram,
     trace_span as _trace_span,
@@ -341,8 +342,15 @@ class TridentServer:
         record.update(fields)
         self._decision_seq += 1
         self.decisions.append(record)
-        payload = {k: v for k, v in record.items() if k != "kind"}
-        _emit_event(f"serve_{kind}", **payload)
+        if _telemetry_enabled():
+            # The event log numbers its own records; the decision number
+            # travels as "decision".
+            payload = {
+                "decision" if k == "seq" else k: v
+                for k, v in record.items()
+                if k != "kind"
+            }
+            _emit_event(f"serve_{kind}", **payload)
 
     def _on_breaker_transition(self, now_s, worker_id, before, to, reason):
         self._roster_changed()
@@ -690,7 +698,7 @@ class TridentServer:
             self.rollup.record_queue_depth(now, len(self.queue))
         _metric_gauge(
             "repro_serve_queue_depth", "Admission-queue depth"
-        ).set_at(len(self.queue), now)
+        ).set(len(self.queue))
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -786,7 +794,7 @@ class TridentServer:
                 self.rollup.record_queue_depth(now, len(self.queue))
             _metric_gauge(
                 "repro_serve_queue_depth", "Admission-queue depth"
-            ).set_at(len(self.queue), now)
+            ).set(len(self.queue))
 
     def _probe_repair(self, worker: AcceleratorWorker) -> None:
         """Half-open maintenance: try to repair before risking a probe."""

@@ -5,18 +5,20 @@ repair budget go — per layer, per tile, per step — without perturbing a
 single numerical result.  Three sinks, one opt-in session:
 
 - **Span tracer** (:mod:`repro.telemetry.tracer`): nestable, thread-safe
-  spans carrying wall time plus hardware-event deltas, exportable to
+  spans carrying wall time plus hardware-event deltas, exported as
   Chrome ``trace_event`` JSON (open in ``chrome://tracing`` or
-  `Perfetto <https://ui.perfetto.dev>`_) and JSONL.
+  `Perfetto <https://ui.perfetto.dev>`_); :func:`span_totals` sums one
+  span name per attribute value (``repro profile``'s per-layer table).
 - **Metrics registry** (:mod:`repro.telemetry.metrics`): counters,
-  gauges, fixed-bucket histograms; Prometheus text and JSON exporters.
-  Spans and metrics also export to OTLP-model dicts
-  (:mod:`repro.telemetry.otlp`, schema-checked, no OpenTelemetry
-  dependency), and :mod:`repro.telemetry.rollup` provides the always-on
-  windowed serving rollups the fleet controller reads.
+  last-value gauges and fixed-bucket histograms, exported as Prometheus
+  text.
 - **Structured event log** (:mod:`repro.telemetry.events`): timestamped
   machine-parseable records for repairs, rollbacks, NaN aborts,
-  checkpoints, and degradation.
+  checkpoints, and degradation, exported as JSONL.
+
+:mod:`repro.telemetry.rollup` is separate by design: the always-on
+windowed serving rollups the fleet controller reads whether or not a
+session is active.
 
 Guarantees:
 
@@ -33,14 +35,15 @@ Guarantees:
   tracing on.
 
 Entry points: ``python -m repro trace`` (run a workload, emit
-``.trace.json`` + metrics dump), ``--metrics-out`` on ``repro train`` /
-``repro faults``, and the :func:`session` context manager for library
-use.  :mod:`repro.telemetry.log` wires the ``repro.*`` ``logging``
+``.trace.json`` + metrics dump + event log), ``repro profile`` (a
+per-layer table read from the ``layer`` spans), ``--metrics-out`` on
+``repro train`` / ``repro faults``, and the :func:`session` context
+manager for library use.  :mod:`repro.telemetry.log` wires the ``repro.*`` ``logging``
 hierarchy (NullHandler default; the CLI's ``-v``/``--debug`` flags
 attach a handler).
 """
 
-from repro.telemetry.events import Event, EventLog, NullEventLog
+from repro.telemetry.events import Event, EventLog
 from repro.telemetry.log import configure_cli_logging, get_logger, reset_cli_logging
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
@@ -48,13 +51,7 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetrics,
     parse_prometheus_text,
-)
-from repro.telemetry.otlp import (
-    metrics_to_otlp,
-    spans_to_otlp,
-    validate_otlp,
 )
 from repro.telemetry.rollup import RollupStats, ServingRollup
 from repro.telemetry.session import (
@@ -72,11 +69,10 @@ from repro.telemetry.session import (
     session,
     trace_span,
 )
-from repro.telemetry.snapshot import HardwareDelta, HardwareSnapshot
 from repro.telemetry.tracer import (
-    NullTracer,
     SpanRecord,
     Tracer,
+    span_totals,
     validate_chrome_trace,
 )
 
@@ -86,13 +82,8 @@ __all__ = [
     "Event",
     "EventLog",
     "Gauge",
-    "HardwareDelta",
-    "HardwareSnapshot",
     "Histogram",
     "MetricsRegistry",
-    "NullEventLog",
-    "NullMetrics",
-    "NullTracer",
     "REPAIR_TIERS",
     "RollupStats",
     "ServingRollup",
@@ -110,12 +101,10 @@ __all__ = [
     "gauge",
     "get_logger",
     "histogram",
-    "metrics_to_otlp",
     "parse_prometheus_text",
     "reset_cli_logging",
     "session",
-    "spans_to_otlp",
+    "span_totals",
     "trace_span",
     "validate_chrome_trace",
-    "validate_otlp",
 ]

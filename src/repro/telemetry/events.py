@@ -17,6 +17,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.errors import ConfigError
+
 
 @dataclass(frozen=True)
 class Event:
@@ -42,15 +44,23 @@ class Event:
 class EventLog:
     """Thread-safe append-only list of :class:`Event` records."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: list[Event] = []
         self._seq = 0
 
-    def emit(self, kind: str, **fields) -> Event:
-        """Record one event; returns the finished record."""
+    def emit(self, kind: str, /, **fields) -> Event:
+        """Record one event; returns the finished record.
+
+        Raises :class:`~repro.errors.ConfigError` on a field named
+        ``seq``, ``kind`` or ``wall_time_s``: :meth:`Event.as_dict` would
+        let it overwrite the record's own key.
+        """
+        for name in ("seq", "kind", "wall_time_s"):
+            if name in fields:
+                raise ConfigError(
+                    f"event {kind!r}: field {name!r} shadows the record's own key"
+                )
         with self._lock:
             self._seq += 1
             event = Event(
@@ -72,29 +82,12 @@ class EventLog:
         """Events matching one kind."""
         return tuple(e for e in self.records if e.kind == kind)
 
-    def to_jsonl_lines(self) -> list[str]:
-        """One compact JSON document per event."""
-        return [json.dumps(e.as_dict(), sort_keys=True) for e in self.records]
-
     def write_jsonl(self, path: str | Path) -> Path:
-        """Write :meth:`to_jsonl_lines` to ``path``; returns the path."""
+        """Write one compact JSON document per event to ``path``."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = "\n".join(self.to_jsonl_lines())
+        text = "\n".join(
+            json.dumps(e.as_dict(), sort_keys=True) for e in self.records
+        )
         path.write_text(text + "\n" if text else "", encoding="utf-8")
         return path
-
-
-class NullEventLog:
-    """Disabled log: ``emit`` does nothing and returns None."""
-
-    enabled = False
-
-    def emit(self, kind: str, **fields) -> None:
-        """Discard the event."""
-        return None
-
-    @property
-    def records(self) -> tuple:
-        """Always empty."""
-        return ()

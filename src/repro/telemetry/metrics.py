@@ -3,10 +3,10 @@
 A :class:`MetricsRegistry` hands out instruments keyed by ``(name,
 labels)`` — asking twice returns the same instrument — and renders the
 whole population as Prometheus text exposition format
-(:meth:`~MetricsRegistry.to_prometheus`) or JSON
-(:meth:`~MetricsRegistry.to_json`).  Instruments are deliberately simple:
-no timestamps, no background threads, no randomness — updating a metric
-can never perturb a seeded simulation.
+(:meth:`~MetricsRegistry.to_prometheus`).  Instruments are deliberately
+simple: a gauge holds one value, nothing is timestamped, no background
+threads, no randomness — updating a metric can never perturb a seeded
+simulation.
 
 Histograms use *fixed* bucket bounds chosen at creation (cumulative
 ``le`` semantics, ``+Inf`` implicit), so two runs observing the same
@@ -25,7 +25,6 @@ parses every dump it emits, so a formatting regression fails loudly.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import threading
@@ -98,29 +97,17 @@ class Counter:
             self.value += amount
 
 
-#: Timed gauge samples kept per instrument (oldest dropped beyond this).
-GAUGE_SAMPLE_LIMIT = 4096
-
-
 class Gauge:
-    """Last-write-wins value, optionally carrying timed samples.
-
-    :meth:`set_at` records ``(t_s, value)`` pairs alongside the live
-    value (bounded at :data:`GAUGE_SAMPLE_LIMIT`, oldest dropped), which
-    is how live power-trace streaming lands in the metrics registry: the
-    Prometheus export shows the latest value, the JSON export carries
-    the whole sampled series.
-    """
+    """Last-write-wins value (the Prometheus dump shows the latest one)."""
 
     kind = "gauge"
-    __slots__ = ("name", "labels", "help", "value", "_samples", "_lock")
+    __slots__ = ("name", "labels", "help", "value", "_lock")
 
     def __init__(self, name: str, labels: tuple, help: str) -> None:
         self.name = name
         self.labels = labels
         self.help = help
         self.value = 0.0
-        self._samples: list[tuple[float, float]] = []
         self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
@@ -133,20 +120,6 @@ class Gauge:
         """Adjust the gauge by ``amount`` (may be negative)."""
         with self._lock:
             self.value += amount
-
-    def set_at(self, value: float, t_s: float) -> None:
-        """Set the value and record a ``(t_s, value)`` timed sample."""
-        value, t_s = float(value), float(t_s)
-        with self._lock:
-            self.value = value
-            self._samples.append((t_s, value))
-            if len(self._samples) > GAUGE_SAMPLE_LIMIT:
-                del self._samples[: len(self._samples) - GAUGE_SAMPLE_LIMIT]
-
-    def samples(self) -> tuple[tuple[float, float], ...]:
-        """Timed ``(t_s, value)`` samples recorded via :meth:`set_at`."""
-        with self._lock:
-            return tuple(self._samples)
 
 
 class Histogram:
@@ -211,9 +184,6 @@ class _NullInstrument:
     def set(self, value: float) -> None:
         pass
 
-    def set_at(self, value: float, t_s: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
@@ -223,8 +193,6 @@ NULL_INSTRUMENT = _NullInstrument()
 
 class MetricsRegistry:
     """Thread-safe get-or-create registry of instruments."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -301,64 +269,12 @@ class MetricsRegistry:
                     lines.append(f"{name}{labels} {_format_value(inst.value)}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> dict:
-        """JSON-shaped dump: one record per instrument."""
-        out = []
-        for inst in self.instruments():
-            record = {
-                "name": inst.name,
-                "kind": inst.kind,
-                "labels": dict(inst.labels),
-                "help": inst.help,
-            }
-            if isinstance(inst, Histogram):
-                bucket_counts, total_sum, total_count = inst.snapshot()
-                record["buckets"] = list(inst.bounds)
-                record["bucket_counts"] = bucket_counts
-                record["sum"] = total_sum
-                record["count"] = total_count
-            else:
-                record["value"] = inst.value
-                if isinstance(inst, Gauge):
-                    samples = inst.samples()
-                    if samples:
-                        record["samples"] = [[t, v] for t, v in samples]
-            out.append(record)
-        return {"metrics": out}
-
     def write_prometheus(self, path: str | Path) -> Path:
         """Write :meth:`to_prometheus` to ``path``; returns the path."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.to_prometheus(), encoding="utf-8")
         return path
-
-    def write_json(self, path: str | Path) -> Path:
-        """Write :meth:`to_json` to ``path``; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_json(), indent=2), encoding="utf-8")
-        return path
-
-
-class NullMetrics:
-    """Disabled registry: every instrument is the shared no-op."""
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "", **labels) -> _NullInstrument:
-        """Return the shared no-op instrument."""
-        return NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", **labels) -> _NullInstrument:
-        """Return the shared no-op instrument."""
-        return NULL_INSTRUMENT
-
-    def histogram(
-        self, name: str, help: str = "", buckets=DEFAULT_BUCKETS, **labels
-    ) -> _NullInstrument:
-        """Return the shared no-op instrument."""
-        return NULL_INSTRUMENT
 
 
 _SAMPLE_RE = re.compile(

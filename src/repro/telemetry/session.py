@@ -30,14 +30,9 @@ from __future__ import annotations
 import contextlib
 import threading
 
-from repro.telemetry.events import EventLog, NullEventLog
-from repro.telemetry.metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    NullMetrics,
-    NULL_INSTRUMENT,
-)
-from repro.telemetry.tracer import NullTracer, Tracer, NULL_SPAN
+from repro.telemetry.events import EventLog
+from repro.telemetry.metrics import DEFAULT_BUCKETS, NULL_INSTRUMENT, MetricsRegistry
+from repro.telemetry.tracer import NULL_SPAN, Tracer
 
 #: Counters every session exposes from step zero, so dumps are complete
 #: even before (or without) the corresponding activity.
@@ -142,11 +137,6 @@ class TelemetrySession:
                 self.metrics.counter(name, help_text)
 
 
-#: Inert placeholders handed out while telemetry is disabled.
-NULL_TRACER = NullTracer()
-NULL_METRICS = NullMetrics()
-NULL_EVENTS = NullEventLog()
-
 _lock = threading.Lock()
 _active: TelemetrySession | None = None
 
@@ -194,12 +184,12 @@ def session():
 # Hot-path accessors.  Instrumentation sites call these; when telemetry is
 # disabled each is one global read returning a shared no-op object.
 # ---------------------------------------------------------------------------
-def trace_span(name: str, accelerator=None, detail: bool = False, **attrs):
+def trace_span(name: str, accelerator=None, **attrs):
     """Span on the active tracer, or the shared no-op context."""
     s = _active
     if s is None:
         return NULL_SPAN
-    return s.tracer.span(name, accelerator=accelerator, detail=detail, **attrs)
+    return s.tracer.span(name, accelerator=accelerator, **attrs)
 
 
 def counter(name: str, help: str = "", **labels):
@@ -226,7 +216,7 @@ def histogram(name: str, help: str = "", buckets=DEFAULT_BUCKETS, **labels):
     return s.metrics.histogram(name, help, buckets=buckets, **labels)
 
 
-def emit_event(kind: str, **fields):
+def emit_event(kind: str, /, **fields):
     """Event on the active log; silently dropped when disabled."""
     s = _active
     if s is None:

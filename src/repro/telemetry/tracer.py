@@ -14,13 +14,13 @@ perturb any seeded RNG stream, and nothing a tracer produces is ever
 written into checkpointed state.  Timestamps are ``time.perf_counter``
 offsets from the tracer's construction (a *relative* timeline).
 
-Exports:
+Readers:
 
 - :meth:`Tracer.to_chrome_trace` — the Chrome ``trace_event`` JSON object
   format (complete ``"ph": "X"`` events), loadable in ``chrome://tracing``
   and `Perfetto <https://ui.perfetto.dev>`_.
-- :meth:`Tracer.to_jsonl_lines` — one JSON record per span, for ad-hoc
-  machine parsing.
+- :func:`span_totals` — summed durations and event deltas of one span
+  name, grouped by one attribute (``repro profile``'s per-layer table).
 - :func:`validate_chrome_trace` — the structural schema check the CI
   smoke gate (``repro trace --smoke``) runs on emitted artifacts.
 """
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigError
-from repro.telemetry.snapshot import HardwareDelta, HardwareSnapshot
 
 
 @dataclass(frozen=True)
@@ -55,43 +54,22 @@ class SpanRecord:
     #: inside the span; None when no accelerator was attached.
     counters: dict | None = None
 
-    def as_dict(self) -> dict:
-        """Plain-dict view (stable key order) for JSONL export."""
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "thread": self.thread,
-            "attrs": dict(self.attrs),
-            "counters": None if self.counters is None else dict(self.counters),
-        }
-
 
 class _SpanContext:
-    """Context manager for one live span (returned by :meth:`Tracer.span`).
-
-    After exit, :attr:`record` holds the finished :class:`SpanRecord` and
-    :attr:`hardware` the full :class:`~repro.telemetry.snapshot.
-    HardwareDelta` when the span was opened with ``detail=True``.
-    """
+    """Context manager for one live span (returned by :meth:`Tracer.span`);
+    exit appends the finished :class:`SpanRecord` to the tracer."""
 
     __slots__ = (
-        "_tracer", "_name", "_attrs", "_acc", "_detail",
-        "_snap", "_t0", "_span_id", "_parent_id",
-        "record", "hardware",
+        "_tracer", "_name", "_attrs", "_acc",
+        "_before", "_t0", "_span_id", "_parent_id",
     )
 
-    def __init__(self, tracer: "Tracer", name: str, acc, detail: bool, attrs: dict):
+    def __init__(self, tracer: "Tracer", name: str, acc, attrs: dict):
         self._tracer = tracer
         self._name = name
         self._attrs = attrs
         self._acc = acc
-        self._detail = detail
-        self._snap: HardwareSnapshot | None = None
-        self.record: SpanRecord | None = None
-        self.hardware: HardwareDelta | None = None
+        self._before = None
 
     def __enter__(self) -> "_SpanContext":
         tracer = self._tracer
@@ -100,7 +78,7 @@ class _SpanContext:
         self._parent_id = stack[-1] if stack else None
         stack.append(self._span_id)
         if self._acc is not None:
-            self._snap = HardwareSnapshot.capture(self._acc, detail=self._detail)
+            self._before = self._acc.counters.snapshot()
         self._t0 = time.perf_counter()
         return self
 
@@ -111,25 +89,23 @@ class _SpanContext:
         if stack and stack[-1] == self._span_id:
             stack.pop()
         counters = None
-        if self._snap is not None:
-            delta = self._snap.delta(self._acc)
-            counters = delta.counters.as_dict()
-            if self._detail:
-                self.hardware = delta
+        if self._before is not None:
+            counters = self._acc.counters.diff(self._before).as_dict()
         attrs = dict(self._attrs)
         if exc_type is not None:
             attrs["error"] = exc_type.__name__
-        self.record = SpanRecord(
-            span_id=self._span_id,
-            parent_id=self._parent_id,
-            name=self._name,
-            start_s=self._t0 - tracer._epoch,
-            duration_s=duration,
-            thread=tracer._thread_index(),
-            attrs=attrs,
-            counters=counters,
+        tracer._append(
+            SpanRecord(
+                span_id=self._span_id,
+                parent_id=self._parent_id,
+                name=self._name,
+                start_s=self._t0 - tracer._epoch,
+                duration_s=duration,
+                thread=tracer._thread_index(),
+                attrs=attrs,
+                counters=counters,
+            )
         )
-        tracer._append(self.record)
         return False
 
 
@@ -137,8 +113,6 @@ class _NullSpanContext:
     """Shared do-nothing span; the disabled-telemetry fast path."""
 
     __slots__ = ()
-    record = None
-    hardware = None
 
     def __enter__(self) -> "_NullSpanContext":
         return self
@@ -153,9 +127,7 @@ NULL_SPAN = _NullSpanContext()
 
 
 class Tracer:
-    """Collects spans; thread-safe; exports Chrome trace / JSONL."""
-
-    enabled = True
+    """Collects spans; thread-safe; exports a Chrome trace."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -189,30 +161,22 @@ class Tracer:
             self._records.append(record)
 
     # -- public API ----------------------------------------------------
-    def span(self, name: str, accelerator=None, detail: bool = False, **attrs):
+    def span(self, name: str, accelerator=None, **attrs):
         """Open a span.  Use as ``with tracer.span("name", key=val): ...``.
 
         With ``accelerator`` the span snapshots its
         :class:`~repro.arch.accelerator.EventCounters` on entry and
-        attaches the delta on exit; ``detail=True`` additionally captures
-        per-PE :class:`~repro.arch.weight_bank.BankStats` deltas (exposed
-        as the context's ``hardware`` attribute — the
-        :class:`~repro.arch.profiler.Profiler` path).
+        attaches the delta on exit.
         """
         if not name:
             raise ConfigError("span name must be non-empty")
-        return _SpanContext(self, name, accelerator, detail, attrs)
+        return _SpanContext(self, name, accelerator, attrs)
 
     @property
     def records(self) -> tuple[SpanRecord, ...]:
         """Finished spans, in completion order."""
         with self._lock:
             return tuple(self._records)
-
-    def clear(self) -> None:
-        """Drop all finished spans (the epoch is kept)."""
-        with self._lock:
-            self._records = []
 
     # -- analysis ------------------------------------------------------
     def coverage(self) -> float:
@@ -280,35 +244,24 @@ class Tracer:
         path.write_text(json.dumps(self.to_chrome_trace()), encoding="utf-8")
         return path
 
-    def to_jsonl_lines(self) -> list[str]:
-        """One compact JSON document per finished span."""
-        return [json.dumps(r.as_dict(), sort_keys=True) for r in self.records]
 
-    def write_jsonl(self, path: str | Path) -> Path:
-        """Write :meth:`to_jsonl_lines` to ``path``; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(self.to_jsonl_lines()) + "\n", encoding="utf-8")
-        return path
+def span_totals(records, name: str, by: str) -> dict:
+    """Sum the spans called ``name``, grouped by their ``by`` attribute.
 
-
-class NullTracer:
-    """Disabled tracer: every ``span()`` is the shared no-op context."""
-
-    enabled = False
-
-    def span(self, name: str, accelerator=None, detail: bool = False, **attrs):
-        """Return the shared no-op span context."""
-        return NULL_SPAN
-
-    @property
-    def records(self) -> tuple:
-        """Always empty."""
-        return ()
-
-    def coverage(self) -> float:
-        """Vacuously 1.0 (no spans to leave gaps)."""
-        return 1.0
+    Returns ``{attribute value: {"spans": n, "duration_s": total, <event>:
+    summed delta, ...}}`` in first-seen order; event keys appear only for
+    spans opened with an accelerator.
+    """
+    totals: dict = {}
+    for r in records:
+        if r.name != name:
+            continue
+        row = totals.setdefault(r.attrs.get(by), {"spans": 0, "duration_s": 0.0})
+        row["spans"] += 1
+        row["duration_s"] += r.duration_s
+        for key, value in (r.counters or {}).items():
+            row[key] = row.get(key, 0) + value
+    return totals
 
 
 def validate_chrome_trace(doc) -> list[str]:

@@ -181,9 +181,9 @@ class InSituTrainer:
             raise ShapeError("cannot train on an empty batch")
         layers = self.acc.layers
         batch = x_batch.shape[0]
-        # Live power streaming: the step's write + streaming window lands
-        # as one timed sample on the shared power gauge (see
-        # forward_batch); skipped when telemetry is off.
+        # Live power gauge: the step's mean power over its write +
+        # streaming window (see forward_batch); skipped when telemetry is
+        # off.
         power_gauge = _metric_gauge(
             "repro_power_draw_w", "Chip power draw over hardware time [W]"
         )
@@ -214,7 +214,7 @@ class InSituTrainer:
                 mean_power_w = (
                     self.acc.energy_estimate_j() - energy_before
                 ) / (time_after - time_before)
-                power_gauge.set_at(mean_power_w, time_after)
+                power_gauge.set(mean_power_w)
         return loss
 
     # ------------------------------------------------------------------

@@ -207,6 +207,19 @@ class TestServeCommand:
         assert (tmp_path / "serve.metrics.prom").exists()
         assert (tmp_path / "serve.events.jsonl").exists()
 
+    def test_smoke_event_log_is_sequenced(self, run, tmp_path):
+        """Decision numbers travel as a field; the log's own ``seq`` is
+        unique and strictly increasing."""
+        import json
+
+        run("serve", "--smoke", "--out", str(tmp_path / "serve.trace.json"))
+        lines = (tmp_path / "serve.events.jsonl").read_text().splitlines()
+        events = [json.loads(line) for line in lines]
+        seqs = [event["seq"] for event in events]
+        assert seqs == list(range(1, len(events) + 1))
+        decisions = [e["decision"] for e in events if e["kind"] == "serve_admit"]
+        assert decisions and decisions == sorted(set(decisions))
+
     def test_no_active_session_leaks_after_serve(self, run, tmp_path):
         from repro import telemetry
 

@@ -1,4 +1,5 @@
-"""Golden ledgers: pinned seeded replays of five benchmark workloads.
+"""Golden ledgers: pinned seeded replays of five benchmark workloads and
+the observability gate.
 
 Drives smoke-size workloads of the repo benchmark (``benchmarks/suite/
 workloads.py``, loaded read-only) at seed 0 and compares each run with a
@@ -28,22 +29,34 @@ forwards) and ``train-insitu`` (20 training steps):
 everywhere; the digest of the results text and ``paper_max_rel_err`` on
 the recorded fingerprint only.
 
+``trace.json`` pins the observability gate, ``repro trace --smoke``, run
+in-process and read back from its three artifacts:
+
+- portable fields: the sorted metric sample keys, every integer-valued
+  sample, the event kinds in order and, per span name, the span count
+  and the summed hardware-event deltas;
+- on the recorded fingerprint only: the non-integer samples (modeled
+  energy and time, the power gauge, the loss sum).
+
 Each workload is built and run twice in one process, so state leaking
 from one build into the next fails the test too.
 
-Regenerate the three ledgers (and print what moved) after an intended change:
+Regenerate the four ledgers (and print what moved) after an intended change:
 
     PYTHONPATH=src python tests/test_golden_serving.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import difflib
 import hashlib
 import importlib.util
+import io
 import json
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +66,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden" / "serving.json"
 CHIP_GOLDEN = GOLDEN.with_name("chip.json")
 PAPER_GOLDEN = GOLDEN.with_name("paper.json")
+TRACE_GOLDEN = GOLDEN.with_name("trace.json")
 WORKLOADS = ("serve-burst", "shard-pipeline", "fleet-diurnal")
 #: Chip workload -> ops replayed (the smoke size's check window).
 CHIP_OPS = {"infer-tiled": 4, "train-insitu": 20}
@@ -161,6 +175,48 @@ def record_paper(bench, name: str) -> dict:
     }
 
 
+def record_trace(_bench, name: str) -> dict:
+    """Run ``repro trace --smoke`` at :data:`SEED` and read its artifacts."""
+    from repro.cli import build_parser
+    from repro.telemetry import parse_prometheus_text
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run.trace.json"
+        args = build_parser().parse_args(
+            ["trace", "--smoke", "--seed", str(SEED), "--out", str(out)]
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert args.func(args) == 0, f"{name} gate failed"
+        events = json.loads(out.read_text())["traceEvents"]
+        samples = parse_prometheus_text(
+            out.with_name("run.metrics.prom").read_text()
+        )
+        kinds = [
+            json.loads(line)["kind"]
+            for line in out.with_name("run.events.jsonl").read_text().splitlines()
+        ]
+    spans: dict = {}
+    for event in events:
+        row = spans.setdefault(event["name"], {"spans": 0})
+        row["spans"] += 1
+        for key, value in event["args"].get("counters", {}).items():
+            row[key] = row.get(key, 0) + value
+    integral = {k: int(v) for k, v in samples.items() if float(v).is_integer()}
+    return {
+        "portable": {
+            "sample_keys": sorted(samples),
+            "integer_samples": integral,
+            "event_kinds": kinds,
+            "spans": spans,
+        },
+        "machine": {
+            "other_samples": {
+                k: repr(v) for k, v in samples.items() if k not in integral
+            },
+        },
+    }
+
+
 def ledger(bench, recorder, names) -> dict:
     return {
         "fingerprint": fingerprint(),
@@ -181,6 +237,11 @@ def chip_golden():
 @pytest.fixture(scope="module")
 def paper_golden():
     return json.loads(PAPER_GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def trace_golden():
+    return json.loads(TRACE_GOLDEN.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +281,16 @@ def test_paper_ledger_replays(paper_golden, bench):
             assert got["machine"] == expected["machine"]
 
 
+def test_trace_ledger_replays(trace_golden):
+    expected = trace_golden["workloads"]["trace-smoke"]
+    same_machine = trace_golden["fingerprint"] == fingerprint()
+    for _ in range(2):
+        got = record_trace(None, "trace-smoke")
+        assert got["portable"] == expected["portable"]
+        if same_machine:
+            assert got["machine"] == expected["machine"]
+
+
 def test_fingerprint_ignores_kernel_release(monkeypatch):
     before = fingerprint()
     monkeypatch.setattr(platform, "platform", lambda *a, **k: "Linux-0.0-other-x86_64")
@@ -243,6 +314,7 @@ def main() -> int:
     regenerate(GOLDEN, ledger(bench, record, WORKLOADS))
     regenerate(CHIP_GOLDEN, ledger(bench, record_chip, CHIP_OPS))
     regenerate(PAPER_GOLDEN, ledger(bench, record_paper, ("paper-repro",)))
+    regenerate(TRACE_GOLDEN, ledger(bench, record_trace, ("trace-smoke",)))
     return 0
 
 

@@ -1,9 +1,15 @@
-"""Tests for the per-PE / per-layer profiling context."""
+"""Tests for per-layer profiling read from the tracer's ``layer`` spans.
+
+``forward_batch`` opens one accelerator-attached ``layer`` span per mapped
+layer; :func:`repro.telemetry.span_totals` sums them per layer and
+``repro profile`` prints the result.
+"""
 
 import pytest
 
-from repro.arch import Profiler, TridentAccelerator
-from repro.errors import ConfigError
+from repro import telemetry
+from repro.arch import TridentAccelerator
+from repro.cli import main
 
 
 @pytest.fixture
@@ -14,33 +20,30 @@ def mapped(rng):
     return acc
 
 
-class TestProfiler:
-    def test_report_unavailable_before_exit(self, mapped):
-        prof = Profiler(mapped)
-        with pytest.raises(ConfigError):
-            prof.report
-        with prof:
-            with pytest.raises(ConfigError):
-                prof.report
+def layer_totals(acc, xs):
+    with telemetry.session() as t:
+        acc.forward_batch(xs)
+    return telemetry.span_totals(t.tracer.records, "layer", "layer")
 
+
+class TestProfiler:
     def test_counts_only_region_events(self, mapped, rng):
-        mapped.forward_batch(rng.uniform(-1, 1, (4, 10)))  # outside region
-        with Profiler(mapped) as prof:
-            mapped.forward_batch(rng.uniform(-1, 1, (8, 10)))
-        assert prof.report.counters.symbols == 8 * 2
-        assert prof.report.counters.bank_writes == 0
-        assert prof.report.wall_time_s > 0
+        mapped.forward_batch(rng.uniform(-1, 1, (4, 10)))  # outside session
+        totals = layer_totals(mapped, rng.uniform(-1, 1, (8, 10)))
+        assert sorted(totals) == [0, 1]
+        assert all(row["spans"] == 1 for row in totals.values())
+        assert sum(row["symbols"] for row in totals.values()) == 8 * 2
+        assert all(row["bank_writes"] == 0 for row in totals.values())
+        assert all(row["duration_s"] > 0 for row in totals.values())
 
     def test_per_pe_and_per_layer_attribution(self, mapped, rng):
-        with Profiler(mapped) as prof:
-            mapped.forward_batch(rng.uniform(-1, 1, (6, 10)))
-        report = prof.report
-        assert len(report.per_pe) == len(mapped.pes)
-        assert len(report.per_layer) == len(mapped.layers)
-        assert all(p.symbols == 6 for p in report.per_pe)
-        assert all(p.symbols == 6 * p.n_tiles for p in report.per_layer)
-        total = sum(p.symbols for p in report.per_pe)
-        assert total == report.counters.symbols
+        """A layer span's symbols are its tile PEs' bank-stat symbols."""
+        before = [pe.bank.stats.symbols for pe in mapped.pes]
+        totals = layer_totals(mapped, rng.uniform(-1, 1, (6, 10)))
+        for layer in mapped.layers:
+            pes = [tile[4] for tile in layer.tiles]
+            bank = sum(mapped.pes[i].bank.stats.symbols - before[i] for i in pes)
+            assert totals[layer.index]["symbols"] == bank == 6 * len(pes)
 
     def test_tiled_layer_aggregates_tiles(self, rng):
         acc = TridentAccelerator()
@@ -48,39 +51,15 @@ class TestProfiler:
         acc.set_weights(
             [rng.uniform(-1, 1, (24, 40)), rng.uniform(-1, 1, (4, 24))]
         )
-        with Profiler(acc) as prof:
-            acc.forward_batch(rng.uniform(-1, 1, (3, 40)))
-        layer0 = prof.report.per_layer[0]
-        assert layer0.n_tiles == 6
-        assert layer0.symbols == 3 * 6
+        assert (acc.config.bank_rows, acc.config.bank_cols) == (16, 16)
+        totals = layer_totals(acc, rng.uniform(-1, 1, (3, 40)))
+        assert len(acc.layers[0].tiles) == 6
+        assert totals[0]["symbols"] == 3 * 6
 
-    def test_exception_skips_report(self, mapped):
-        prof = Profiler(mapped)
-        with pytest.raises(ValueError):
-            with prof:
-                raise ValueError("boom")
-        with pytest.raises(ConfigError):
-            prof.report
-
-    def test_render_contains_tables(self, mapped, rng):
-        with Profiler(mapped) as prof:
-            mapped.forward_batch(rng.uniform(-1, 1, (4, 10)))
-        text = prof.report.render("test region")
-        assert "test region" in text
-        assert "symbols" in text
-        assert "PE" in text
-
-    def test_symbols_per_second(self, mapped, rng):
-        with Profiler(mapped) as prof:
-            mapped.forward_batch(rng.uniform(-1, 1, (4, 10)))
-        assert prof.report.symbols_per_second > 0
-
-    def test_reusable_context(self, mapped, rng):
-        prof = Profiler(mapped)
-        with prof:
-            mapped.forward_batch(rng.uniform(-1, 1, (1, 10)))
-        first = prof.report.counters.symbols
-        with prof:
-            mapped.forward_batch(rng.uniform(-1, 1, (3, 10)))
-        assert first == 2
-        assert prof.report.counters.symbols == 3 * 2
+    def test_render_contains_tables(self, capsys):
+        assert main(["profile", "--dims", "10", "14", "3", "--batch", "4"]) == 0
+        out = capsys.readouterr().out
+        header = "layer  tiles  symbols  writes  cells  activations  wall ms"
+        assert out.count(header) == 2  # one table per side
+        assert "forward_batch (B=4)" in out
+        assert "forward_batch (B=1) x4" in out

@@ -160,7 +160,7 @@ class ScanningServer(TridentServer):
                 self.rollup.record_queue_depth(now, len(self.queue))
             _metric_gauge(
                 "repro_serve_queue_depth", "Admission-queue depth"
-            ).set_at(len(self.queue), now)
+            ).set(len(self.queue))
 
 
 # ---------------------------------------------------------------------------

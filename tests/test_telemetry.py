@@ -19,14 +19,13 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.arch import Profiler, TridentAccelerator, TridentConfig
+from repro.arch import TridentAccelerator, TridentConfig
 from repro.devices.program_verify import ProgramVerifyConfig
 from repro.errors import ConfigError
 from repro.faults import FaultManager, RepairConfig
 from repro.nn.datasets import Dataset, make_blobs, standardize
 from repro.runtime import ResilienceConfig, ResilientTrainer
 from repro.telemetry.metrics import NULL_INSTRUMENT
-from repro.telemetry.session import NULL_METRICS
 from repro.telemetry.tracer import NULL_SPAN
 from repro.training.insitu import InSituTrainer
 
@@ -113,14 +112,6 @@ class TestTracer:
         assert record.counters["symbols"] > 0
         assert record.counters["bank_writes"] == 0
 
-    def test_detail_span_exposes_per_pe_delta(self):
-        acc = small_accelerator()
-        tracer = telemetry.Tracer()
-        with tracer.span("fwd", accelerator=acc, detail=True) as span:
-            acc.forward_batch(np.zeros((2, 6)))
-        assert set(span.hardware.per_pe) == set(range(len(acc.pes)))
-        assert sum(s.symbols for s in span.hardware.per_pe.values()) > 0
-
     def test_thread_spans_keep_independent_stacks(self):
         tracer = telemetry.Tracer()
         done = threading.Event()
@@ -137,13 +128,6 @@ class TestTracer:
         roots = [r for r in tracer.records if r.parent_id is None]
         assert {r.name for r in roots} == {"thread_root", "main_root"}
         assert len({r.thread for r in tracer.records}) == 2
-
-    def test_clear_drops_records(self):
-        tracer = telemetry.Tracer()
-        with tracer.span("s"):
-            pass
-        tracer.clear()
-        assert tracer.records == ()
 
     def test_coverage_full_when_children_tile_the_root(self):
         import time
@@ -172,23 +156,13 @@ class TestTracer:
         # Round-trips through JSON.
         assert telemetry.validate_chrome_trace(json.loads(json.dumps(doc))) == []
 
-    def test_jsonl_lines_parse(self):
-        tracer = telemetry.Tracer()
-        with tracer.span("s", layer=3):
-            pass
-        (line,) = tracer.to_jsonl_lines()
-        doc = json.loads(line)
-        assert doc["name"] == "s"
-        assert doc["attrs"] == {"layer": 3}
-
     def test_write_exports(self, tmp_path):
         tracer = telemetry.Tracer()
         with tracer.span("s"):
             pass
         trace = tracer.write_chrome_trace(tmp_path / "t.trace.json")
-        jsonl = tracer.write_jsonl(tmp_path / "t.jsonl")
-        assert json.loads(trace.read_text())["traceEvents"]
-        assert json.loads(jsonl.read_text().splitlines()[0])["name"] == "s"
+        (event,) = json.loads(trace.read_text())["traceEvents"]
+        assert event["name"] == "s"
 
 
 class TestChromeTraceValidator:
@@ -268,14 +242,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             telemetry.parse_prometheus_text("not a sample line !!!")
 
-    def test_json_export_shape(self):
-        reg = telemetry.MetricsRegistry()
-        reg.counter("a_total").inc()
-        reg.histogram("h_seconds", buckets=(1.0,)).observe(0.5)
-        doc = reg.to_json()
-        kinds = {m["name"]: m["kind"] for m in doc["metrics"]}
-        assert kinds == {"a_total": "counter", "h_seconds": "histogram"}
-
     def test_label_values_escaped(self):
         reg = telemetry.MetricsRegistry()
         reg.counter("a_total", label='x"y\\z').inc()
@@ -302,6 +268,13 @@ class TestEvents:
         assert doc["kind"] == "degradation"
         assert doc["layer"] == 0 and doc["tile"] == 1
 
+    @pytest.mark.parametrize("field", ["seq", "kind", "wall_time_s"])
+    def test_field_may_not_shadow_record_key(self, field):
+        log = telemetry.EventLog()
+        with pytest.raises(ConfigError, match=field):
+            log.emit("decision", **{field: 7})
+        assert log.records == ()
+
 
 # ---------------------------------------------------------------------------
 class TestSession:
@@ -311,7 +284,6 @@ class TestSession:
         assert telemetry.gauge("g") is NULL_INSTRUMENT
         assert telemetry.histogram("h") is NULL_INSTRUMENT
         assert telemetry.emit_event("kind") is None
-        assert NULL_METRICS.counter("x") is NULL_INSTRUMENT
 
     def test_session_scopes_enablement(self):
         assert not telemetry.enabled()
@@ -330,6 +302,17 @@ class TestSession:
             assert name in text
         for tier in telemetry.REPAIR_TIERS:
             assert f'repro_repairs_total{{tier="{tier}"}} 0' in text
+
+    def test_preregistered_labels_match_their_sources(self):
+        """The session's label copies (telemetry cannot import the layers
+        above it) must track the enums and kinds they copy."""
+        from repro.chaos.plan import INJECTION_KINDS
+        from repro.serving import BreakerState, ShedReason
+        from repro.telemetry.session import BREAKER_STATES, CHAOS_KINDS, SHED_REASONS
+
+        assert SHED_REASONS == tuple(r.value for r in ShedReason)
+        assert set(BREAKER_STATES) == {state.value for state in BreakerState}
+        assert CHAOS_KINDS == INJECTION_KINDS
 
     def test_forward_batch_feeds_session(self):
         acc = small_accelerator()
@@ -393,32 +376,6 @@ class TestScheduleSimTrace:
         start_of_b = min(ev["ts"] for ev in events if "b/" in ev["name"])
         assert start_of_b >= sim.layers[0].makespan_s * 1e6 - 1e-6
         assert start_of_b >= end_of_a - 1e-6
-
-
-class TestProfilerOnTracer:
-    def test_profiler_spans_land_in_active_session(self):
-        acc = small_accelerator()
-        with telemetry.session() as t:
-            with Profiler(acc) as prof:
-                acc.forward_batch(np.zeros((2, 6)))
-        names = [r.name for r in t.tracer.records]
-        assert "profiled_region" in names
-        assert prof.report.counters.symbols > 0
-
-    def test_profiler_identical_with_and_without_session(self):
-        def profile_once():
-            acc = small_accelerator(seed=3)
-            with Profiler(acc) as prof:
-                acc.forward_batch(np.zeros((4, 6)))
-            return prof.report
-
-        # Wall time legitimately differs; everything event-derived must not.
-        plain = profile_once()
-        with telemetry.session():
-            traced = profile_once()
-        assert plain.counters.as_dict() == traced.counters.as_dict()
-        assert plain.per_pe == traced.per_pe
-        assert plain.per_layer == traced.per_layer
 
 
 # ---------------------------------------------------------------------------
@@ -537,33 +494,6 @@ class TestNonPerturbation:
 
 
 # ---------------------------------------------------------------------------
-class TestTimedGauges:
-    def test_set_at_records_bounded_samples(self):
-        from repro.telemetry.metrics import GAUGE_SAMPLE_LIMIT
-
-        t = telemetry.enable()
-        g = t.metrics.gauge("repro_test_gauge")
-        for i in range(GAUGE_SAMPLE_LIMIT + 10):
-            g.set_at(float(i), i * 1e-3)
-        samples = g.samples()
-        assert len(samples) == GAUGE_SAMPLE_LIMIT
-        assert samples[-1] == ((GAUGE_SAMPLE_LIMIT + 9) * 1e-3,
-                               float(GAUGE_SAMPLE_LIMIT + 9))
-        assert g.value == float(GAUGE_SAMPLE_LIMIT + 9)
-
-    def test_timed_samples_exported_in_json(self):
-        t = telemetry.enable()
-        t.metrics.gauge("repro_test_gauge").set_at(2.5, 1e-6)
-        record = next(
-            r for r in t.metrics.to_json()["metrics"]
-            if r["name"] == "repro_test_gauge"
-        )
-        assert json.loads(json.dumps(record))["samples"] == [[1e-6, 2.5]]
-
-    def test_null_instrument_accepts_set_at(self):
-        NULL_INSTRUMENT.set_at(1.0, 0.0)  # must not raise
-
-
 class TestMetricThreadSafety:
     """Satellite: instrument updates are exact under worker threads."""
 
@@ -581,7 +511,7 @@ class TestMetricThreadSafety:
             start.wait()
             for i in range(n_iter):
                 counter.inc()
-                gauge.set_at(float(i), i * 1e-9)
+                gauge.set(float(i))
                 hist.observe((i % 4) / 4.0)
 
         threads = [
@@ -616,183 +546,45 @@ class TestMetricThreadSafety:
 
 # ---------------------------------------------------------------------------
 class TestPowerStreaming:
-    """Satellite: live power-trace samples stream as timed gauge updates."""
+    """Satellite: each batch sets the live power gauge to the chip's mean
+    power over the hardware time that batch charged."""
+
+    @staticmethod
+    def estimates(acc):
+        return acc.energy_estimate_j(), acc.time_estimate_s()
 
     def test_forward_batch_streams_power_samples(self):
         acc = small_accelerator()
         with telemetry.session() as t:
             acc.forward_batch(np.zeros((4, 6)))
-            acc.forward_batch(np.zeros((4, 6)))
-        gauge = t.metrics.gauge("repro_power_draw_w")
-        samples = gauge.samples()
-        assert len(samples) == 2
-        times = [s[0] for s in samples]
-        assert times == sorted(times) and times[0] > 0
-        assert all(power > 0 for _, power in samples)
+            gauge = t.metrics.gauge("repro_power_draw_w")
+            assert gauge.value > 0
+            energy0, time0 = self.estimates(acc)
+            acc.forward_batch(np.zeros((2, 6)))
+        energy1, time1 = self.estimates(acc)
+        assert gauge.value == pytest.approx((energy1 - energy0) / (time1 - time0))
 
     def test_train_step_streams_power_samples(self):
         acc = small_accelerator(verify=True)
         trainer = InSituTrainer(acc, lr=0.05)
-        x = np.zeros((4, 6))
-        y = np.array([0, 1, 2, 0])
+        energy0, time0 = self.estimates(acc)
         with telemetry.session() as t:
-            trainer.train_step(x, y)
-        # At least the step-level sample (the inner forward emits its own).
-        samples = t.metrics.gauge("repro_power_draw_w").samples()
-        assert samples
-        times = [s[0] for s in samples]
-        assert times == sorted(times)
-        assert all(power > 0 for _, power in samples)
+            trainer.train_step(np.zeros((4, 6)), np.array([0, 1, 2, 0]))
+        # The step's own sample overwrites the one its inner forward set.
+        energy1, time1 = self.estimates(acc)
+        power = t.metrics.gauge("repro_power_draw_w").value
+        assert power > 0
+        assert power == pytest.approx((energy1 - energy0) / (time1 - time0))
 
-    @staticmethod
-    def modeled_trace(n_samples=64):
-        from repro.dataflow import PhotonicArch, power_trace
-        from repro.dataflow.schedule_sim import simulate_layer
-        from repro.dataflow.tiling import TileSchedule
-        from repro.nn.layers import GEMMShape
-
-        arch = PhotonicArch.trident()
-        sim = simulate_layer(
-            "l", TileSchedule(GEMMShape(m=64, k=16, n=50), 16, 16), arch
-        )
-        return power_trace(sim, arch, n_samples=n_samples)
-
-    def test_stream_power_trace_replays_samples(self):
-        from repro.dataflow import stream_power_trace
-
-        trace = self.modeled_trace()
-        with telemetry.session() as t:
-            emitted = stream_power_trace(trace, t_offset_s=1.0)
-        assert emitted == trace.times_s.size
-        samples = t.metrics.gauge("repro_power_draw_w").samples()
-        assert len(samples) == min(emitted, 4096)
-        assert samples[0][0] >= 1.0
-
-    def test_streaming_disabled_is_free_and_unperturbing(self):
-        from repro.dataflow import stream_power_trace
-
-        trace = self.modeled_trace()
-        assert stream_power_trace(trace) == 0  # no session: nothing emitted
-
-        def outputs(seed):
-            acc = small_accelerator(seed=seed)
-            return acc.forward_batch(np.linspace(-1, 1, 24).reshape(4, 6))
-
-        bare = outputs(5)
+    def test_streaming_disabled_is_free_and_unperturbing(self, monkeypatch):
+        xs = np.linspace(-1, 1, 24).reshape(4, 6)
         with telemetry.session():
-            instrumented = outputs(5)
-        assert np.array_equal(bare, instrumented)
+            instrumented = small_accelerator(seed=5).forward_batch(xs)
+        acc = small_accelerator(seed=5)
 
+        def estimate(_self):
+            raise AssertionError("power estimate ran with telemetry off")
 
-# ---------------------------------------------------------------------------
-class TestOtlpExport:
-    def session_doc(self):
-        with telemetry.session() as t:
-            with telemetry.trace_span("outer", phase="test"):
-                with telemetry.trace_span("inner", depth=1):
-                    pass
-            t.metrics.counter("repro_otlp_total", "c").inc(3)
-            t.metrics.gauge("repro_otlp_gauge", "g").set(2.5)
-            h = t.metrics.histogram("repro_otlp_hist", "h", buckets=[1.0, 2.0])
-            for v in (0.5, 1.5, 99.0):
-                h.observe(v)
-        return t
-
-    def test_span_export_is_valid_and_linked(self):
-        t = self.session_doc()
-        doc = telemetry.spans_to_otlp(t.tracer.records, service_name="svc")
-        assert telemetry.validate_otlp(doc) == []
-        spans = doc["resourceSpans"][0]["scopeSpans"][0]["spans"]
-        by_name = {s["name"]: s for s in spans}
-        assert by_name["inner"]["parentSpanId"] == by_name["outer"]["spanId"]
-        assert all(s["traceId"] == spans[0]["traceId"] for s in spans)
-        for span in spans:
-            assert int(span["endTimeUnixNano"]) >= int(span["startTimeUnixNano"])
-
-    def test_span_export_is_deterministic(self):
-        t = self.session_doc()
-        a = telemetry.spans_to_otlp(t.tracer.records)
-        b = telemetry.spans_to_otlp(t.tracer.records)
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_metrics_export_is_valid(self):
-        t = self.session_doc()
-        doc = telemetry.metrics_to_otlp(t.metrics, service_name="svc")
-        assert telemetry.validate_otlp(doc) == []
-        metrics = {
-            m["name"]: m
-            for m in doc["resourceMetrics"][0]["scopeMetrics"][0]["metrics"]
-        }
-        counter = metrics["repro_otlp_total"]["sum"]
-        assert counter["isMonotonic"]
-        assert counter["dataPoints"][0]["asInt"] == "3"
-        gauge = metrics["repro_otlp_gauge"]["gauge"]
-        assert gauge["dataPoints"][0]["asDouble"] == 2.5
-        hist = metrics["repro_otlp_hist"]["histogram"]["dataPoints"][0]
-        assert hist["count"] == "3"
-        # bucketCounts carries the +inf overflow bucket (the 99.0 sample).
-        assert len(hist["bucketCounts"]) == len(hist["explicitBounds"]) + 1
-        assert hist["bucketCounts"][-1] == "1"
-
-    def test_combined_document_validates(self):
-        t = self.session_doc()
-        doc = {
-            **telemetry.spans_to_otlp(t.tracer.records),
-            **telemetry.metrics_to_otlp(t.metrics),
-        }
-        assert telemetry.validate_otlp(doc) == []
-
-    def test_validator_rejects_malformed_documents(self):
-        assert telemetry.validate_otlp([]) != []
-        assert telemetry.validate_otlp({}) != []
-        bad_span = {
-            "resourceSpans": [
-                {
-                    "scopeSpans": [
-                        {
-                            "spans": [
-                                {
-                                    "name": "s",
-                                    "traceId": "zz",
-                                    "spanId": "0" * 16,
-                                    "startTimeUnixNano": "20",
-                                    "endTimeUnixNano": "10",
-                                    "attributes": [{"key": 1}],
-                                }
-                            ]
-                        }
-                    ]
-                }
-            ]
-        }
-        problems = telemetry.validate_otlp(bad_span)
-        assert any("traceId" in p for p in problems)
-        assert any("ends before" in p for p in problems)
-        assert any("attributes" in p for p in problems)
-        bad_metric = {
-            "resourceMetrics": [
-                {
-                    "scopeMetrics": [
-                        {
-                            "metrics": [
-                                {"name": "two", "sum": {}, "gauge": {}},
-                                {
-                                    "name": "hist",
-                                    "histogram": {
-                                        "dataPoints": [
-                                            {
-                                                "bucketCounts": ["1"],
-                                                "explicitBounds": [1.0, 2.0],
-                                            }
-                                        ]
-                                    },
-                                },
-                            ]
-                        }
-                    ]
-                }
-            ]
-        }
-        problems = telemetry.validate_otlp(bad_metric)
-        assert any("exactly one of" in p for p in problems)
-        assert any("bucketCounts" in p for p in problems)
+        monkeypatch.setattr(TridentAccelerator, "energy_estimate_j", estimate)
+        monkeypatch.setattr(TridentAccelerator, "time_estimate_s", estimate)
+        assert np.array_equal(acc.forward_batch(xs), instrumented)
