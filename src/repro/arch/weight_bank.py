@@ -170,13 +170,10 @@ class WeightBank:
     def _dequantize(self, levels: np.ndarray) -> np.ndarray:
         return np.clip(levels / (self.levels - 1) * 2.0 - 1.0, -1.0, 1.0)
 
-    def program(self, weights: np.ndarray) -> np.ndarray:
-        """Program a weight matrix (or top-left sub-block) into the bank.
+    def _validated_block(self, weights: np.ndarray) -> np.ndarray:
+        """``weights`` as a 2-D float block that fits the bank, or raise.
 
-        ``weights`` must be an (r, c) array with r <= rows, c <= cols and
-        entries in [-1, 1].  Unused cells are parked at weight 0 and excluded
-        from the MVM.  Returns the realized (quantized + noise) weights of
-        the programmed block.  One call = one parallel programming event.
+        Every write validates through here before it draws any noise.
         """
         w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
         if w.ndim != 2:
@@ -192,17 +189,23 @@ class WeightBank:
             raise ProgrammingError(
                 "weights must be finite and lie in [-1, 1] (normalize first)"
             )
+        return w
 
-        levels = self._quantize(w)
-        noisy = self.noise.apply_programming_noise(levels, self.programming_noise_levels)
-        noisy = np.clip(noisy, 0, self.levels - 1)
+    def _store_block(
+        self, phys: np.ndarray, c: int, levels: np.ndarray, realized: np.ndarray
+    ) -> None:
+        """Make the block on physical rows ``phys`` x the first ``c``
+        columns the bank's only programmed content.
 
-        phys = self._row_map[:r]
+        Zeroes the state arrays, fills the block with ``levels`` and
+        ``realized``, re-applies stuck cells, resets the readback caches
+        and charges one nominal parallel write of the block's cells.
+        """
         self._levels[:] = 0
         self._realized[:] = 0.0
         self._mask[:] = False
-        self._levels[phys, :c] = np.rint(noisy).astype(np.int64)
-        self._realized[phys, :c] = self._dequantize(noisy)
+        self._levels[phys, :c] = levels
+        self._realized[phys, :c] = realized
         self._mask[phys, :c] = True
         self._occupancy = None
         self._needs_reprogram = False
@@ -221,11 +224,29 @@ class WeightBank:
                 self._stuck_levels[in_block].astype(np.float64)
             )
 
-        n_cells = r * c
+        n_cells = len(phys) * c
         self.stats.write_events += 1
         self.stats.cells_written += n_cells
         self.stats.write_energy_j += self.tuning.write_energy(n_cells)
         self.stats.write_time_s += self.tuning.write_time()
+
+    def program(self, weights: np.ndarray) -> np.ndarray:
+        """Program a weight matrix (or top-left sub-block) into the bank.
+
+        ``weights`` must be an (r, c) array with r <= rows, c <= cols and
+        entries in [-1, 1].  Unused cells are parked at weight 0 and excluded
+        from the MVM.  Returns the realized (quantized + noise) weights of
+        the programmed block.  One call = one parallel programming event.
+        """
+        w = self._validated_block(weights)
+        r, c = w.shape
+        levels = self._quantize(w)
+        noisy = self.noise.apply_programming_noise(levels, self.programming_noise_levels)
+        noisy = np.clip(noisy, 0, self.levels - 1)
+        phys = self._row_map[:r]
+        self._store_block(
+            phys, c, np.rint(noisy).astype(np.int64), self._dequantize(noisy)
+        )
         return self._realized[phys, :c].copy()
 
     def program_verified(
@@ -243,14 +264,27 @@ class WeightBank:
         :class:`~repro.errors.WriteConvergenceWarning` fires when the
         convergence rate drops below the bank's ``convergence_floor``.
 
+        There is no nominal single-pulse pass: the block is quantized once
+        and stored straight from the writer's levels.  The counters still
+        add up in the order of a nominal write plus a correction: one
+        nominal write of r x c cells first, then the extra pulses and
+        verify reads, then the extra write rounds.  With
+        ``programming_noise_levels > 0`` the write also takes the r x c
+        programming-noise draw a nominal write would and discards it, so
+        the noise model's stream is that of a nominal write followed by
+        the verify loop.
+
         Returns (realized weights of the programmed block, the writer's
         ProgramVerifyResult).
         """
-        w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-        self.program(w)  # establishes occupancy + one nominal write
+        w = self._validated_block(weights)
         r, c = w.shape
+        levels = self._quantize(w)
+        if self.programming_noise_levels > 0:
+            # Drawn and discarded: the writer's levels replace it (docstring).
+            self.noise.apply_programming_noise(levels, self.programming_noise_levels)
+        targets = levels.astype(np.float64)
         phys = self._row_map[:r]
-        targets = self._quantize(w).astype(np.float64)
         frozen = self._stuck_mask[phys, :c]
         if frozen.any():
             result = writer.write(
@@ -263,20 +297,18 @@ class WeightBank:
         achieved = np.rint(
             np.clip(result.achieved_levels, 0, self.levels - 1)
         ).astype(np.int64)
-        self._levels[phys, :c] = achieved
-        self._realized[phys, :c] = self._dequantize(achieved)
+        self._store_block(phys, c, achieved, self._dequantize(achieved))
         # Readback bookkeeping: the converged mask is the controller's only
         # window into cell health — keep it instead of discarding it.
         self._last_converged = result.converged.copy()
         self._last_level_errors = np.abs(achieved - targets)
-        self._unconverged_mask[:] = False
         self._unconverged_mask[phys, :c] = ~result.converged
-        # Correct the nominal single-pulse accounting to the verify loop's
+        # Correct the nominal single-pulse charge to the verify loop's
         # actual cost (extra pulses cost energy and endurance; reads cost
         # read energy; time grows by the extra write rounds).  The round
         # count is clamped at zero: a loop that needed no pulses at all
         # (targets already reached) must not *refund* write time the
-        # nominal program already charged.
+        # nominal charge already made.
         extra_pulses = result.total_pulses - r * c
         self.stats.cells_written += extra_pulses
         self.stats.write_energy_j += (

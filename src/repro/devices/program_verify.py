@@ -12,8 +12,11 @@ practice in the PCM literature the paper builds on, e.g. ref [5]'s
   iteration cap is hit.
 
 The controller reports achieved levels, pulses consumed (extra energy and
-endurance), and convergence — fully vectorized over a whole weight bank
-(unconverged-cell masking instead of per-cell Python loops).
+endurance), and convergence — fully vectorized over a whole weight bank.
+The loop keeps the still-unconverged cells as a compacted, ascending array
+of flat indices (their targets shrink along with it), so each iteration
+touches only the cells it pulses and draws their noise in flat cell order;
+there are no per-cell Python loops and no full-size mask re-indexing.
 """
 
 from __future__ import annotations
@@ -54,13 +57,18 @@ class ProgramVerifyConfig:
             raise ConfigError("need at least 2 levels")
 
 
+def _on_grid(levels: np.ndarray, top: int) -> bool:
+    """True iff every level lies in [0, top]; written so NaN fails it."""
+    return bool(np.all((levels >= 0) & (levels <= top)))
+
+
 @dataclass(frozen=True)
 class ProgramVerifyResult:
     """Outcome of one bank-wide program-verify operation."""
 
     achieved_levels: np.ndarray
+    #: Write pulses per cell; every pulse is followed by one verify read.
     pulses: np.ndarray
-    reads: np.ndarray
     converged: np.ndarray
     config: ProgramVerifyConfig
 
@@ -71,8 +79,8 @@ class ProgramVerifyResult:
 
     @property
     def total_reads(self) -> int:
-        """Total verify reads across all cells."""
-        return int(self.reads.sum())
+        """Total verify reads across all cells (one per pulse)."""
+        return self.total_pulses
 
     @property
     def mean_pulses_per_cell(self) -> float:
@@ -142,21 +150,21 @@ class ProgramVerifyWriter:
     ) -> ProgramVerifyResult:
         """Program every cell to its integer target level.
 
-        One pass per iteration over the still-unconverged mask; all draws
-        vectorized.  Cells flagged in ``frozen_mask`` model worn-out PCM:
-        pulses land them at ``frozen_levels`` regardless of target (the
-        cell no longer switches), so they converge only when their frozen
-        level already sits within tolerance of the target — otherwise they
-        burn the full iteration budget and surface in the ``converged``
-        mask, which is exactly the readback signal online fault detection
-        keys on.
+        One pass per iteration over the still-unconverged cells, kept as
+        an ascending array of flat indices; all draws vectorized, one per
+        pending cell in flat order.  Cells flagged in ``frozen_mask``
+        model worn-out PCM: pulses land them at ``frozen_levels``
+        regardless of target (the cell no longer switches), so they
+        converge only when their frozen level already sits within
+        tolerance of the target — otherwise they burn the full iteration
+        budget and surface in the ``converged`` mask, which is exactly the
+        readback signal online fault detection keys on.
         """
         cfg = self.config
+        top = cfg.levels - 1
         targets = np.asarray(target_levels, dtype=np.float64)
-        if np.any(targets < 0) or np.any(targets > cfg.levels - 1):
-            raise ProgrammingError(
-                f"targets must lie in [0, {cfg.levels - 1}]"
-            )
+        if not _on_grid(targets, top):
+            raise ProgrammingError(f"targets must be finite and lie in [0, {top}]")
         frozen = None
         if frozen_mask is not None:
             frozen = np.asarray(frozen_mask, dtype=bool)
@@ -170,37 +178,48 @@ class ProgramVerifyWriter:
                     f"frozen levels shape {frozen_levels.shape} != targets "
                     f"{targets.shape}"
                 )
+            if not _on_grid(frozen_levels[frozen], top):
+                raise ProgrammingError(
+                    f"frozen levels must be finite and lie in [0, {top}]"
+                )
+            frozen = frozen.ravel()
+            frozen_levels = frozen_levels.ravel()
         shape = targets.shape
-        achieved = np.full(shape, np.nan)
-        pulses = np.zeros(shape, dtype=np.int64)
-        reads = np.zeros(shape, dtype=np.int64)
-        pending = np.ones(shape, dtype=bool)
+        achieved = np.full(targets.size, np.nan)
+        pulses = np.zeros(targets.size, dtype=np.int64)
+        # Flat indices of the unconverged cells; ``targets`` (and the frozen
+        # arrays) are compacted alongside, so entry i belongs to pending[i].
+        pending = np.arange(targets.size)
+        targets = targets.ravel()
 
-        for _ in range(cfg.max_iterations):
-            if not pending.any():
+        for pulse in range(1, cfg.max_iterations + 1):
+            n = pending.size
+            if not n:
                 break
-            n = int(pending.sum())
             # Pulse: land near the target with placement error.
-            landed = targets[pending] + self._rng.standard_normal(n) * cfg.write_std_levels
-            landed = np.clip(landed, 0, cfg.levels - 1)
+            landed = targets + self._rng.standard_normal(n) * cfg.write_std_levels
+            landed.clip(0, top, out=landed)
             if frozen is not None:
                 # Worn cells ignore the pulse and stay at their stuck level.
-                landed = np.where(frozen[pending], frozen_levels[pending], landed)
+                landed = np.where(frozen, frozen_levels, landed)
             achieved[pending] = landed
-            pulses[pending] += 1
-            # Verify read.
+            pulses[pending] = pulse
+            # Verify read; a cell retries unless the read is within
+            # tolerance (written so a NaN read retries too).
             observed = landed + self._rng.standard_normal(n) * cfg.read_std_levels
-            reads[pending] += 1
-            ok = np.abs(observed - targets[pending]) <= cfg.tolerance_levels
-            still = pending.copy()
-            still[pending] = ~ok
-            pending = still
+            retry = ~(np.abs(observed - targets) <= cfg.tolerance_levels)
+            pending = pending[retry]
+            targets = targets[retry]
+            if frozen is not None:
+                frozen = frozen[retry]
+                frozen_levels = frozen_levels[retry]
 
+        converged = np.ones(achieved.size, dtype=bool)
+        converged[pending] = False
         return ProgramVerifyResult(
-            achieved_levels=achieved,
-            pulses=pulses,
-            reads=reads,
-            converged=~pending,
+            achieved_levels=achieved.reshape(shape),
+            pulses=pulses.reshape(shape),
+            converged=converged.reshape(shape),
             config=cfg,
         )
 

@@ -158,7 +158,6 @@ class TestProgramWithVerify:
                 return ProgramVerifyResult(
                     achieved_levels=t.copy(),
                     pulses=np.zeros(t.shape, dtype=np.int64),
-                    reads=np.zeros(t.shape, dtype=np.int64),
                     converged=np.ones(t.shape, dtype=bool),
                     config=self.config,
                 )

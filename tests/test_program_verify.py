@@ -9,6 +9,8 @@ from repro.devices.program_verify import (
 )
 from repro.errors import ConfigError, ProgrammingError
 
+TOLERANCES = (3.0, 2.0, 1.0, 0.5)
+
 
 @pytest.fixture
 def writer():
@@ -38,6 +40,33 @@ class TestWrite:
             writer.write(np.array([300.0]))
         with pytest.raises(ProgrammingError):
             writer.write(np.array([-1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_targets_rejected(self, bad):
+        writer = ProgramVerifyWriter(seed=4)
+        with pytest.raises(ProgrammingError, match="finite"):
+            writer.write(np.array([[bad, 10.0]]))
+        # Rejected before any draw.
+        fresh = np.random.default_rng(4)
+        assert writer._rng.bit_generator.state == fresh.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [900.0, -3.0, np.nan])
+    def test_off_grid_frozen_levels_rejected(self, writer, bad):
+        with pytest.raises(ProgrammingError, match="frozen levels"):
+            writer.write(
+                np.array([[5.0, 10.0]]),
+                frozen_mask=np.array([[False, True]]),
+                frozen_levels=np.array([[0.0, bad]]),
+            )
+
+    def test_unfrozen_cells_ignore_their_frozen_level(self, writer):
+        result = writer.write(
+            np.array([5.0, 10.0]),
+            frozen_mask=np.array([True, False]),
+            frozen_levels=np.array([5.0, np.nan]),
+        )
+        assert result.achieved_levels[0] == 5.0
+        assert np.isfinite(result.achieved_levels[1])
 
     def test_converges_with_default_noise(self, writer):
         targets = np.random.default_rng(0).integers(0, 255, size=(16, 16))
@@ -97,8 +126,11 @@ class TestWrite:
 
 
 class TestExpectedPulses:
-    def test_matches_monte_carlo(self):
-        writer = ProgramVerifyWriter(seed=3)
+    @pytest.mark.parametrize("tolerance", TOLERANCES)
+    def test_matches_monte_carlo(self, tolerance):
+        writer = ProgramVerifyWriter(
+            ProgramVerifyConfig(tolerance_levels=tolerance), seed=3
+        )
         targets = np.full(20000, 128.0)
         result = writer.write(targets)
         assert result.mean_pulses_per_cell == pytest.approx(
@@ -115,3 +147,36 @@ class TestExpectedPulses:
         assert (
             tight.expected_pulses_per_cell() > loose.expected_pulses_per_cell()
         )
+
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """(targets, {label: result}): single-pulse writing ("single") and the
+    verify loop at each tolerance, on the same 4,096 random targets."""
+    targets = np.random.default_rng(2).integers(0, 255, size=4096).astype(float)
+    single_cfg = ProgramVerifyConfig(max_iterations=1, tolerance_levels=1.0)
+    results = {"single": ProgramVerifyWriter(single_cfg, seed=2).write(targets)}
+    for tol in TOLERANCES:
+        cfg = ProgramVerifyConfig(tolerance_levels=tol)
+        results[tol] = ProgramVerifyWriter(cfg, seed=2).write(targets)
+    return targets, results
+
+
+class TestToleranceSweep:
+    """Write fidelity against energy across the acceptance tolerance."""
+
+    def test_tight_verify_beats_single_pulse_error(self, sweep):
+        targets, results = sweep
+        tight = np.abs(results[0.5].level_errors(targets)).mean()
+        single = np.abs(results["single"].level_errors(targets)).mean()
+        assert tight < single
+
+    def test_tight_verify_costs_more_energy(self, sweep):
+        _, results = sweep
+        assert results[0.5].energy_j > results["single"].energy_j
+
+    def test_tighter_tolerance_takes_more_pulses(self, sweep):
+        _, results = sweep
+        pulses = [results[tol].mean_pulses_per_cell for tol in TOLERANCES]
+        assert all(a <= b for a, b in zip(pulses, pulses[1:]))
