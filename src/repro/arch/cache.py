@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.constants import KB, MB, PJ
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_finite_fields
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,7 @@ class CacheConfig:
     dram_bandwidth_bytes_per_s: float = 25.6e9
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.l1_bytes <= 0 or self.l2_bytes <= 0:
             raise ConfigError("cache capacities must be positive")
         for name in (
@@ -97,3 +100,32 @@ class CacheModel:
         dram_bytes = total if level == "dram" else 0
         transfer = dram_bytes / self.config.dram_bandwidth_bytes_per_s
         return TrafficCost(energy_j=energy, dram_bytes=dram_bytes, transfer_time_s=transfer)
+
+    def access_columns(
+        self, tensor_bytes: np.ndarray, times: np.ndarray | int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`access` over int64 columns: (energy [J], transfer time [s]).
+
+        Each entry is the float :meth:`access` gives for that tensor size
+        and count, from the same checks, levels and operations.
+        """
+        low = np.asarray(times).min(initial=0)
+        if low < 0:
+            raise ConfigError(f"times must be non-negative, got {low}")
+        low = tensor_bytes.min(initial=0)
+        if low < 0:
+            raise ConfigError(f"tensor size must be non-negative, got {low}")
+        cfg = self.config
+        per_byte = np.where(
+            tensor_bytes <= cfg.l1_bytes,
+            cfg.l1_energy_per_byte_j,
+            np.where(
+                tensor_bytes <= cfg.l2_bytes,
+                cfg.l2_energy_per_byte_j,
+                cfg.dram_energy_per_byte_j,
+            ),
+        )
+        total = tensor_bytes * times
+        in_dram = tensor_bytes > max(cfg.l1_bytes, cfg.l2_bytes)
+        dram_bytes = np.where(in_dram, total, 0)
+        return total * per_byte, dram_bytes / cfg.dram_bandwidth_bytes_per_s

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.constants import GHZ, KB, MB, MHZ, MW
 from repro.devices.tuning import GSTTuning, TuningModel
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_finite_fields
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,7 @@ class TridentConfig:
     weight_bits: int = 8  # GST: 255 levels
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.n_pes < 1:
             raise ConfigError(f"n_pes must be positive, got {self.n_pes}")
         if self.bank_rows < 1 or self.bank_cols < 1:

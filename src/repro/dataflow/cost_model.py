@@ -28,18 +28,30 @@ inputs without re-tuning", Sec. V-A):
   row-tile, partial sums, output write-back, weight fetch) priced by the
   cache model; digital-activation architectures pay an extra output
   round-trip between layers.
+
+:meth:`PhotonicCostModel.layer_costs` prices all of a network's compute
+layers in one NumPy pass over its column table
+(:attr:`~repro.nn.graph.NetworkStats.compute_table`).  It runs the float64
+arithmetic of the scalar :meth:`PhotonicCostModel.layer_cost` operation for
+operation, in the same order and association, so every float it returns is
+the one the scalar method returns; ``layer_cost`` stays as the reference
+the tests compare it against.  Only each layer's energy, the builtin
+``sum`` of its breakdown, is summed per layer in Python: that ``sum`` is
+compensated from Python 3.12 on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.arch.cache import CacheModel
 from repro.arch.config import TridentConfig
-from repro.dataflow.report import LayerCost, ModelCost
+from repro.dataflow.report import LayerColumns, LayerCost, ModelCost
 from repro.dataflow.tiling import TileSchedule
-from repro.errors import ConfigError, ScheduleError
-from repro.nn.graph import INPUT, Network
+from repro.errors import ConfigError, ScheduleError, require_finite_fields
+from repro.nn.graph import Network
 from repro.nn.layers import TensorShape
 from repro.telemetry.session import (
     active as _telemetry_active,
@@ -77,8 +89,13 @@ class PhotonicArch:
     weight_bits: int = 8
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.n_pes < 1:
             raise ConfigError(f"{self.name}: n_pes must be positive")
+        if min(self.bank_rows, self.bank_cols, self.weight_bits) < 1:
+            raise ConfigError(
+                f"{self.name}: bank dimensions and weight bits must be positive"
+            )
         if self.symbol_rate_hz <= 0 or self.write_time_s <= 0:
             raise ConfigError(f"{self.name}: rates/times must be positive")
         for field_name in (
@@ -252,60 +269,134 @@ class PhotonicCostModel:
             rounds=rounds,
         )
 
+    def layer_costs(
+        self,
+        names: tuple[str, ...],
+        m: np.ndarray,
+        k: np.ndarray,
+        n: np.ndarray,
+        groups: np.ndarray,
+        input_elements: np.ndarray,
+        fused: np.ndarray,
+    ) -> LayerColumns:
+        """:meth:`layer_cost` of many layers in one array pass.
+
+        Layer ``i`` is the GEMM ``(m[i] x k[i]) @ (k[i] x n[i])``, run
+        ``groups[i]`` times, reading an input of ``input_elements[i]``
+        elements; ``fused[i]`` is its fused-activation flag.  The integer
+        columns are int64 with every value below 2**53, so each float
+        equals the scalar method's.
+        """
+        arch = self.arch
+        B = self.batch
+        tiles_m = -(-m // arch.bank_rows)
+        tiles_k = -(-k // arch.bank_cols)
+        n_tiles = tiles_m * tiles_k * groups
+        rounds = -(-n_tiles // arch.n_pes)
+        cells = m * k * groups
+        symbols = n_tiles * n
+        output_elements = m * n * groups
+
+        round_time = arch.write_time_s + B * n / arch.symbol_rate_hz
+        compute_time = rounds * round_time / B
+        tuning_j = cells * arch.write_energy_per_cell_j / B
+        streaming_j = symbols * arch.symbol_energy_j
+        zeros = np.zeros(len(names))
+        hold_j = zeros
+        if self.charge_hold_power and arch.hold_power_per_cell_w > 0:
+            hold_j = (
+                arch.hold_power_per_cell_w
+                * (cells / n_tiles)
+                * (n / arch.symbol_rate_hz)
+                * n_tiles
+            )
+        conversion_j = zeros
+        out_times = 1
+        if arch.digital_activation:
+            conversion_j = (
+                output_elements * tiles_k * arch.adc_energy_per_sample_j
+                + output_elements * arch.dac_energy_per_sample_j
+            )
+            out_times = np.where(fused, 3, 1)
+
+        bpe = self.bytes_per_element
+        out_bytes = output_elements * bpe
+        input_j, input_s = self.cache.access_columns(input_elements * bpe, tiles_m)
+        partial_j, partial_s = self.cache.access_columns(out_bytes, 2 * (tiles_k - 1))
+        output_j, output_s = self.cache.access_columns(out_bytes, out_times)
+        weight_j, weight_s = self.cache.access_columns(cells * bpe, 1)
+        has_partial = tiles_k > 1
+        memory_j = (
+            input_j + np.where(has_partial, partial_j, 0.0) + output_j + weight_j / B
+        )
+        dram_time = (
+            input_s + np.where(has_partial, partial_s, 0.0) + output_s + weight_s / B
+        )
+
+        breakdown = {
+            "tuning": tuning_j,
+            "streaming": streaming_j,
+            "hold": hold_j,
+            "conversion": conversion_j,
+            "memory": memory_j,
+        }
+        energy_j = np.fromiter(
+            map(sum, zip(*(column.tolist() for column in breakdown.values()))),
+            dtype=np.float64,
+            count=len(names),
+        )
+        return LayerColumns(
+            names=names,
+            macs=cells * n,
+            time_s=np.where(dram_time > compute_time, dram_time, compute_time),
+            energy_j=energy_j,
+            breakdown=breakdown,
+            symbols=symbols,
+            tiles=n_tiles,
+            rounds=rounds,
+        )
+
     # ------------------------------------------------------------------
     def model_cost(self, network: Network) -> ModelCost:
         """Whole-network inference cost (compute layers; memory-only for
         pool/add/concat is folded into the neighbouring layers' traffic)."""
         stats = network.stats()
-        layers: list[LayerCost] = []
+        table = stats.compute_table
+        if not table.names:
+            raise ScheduleError(f"{network.name}: no compute layers to cost")
         with _trace_span(
             "model_cost", model=network.name, arch=self.arch.name
         ):
-            for record in stats.layers:
-                if record.gemm is None:
-                    continue
-                sources = network.inputs_of(record.name)
-                src = sources[0]
-                input_shape = (
-                    network.input_shape if src == INPUT else network.shape_of(src)
-                )
-                schedule = TileSchedule(
-                    gemm=record.gemm,
-                    bank_rows=self.arch.bank_rows,
-                    bank_cols=self.arch.bank_cols,
-                )
-                layers.append(
-                    self.layer_cost(
-                        record.name, schedule, input_shape, record.fused_activation
-                    )
-                )
-        if not layers:
-            raise ScheduleError(f"{network.name}: no compute layers to cost")
-        cost = ModelCost(
-            model=network.name,
-            accelerator=self.arch.name,
-            layers=tuple(layers),
-            total_macs=stats.total_macs,
-        )
+            columns = self.layer_costs(
+                table.names, table.m, table.k, table.n, table.groups,
+                table.input_elements, table.fused,
+            )
         session = _telemetry_active()
         if session is not None:
             # Export the *modeled* totals as gauges so a trace run carries
             # the analytical predictions next to the measured events.
             metrics = session.metrics
-            for layer in layers:
+            for name, time_s, energy_j in zip(
+                table.names, columns.time_s.tolist(), columns.energy_j.tolist()
+            ):
                 labels = {"model": network.name, "arch": self.arch.name,
-                          "layer": layer.name}
+                          "layer": name}
                 metrics.gauge(
                     "repro_modeled_layer_time_seconds",
                     "Analytical per-inference latency of one layer",
                     **labels,
-                ).set(layer.time_s)
+                ).set(time_s)
                 metrics.gauge(
                     "repro_modeled_layer_energy_joules",
                     "Analytical per-inference energy of one layer",
                     **labels,
-                ).set(layer.energy_j)
-        return cost
+                ).set(energy_j)
+        return ModelCost(
+            model=network.name,
+            accelerator=self.arch.name,
+            columns=columns,
+            total_macs=stats.total_macs,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dataflow.report import LayerCost, ModelCost
-from repro.errors import ConfigError, ScheduleError
-from repro.nn.graph import INPUT, Network
+import numpy as np
+
+from repro.dataflow.report import LayerColumns, ModelCost
+from repro.errors import ConfigError, ScheduleError, require_finite_fields
+from repro.nn.graph import Network
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,7 @@ class ElectronicAccelerator:
     training_expansion: float = 3.0
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.peak_tops <= 0 or self.power_w <= 0:
             raise ConfigError(f"{self.name}: peak TOPS and power must be positive")
         if not 0.0 < self.compute_utilization <= 1.0:
@@ -53,6 +56,8 @@ class ElectronicAccelerator:
             )
         if self.dram_bandwidth_bytes_per_s <= 0:
             raise ConfigError(f"{self.name}: bandwidth must be positive")
+        if self.energy_per_op_j < 0:
+            raise ConfigError(f"{self.name}: energy per op must be non-negative")
         if self.training_expansion < 1.0:
             raise ConfigError(f"{self.name}: training expansion must be >= 1")
 
@@ -75,42 +80,35 @@ class ElectronicAccelerator:
 
     # ------------------------------------------------------------------
     def model_cost(self, network: Network, batch: int = 1) -> ModelCost:
-        """Per-inference latency/energy over the layer graph."""
+        """Per-inference latency/energy over the layer graph, every compute
+        layer priced in one array pass."""
         if batch < 1:
             raise ConfigError(f"batch must be positive, got {batch}")
         stats = network.stats()
-        layers: list[LayerCost] = []
-        e_op = self._effective_energy_per_op()
-        for record in stats.layers:
-            if record.gemm is None:
-                continue
-            src = network.inputs_of(record.name)[0]
-            in_shape = network.input_shape if src == INPUT else network.shape_of(src)
-            ops = 2 * record.macs
-            compute_time = ops / self.sustained_ops_per_s
-            # int8 traffic: read inputs + write outputs each inference,
-            # stream weights once per batch.
-            traffic_bytes = (
-                in_shape.elements + record.output.elements + record.params / batch
-            )
-            memory_time = traffic_bytes / self.dram_bandwidth_bytes_per_s
-            time_s = max(compute_time, memory_time)
-            energy = ops * e_op
-            layers.append(
-                LayerCost(
-                    name=record.name,
-                    macs=record.macs,
-                    time_s=time_s,
-                    energy_j=energy,
-                    energy_breakdown={"compute": energy},
-                )
-            )
-        if not layers:
+        table = stats.compute_table
+        if not table.names:
             raise ScheduleError(f"{network.name}: no compute layers to cost")
+        ops = 2 * table.macs
+        compute_time = ops / self.sustained_ops_per_s
+        # int8 traffic: read inputs + write outputs each inference,
+        # stream weights once per batch.
+        traffic_bytes = table.input_elements + table.output_elements + table.params / batch
+        memory_time = traffic_bytes / self.dram_bandwidth_bytes_per_s
+        energy = ops * self._effective_energy_per_op()
+        unused = np.zeros(len(table.names), dtype=np.int64)
         return ModelCost(
             model=network.name,
             accelerator=self.name,
-            layers=tuple(layers),
+            columns=LayerColumns(
+                names=table.names,
+                macs=table.macs,
+                time_s=np.where(memory_time > compute_time, memory_time, compute_time),
+                energy_j=energy,
+                breakdown={"compute": energy},
+                symbols=unused,
+                tiles=unused,
+                rounds=unused,
+            ),
             total_macs=stats.total_macs,
         )
 

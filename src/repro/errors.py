@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 
 class ReproError(Exception):
     """Base class for all library-specific errors."""
@@ -9,6 +12,22 @@ class ReproError(Exception):
 
 class ConfigError(ReproError):
     """An invalid configuration value or combination of values."""
+
+
+def require_finite_fields(record: object) -> None:
+    """Raise :class:`ConfigError` if a dataclass field holds a NaN or
+    infinite float.
+
+    Parameter records call this first in ``__post_init__``: a NaN passes
+    every ``value <= 0`` range check and then poisons each cost computed
+    from it.
+    """
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(
+                f"{type(record).__name__}.{f.name} must be finite, got {value}"
+            )
 
 
 class DeviceError(ReproError):

@@ -72,13 +72,11 @@ def fig3_activation_transfer(n_points: int = 201) -> FigureReport:
 # ---------------------------------------------------------------------------
 def fig4_photonic_energy(batch: int = 128) -> FigureReport:
     """Per-inference energy of the four photonic architectures x 5 CNNs."""
-    archs = photonic_baselines()
+    nets = {m: build_model(m) for m in PAPER_MODELS}
     series: dict[str, dict[str, float]] = {}
-    for arch in archs:
+    for arch in photonic_baselines():
         cm = PhotonicCostModel(arch, batch=batch)
-        series[arch.name] = {
-            m: cm.model_cost(build_model(m)).energy_j for m in PAPER_MODELS
-        }
+        series[arch.name] = {m: cm.model_cost(net).energy_j for m, net in nets.items()}
     trident = series["trident"]
 
     def improvement(name: str) -> float:

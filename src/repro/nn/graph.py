@@ -7,12 +7,17 @@ ResNet residuals, Inception branches).
 
 Nodes are added in any order and reference their inputs by name; ``"input"``
 is the implicit source.  Shape inference walks the graph once in topological
-order and caches per-node results.
+order and caches per-node results; :meth:`Network.stats` caches its records
+and, on first use, their compute-layer column table.  :meth:`Network.add`
+drops every cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn.layers import GEMMShape, LayerSpec, TensorShape
@@ -26,11 +31,53 @@ class LayerStats:
 
     name: str
     kind: str
+    #: Shape of the layer's first input (the network input for a source).
+    input_shape: TensorShape
     output: TensorShape
     macs: int
     params: int
     gemm: GEMMShape | None
     fused_activation: bool
+
+
+@dataclass(frozen=True)
+class LayerTable:
+    """A network's compute layers as columns, one entry per layer in order.
+
+    The integer columns are read-only int64 arrays: the GEMM's ``m``,
+    ``k``, ``n`` and ``groups``, the input and output element counts,
+    ``params`` and ``macs``.  ``fused`` is the fused-activation flag.
+    The dataflow cost models price every layer from these columns in one
+    array pass.
+    """
+
+    names: tuple[str, ...]
+    m: np.ndarray
+    k: np.ndarray
+    n: np.ndarray
+    groups: np.ndarray
+    input_elements: np.ndarray
+    output_elements: np.ndarray
+    params: np.ndarray
+    macs: np.ndarray
+    fused: np.ndarray
+
+    @classmethod
+    def from_layers(cls, layers: tuple[LayerStats, ...]) -> "LayerTable":
+        """The table of the records that lower to a GEMM."""
+        compute = [s for s in layers if s.gemm is not None]
+        ints = np.array(
+            [
+                (s.gemm.m, s.gemm.k, s.gemm.n, s.gemm.groups, s.input_shape.elements,
+                 s.output.elements, s.params, s.macs)
+                for s in compute
+            ],
+            dtype=np.int64,
+        ).reshape(len(compute), 8).T.copy()
+        fused = np.array([s.fused_activation for s in compute], dtype=bool)
+        ints.flags.writeable = False
+        fused.flags.writeable = False
+        return cls(tuple(s.name for s in compute), *ints, fused)
 
 
 @dataclass(frozen=True)
@@ -48,6 +95,11 @@ class NetworkStats:
         """Total activation elements produced by fused-activation layers."""
         return sum(s.output.elements for s in self.layers if s.fused_activation)
 
+    @cached_property
+    def compute_table(self) -> LayerTable:
+        """The compute layers as columns, built on first read."""
+        return LayerTable.from_layers(self.layers)
+
 
 class Network:
     """A named DAG of layer descriptors."""
@@ -61,6 +113,7 @@ class Network:
         self._inputs: dict[str, list[str]] = {}
         self._order: list[str] = []
         self._shapes: dict[str, TensorShape] | None = None
+        self._stats: NetworkStats | None = None
 
     # ------------------------------------------------------------------
     def add(self, layer: LayerSpec, inputs: str | list[str] = "") -> str:
@@ -90,6 +143,7 @@ class Network:
         self._inputs[layer.name] = sources
         self._order.append(layer.name)
         self._shapes = None
+        self._stats = None
         return layer.name
 
     def __len__(self) -> int:
@@ -147,7 +201,10 @@ class Network:
 
     # ------------------------------------------------------------------
     def stats(self) -> NetworkStats:
-        """Full per-layer + total analysis (one shape walk, cached)."""
+        """Full per-layer + total analysis (one shape walk, cached until
+        the next :meth:`add`)."""
+        if self._stats is not None:
+            return self._stats
         shapes = self._resolve_shapes()
         records: list[LayerStats] = []
         total_macs = 0
@@ -162,6 +219,7 @@ class Network:
                 LayerStats(
                     name=name,
                     kind=type(layer).__name__,
+                    input_shape=ins[0],
                     output=shapes[name],
                     macs=macs,
                     params=params,
@@ -173,13 +231,14 @@ class Network:
             total_params += params
             if layer.has_weights:
                 n_weight += 1
-        return NetworkStats(
+        self._stats = NetworkStats(
             name=self.name,
             layers=tuple(records),
             total_macs=total_macs,
             total_params=total_params,
             n_weight_layers=n_weight,
         )
+        return self._stats
 
     def compute_layers(self) -> list[LayerStats]:
         """Only the layers that occupy weight banks (conv/dense)."""

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.arch.cache import CacheModel
 from repro.dataflow.cost_model import PhotonicArch, PhotonicCostModel
-from repro.dataflow.tiling import TileSchedule
 from repro.errors import ConfigError, ScheduleError
-from repro.nn.graph import INPUT, Network
-from repro.nn.layers import GEMMShape
+from repro.nn.graph import Network
 
 
 @dataclass(frozen=True)
@@ -96,79 +96,49 @@ class TrainingCostModel:
 
     # ------------------------------------------------------------------
     def step_costs(self, network: Network) -> TrainingPassCosts:
-        """Per-sample cost of one SGD step over the network."""
-        stats = network.stats()
-        B = self.batch
-        fwd_t = fwd_e = grad_t = grad_e = outer_t = outer_e = upd_t = upd_e = 0.0
-        rows, cols = self.arch.bank_rows, self.arch.bank_cols
-        any_compute = False
-        for record in stats.layers:
-            gemm = record.gemm
-            if gemm is None:
-                continue
-            any_compute = True
-            src = network.inputs_of(record.name)[0]
-            in_shape = network.input_shape if src == INPUT else network.shape_of(src)
-
-            fwd_sched = TileSchedule(gemm, rows, cols)
-            fwd = self._cm_batched.layer_cost(record.name, fwd_sched, in_shape, record.fused_activation)
-            fwd_t += fwd.time_s
-            fwd_e += fwd.energy_j
-
-            grad_sched = TileSchedule(
-                GEMMShape(m=gemm.k, k=gemm.m, n=gemm.n, groups=gemm.groups), rows, cols
-            )
-            grad = self._cm_batched.layer_cost(
-                f"{record.name}.grad", grad_sched, record.output, False
-            )
-            grad_t += grad.time_s
-            grad_e += grad.energy_j
-
-            # The weight-gradient GEMM contracts over batch x positions;
-            # the bank can hold either operand (delta chunks or activation
-            # chunks), giving two tile orientations with different
-            # write/stream balances.  The control unit picks the faster —
-            # e.g. 1x1 convs with few input channels prefer streaming the
-            # wide output dimension.
-            outer = min(
-                (
-                    self._cm_single.layer_cost(
-                        f"{record.name}.outer", sched_o, record.output, False
-                    )
-                    for sched_o in (
-                        TileSchedule(
-                            GEMMShape(m=gemm.m, k=gemm.n * B, n=gemm.k,
-                                      groups=gemm.groups),
-                            rows, cols,
-                        ),
-                        TileSchedule(
-                            GEMMShape(m=gemm.k, k=gemm.n * B, n=gemm.m,
-                                      groups=gemm.groups),
-                            rows, cols,
-                        ),
-                    )
-                ),
-                key=lambda c: c.time_s,
-            )
-            outer_t += outer.time_s / B
-            outer_e += outer.energy_j / B
-
-            # Update: rewrite every weight cell once per batch.
-            upd_t += fwd_sched.rounds(self.arch.n_pes) * self.arch.write_time_s / B
-            upd_e += fwd_sched.cells * self.arch.write_energy_per_cell_j / B
-        if not any_compute:
+        """Per-sample cost of one SGD step over the network: four array
+        passes over its compute layers (forward, W^T gradient and the two
+        outer-product orientations)."""
+        t = network.stats().compute_table
+        if not t.names:
             raise ScheduleError(f"{network.name}: no compute layers to train")
+        B = self.batch
+        no_activation = np.zeros(len(t.names), dtype=bool)
+        fwd = self._cm_batched.layer_costs(
+            t.names, t.m, t.k, t.n, t.groups, t.input_elements, t.fused
+        )
+        grad = self._cm_batched.layer_costs(
+            t.names, t.k, t.m, t.n, t.groups, t.output_elements, no_activation
+        )
+        # The weight-gradient GEMM contracts over batch x positions; the
+        # bank can hold either operand (delta chunks or activation chunks),
+        # giving two tile orientations with different write/stream
+        # balances.  The control unit picks the faster, the first on a tie
+        # — e.g. 1x1 convs with few input channels prefer streaming the
+        # wide output dimension.
+        reduction = t.n * B
+        deltas = self._cm_single.layer_costs(
+            t.names, t.m, reduction, t.k, t.groups, t.output_elements, no_activation
+        )
+        activations = self._cm_single.layer_costs(
+            t.names, t.k, reduction, t.m, t.groups, t.output_elements, no_activation
+        )
+        faster = activations.time_s < deltas.time_s
+        outer_time = np.where(faster, activations.time_s, deltas.time_s)
+        outer_energy = np.where(faster, activations.energy_j, deltas.energy_j)
+        # Update: rewrite every weight cell once per batch.
+        cells = t.m * t.k * t.groups
         return TrainingPassCosts(
             model=network.name,
             accelerator=self.arch.name,
-            forward_time_s=fwd_t,
-            gradient_time_s=grad_t,
-            outer_time_s=outer_t,
-            update_time_s=upd_t,
-            forward_energy_j=fwd_e,
-            gradient_energy_j=grad_e,
-            outer_energy_j=outer_e,
-            update_energy_j=upd_e,
+            forward_time_s=_running_sum(fwd.time_s),
+            gradient_time_s=_running_sum(grad.time_s),
+            outer_time_s=_running_sum(outer_time / B),
+            update_time_s=_running_sum(fwd.rounds * self.arch.write_time_s / B),
+            forward_energy_j=_running_sum(fwd.energy_j),
+            gradient_energy_j=_running_sum(grad.energy_j),
+            outer_energy_j=_running_sum(outer_energy / B),
+            update_energy_j=_running_sum(cells * self.arch.write_energy_per_cell_j / B),
         )
 
     def training_time_s(self, network: Network, n_samples: int = 50_000) -> float:
@@ -182,3 +152,15 @@ class TrainingCostModel:
         if n_samples < 1:
             raise ConfigError(f"n_samples must be positive, got {n_samples}")
         return self.step_costs(network).energy_j * n_samples
+
+
+def _running_sum(column: np.ndarray) -> float:
+    """Left-to-right ``+=`` from 0.0 over a column's floats.
+
+    The pass totals have always been running sums; the builtin ``sum`` is
+    compensated from Python 3.12 on and would round differently.
+    """
+    total = 0.0
+    for value in column.tolist():
+        total += value
+    return total

@@ -66,6 +66,29 @@ class TestCacheModel:
             cm.level_for(-1)
         with pytest.raises(ConfigError):
             cm.access(10, times=-1)
+        with pytest.raises(ConfigError):
+            cm.access_columns(np.array([10, 10]), np.array([1, -1]))
+        with pytest.raises(ConfigError):
+            cm.access_columns(np.array([10, -1]), 1)
+
+    @pytest.mark.parametrize(
+        "config", [CacheConfig(), CacheConfig(l1_bytes=1000, l2_bytes=100)]
+    )
+    def test_access_columns_equal_access(self, config):
+        """Every entry is :meth:`access`'s float, across all three levels
+        and their boundaries (also with an L1 larger than the L2)."""
+        cm = CacheModel(config)
+        edges = [config.l1_bytes, config.l2_bytes]
+        sizes = np.array(
+            [0, 50, 500, 5000] + [e + d for e in edges for d in (-1, 0, 1)]
+            + [64 * 1024 * 1024], dtype=np.int64,
+        )
+        times = np.arange(sizes.size, dtype=np.int64) % 4
+        for t in (times, 3):
+            energy, transfer = cm.access_columns(sizes, t)
+            for i, size in enumerate(sizes.tolist()):
+                ref = cm.access(size, times=int(np.broadcast_to(t, sizes.shape)[i]))
+                assert (energy[i], transfer[i]) == (ref.energy_j, ref.transfer_time_s)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -1,15 +1,18 @@
 """Tests for the photonic cost model and report records."""
 
+import numpy as np
 import pytest
 
+from repro.arch.cache import CacheConfig
 from repro.arch.config import TridentConfig
 from repro.dataflow.cost_model import PhotonicArch, PhotonicCostModel
-from repro.dataflow.report import LayerCost
+from repro.dataflow.report import LayerColumns, LayerCost
+from repro.dataflow.roofline import ElectronicAccelerator
 from repro.dataflow.tiling import TileSchedule
 from repro.errors import ConfigError, ScheduleError
 from repro.nn import build_model
 from repro.nn.graph import Network
-from repro.nn.layers import Dense, GEMMShape, TensorShape
+from repro.nn.layers import GEMMShape, TensorShape
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +57,50 @@ class TestPhotonicArch:
             PhotonicArch(name="x", n_pes=4, symbol_rate_hz=1e8,
                          write_energy_per_cell_j=-1e-12, write_time_s=1e-7,
                          streaming_power_pe_w=0.1, sizing_power_pe_w=0.5)
+
+
+def photonic(**kwargs):
+    defaults = dict(name="x", n_pes=4, symbol_rate_hz=1e8,
+                    write_energy_per_cell_j=1e-12, write_time_s=1e-7,
+                    streaming_power_pe_w=0.1, sizing_power_pe_w=0.5)
+    return PhotonicArch(**{**defaults, **kwargs})
+
+
+def electronic(**kwargs):
+    defaults = dict(name="e", peak_tops=10.0, power_w=10.0,
+                    dram_bandwidth_bytes_per_s=50e9, compute_utilization=0.5,
+                    can_train=True)
+    return ElectronicAccelerator(**{**defaults, **kwargs})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make, kwargs",
+    [
+        (photonic, {"symbol_rate_hz": NAN}),
+        (photonic, {"streaming_power_pe_w": INF}),
+        (photonic, {"write_time_s": INF}),
+        (photonic, {"hold_power_per_cell_w": NAN}),
+        (photonic, {"bank_rows": 0}),
+        (photonic, {"bank_cols": 0}),
+        (photonic, {"weight_bits": 0}),
+        (electronic, {"peak_tops": NAN}),
+        (electronic, {"energy_per_op_j": -1.0}),
+        (electronic, {"training_expansion": NAN}),
+        (CacheConfig, {"dram_bandwidth_bytes_per_s": NAN}),
+        (CacheConfig, {"l2_energy_per_byte_j": INF}),
+        (TridentConfig, {"symbol_rate_hz": NAN}),
+        (TridentConfig, {"gst_read_power_w": INF}),
+    ],
+    ids=lambda v: getattr(v, "__name__", None) or next(iter(v)),
+)
+def test_parameter_records_reject_bad_values(make, kwargs):
+    """A NaN passes every ``<= 0`` range check; an empty bank used to slip
+    through to the tiler."""
+    with pytest.raises(ConfigError):
+        make(**kwargs)
 
 
 class TestLayerCost:
@@ -171,6 +218,16 @@ class TestModelCost:
     def test_report_validation(self):
         with pytest.raises(ScheduleError):
             LayerCost(name="l", macs=1, time_s=-1.0, energy_j=0.0)
+        zero = np.zeros(2, dtype=np.int64)
+        with pytest.raises(ScheduleError, match="b: negative cost"):
+            LayerColumns(
+                names=("a", "b"), macs=zero, time_s=np.array([1.0, 1.0]),
+                energy_j=np.array([0.0, -1.0]), breakdown={}, symbols=zero,
+                tiles=zero, rounds=zero,
+            )
+
+    def test_records_built_once(self, resnet_cost):
+        assert resnet_cost.layers is resnet_cost.layers
 
 
 class TestMonotonicity:

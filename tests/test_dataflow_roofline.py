@@ -3,8 +3,10 @@
 import pytest
 
 from repro.dataflow.roofline import ElectronicAccelerator
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ScheduleError
 from repro.nn import build_model
+from repro.nn.graph import Network
+from repro.nn.layers import Pool, TensorShape
 
 
 def make_acc(**kwargs):
@@ -81,6 +83,12 @@ class TestModelCost:
     def test_rejects_bad_batch(self):
         with pytest.raises(ConfigError):
             make_acc().model_cost(build_model("alexnet"), batch=0)
+
+    def test_network_without_compute_rejected(self):
+        net = Network("empty", TensorShape(8, 8, 3))
+        net.add(Pool("p", kernel=2))
+        with pytest.raises(ScheduleError):
+            make_acc().model_cost(net)
 
 
 class TestTraining:

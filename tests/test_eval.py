@@ -124,6 +124,13 @@ class TestFigures:
         assert report.max_relative_error() < 0.02
         assert set(report.series) == {"trident", "deap-cnn", "crosslight", "pixel"}
 
+    def test_fig4_trident_least_energy_on_every_model(self):
+        report = fig4_photonic_energy()
+        trident = report.series["trident"]
+        for name in ("deap-cnn", "crosslight", "pixel"):
+            for model, energy in report.series[name].items():
+                assert energy > trident[model], (name, model)
+
     def test_fig4_five_models_per_series(self):
         report = fig4_photonic_energy()
         for series in report.series.values():

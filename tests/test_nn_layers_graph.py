@@ -1,9 +1,10 @@
 """Tests for layer descriptors and the DAG network."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.nn.graph import Network
+from repro.nn.graph import INPUT, Network
 from repro.nn.layers import (
     Activation,
     Add,
@@ -245,3 +246,70 @@ class TestNetwork:
         net = self._chain()
         # Only c1 has fused activation: 8*8*4 elements.
         assert net.stats().total_activations == 256
+
+
+class TestStatsCache:
+    def _chain(self):
+        return TestNetwork()._chain()
+
+    def test_stats_cached_until_add(self):
+        net = self._chain()
+        stats = net.stats()
+        assert net.stats() is stats
+        assert stats.compute_table is stats.compute_table
+        net.add(Dense("fc2", 4), "p1")
+        fresh = net.stats()
+        assert fresh is not stats
+        assert [s.name for s in fresh.layers] == ["c1", "p1", "fc", "fc2"]
+        assert fresh.compute_table.names == ("c1", "fc", "fc2")
+        assert stats.compute_table.names == ("c1", "fc")
+
+    def test_table_rebuilt_after_add(self):
+        """A table read before add() must not price the grown network."""
+        net = self._chain()
+        before = net.stats().compute_table
+        net.add(Dense("fc2", 4))
+        after = net.stats().compute_table
+        assert after is not before
+        assert after.m.tolist() == [4, 10, 4]
+        assert after.k.tolist() == [27, 64, 10]
+
+    def test_table_columns_match_records(self):
+        net = self._chain()
+        stats = net.stats()
+        table = stats.compute_table
+        compute = [s for s in stats.layers if s.gemm is not None]
+        assert table.names == tuple(s.name for s in compute)
+        for column, values in (
+            (table.m, [s.gemm.m for s in compute]),
+            (table.k, [s.gemm.k for s in compute]),
+            (table.n, [s.gemm.n for s in compute]),
+            (table.groups, [s.gemm.groups for s in compute]),
+            (table.input_elements, [s.input_shape.elements for s in compute]),
+            (table.output_elements, [s.output.elements for s in compute]),
+            (table.params, [s.params for s in compute]),
+            (table.macs, [s.macs for s in compute]),
+            (table.fused, [s.fused_activation for s in compute]),
+        ):
+            assert column.tolist() == values
+            assert not column.flags.writeable
+        assert table.m.dtype == np.int64
+
+    def test_input_shape_is_first_input(self):
+        """Multi-input nodes record their first input's shape, the rule
+        ``inputs_of(name)[0]`` gives."""
+        net = Network("branch", TensorShape(8, 8, 4))
+        a = net.add(Conv2D("a", 6, kernel=1))
+        b = net.add(Conv2D("b", 6, kernel=1), "input")
+        net.add(Add("sum"), [a, b])
+        net.add(Concat("cat"), ["sum", "input"])
+        net.add(Concat("cat2"), ["input", "sum"])
+        net.add(Conv2D("c", 2, kernel=1), "cat")
+        stats = {s.name: s for s in net.stats().layers}
+        assert stats["cat"].input_shape == TensorShape(8, 8, 6)
+        assert stats["cat2"].input_shape == TensorShape(8, 8, 4)
+        assert stats["c"].input_shape == TensorShape(8, 8, 10)
+        for name in net.layer_names:
+            src = net.inputs_of(name)[0]
+            expected = net.input_shape if src == INPUT else net.shape_of(src)
+            assert stats[name].input_shape == expected
