@@ -14,6 +14,7 @@ avoids (paper Sec. III-C).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,13 +102,27 @@ class CacheModel:
         transfer = dram_bytes / self.config.dram_bandwidth_bytes_per_s
         return TrafficCost(energy_j=energy, dram_bytes=dram_bytes, transfer_time_s=transfer)
 
+    @cached_property
+    def _levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Upper size bounds of levels 0 and 1, then per level (L1, L2,
+        DRAM) the per-byte energy and whether traffic there is DRAM."""
+        cfg = self.config
+        bounds = np.array((cfg.l1_bytes, max(cfg.l1_bytes, cfg.l2_bytes)))
+        energies = np.array(
+            (cfg.l1_energy_per_byte_j, cfg.l2_energy_per_byte_j, cfg.dram_energy_per_byte_j)
+        )
+        return bounds, energies, np.array((0, 0, 1))
+
     def access_columns(
         self, tensor_bytes: np.ndarray, times: np.ndarray | int
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`access` over int64 columns: (energy [J], transfer time [s]).
 
         Each entry is the float :meth:`access` gives for that tensor size
-        and count, from the same checks, levels and operations.
+        and count, from the same checks, levels and operations.  One
+        ``searchsorted`` finds each tensor's level as :meth:`level_for`
+        does: 0 (L1), 1 (L2) or 2 (DRAM), and a tensor larger than L1 goes
+        to DRAM when L2 is the smaller level.
         """
         low = np.asarray(times).min(initial=0)
         if low < 0:
@@ -115,17 +130,11 @@ class CacheModel:
         low = tensor_bytes.min(initial=0)
         if low < 0:
             raise ConfigError(f"tensor size must be non-negative, got {low}")
-        cfg = self.config
-        per_byte = np.where(
-            tensor_bytes <= cfg.l1_bytes,
-            cfg.l1_energy_per_byte_j,
-            np.where(
-                tensor_bytes <= cfg.l2_bytes,
-                cfg.l2_energy_per_byte_j,
-                cfg.dram_energy_per_byte_j,
-            ),
-        )
+        bounds, energies, in_dram = self._levels
+        level = np.searchsorted(bounds, tensor_bytes)
         total = tensor_bytes * times
-        in_dram = tensor_bytes > max(cfg.l1_bytes, cfg.l2_bytes)
-        dram_bytes = np.where(in_dram, total, 0)
-        return total * per_byte, dram_bytes / cfg.dram_bandwidth_bytes_per_s
+        dram_bytes = total * in_dram[level]
+        return (
+            total * energies[level],
+            dram_bytes / self.config.dram_bandwidth_bytes_per_s,
+        )

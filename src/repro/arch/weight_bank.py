@@ -144,6 +144,8 @@ class WeightBank:
         #: Cached (r, c) of the programmed block; None -> rescan the mask.
         self._occupancy: tuple[int, int] | None = None
         self._last_converged: np.ndarray | None = None
+        #: unconverged_fraction of _last_converged; None -> compute on read.
+        self._unconverged_fraction: float | None = None
         self._last_level_errors: np.ndarray | None = None
         self._unconverged_mask = np.zeros(shape, dtype=bool)
         self.stats = BankStats()
@@ -210,6 +212,7 @@ class WeightBank:
         self._occupancy = None
         self._needs_reprogram = False
         self._last_converged = None
+        self._unconverged_fraction = None
         self._last_level_errors = None
         self._unconverged_mask[:] = False
 
@@ -301,6 +304,7 @@ class WeightBank:
         # Readback bookkeeping: the converged mask is the controller's only
         # window into cell health — keep it instead of discarding it.
         self._last_converged = result.converged.copy()
+        self._unconverged_fraction = None
         self._last_level_errors = np.abs(achieved - targets)
         self._unconverged_mask[phys, :c] = ~result.converged
         # Correct the nominal single-pulse charge to the verify loop's
@@ -362,10 +366,18 @@ class WeightBank:
     @property
     def unconverged_fraction(self) -> float:
         """Fraction of the last verified write's cells that failed to
-        converge (0.0 when the last write was nominal / unverified)."""
-        if self._last_converged is None:
-            return 0.0
-        return float(1.0 - self._last_converged.mean())
+        converge (0.0 when the last write was nominal / unverified).
+
+        Serving gates read this for every active bank on every batch, so
+        the value is computed on the first read after a write and kept
+        until the mask changes."""
+        if self._unconverged_fraction is None:
+            self._unconverged_fraction = (
+                0.0
+                if self._last_converged is None
+                else float(1.0 - self._last_converged.mean())
+            )
+        return self._unconverged_fraction
 
     @property
     def last_converged(self) -> np.ndarray | None:
@@ -740,6 +752,7 @@ class WeightBank:
             if state["last_converged"] is None
             else np.asarray(state["last_converged"], dtype=bool)
         )
+        self._unconverged_fraction = None
         self._last_level_errors = (
             None
             if state["last_level_errors"] is None

@@ -3,14 +3,17 @@
 Everything the paper commits to quantitatively lives in
 :class:`PaperTargets`, so benches and tests compare against one source of
 truth.  ``compare`` builds :class:`ExperimentResult` records; EXPERIMENTS.md
-is generated from them.
+is generated from them.  ``paper_networks`` gives a generator the zoo
+networks it prices: from a caller's shared mapping, or freshly built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.nn import Network, build_model
 
 
 @dataclass(frozen=True)
@@ -129,3 +132,22 @@ def compare(
         measured_value=measured_value,
         units=units,
     )
+
+
+def paper_networks(
+    names: Iterable[str], networks: Mapping[str, Network] | None = None
+) -> dict[str, Network]:
+    """The named zoo networks, in ``names`` order.
+
+    Taken from ``networks`` when a mapping is given (one that lacks a name
+    raises :class:`ConfigError`), otherwise built fresh.
+    """
+    names = tuple(names)
+    if networks is None:
+        return {m: build_model(m) for m in names}
+    missing = [m for m in names if m not in networks]
+    if missing:
+        raise ConfigError(
+            f"network mapping lacks {missing}; it has {sorted(networks)}"
+        )
+    return {m: networks[m] for m in names}

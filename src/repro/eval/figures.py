@@ -7,6 +7,7 @@ figure (average improvements, breakdown shares, thresholds).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,8 +17,8 @@ from repro.arch.config import TridentConfig
 from repro.baselines import electronic_baselines, photonic_baselines
 from repro.dataflow.cost_model import PhotonicCostModel
 from repro.devices.activation_cell import GSTActivationCell
-from repro.eval.experiments import PAPER, ExperimentResult, compare
-from repro.nn import build_model
+from repro.eval.experiments import PAPER, ExperimentResult, compare, paper_networks
+from repro.nn import Network
 from repro.nn.models import PAPER_MODELS
 
 
@@ -70,9 +71,15 @@ def fig3_activation_transfer(n_points: int = 201) -> FigureReport:
 # ---------------------------------------------------------------------------
 # Fig 4 — photonic accelerators total energy
 # ---------------------------------------------------------------------------
-def fig4_photonic_energy(batch: int = 128) -> FigureReport:
-    """Per-inference energy of the four photonic architectures x 5 CNNs."""
-    nets = {m: build_model(m) for m in PAPER_MODELS}
+def fig4_photonic_energy(
+    batch: int = 128, networks: Mapping[str, Network] | None = None
+) -> FigureReport:
+    """Per-inference energy of the four photonic architectures x 5 CNNs.
+
+    ``networks`` maps each of :data:`PAPER_MODELS` to its built network;
+    without it the generator builds its own.
+    """
+    nets = paper_networks(PAPER_MODELS, networks)
     series: dict[str, dict[str, float]] = {}
     for arch in photonic_baselines():
         cm = PhotonicCostModel(arch, batch=batch)
@@ -128,9 +135,16 @@ def fig5_area_breakdown(config: TridentConfig | None = None) -> FigureReport:
 # ---------------------------------------------------------------------------
 # Fig 6 — inferences per second, all seven accelerators
 # ---------------------------------------------------------------------------
-def fig6_inferences_per_second(batch: int = 128, electronic_batch: int = 32) -> FigureReport:
-    """Fig 6: inferences/s for all seven accelerators x 5 CNNs."""
-    nets = {m: build_model(m) for m in PAPER_MODELS}
+def fig6_inferences_per_second(
+    batch: int = 128,
+    electronic_batch: int = 32,
+    networks: Mapping[str, Network] | None = None,
+) -> FigureReport:
+    """Fig 6: inferences/s for all seven accelerators x 5 CNNs.
+
+    ``networks`` is as in :func:`fig4_photonic_energy`.
+    """
+    nets = paper_networks(PAPER_MODELS, networks)
     series: dict[str, dict[str, float]] = {}
     for arch in photonic_baselines():
         cm = PhotonicCostModel(arch, batch=batch)

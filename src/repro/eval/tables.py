@@ -7,6 +7,7 @@ records, and renders ASCII text for the bench harness.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +18,9 @@ from repro.arch.pe import ProcessingElement
 from repro.arch.power import PowerModel
 from repro.baselines.electronic import agx_xavier_training, electronic_baselines
 from repro.devices.tuning import tuning_comparison_table
-from repro.eval.experiments import PAPER, ExperimentResult, compare
+from repro.eval.experiments import PAPER, ExperimentResult, compare, paper_networks
 from repro.eval.formatting import format_table
-from repro.nn import build_model
+from repro.nn import Network
 from repro.training.latency import TrainingCostModel
 
 
@@ -212,14 +213,23 @@ def table4_tops(config: TridentConfig | None = None) -> TableReport:
 # ---------------------------------------------------------------------------
 # Table V — time to train 50 000 images
 # ---------------------------------------------------------------------------
-def table5_training(batch: int = 32, n_samples: int = 50_000) -> TableReport:
-    """Table V: time to train 50,000 images."""
+def table5_training(
+    batch: int = 32,
+    n_samples: int = 50_000,
+    networks: Mapping[str, Network] | None = None,
+) -> TableReport:
+    """Table V: time to train 50,000 images.
+
+    ``networks`` maps each of the table's four models to its built
+    network; without it the generator builds its own.
+    """
     tcm = TrainingCostModel(batch=batch)
     paper = PAPER.training_table()
+    nets = paper_networks(paper, networks)
     rows = []
     comparisons = []
     for model_name, (paper_xavier, paper_trident) in paper.items():
-        net = build_model(model_name)
+        net = nets[model_name]
         xavier_s = agx_xavier_training(model_name).training_time_s(net, n_samples, batch=batch)
         trident_s = tcm.training_time_s(net, n_samples)
         pct = (trident_s - xavier_s) / xavier_s * 100.0

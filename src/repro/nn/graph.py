@@ -7,9 +7,10 @@ ResNet residuals, Inception branches).
 
 Nodes are added in any order and reference their inputs by name; ``"input"``
 is the implicit source.  Shape inference walks the graph once in topological
-order and caches per-node results; :meth:`Network.stats` caches its records
-and, on first use, their compute-layer column table.  :meth:`Network.add`
-drops every cache.
+order and caches per-node results.  :meth:`Network.stats` then lowers each
+node once, from its input shapes and its resolved output shape, and caches
+the records and, on first use, their compute-layer column table.
+:meth:`Network.add` drops every cache.
 """
 
 from __future__ import annotations
@@ -201,8 +202,13 @@ class Network:
 
     # ------------------------------------------------------------------
     def stats(self) -> NetworkStats:
-        """Full per-layer + total analysis (one shape walk, cached until
-        the next :meth:`add`)."""
+        """Full per-layer + total analysis, cached until the next :meth:`add`.
+
+        One walk: each node's output shape is resolved once (running the
+        layer's input checks), then the node is lowered once
+        (:meth:`LayerSpec.lower`) for its GEMM and parameter count; its
+        MACs are the GEMM's.
+        """
         if self._stats is not None:
             return self._stats
         shapes = self._resolve_shapes()
@@ -213,8 +219,8 @@ class Network:
         for name in self._order:
             layer = self._layers[name]
             ins = [shapes[src] for src in self._inputs[name]]
-            macs = layer.macs(ins)
-            params = layer.params(ins)
+            gemm, params = layer.lower(ins, shapes[name])
+            macs = 0 if gemm is None else gemm.macs
             records.append(
                 LayerStats(
                     name=name,
@@ -223,7 +229,7 @@ class Network:
                     output=shapes[name],
                     macs=macs,
                     params=params,
-                    gemm=layer.gemm(ins),
+                    gemm=gemm,
                     fused_activation=layer.fused_activation,
                 )
             )

@@ -6,6 +6,12 @@ multiply-accumulate count, parameter count, and (for the compute layers)
 the GEMM the layer lowers to under a weight-stationary dataflow.
 Executable math lives in :mod:`repro.nn.reference`.
 
+Each layer type writes its arithmetic in two methods:
+:meth:`LayerSpec.output_shape`, which also runs the input checks, and
+:meth:`LayerSpec.lower`, which builds the GEMM and the parameter count from
+the inputs and that output shape.  ``gemm``, ``macs`` and ``params`` are
+thin wrappers over the pair.
+
 Shape convention: feature maps are (height, width, channels); dense
 activations are (1, 1, features).
 """
@@ -81,17 +87,29 @@ class LayerSpec:
         """Shape produced from the given input shapes."""
         raise NotImplementedError
 
+    def lower(
+        self, inputs: list[TensorShape], output: TensorShape
+    ) -> tuple[GEMMShape | None, int]:
+        """(weight-stationary GEMM or None, trainable parameter count).
+
+        ``output`` must be :meth:`output_shape` of ``inputs``; that call
+        runs the input checks, so a walk that has resolved every shape
+        lowers each layer without repeating them.
+        """
+        return None, 0
+
     def macs(self, inputs: list[TensorShape]) -> int:
         """Multiply-accumulate operations for one inference."""
-        return 0
+        gemm = self.gemm(inputs)
+        return 0 if gemm is None else gemm.macs
 
     def params(self, inputs: list[TensorShape]) -> int:
         """Trainable parameter count."""
-        return 0
+        return self.lower(inputs, self.output_shape(inputs))[1]
 
     def gemm(self, inputs: list[TensorShape]) -> GEMMShape | None:
         """Weight-stationary GEMM lowering, if this is a compute layer."""
-        return None
+        return self.lower(inputs, self.output_shape(inputs))[0]
 
     def _single(self, inputs: list[TensorShape]) -> TensorShape:
         if len(inputs) != 1:
@@ -157,27 +175,18 @@ class Conv2D(LayerSpec):
             self.out_channels,
         )
 
-    def gemm(self, inputs: list[TensorShape]) -> GEMMShape:
-        s = self._single(inputs)
-        self._check_groups(s.channels)
-        out = self.output_shape(inputs)
-        return GEMMShape(
+    def lower(
+        self, inputs: list[TensorShape], output: TensorShape
+    ) -> tuple[GEMMShape, int]:
+        c_in = self._single(inputs).channels // self.groups
+        gemm = GEMMShape(
             m=self.out_channels // self.groups,
-            k=self.kernel * self.kernel * (s.channels // self.groups),
-            n=out.height * out.width,
+            k=self.kernel * self.kernel * c_in,
+            n=output.height * output.width,
             groups=self.groups,
         )
-
-    def macs(self, inputs: list[TensorShape]) -> int:
-        return self.gemm(inputs).macs
-
-    def params(self, inputs: list[TensorShape]) -> int:
-        s = self._single(inputs)
-        self._check_groups(s.channels)
-        weights = (
-            self.out_channels * (s.channels // self.groups) * self.kernel * self.kernel
-        )
-        return weights + (self.out_channels if self.bias else 0)
+        weights = self.out_channels * c_in * self.kernel * self.kernel
+        return gemm, weights + (self.out_channels if self.bias else 0)
 
 
 class DepthwiseConv2D(Conv2D):
@@ -217,16 +226,10 @@ class DepthwiseConv2D(Conv2D):
         s = self._single(inputs)
         return self._bind(s).output_shape(inputs)
 
-    def gemm(self, inputs: list[TensorShape]) -> GEMMShape:
-        s = self._single(inputs)
-        return self._bind(s).gemm(inputs)
-
-    def macs(self, inputs: list[TensorShape]) -> int:
-        return self.gemm(inputs).macs
-
-    def params(self, inputs: list[TensorShape]) -> int:
-        s = self._single(inputs)
-        return self._bind(s).params(inputs)
+    def lower(
+        self, inputs: list[TensorShape], output: TensorShape
+    ) -> tuple[GEMMShape, int]:
+        return self._bind(self._single(inputs)).lower(inputs, output)
 
 
 class Dense(LayerSpec):
@@ -248,16 +251,12 @@ class Dense(LayerSpec):
         self._single(inputs)
         return TensorShape(1, 1, self.out_features)
 
-    def gemm(self, inputs: list[TensorShape]) -> GEMMShape:
-        s = self._single(inputs)
-        return GEMMShape(m=self.out_features, k=s.elements, n=1)
-
-    def macs(self, inputs: list[TensorShape]) -> int:
-        return self.gemm(inputs).macs
-
-    def params(self, inputs: list[TensorShape]) -> int:
-        s = self._single(inputs)
-        return self.out_features * s.elements + (self.out_features if self.bias else 0)
+    def lower(
+        self, inputs: list[TensorShape], output: TensorShape
+    ) -> tuple[GEMMShape, int]:
+        k = self._single(inputs).elements
+        gemm = GEMMShape(m=self.out_features, k=k, n=1)
+        return gemm, self.out_features * k + (self.out_features if self.bias else 0)
 
 
 class Pool(LayerSpec):
@@ -275,6 +274,10 @@ class Pool(LayerSpec):
         self.stride = stride if stride is not None else kernel
         self.padding = padding
         self.mode = mode
+        if self.stride < 1:
+            raise ShapeError(f"{name}: stride must be positive")
+        if padding < 0:
+            raise ShapeError(f"{name}: padding must be non-negative")
 
     def output_shape(self, inputs: list[TensorShape]) -> TensorShape:
         s = self._single(inputs)
@@ -310,8 +313,10 @@ class BatchNorm(LayerSpec):
     def output_shape(self, inputs: list[TensorShape]) -> TensorShape:
         return self._single(inputs)
 
-    def params(self, inputs: list[TensorShape]) -> int:
-        return 2 * self._single(inputs).channels
+    def lower(
+        self, inputs: list[TensorShape], output: TensorShape
+    ) -> tuple[None, int]:
+        return None, 2 * output.channels
 
 
 class Add(LayerSpec):

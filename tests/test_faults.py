@@ -87,6 +87,32 @@ class TestConvergenceReadback:
         assert np.all(result.pulses == writer.config.max_iterations)
         assert bank.unconverged_fraction == 1.0
 
+    def test_cached_fraction_follows_every_write(self, rng):
+        # The fraction is cached between writes; every store must drop it.
+        def recomputed(bank):
+            mask = bank.last_converged
+            return 0.0 if mask is None else float(1.0 - mask.mean())
+
+        bank = WeightBank(spare_rows=2, convergence_floor=0.0)
+        writer = ProgramVerifyWriter(ProgramVerifyConfig(), rng=rng)
+        bank.program(rng.uniform(-1, 1, (8, 8)))
+        assert bank.unconverged_fraction == recomputed(bank) == 0.0
+        bank.program_verified(rng.uniform(-1, 1, (8, 8)), writer)
+        healthy = bank.unconverged_fraction
+        assert healthy == recomputed(bank)
+        # Degrade, then rewrite: the stuck cells show only after the write.
+        bank.inject_stuck_faults(0.3, rng, stuck_level=254)
+        assert bank.unconverged_fraction == healthy
+        bank.program_verified(np.full((8, 8), -0.5), writer)
+        assert bank.unconverged_fraction == recomputed(bank) > healthy
+        restored = WeightBank(spare_rows=2, convergence_floor=0.0)
+        assert restored.unconverged_fraction == 0.0
+        restored.load_state_dict(bank.state_dict())
+        assert restored.unconverged_fraction == recomputed(restored)
+        assert restored.unconverged_fraction == bank.unconverged_fraction
+        bank.program(rng.uniform(-1, 1, (8, 8)))
+        assert bank.unconverged_fraction == recomputed(bank) == 0.0
+
     def test_warning_below_floor(self, rng):
         bank = WeightBank(convergence_floor=0.99)
         bank.inject_stuck_faults(0.5, rng, stuck_level=254)

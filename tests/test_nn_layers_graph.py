@@ -141,6 +141,20 @@ class TestPoolAndFriends:
         with pytest.raises(ShapeError):
             Pool("p", kernel=2, mode="median")
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"stride": 0}, "stride"),
+            ({"stride": -2}, "stride"),
+            ({"padding": -1}, "padding"),
+        ],
+        ids=["zero-stride", "negative-stride", "negative-padding"],
+    )
+    def test_pool_rejects_bad_stride_and_padding(self, kwargs, match):
+        # As Conv2D: a zero stride would divide by zero at shape time.
+        with pytest.raises(ShapeError, match=match):
+            Pool("p", kernel=2, **kwargs)
+
     def test_global_avg_pool(self):
         g = GlobalAvgPool("gap")
         assert g.output_shape([TensorShape(7, 7, 2048)]) == TensorShape(1, 1, 2048)

@@ -395,6 +395,25 @@ class TestAcceleratorWorker:
             worker.execute(np.zeros((2, tiny_dims[0])))
         assert worker.batches_failed == 1
 
+    def test_bank_health_reads_follow_degrade_and_repair(self, tiny_dims):
+        worker = make_worker(dims=tiny_dims)
+
+        def assert_fresh():
+            for acc in worker.accelerators:
+                for pe in acc.pes:
+                    mask = pe.bank.last_converged
+                    want = 0.0 if mask is None else float(1.0 - mask.mean())
+                    assert pe.bank.unconverged_fraction == want
+
+        assert worker.healthy
+        assert_fresh()
+        worker.degrade(0.3, stuck_level=254)
+        assert not worker.healthy
+        assert_fresh()
+        assert worker.repair()
+        assert worker.healthy
+        assert_fresh()
+
     def test_repair_restores_health(self, tiny_dims):
         worker = make_worker(dims=tiny_dims)
         worker.degrade(0.2, stuck_level=254)
