@@ -30,13 +30,3 @@ def record_report(results_dir):
 
     return _record
 
-
-def comparison_text(comparisons) -> str:
-    """Render paper-vs-measured records as appended lines."""
-    lines = ["", "paper vs measured:"]
-    for c in comparisons:
-        lines.append(
-            f"  {c.metric:32s} paper={c.paper_value:12.3f}  "
-            f"measured={c.measured_value:12.3f}  ({c.relative_error * 100:+.1f}%) {c.units}"
-        )
-    return "\n".join(lines)

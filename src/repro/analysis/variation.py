@@ -17,7 +17,7 @@ import numpy as np
 from repro.arch.accelerator import TridentAccelerator
 from repro.devices.noise import NoiseModel
 from repro.errors import ConfigError
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import Dataset, clipped_blobs
 from repro.nn.reference import DigitalMLP
 
 
@@ -36,8 +36,7 @@ class VariationPoint:
 def make_reference_task(seed: int = 5):
     """Standard task + digitally trained reference network."""
     dims = [10, 14, 3]
-    data = make_blobs(n_samples=400, n_features=10, n_classes=3, spread=2.0, seed=seed)
-    data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+    data = clipped_blobs(400, 10, 3, spread=2.0, seed=seed)
     train, test = data.split(0.8, seed=1)
     mlp = DigitalMLP(dims, activation="gst", seed=7)
     for epoch in range(8):

@@ -65,6 +65,7 @@ from repro.chaos.soak import (
     run_cell,
     run_self_audit,
     run_soak,
+    soak_gate,
     validate_matrix,
 )
 
@@ -100,6 +101,7 @@ __all__ = [
     "run_cell",
     "run_self_audit",
     "run_soak",
+    "soak_gate",
     "session",
     "tear_jsonl_tail",
     "validate_matrix",

@@ -36,12 +36,14 @@ as flake.  Scenarios:
 
 The four serving cells build their runs through the scenario runners
 (the same ones the ``--smoke`` gates use) and share one
-run-twice-and-audit step (:func:`_audited_cell`).  The result is a JSON
+run-twice-and-audit step (:func:`_audited_cell`); the ``train`` cell
+trains through :func:`repro.scenarios.run_train`, the scenario behind
+``repro train``.  The result is a JSON
 **flake matrix** (:func:`run_soak`): per-cell verdicts, failed checks,
 applied-injection counts, and — for failing cells — a telemetry
-snapshot from an instrumented re-run.  ``repro soak --smoke`` turns any
-failure into a non-zero exit; :func:`run_self_audit` proves the gate
-*can* fail by running a cell with a deliberately unhandled sabotage
+snapshot from an instrumented re-run.  :func:`soak_gate` is the ``repro
+soak --smoke`` verdict on that matrix; :func:`run_self_audit` proves the
+gate *can* fail by running a cell with a deliberately unhandled sabotage
 injection and requiring the harness to flag it.
 """
 
@@ -60,7 +62,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.chaos.session import session as chaos_scope
-from repro.chaos.audit import audit_fleet_run, audit_serve_run, run_digest
+from repro.chaos.audit import AuditResult, audit_fleet_run, audit_serve_run, run_digest
 from repro.chaos.injectors import apply_file_injection
 from repro.chaos.plan import ChaosPlan, ChaosProfile, Injection, compile_plan
 from repro.errors import ChaosError
@@ -146,30 +148,16 @@ def _audited_cell(execute, audit=audit_serve_run, scenario_checks=None):
 # serve scenario
 # ---------------------------------------------------------------------------
 def _serve_workload_config(seed: int):
-    from repro.serving.server import ServerConfig
-    from repro.serving.workload import Phase, WorkloadConfig
+    from repro.serving.workload import WorkloadConfig, three_phases
 
-    return WorkloadConfig(
-        n_workers=2,
+    base = WorkloadConfig()
+    return dataclasses.replace(
+        base,
         seed=int(seed),
-        phases=(
-            Phase("warm", 80, 0.6),
-            Phase("burst", 80, 2.0),
-            Phase("drain", 80, 0.35),
-        ),
+        phases=three_phases(80),
         # The chaos plan is the only fault source here.
         degrade_fraction=0.0,
-        server=ServerConfig(
-            max_queue_depth=64,
-            max_batch=16,
-            slo_latency_s=1e-5,
-            max_retries=2,
-            retry_backoff_s=5e-7,
-            retry_jitter_s=1e-7,
-            breaker_failure_threshold=3,
-            breaker_cooldown_s=5e-6,
-            seed=int(seed),
-        ),
+        server=dataclasses.replace(base.server, seed=int(seed)),
     )
 
 
@@ -226,24 +214,14 @@ def _run_serve(seed: int, chaos_enabled: bool, sabotage: bool = False) -> dict:
 # shard scenario
 # ---------------------------------------------------------------------------
 def _shard_workload_config(seed: int):
-    from repro.serving.server import ServerConfig
     from repro.serving.shard_workload import ShardWorkloadConfig
 
+    base = ShardWorkloadConfig()
     return dataclasses.replace(
-        ShardWorkloadConfig(),
+        base,
         seed=int(seed),
         n_requests=64,
-        server=ServerConfig(
-            max_queue_depth=512,
-            max_batch=16,
-            slo_latency_s=1e-5,
-            max_retries=5,
-            retry_backoff_s=5e-7,
-            retry_jitter_s=1e-7,
-            breaker_failure_threshold=3,
-            breaker_cooldown_s=5e-6,
-            seed=int(seed),
-        ),
+        server=dataclasses.replace(base.server, seed=int(seed)),
     )
 
 
@@ -326,14 +304,11 @@ def _run_resume(seed: int, chaos_enabled: bool) -> dict:
         failed.append("resume_incomplete: cells missing after resume")
     if resumed.clean_accuracy != baseline.clean_accuracy:
         failed.append("clean_accuracy_drift")
-    base_rows = sorted(
-        (row.as_dict() for row in baseline.rows),
-        key=lambda d: (d["fraction"], d["policy"], d["trial"]),
-    )
-    resumed_rows = sorted(
-        (row.as_dict() for row in resumed.rows),
-        key=lambda d: (d["fraction"], d["policy"], d["trial"]),
-    )
+    def sorted_rows(report):
+        rows = (row.as_dict() for row in report.rows)
+        return sorted(rows, key=lambda d: (d["fraction"], d["policy"], d["trial"]))
+
+    base_rows, resumed_rows = sorted_rows(baseline), sorted_rows(resumed)
     if base_rows != resumed_rows:
         failed.append(
             "resume_divergence: resumed rows differ from uninterrupted baseline"
@@ -350,62 +325,17 @@ def _run_resume(seed: int, chaos_enabled: bool) -> dict:
 # ---------------------------------------------------------------------------
 # train scenario (bit-rotted checkpoint)
 # ---------------------------------------------------------------------------
-def _train_trainer(seed: int, directory: str):
-    from repro.arch import TridentAccelerator, TridentConfig
-    from repro.devices.program_verify import ProgramVerifyConfig
-    from repro.runtime import ResilienceConfig, ResilientTrainer
-    from repro.training.insitu import InSituTrainer
-
-    dims = [6, 8, 3]
-    rows = max(dims)
-    acc = TridentAccelerator(
-        config=TridentConfig(
-            bank_rows=rows, bank_cols=rows, spare_rows=2, convergence_floor=0.0
-        ),
-        seed=int(seed),
-        program_verify=ProgramVerifyConfig(),
-    )
-    acc.map_mlp(dims)
-    rng = np.random.default_rng(seed + 1)
-    acc.set_weights(
-        [
-            rng.normal(0.0, 0.4, (dims[i + 1], dims[i]))
-            for i in range(len(dims) - 1)
-        ]
-    )
-    return ResilientTrainer(
-        InSituTrainer(acc, lr=0.05),
-        directory,
-        config=ResilienceConfig(checkpoint_every=2),
-    )
-
-
-def _train_data(seed: int):
-    from repro.nn.datasets import Dataset, make_blobs, standardize
-
-    raw = make_blobs(n_samples=48, n_features=6, n_classes=3, seed=seed + 2)
-    return Dataset(x=np.clip(standardize(raw.x) / 3, -1, 1), y=raw.y)
-
-
 def _run_train(seed: int, chaos_enabled: bool) -> dict:
     from repro.runtime.checkpoint import CheckpointStore
+    from repro.scenarios import run_train
 
-    steps, crash_after = 8, 5
-    data = _train_data(seed)
+    train = functools.partial(run_train, steps=8, samples=48, seed=seed, checkpoint_every=2)
     failed: list[str] = []
     applied: dict[str, int] = {}
     with tempfile.TemporaryDirectory(prefix="repro-soak-train-base-") as base:
-        baseline = _train_trainer(seed, base).run(
-            data, steps=steps, batch_size=8, seed=seed + 3
-        )
+        baseline = train(checkpoint_dir=base).report
     with tempfile.TemporaryDirectory(prefix="repro-soak-train-") as tmp:
-        _train_trainer(seed, tmp).run(
-            data,
-            steps=steps,
-            batch_size=8,
-            seed=seed + 3,
-            max_steps_this_run=crash_after,
-        )
+        train(checkpoint_dir=tmp, max_steps=5)
         store = CheckpointStore(tmp)
         steps_on_disk = store.steps()
         if len(steps_on_disk) < 2:
@@ -424,9 +354,7 @@ def _run_train(seed: int, chaos_enabled: bool) -> dict:
             applied = session.applied_counts()
         with telemetry.session() as t, warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            resumed = _train_trainer(seed, tmp).run(
-                data, steps=steps, batch_size=8, seed=seed + 3, resume=True
-            )
+            resumed = train(checkpoint_dir=tmp, resume=True).report
         skip_events = t.events.of_kind("checkpoint_corrupt_skipped")
     if not resumed.completed:
         failed.append(f"resume_aborted: {resumed.aborted_reason}")
@@ -661,6 +589,27 @@ def run_self_audit(seed: int = 0) -> dict:
         "sabotaged_cell_failed": not outcome["ok"],
         "failed_checks": outcome["failed"],
     }
+
+
+def soak_gate(doc: dict) -> AuditResult:
+    """The ``repro soak --smoke`` verdict on a flake matrix that carries
+    its ``self_audit``: every cell passes, the matrix schema holds, and
+    the self-audit flagged the sabotaged cell."""
+    result = AuditResult()
+    passed = sum(cell["ok"] for cell in doc["cells"])
+    result.record(
+        "soak_cells_pass",
+        not doc["flaky"],
+        f"{passed}/{len(doc['cells'])} cells pass",
+    )
+    problems = validate_matrix(doc)
+    result.record("matrix_schema_valid", not problems, "; ".join(problems))
+    result.record(
+        "self_audit_flags_sabotage",
+        doc["self_audit"]["ok"],
+        "; ".join(doc["self_audit"]["failed_checks"]),
+    )
+    return result
 
 
 # ---------------------------------------------------------------------------

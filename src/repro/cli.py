@@ -77,33 +77,51 @@ def _write_json(path: str, doc: dict, label: str) -> None:
     print(f"{label}: {out}")
 
 
-def _export_session(t, args) -> tuple[dict, list[str]]:
-    """Write a telemetry session's Chrome trace to ``args.out`` and its
-    metrics and events beside it (or to ``--metrics-out`` /
-    ``--events-out``), then read them back: returns (metric samples,
-    trace-schema problems)."""
-    import json
-    from pathlib import Path
+def _parity_verdict(ok: bool) -> int:
+    """Exit code of a batch-invariance check (1 names the violation)."""
+    if not ok:
+        print("PARITY VIOLATION between one batch and single-sample batches")
+    return 0 if ok else 1
 
-    from repro import telemetry
 
-    out = Path(args.out)
-    base = out.with_suffix("")
-    metrics = Path(args.metrics_out or base.with_suffix(".metrics.prom"))
-    events = Path(args.events_out or base.with_suffix(".events.jsonl"))
-    t.tracer.write_chrome_trace(out)
-    t.metrics.write_prometheus(metrics)
-    t.events.write_jsonl(events)
-    samples = telemetry.parse_prometheus_text(
-        metrics.read_text(encoding="utf-8")
-    )
-    problems = telemetry.validate_chrome_trace(
-        json.loads(out.read_text(encoding="utf-8"))
-    )
-    print(f"trace written to {out} ({len(t.tracer.records)} spans)")
-    print(f"metrics written to {metrics} ({len(samples)} samples)")
-    print(f"events written to {events} ({len(t.events.records)} events)")
-    return samples, problems
+def _campaign_verdict(report, export_dir: str | None) -> int:
+    """Print a fault campaign (and export it to ``export_dir``)."""
+    print(report.render())
+    if export_dir:
+        from repro.eval.export import export_fault_campaign
+
+        for path in export_fault_campaign(report, export_dir):
+            print(path)
+    return _parity_verdict(report.parity_ok)
+
+
+def _print_export(t, export) -> None:
+    """One line per artifact a telemetry session's export wrote."""
+    if export.trace:
+        print(f"trace written to {export.trace} ({len(t.tracer.records)} spans)")
+    if export.metrics:
+        print(f"metrics written to {export.metrics} ({len(export.samples)} samples)")
+    if export.events:
+        print(f"events written to {export.events} ({len(t.events.records)} events)")
+
+
+def _seed(text: str) -> int:
+    """argparse ``type`` of the seed flags: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _with_flags(config, **flags):
+    """``config`` with each flag the user gave (not None) replaced."""
+    import dataclasses
+
+    given = {key: value for key, value in flags.items() if value is not None}
+    return dataclasses.replace(config, **given) if given else config
 
 
 def _comparisons_text(comparisons) -> str:
@@ -323,56 +341,18 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one batch against single-sample batches on one MLP.
+    """Profile one batch against single-sample batches on one MLP
+    (:func:`repro.scenarios.run_profile`) and print each side's per-layer
+    rows and the speedup.  Exits non-zero if the sides disagree on outputs
+    or event counters: an executable statement of batch invariance."""
+    from repro.scenarios import profile_gate, run_profile
 
-    Maps a random MLP, streams one B-sample batch through
-    ``forward_batch`` and then the same samples as B single-sample
-    batches, each side in its own telemetry session, and prints one row
-    per layer summed from that side's ``layer`` spans (tiles, symbols,
-    writes, cells, activation events, simulator wall time) plus the
-    wall-clock speedup.  Exits non-zero if the two sides disagree —
-    outputs (noise-free hardware) or event counters — so it doubles as an
-    executable statement of batch invariance.
-    """
-    import numpy as np
+    run = run_profile(args.dims, batch=args.batch, seed=args.seed)
 
-    from repro import telemetry
-    from repro.arch import TridentAccelerator
-    from repro.errors import ConfigError
-    from repro.eval.formatting import format_table
-
-    if args.batch < 1:
-        raise ConfigError(f"batch must be positive, got {args.batch}")
-    dims = args.dims
-    rng = np.random.default_rng(args.seed)
-    acc = TridentAccelerator()
-    acc.map_mlp(dims)
-    acc.set_weights(
-        [rng.uniform(-1, 1, (o, i)) for i, o in zip(dims[:-1], dims[1:])]
-    )
-    xs = rng.uniform(-1, 1, (args.batch, dims[0]))
-
-    def profile(title, run):
-        before = acc.counters.snapshot()
-        with telemetry.session() as t:
-            out = run()
-        counters = acc.counters.diff(before)
-        records = t.tracer.records
-        wall_s = sum(r.duration_s for r in records if r.name == "forward_batch")
-        rows = [
-            [
-                k,
-                len(acc.layers[k].tiles),
-                row["symbols"],
-                row["bank_writes"],
-                row["cells_written"],
-                row["activation_events"],
-                row["duration_s"] * 1e3,
-            ]
-            for k, row in telemetry.span_totals(records, "layer", "layer").items()
-        ]
+    def show(title, side):
+        counters = side.counters
         print(
-            f"{title}: {wall_s * 1e3:.3f} ms wall, {counters.symbols} symbols, "
+            f"{title}: {side.wall_s * 1e3:.3f} ms wall, {counters.symbols} symbols, "
             f"{counters.bank_writes} bank writes, "
             f"{counters.activation_events} activation events"
         )
@@ -380,30 +360,20 @@ def cmd_profile(args: argparse.Namespace) -> int:
             format_table(
                 ["layer", "tiles", "symbols", "writes", "cells",
                  "activations", "wall ms"],
-                rows,
+                side.rows,
             )
         )
-        return out, counters, wall_s
 
-    out_batch, counters_batch, wall_b = profile(
-        f"forward_batch (B={args.batch})", lambda: acc.forward_batch(xs)
-    )
+    show(f"forward_batch (B={args.batch})", run.batched)
     print()
-    out_sample, counters_sample, wall_s = profile(
-        f"forward_batch (B=1) x{args.batch}",
-        lambda: np.concatenate([acc.forward_batch(x[None]) for x in xs]),
-    )
-    if wall_b > 0:
-        print(f"\nbatched speedup: {wall_s / wall_b:.1f}x")
+    show(f"forward_batch (B=1) x{args.batch}", run.single)
+    if run.batched.wall_s > 0:
+        print(f"\nbatched speedup: {run.single.wall_s / run.batched.wall_s:.1f}x")
 
-    outputs_match = bool(np.allclose(out_batch, out_sample))
-    counters_match = counters_batch == counters_sample
-    print(f"outputs match: {outputs_match}")
-    print(f"event counters match: {counters_match}")
-    if not (outputs_match and counters_match):
-        print("PARITY VIOLATION between one batch and single-sample batches")
-        return 1
-    return 0
+    result = profile_gate(run)
+    for name, ok, _ in result.checks:
+        print(f"{name}: {ok}")
+    return _parity_verdict(result.ok)
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
@@ -430,244 +400,70 @@ def cmd_faults(args: argparse.Namespace) -> int:
         report = run_campaign(
             config, checkpoint_dir=args.checkpoint_dir, max_cells=args.max_cells
         )
-    print(report.render())
-    if args.export:
-        from repro.eval.export import export_fault_campaign
-
-        for path in export_fault_campaign(report, args.export):
-            print(path)
-    if not report.parity_ok:
-        print("PARITY VIOLATION between one batch and single-sample batches")
-        return 1
-    return 0
+    return _campaign_verdict(report, args.export)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    """Resilient in-situ training on the functional simulator.
+    """Resilient in-situ training (:func:`repro.scenarios.run_train`):
+    checkpoints on a cadence, rolls back on divergence with learning-rate
+    backoff, resumes an interrupted run; ``--inject-nan-step`` forces one
+    NaN loss to demonstrate the rollback ladder."""
+    from repro.scenarios import run_train, train_gate
 
-    Runs a small classifier through :class:`~repro.runtime.ResilientTrainer`:
-    checkpoints on a cadence, rolls back on divergence with exponential
-    learning-rate backoff, and can resume an interrupted run from its
-    checkpoint directory.  ``--inject-nan-step`` forces one NaN loss to
-    demonstrate the rollback ladder.
-    """
-    import tempfile
-
-    from repro.arch import TridentAccelerator, TridentConfig
-    from repro.devices.program_verify import ProgramVerifyConfig
-    from repro.nn.datasets import Dataset, make_blobs, standardize
-    from repro.runtime import ResilienceConfig, ResilientTrainer
-    from repro.training.insitu import InSituTrainer
-
-    import numpy as np
-
-    dims = list(args.dims)
-    rows = max(max(dims), 2)
-    arch = TridentConfig(
-        bank_rows=rows, bank_cols=rows, spare_rows=2, convergence_floor=0.0
-    )
-    acc = TridentAccelerator(
-        config=arch, seed=args.seed, program_verify=ProgramVerifyConfig()
-    )
-    acc.map_mlp(dims)
-    rng = np.random.default_rng(args.seed + 1)
-    acc.set_weights(
-        [
-            rng.normal(0.0, 0.4, (dims[i + 1], dims[i]))
-            for i in range(len(dims) - 1)
-        ]
-    )
-    raw = make_blobs(
-        n_samples=args.samples,
-        n_features=dims[0],
-        n_classes=dims[-1],
-        seed=args.seed + 2,
-    )
-    data = Dataset(x=np.clip(standardize(raw.x) / 3, -1, 1), y=raw.y)
-
-    hook = None
-    if args.inject_nan_step is not None:
-        fired = {"done": False}
-
-        def hook(step: int) -> float | None:
-            if step == args.inject_nan_step and not fired["done"]:
-                fired["done"] = True
-                return float("nan")
-            return None
-
-    directory = args.checkpoint_dir or tempfile.mkdtemp(prefix="repro-train-")
-    trainer = ResilientTrainer(
-        InSituTrainer(acc, lr=args.lr),
-        directory,
-        config=ResilienceConfig(checkpoint_every=args.checkpoint_every),
-        step_hook=hook,
-    )
     with _metrics_session(args.metrics_out):
-        report = trainer.run(
-            data,
+        run = run_train(
+            args.dims,
             steps=args.steps,
-            batch_size=args.batch,
-            seed=args.seed + 3,
+            batch=args.batch,
+            lr=args.lr,
+            samples=args.samples,
+            seed=args.seed,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
             resume=args.resume,
-            max_steps_this_run=args.max_steps,
+            max_steps=args.max_steps,
+            inject_nan_step=args.inject_nan_step,
         )
-    print(report.render())
-    print(f"checkpoints in {directory}")
-    return 0 if report.completed else 1
+    print(run.report.render())
+    print(f"checkpoints in {run.directory}")
+    return 0 if train_gate(run).ok else 1
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Run an instrumented end-to-end workload and export its telemetry.
-
-    The workload exercises every observability surface on purpose: a
-    fault-injected deployment walks the repair ladder (repair-tier
-    counters), resilient training with one injected NaN loss rolls back
-    (rollback counter + structured events), a batched inference pass and
-    the analytical cost model / schedule simulator fill the span
-    timeline.  Artifacts: a Chrome ``trace_event`` JSON (open in
-    ``chrome://tracing`` or https://ui.perfetto.dev), a Prometheus text
-    metrics dump, and a JSONL structured-event log.
-
-    The run then *audits itself*: the trace must pass the Chrome-trace
-    schema check, named spans must attribute >= 95% of root wall time,
-    the metrics dump must parse and expose the repair-tier and rollback
-    counters, and the rollback must actually have happened.  Any failed
-    check exits non-zero — with ``--smoke`` this is the CI observability
-    gate.
-    """
+    """Run the instrumented end-to-end workload
+    (:func:`repro.scenarios.run_trace`), export a Chrome ``trace_event``
+    JSON (open in https://ui.perfetto.dev), a Prometheus metrics dump and
+    a JSONL event log, and audit them (:func:`repro.scenarios.trace_gate`);
+    with ``--smoke`` this is the CI observability gate."""
     import tempfile
     from pathlib import Path
 
-    import numpy as np
-
-    from repro import telemetry
-    from repro.arch import TridentAccelerator, TridentConfig
-    from repro.chaos.audit import AuditResult
-    from repro.dataflow.cost_model import PhotonicArch, PhotonicCostModel
-    from repro.dataflow.schedule_sim import simulate_model
-    from repro.devices.program_verify import ProgramVerifyConfig
-    from repro.faults import FaultManager, RepairConfig
-    from repro.nn import build_model
-    from repro.nn.datasets import Dataset, make_blobs, standardize
-    from repro.runtime import ResilienceConfig, ResilientTrainer
-    from repro.training.insitu import InSituTrainer
+    from repro.scenarios import run_trace, trace_gate
 
     if args.out is None:
-        base = Path(
-            tempfile.mkdtemp(prefix="repro-trace-")
-            if args.smoke
-            else "."
-        )
-        args.out = str(base / "repro_run.trace.json")
+        base = tempfile.mkdtemp(prefix="repro-trace-") if args.smoke else "."
+        args.out = str(Path(base) / "repro_run.trace.json")
 
-    dims = list(args.dims)
-    steps = 6 if args.smoke else args.steps
-    rows = max(max(dims), 2)
-    seed = args.seed
-
-    with telemetry.session() as t:
-        with t.tracer.span("trace_workload"):
-            with t.tracer.span("deploy_and_repair"):
-                arch = TridentConfig(
-                    bank_rows=rows,
-                    bank_cols=rows,
-                    spare_rows=4,
-                    convergence_floor=0.0,
-                )
-                acc = TridentAccelerator(
-                    config=arch, seed=seed,
-                    program_verify=ProgramVerifyConfig(),
-                )
-                acc.map_mlp(dims)
-                rng = np.random.default_rng(seed + 1)
-                weights = [
-                    rng.normal(0.0, 0.4, (dims[i + 1], dims[i]))
-                    for i in range(len(dims) - 1)
-                ]
-                acc.inject_stuck_faults(0.08, stuck_level=254)
-                manager = FaultManager(acc, config=RepairConfig(policy="remap"))
-                manager.deploy([w.copy() for w in weights])
-
-            with t.tracer.span("training"):
-                raw = make_blobs(
-                    n_samples=60,
-                    n_features=dims[0],
-                    n_classes=dims[-1],
-                    seed=seed + 2,
-                )
-                data = Dataset(
-                    x=np.clip(standardize(raw.x) / 3, -1, 1), y=raw.y
-                )
-                fired = {"done": False}
-
-                def hook(step: int) -> float | None:
-                    if step == 2 and not fired["done"]:
-                        fired["done"] = True
-                        return float("nan")
-                    return None
-
-                with tempfile.TemporaryDirectory() as ckpt_dir:
-                    trainer = ResilientTrainer(
-                        InSituTrainer(acc, lr=0.05),
-                        ckpt_dir,
-                        config=ResilienceConfig(checkpoint_every=3),
-                        manager=manager,
-                        step_hook=hook,
-                    )
-                    run_report = trainer.run(
-                        data, steps=steps, batch_size=8, seed=seed + 3
-                    )
-
-            with t.tracer.span("inference"):
-                acc.forward_batch(data.x)
-
-            with t.tracer.span("modeling"):
-                net = build_model(args.model)
-                PhotonicCostModel(PhotonicArch.trident()).model_cost(net)
-                simulate_model(net, keep_events=False)
-
-        coverage = t.tracer.coverage()
-        samples, trace_problems = _export_session(t, args)
-
-    rollbacks = samples.get("repro_rollbacks_total", 0.0)
-    missing = [
-        key
-        for key in (
-            "repro_rollbacks_total",
-            'repro_repairs_total{tier="retry"}',
-            'repro_repairs_total{tier="spare"}',
-            'repro_repairs_total{tier="migrate"}',
-            "repro_tiles_unrepaired_total",
-        )
-        if key not in samples
-    ]
-    checks = AuditResult()
-    checks.record(
-        "chrome trace schema valid",
-        not trace_problems,
-        "; ".join(trace_problems[:5]),
+    run = run_trace(
+        args.out,
+        args.dims,
+        steps=6 if args.smoke else args.steps,
+        seed=args.seed,
+        model=args.model,
+        metrics_out=args.metrics_out,
+        events_out=args.events_out,
     )
-    checks.record("span coverage >= 95%", coverage >= 0.95)
-    checks.record(
-        "repair-tier + rollback counters exposed",
-        not missing,
-        f"missing {missing}" if missing else "",
-    )
-    checks.record("rollback exercised", rollbacks >= 1)
-    checks.record("training completed", run_report.completed)
-
-    print(f"span coverage of root wall time: {coverage * 100:.1f}%")
-    repairs = sum(
-        value
-        for key, value in samples.items()
-        if key.startswith("repro_repairs_total")
-    )
+    _print_export(run.session, run.export)
+    samples = run.export.samples
+    print(f"span coverage of root wall time: {run.coverage * 100:.1f}%")
+    repairs = sum(v for k, v in samples.items() if k.startswith("repro_repairs_total"))
     print(
-        f"workload: {run_report.steps_completed} steps, "
-        f"{int(rollbacks)} rollback(s), {int(repairs)} repair(s), "
+        f"workload: {run.report.steps_completed} steps, "
+        f"{int(samples.get('repro_rollbacks_total', 0.0))} rollback(s), "
+        f"{int(repairs)} repair(s), "
         f"{int(samples.get('repro_tiles_unrepaired_total', 0))} tile(s) degraded"
     )
-    return _gate_verdict(checks, "trace gate")
+    return _gate_verdict(trace_gate(run), "trace gate")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -680,40 +476,34 @@ def cmd_serve(args: argparse.Namespace) -> int:
     With ``--smoke``, replays the run (telemetry disabled) and audits
     the robustness invariants as a CI gate.
     """
+    import dataclasses
     import tempfile
     from pathlib import Path
 
     from repro import telemetry
     from repro.serving import (
-        Phase,
-        ServerConfig,
         WorkloadConfig,
         run_serve_workload,
         serve_gate,
         shed_rate_by_priority,
     )
+    from repro.serving.workload import three_phases
 
     requests = args.requests
     if requests is None:
         requests = 400 if args.smoke else 800
-    config = WorkloadConfig(
+    base = WorkloadConfig()
+    config = dataclasses.replace(
+        base,
         dims=tuple(args.dims),
         n_workers=args.workers,
         seed=args.seed,
-        phases=(
-            Phase("warm", requests, 0.6),
-            Phase("burst", requests, args.burst),
-            Phase("drain", requests, 0.35),
-        ),
-        server=ServerConfig(
+        phases=three_phases(requests, args.burst),
+        server=dataclasses.replace(
+            base.server,
             max_queue_depth=args.queue_depth,
             max_batch=args.batch,
             slo_latency_s=args.slo_us * 1e-6,
-            max_retries=2,
-            retry_backoff_s=5e-7,
-            retry_jitter_s=1e-7,
-            breaker_failure_threshold=3,
-            breaker_cooldown_s=5e-6,
             seed=args.seed,
         ),
     )
@@ -724,8 +514,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     with telemetry.session() as t:
         run = run_serve_workload(config)
-        if args.out:
-            samples, trace_problems = _export_session(t, args)
+        export = t.export(args.out, args.metrics_out, args.events_out)
+    _print_export(t, export)
 
     print(run.report.render())
     rates = shed_rate_by_priority(run.report)
@@ -748,11 +538,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         "repro_serve_queue_depth",
         "repro_power_draw_w",
     )
-    missing = [key for key in expected_samples if key not in samples]
+    missing = [key for key in expected_samples if key not in export.samples]
     result.record(
         "chrome_trace_schema_valid",
-        not trace_problems,
-        "; ".join(trace_problems[:5]),
+        not export.problems,
+        "; ".join(export.problems[:5]),
     )
     result.record(
         "serving_metrics_exposed",
@@ -774,8 +564,6 @@ def cmd_shard(args: argparse.Namespace) -> int:
     serialized makespans, stage-fault drain/repair, conservation, and
     bit-identical replay — as a CI gate.
     """
-    import dataclasses
-
     from repro.serving import (
         ShardWorkloadConfig,
         makespan_s,
@@ -787,14 +575,9 @@ def cmd_shard(args: argparse.Namespace) -> int:
         single_shard_mapping_error,
     )
 
-    config = ShardWorkloadConfig()
-    overrides = {}
-    if args.requests is not None:
-        overrides["n_requests"] = args.requests
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = _with_flags(
+        ShardWorkloadConfig(), n_requests=args.requests, seed=args.seed
+    )
 
     if args.smoke:
         return _gate_verdict(shard_gate(config), "shard gate")
@@ -827,78 +610,57 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
 def cmd_resume(args: argparse.Namespace) -> int:
     """Resume an interrupted fault campaign from its checkpoint ledger.
 
-    With ``--smoke``, runs a self-contained crash-resume verification
-    instead: a small campaign is run once uninterrupted, once halted
-    after a single cell and resumed, and the two final reports must be
-    bit-identical (same rows, same clean accuracy).
+    With ``--smoke``, runs the crash-resume check instead
+    (:func:`repro.faults.run_resume_check`): the resumed campaign must be
+    bit-identical to an uninterrupted one.
     """
-    from repro.faults import CampaignConfig, resume_campaign, run_campaign
+    from repro.faults import resume_campaign, resume_gate, run_resume_check
 
     if args.smoke:
-        import tempfile
-
-        config = CampaignConfig.smoke()
-        baseline = run_campaign(config)
-        with tempfile.TemporaryDirectory() as directory:
-            partial = run_campaign(config, checkpoint_dir=directory, max_cells=1)
-            resumed = resume_campaign(directory)
-        same = (
-            resumed.complete
-            and not partial.complete
-            and baseline.clean_accuracy == resumed.clean_accuracy
-            and [r.as_dict() for r in baseline.rows]
-            == [r.as_dict() for r in resumed.rows]
-        )
+        check = run_resume_check()
         print(
-            f"crash-resume smoke: halted after {len(partial.rows)} cell(s), "
-            f"resumed to {len(resumed.rows)}/{len(baseline.rows)}"
+            f"crash-resume smoke: halted after {len(check.partial.rows)} "
+            f"cell(s), resumed to {len(check.resumed.rows)}/"
+            f"{len(check.baseline.rows)}"
         )
-        print(f"bit-identical to uninterrupted run: {'OK' if same else 'MISMATCH'}")
-        return 0 if same else 1
+        ok = resume_gate(check).ok
+        print(f"bit-identical to uninterrupted run: {'OK' if ok else 'MISMATCH'}")
+        return 0 if ok else 1
 
     if not args.checkpoint_dir:
-        print("repro resume: --checkpoint-dir is required (or use --smoke)")
+        print(
+            "repro resume: --checkpoint-dir is required (or use --smoke)",
+            file=sys.stderr,
+        )
         return 2
     report = resume_campaign(args.checkpoint_dir)
-    print(report.render())
-    if args.export:
-        from repro.eval.export import export_fault_campaign
-
-        for path in export_fault_campaign(report, args.export):
-            print(path)
-    if not report.parity_ok:
-        print("PARITY VIOLATION between one batch and single-sample batches")
-        return 1
-    return 0
+    return _campaign_verdict(report, args.export)
 
 
 def cmd_soak(args: argparse.Namespace) -> int:
     """Soak the stack under deterministic chaos; emit a flake matrix.
 
-    Sweeps the serve/shard/resume/train/fleet/sdc scenarios across a
-    seed range, each cell repeated and audited (conservation, structured
-    sheds, atomic batches, finite outputs, charged repairs, bit-identical
-    replay).  ``--smoke`` is the CI gate: it also runs the self-audit (a
-    deliberately unhandled fault must be flagged) and exits non-zero on
-    any failing or flaky cell, a matrix schema problem, or a self-audit
-    that cannot fail.
+    Sweeps the serve/shard/resume/train/fleet/sdc scenarios across a seed
+    range, each cell repeated and audited.  ``--smoke`` is the CI gate
+    (:func:`repro.chaos.soak_gate`): it also runs the sabotage self-audit
+    and exits non-zero on any failing or flaky cell, a matrix schema
+    problem, or a self-audit that cannot fail.
     """
     from repro.chaos import (
-        AuditResult,
         SoakConfig,
         render_matrix,
         run_self_audit,
         run_soak,
-        validate_matrix,
+        soak_gate,
     )
 
-    scenarios = tuple(args.scenarios) if args.scenarios else None
-    seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
-    overrides = {"seeds": seeds, "repeats": args.repeats,
-                 "chaos": not args.no_chaos}
-    if scenarios is not None:
-        overrides["scenarios"] = scenarios
-    config = SoakConfig(**overrides)
+    config = _with_flags(
+        SoakConfig(),
+        scenarios=tuple(args.scenarios) if args.scenarios else None,
+        seeds=tuple(range(args.seed_base, args.seed_base + args.seeds)),
+        repeats=args.repeats,
+        chaos=not args.no_chaos,
+    )
 
     def progress(cell):
         verdict = "pass" if cell["ok"] else "FAIL"
@@ -915,21 +677,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
     print(render_matrix(doc))
     if not args.smoke:
         return 0
-    result = AuditResult()
-    passed = sum(cell["ok"] for cell in doc["cells"])
-    result.record(
-        "soak_cells_pass",
-        not doc["flaky"],
-        f"{passed}/{len(doc['cells'])} cells pass",
-    )
-    problems = validate_matrix(doc)
-    result.record("matrix_schema_valid", not problems, "; ".join(problems))
-    result.record(
-        "self_audit_flags_sabotage",
-        doc["self_audit"]["ok"],
-        "; ".join(doc["self_audit"]["failed_checks"]),
-    )
-    return _gate_verdict(result, "soak gate")
+    return _gate_verdict(soak_gate(doc), "soak gate")
 
 
 def cmd_integrity(args: argparse.Namespace) -> int:
@@ -942,8 +690,6 @@ def cmd_integrity(args: argparse.Namespace) -> int:
     ``silent_corrupt`` chaos detected and attested (none settles
     unverified), and the escalation → quarantine → scrub → restore arc.
     """
-    import dataclasses
-
     from repro.chaos.audit import attestation_totals
     from repro.integrity import (
         IntegrityWorkloadConfig,
@@ -951,14 +697,9 @@ def cmd_integrity(args: argparse.Namespace) -> int:
         run_integrity_workload,
     )
 
-    config = IntegrityWorkloadConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.requests is not None:
-        overrides["n_requests"] = args.requests
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = _with_flags(
+        IntegrityWorkloadConfig(), seed=args.seed, n_requests=args.requests
+    )
 
     if args.smoke:
         return _gate_verdict(integrity_gate(config), "integrity gate")
@@ -1080,64 +821,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", help="regenerate a paper table (1-5)")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    def export_flags(p, out_help):
+        p.add_argument("--out", metavar="PATH", default=None, help=out_help)
+        p.add_argument("--metrics-out", metavar="PATH", default=None,
+                       help="Prometheus dump (default: next to --out)")
+        p.add_argument("--events-out", metavar="PATH", default=None,
+                       help="structured-event JSONL (default: next to --out)")
+
+    p = command("table", cmd_table, "regenerate a paper table (1-5)")
     p.add_argument("number", type=int, choices=(1, 2, 3, 4, 5))
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("fig", help="regenerate a paper figure (3-6)")
+    p = command("fig", cmd_fig, "regenerate a paper figure (3-6)")
     p.add_argument("number", type=int, choices=(3, 4, 5, 6))
-    p.set_defaults(func=cmd_fig)
 
-    p = sub.add_parser("all", help="every table and figure")
-    p.set_defaults(func=cmd_all)
+    command("all", cmd_all, "every table and figure")
 
-    p = sub.add_parser("models", help="list the CNN zoo")
-    p.set_defaults(func=cmd_models)
+    command("models", cmd_models, "list the CNN zoo")
 
-    p = sub.add_parser("compare", help="compare all accelerators on a model")
+    p = command("compare", cmd_compare, "compare all accelerators on a model")
     p.add_argument("model")
     p.add_argument("--budget", type=float, default=30.0)
     p.add_argument("--batch", type=int, default=128)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("train-plan", help="training-time estimate (Table V style)")
+    p = command("train-plan", cmd_train_plan, "training-time estimate (Table V style)")
     p.add_argument("model")
     p.add_argument("--samples", type=int, default=50_000)
     p.add_argument("--batch", type=int, default=32)
-    p.set_defaults(func=cmd_train_plan)
 
-    p = sub.add_parser("link-budget", help="optical link budget for a bank")
+    p = command("link-budget", cmd_link_budget, "optical link budget for a bank")
     p.add_argument("--rows", type=int, default=16)
     p.add_argument("--cols", type=int, default=16)
     p.add_argument("--power-mw", type=float, default=1.0)
-    p.set_defaults(func=cmd_link_budget)
 
-    p = sub.add_parser("layers", help="per-layer cost table for a model")
+    p = command("layers", cmd_layers, "per-layer cost table for a model")
     p.add_argument("model")
     p.add_argument("--arch", default="trident",
                    choices=("trident", "deap-cnn", "crosslight", "pixel"))
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--top", type=int, default=12)
-    p.set_defaults(func=cmd_layers)
 
-    p = sub.add_parser("report", help="paper-vs-measured summary for everything")
-    p.set_defaults(func=cmd_report)
+    command("report", cmd_report, "paper-vs-measured summary for everything")
 
-    p = sub.add_parser("export", help="write every table/figure as CSV")
+    p = command("export", cmd_export, "write every table/figure as CSV")
     p.add_argument("--dir", default="artifacts")
-    p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser(
-        "profile", help="profile one batch vs single-sample batches"
-    )
+    p = command("profile", cmd_profile, "profile one batch vs single-sample batches")
     p.add_argument("--dims", type=int, nargs="+", default=[64, 48, 10])
     p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_profile)
+    p.add_argument("--seed", type=_seed, default=0)
 
-    p = sub.add_parser(
-        "faults", help="fault campaign: stuck-cell rate x repair policy"
-    )
+    p = command("faults", cmd_faults, "fault campaign: stuck-cell rate x repair policy")
     p.add_argument(
         "--smoke", action="store_true",
         help="CI-sized sweep (two fractions, two policies, one trial)",
@@ -1152,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("none", "retry", "spare", "remap"),
     )
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--export", metavar="DIR",
                    help="also write fault_campaign.{csv,json} to DIR")
     p.add_argument("--checkpoint-dir", metavar="DIR",
@@ -1162,22 +900,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "(crash simulation; resume later)")
     p.add_argument("--metrics-out", metavar="PATH",
                    help="collect telemetry and write a Prometheus dump here")
-    p.set_defaults(func=cmd_faults)
 
-    p = sub.add_parser("endurance", help="PCM wear-out analysis for a model")
+    p = command("endurance", cmd_endurance, "PCM wear-out analysis for a model")
     p.add_argument("model")
-    p.set_defaults(func=cmd_endurance)
 
-    p = sub.add_parser(
-        "train",
-        help="resilient in-situ training with checkpoints and rollback",
-    )
+    p = command("train", cmd_train, "resilient in-situ training with checkpoints and rollback")
     p.add_argument("--dims", type=int, nargs="+", default=[6, 8, 3])
     p.add_argument("--steps", type=int, default=12)
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--samples", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--checkpoint-dir", metavar="DIR",
                    help="checkpoint directory (default: a fresh temp dir)")
     p.add_argument("--checkpoint-every", type=int, default=5)
@@ -1190,32 +923,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="force a NaN loss at this step to demo rollback")
     p.add_argument("--metrics-out", metavar="PATH",
                    help="collect telemetry and write a Prometheus dump here")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser(
-        "trace",
-        help="run an instrumented workload; export Chrome trace + metrics",
-    )
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="Chrome trace output (default repro_run.trace.json; "
-                        "--smoke defaults to a temp dir)")
-    p.add_argument("--metrics-out", metavar="PATH", default=None,
-                   help="Prometheus dump (default: next to --out)")
-    p.add_argument("--events-out", metavar="PATH", default=None,
-                   help="structured-event JSONL (default: next to --out)")
+    p = command("trace", cmd_trace, "run an instrumented workload; export Chrome trace + metrics")
+    export_flags(p, "Chrome trace output (default repro_run.trace.json; "
+                    "--smoke defaults to a temp dir)")
     p.add_argument("--dims", type=int, nargs="+", default=[6, 8, 3])
     p.add_argument("--steps", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--model", default="alexnet",
                    help="model for the cost-model/schedule-sim phase")
     p.add_argument("--smoke", action="store_true",
                    help="small workload + self-audit (CI observability gate)")
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser(
-        "serve",
-        help="serve a synthetic request workload with fault-aware admission",
-    )
+    p = command("serve", cmd_serve, "serve a synthetic request workload with fault-aware admission")
     p.add_argument("--dims", type=int, nargs="+", default=[12, 16, 4])
     p.add_argument("--workers", type=int, default=2,
                    help="number of simulated accelerator workers")
@@ -1229,54 +949,34 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission queue depth bound")
     p.add_argument("--slo-us", type=float, default=10.0,
                    help="latency SLO in microseconds of virtual time")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="Chrome trace output (--smoke defaults to a temp dir)")
-    p.add_argument("--metrics-out", metavar="PATH", default=None,
-                   help="Prometheus dump (default: next to --out)")
-    p.add_argument("--events-out", metavar="PATH", default=None,
-                   help="structured-event JSONL (default: next to --out)")
+    p.add_argument("--seed", type=_seed, default=7)
+    export_flags(p, "Chrome trace output (--smoke defaults to a temp dir)")
     p.add_argument("--smoke", action="store_true",
                    help="replay + robustness self-audit (CI serving gate)")
-    p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser(
-        "shard",
-        help="serve one model sharded across a pipeline of accelerators",
-    )
+    p = command("shard", cmd_shard, "serve one model sharded across a pipeline of accelerators")
     p.add_argument("--requests", type=int, default=None,
                    help="requests in the burst (default 240)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="workload seed (default 11)")
     p.add_argument("--serialized", action="store_true",
                    help="hold the pipeline exclusive per batch (baseline)")
     p.add_argument("--smoke", action="store_true",
                    help="bit-identity + overlap + stage-fault self-audit "
                         "(CI sharding gate)")
-    p.set_defaults(func=cmd_shard)
 
-    p = sub.add_parser(
-        "checkpoint", help="inspect a checkpoint file (schema/kind/hash)"
-    )
+    p = command("checkpoint", cmd_checkpoint, "inspect a checkpoint file (schema/kind/hash)")
     p.add_argument("path")
-    p.set_defaults(func=cmd_checkpoint)
 
-    p = sub.add_parser(
-        "resume",
-        help="resume an interrupted fault campaign from its ledger",
-    )
+    p = command("resume", cmd_resume, "resume an interrupted fault campaign from its ledger")
     p.add_argument("--checkpoint-dir", metavar="DIR",
                    help="directory holding campaign_cells.jsonl")
     p.add_argument("--smoke", action="store_true",
                    help="self-contained crash-resume verification (CI gate)")
     p.add_argument("--export", metavar="DIR",
                    help="also write fault_campaign.{csv,json} to DIR")
-    p.set_defaults(func=cmd_resume)
 
-    p = sub.add_parser(
-        "soak",
-        help="chaos soak: scenarios x seeds, audited, with a flake matrix",
-    )
+    p = command("soak", cmd_soak, "chaos soak: scenarios x seeds, audited, with a flake matrix")
     p.add_argument(
         "--scenarios", nargs="+", metavar="NAME",
         choices=("serve", "shard", "resume", "train", "fleet", "sdc"),
@@ -1284,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seeds", type=int, default=4, metavar="N",
                    help="number of seeds to sweep (default 4)")
-    p.add_argument("--seed-base", type=int, default=0, metavar="S",
+    p.add_argument("--seed-base", type=_seed, default=0, metavar="S",
                    help="first seed of the sweep (default 0)")
     p.add_argument("--repeats", type=int, default=2, metavar="R",
                    help="runs per cell; digests must agree (default 2)")
@@ -1296,30 +996,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CI gate: also run the sabotage self-audit; exit "
                         "non-zero on any failing or flaky cell, matrix "
                         "schema problem or self-audit miss")
-    p.set_defaults(func=cmd_soak)
 
-    p = sub.add_parser(
-        "integrity",
-        help="ABFT checksum attestation of served outputs (SDC defense)",
+    p = command(
+        "integrity", cmd_integrity, "ABFT checksum attestation of served outputs (SDC defense)"
     )
     p.add_argument("--requests", type=int, default=None,
                    help="requests in the run (default 160)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="workload seed (default 7)")
     p.add_argument("--smoke", action="store_true",
                    help="clean-matrix / parity / replay / injected-SDC / "
                         "escalation self-audit (CI integrity gate)")
-    p.set_defaults(func=cmd_integrity)
 
-    p = sub.add_parser(
-        "fleet",
-        help="closed-loop fleet control plane on a diurnal + burst trace",
-    )
+    p = command("fleet", cmd_fleet, "closed-loop fleet control plane on a diurnal + burst trace")
     p.add_argument(
         "--scenario", choices=("smoke", "standard", "large"), default="smoke",
         help="fleet scenario preset (default smoke)",
     )
-    p.add_argument("--seed", type=int, default=11, help="workload seed")
+    p.add_argument("--seed", type=_seed, default=11, help="workload seed")
     p.add_argument("--no-chaos", action="store_true",
                    help="skip the mid-peak breaker-storm volley")
     p.add_argument("--out", metavar="FILE",
@@ -1327,7 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="CI gate: controlled run + replay + static baseline, "
                         "pass/fail contract checks")
-    p.set_defaults(func=cmd_fleet)
 
     return parser
 

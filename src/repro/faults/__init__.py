@@ -19,15 +19,19 @@ repair runs out of resources.  This package provides that loop:
   behind ``python -m repro faults``: sweeps stuck-cell fraction x repair
   policy, measuring inference accuracy, in-situ-training survival,
   repair overhead, and batch invariance (one batch vs single-sample
-  batches).
+  batches); and the ``repro resume --smoke`` crash-resume check
+  (:func:`run_resume_check` + :func:`resume_gate`).
 """
 
 from repro.faults.campaign import (
     CampaignConfig,
     CampaignReport,
     CampaignRow,
+    ResumeCheck,
     resume_campaign,
+    resume_gate,
     run_campaign,
+    run_resume_check,
 )
 from repro.faults.detector import BankFaultMap, DriftHealth, FaultDetector
 from repro.faults.repair import FaultManager, RepairConfig, RepairLog, RepairPolicy
@@ -43,6 +47,9 @@ __all__ = [
     "RepairConfig",
     "RepairLog",
     "RepairPolicy",
+    "ResumeCheck",
     "resume_campaign",
+    "resume_gate",
     "run_campaign",
+    "run_resume_check",
 ]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -46,7 +47,7 @@ from repro.errors import (
 from repro.eval.formatting import format_table
 from repro.faults.detector import FaultDetector
 from repro.faults.repair import FaultManager, RepairConfig, RepairPolicy
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import Dataset, clipped_blobs
 from repro.nn.reference import DigitalMLP
 from repro.runtime.checkpoint import state_digest
 from repro.telemetry.log import get_logger
@@ -328,14 +329,13 @@ class CampaignReport:
 # ---------------------------------------------------------------------------
 def _reference_weights(config: CampaignConfig) -> tuple[list[np.ndarray], Dataset]:
     """Train the digital reference classifier; return (weights, test set)."""
-    data = make_blobs(
-        n_samples=config.n_samples,
-        n_features=config.dims[0],
-        n_classes=config.dims[-1],
+    data = clipped_blobs(
+        config.n_samples,
+        config.dims[0],
+        config.dims[-1],
         spread=1.2,
         seed=config.seed + 5,
     )
-    data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
     train, test = data.split(0.8, seed=1)
     mlp = DigitalMLP(list(config.dims), activation="gst", seed=7)
     for epoch in range(config.reference_epochs):
@@ -679,3 +679,44 @@ def resume_campaign(checkpoint_dir: str | Path) -> CampaignReport:
         }
     )
     return run_campaign(config, checkpoint_dir=checkpoint_dir)
+
+
+@dataclass(frozen=True)
+class ResumeCheck:
+    """The smoke campaign run uninterrupted (``baseline``), halted after
+    one executed cell (``partial``) and resumed from its ledger."""
+
+    baseline: CampaignReport
+    partial: CampaignReport
+    resumed: CampaignReport
+
+
+def run_resume_check() -> ResumeCheck:
+    """The ``repro resume --smoke`` scenario: one smoke campaign run
+    uninterrupted, one halted after a cell and then resumed."""
+    config = CampaignConfig.smoke()
+    baseline = run_campaign(config)
+    with tempfile.TemporaryDirectory() as directory:
+        partial = run_campaign(config, checkpoint_dir=directory, max_cells=1)
+        resumed = resume_campaign(directory)
+    return ResumeCheck(baseline, partial, resumed)
+
+
+def resume_gate(check: ResumeCheck):
+    """The halted campaign stopped early, and resuming it completed a
+    report bit-identical to the uninterrupted one."""
+    from repro.chaos.audit import AuditResult
+
+    result = AuditResult()
+    result.record("halted_early", not check.partial.complete)
+    result.record("resumed_complete", check.resumed.complete)
+    result.record(
+        "clean_accuracy_identical",
+        check.baseline.clean_accuracy == check.resumed.clean_accuracy,
+    )
+    result.record(
+        "rows_identical",
+        [row.as_dict() for row in check.baseline.rows]
+        == [row.as_dict() for row in check.resumed.rows],
+    )
+    return result

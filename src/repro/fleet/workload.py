@@ -62,18 +62,10 @@ class FleetScenario:
 
 
 def _server_config(seed: int, max_queue_depth: int = 4096) -> ServerConfig:
+    # The cooldown is long enough (3 controller ticks) that a breaker storm
+    # opens a real capacity hole the degraded ladder has to ride out.
     return ServerConfig(
-        max_queue_depth=max_queue_depth,
-        max_batch=16,
-        slo_latency_s=1e-5,
-        max_retries=2,
-        retry_backoff_s=5e-7,
-        retry_jitter_s=1e-7,
-        breaker_failure_threshold=3,
-        # Long enough (3 controller ticks) that a breaker storm opens a
-        # real capacity hole the degraded ladder has to ride out.
-        breaker_cooldown_s=3e-5,
-        seed=seed,
+        max_queue_depth=max_queue_depth, breaker_cooldown_s=3e-5, seed=seed
     )
 
 

@@ -82,24 +82,6 @@ class IntegrityWorkloadConfig:
             raise IntegrityError("upset_delta must be in (0, 2]")
 
 
-def _server_config(seed: int):
-    from repro.serving.server import ServerConfig
-
-    return ServerConfig(
-        max_queue_depth=64,
-        max_batch=16,
-        slo_latency_s=1e-5,
-        max_retries=2,
-        retry_backoff_s=5e-7,
-        retry_jitter_s=1e-7,
-        breaker_failure_threshold=3,
-        # Short quarantine: the escalation scenario needs the half-open
-        # probe (where the scrub runs) to land while traffic remains.
-        breaker_cooldown_s=2e-6,
-        seed=int(seed),
-    )
-
-
 def build_integrity_worker(
     worker_id: int,
     dims: tuple[int, ...],
@@ -215,7 +197,7 @@ def run_integrity_workload(
     whole (virtual-time) run is always attached (``run.server.rollup``)
     so the SDC-rate signal is observable afterwards.
     """
-    from repro.serving.server import TridentServer, serve_run
+    from repro.serving.server import ServerConfig, TridentServer, serve_run
     from repro.serving.workload import sustainable_rate_hz
     from repro.telemetry.rollup import ServingRollup
 
@@ -230,7 +212,9 @@ def run_integrity_workload(
         )
         for i in range(config.n_workers)
     ]
-    server_config = _server_config(config.seed)
+    # Short quarantine: the escalation scenario needs the half-open probe
+    # (where the scrub runs) to land while traffic remains.
+    server_config = ServerConfig(breaker_cooldown_s=2e-6, seed=int(config.seed))
     rollup = ServingRollup(window_s=10.0)  # virtual runs last ~1e-4 s
     server = TridentServer(workers, config=server_config, rollup=rollup)
     rate = sustainable_rate_hz(workers, server_config.max_batch)

@@ -105,6 +105,19 @@ def make_blobs(
     return Dataset(x=x, y=y)
 
 
+def clipped_blobs(
+    n_samples: int,
+    n_features: int,
+    n_classes: int,
+    spread: float = 0.6,
+    seed: int = 0,
+) -> Dataset:
+    """:func:`make_blobs`, standardized and squeezed into [-1, 1], the
+    optical input range of a mapped network."""
+    data = make_blobs(n_samples, n_features, n_classes, spread, seed)
+    return Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+
+
 def make_moons(n_samples: int = 400, noise: float = 0.1, seed: int = 0) -> Dataset:
     """Two interleaved half circles in 2-D (binary)."""
     if n_samples < 4:

@@ -70,15 +70,7 @@ class ShardWorkloadConfig:
     #: stage is probeable by the time the server's half-open window runs).
     stage_cooldown_s: float = 2.5e-6
     server: ServerConfig = ServerConfig(
-        max_queue_depth=512,
-        max_batch=16,
-        slo_latency_s=1e-5,
-        max_retries=5,
-        retry_backoff_s=5e-7,
-        retry_jitter_s=1e-7,
-        breaker_failure_threshold=3,
-        breaker_cooldown_s=5e-6,
-        seed=11,
+        max_queue_depth=512, max_retries=5, breaker_cooldown_s=5e-6, seed=11
     )
 
     def __post_init__(self) -> None:
@@ -116,12 +108,10 @@ class ShardWorkloadConfig:
 # Construction
 # ----------------------------------------------------------------------
 def model_weights(config: ShardWorkloadConfig) -> list[np.ndarray]:
-    """The seeded model the run serves."""
-    rng = np.random.default_rng(config.seed + 1)
-    return [
-        rng.normal(0.0, 0.4, (config.dims[i + 1], config.dims[i]))
-        for i in range(len(config.dims) - 1)
-    ]
+    """The seeded model the run serves (:func:`~repro.scenarios.seeded_weights`)."""
+    from repro.scenarios import seeded_weights
+
+    return seeded_weights(config.dims, config.seed)
 
 
 def single_shard_mapping_error(config: ShardWorkloadConfig) -> str | None:

@@ -48,6 +48,16 @@ class Phase:
             raise ServingError(f"{self.name}: rate multiplier must be positive")
 
 
+def three_phases(n_requests: int, burst: float = 2.0) -> tuple[Phase, ...]:
+    """Warm, burst and drain, ``n_requests`` each; ``burst`` is the burst
+    phase's rate multiplier."""
+    return (
+        Phase("warm", n_requests, 0.6),
+        Phase("burst", n_requests, burst),
+        Phase("drain", n_requests, 0.35),
+    )
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Shape of the synthetic serving run."""
@@ -55,11 +65,7 @@ class WorkloadConfig:
     dims: tuple[int, ...] = (12, 16, 4)
     n_workers: int = 2
     seed: int = 7
-    phases: tuple[Phase, ...] = (
-        Phase("warm", 400, 0.6),
-        Phase("burst", 400, 2.0),
-        Phase("drain", 400, 0.35),
-    )
+    phases: tuple[Phase, ...] = three_phases(400)
     #: P(priority = 0 / 1 / 2) for each arrival.
     priority_probs: tuple[float, ...] = (0.97, 0.025, 0.005)
     #: Fraction of requests carrying a hard deadline (rest best-effort).
@@ -69,17 +75,7 @@ class WorkloadConfig:
     degrade_fraction: float = 0.08
     #: Which phase the forced degradation lands in (by name).
     degrade_phase: str = "drain"
-    server: ServerConfig = ServerConfig(
-        max_queue_depth=64,
-        max_batch=16,
-        slo_latency_s=1e-5,
-        max_retries=2,
-        retry_backoff_s=5e-7,
-        retry_jitter_s=1e-7,
-        breaker_failure_threshold=3,
-        breaker_cooldown_s=5e-6,
-        seed=7,
-    )
+    server: ServerConfig = ServerConfig(breaker_cooldown_s=5e-6, seed=7)
 
     def __post_init__(self) -> None:
         if len(self.dims) < 2 or any(d < 1 for d in self.dims):
@@ -100,38 +96,23 @@ class WorkloadConfig:
 # Fleet construction
 # ----------------------------------------------------------------------
 def serving_chip(dims: tuple[int, ...], seed: int):
-    """The serving presets' chip: mapped for ``dims``, not yet programmed.
+    """The serving presets' chip: a :func:`~repro.scenarios.small_chip`
+    with four spare rows per bank, mapped for ``dims``, not yet
+    programmed."""
+    from repro.scenarios import small_chip
 
-    Banks sized to the widest layer (one tile per layer), four spare
-    rows per bank, a program-verify writer, and no convergence floor so
-    readback alone decides health.
-    """
-    from repro.arch import TridentAccelerator, TridentConfig
-    from repro.devices.program_verify import ProgramVerifyConfig
-
-    rows = max(max(dims), 2)
-    config = TridentConfig(
-        bank_rows=rows, bank_cols=rows, spare_rows=4, convergence_floor=0.0
-    )
-    acc = TridentAccelerator(
-        config=config, seed=seed, program_verify=ProgramVerifyConfig()
-    )
-    acc.map_mlp(list(dims))
-    return acc
+    return small_chip(dims, seed, spare_rows=4)
 
 
 def build_worker(
     worker_id: int, dims: tuple[int, ...], seed: int
 ) -> AcceleratorWorker:
     """One mapped, programmed, repairable single-chip worker."""
+    from repro.scenarios import seeded_weights
+
     acc = serving_chip(dims, seed)
-    rng = np.random.default_rng(seed + 1)
-    weights = [
-        rng.normal(0.0, 0.4, (dims[i + 1], dims[i]))
-        for i in range(len(dims) - 1)
-    ]
     manager = remap_manager(acc)
-    manager.deploy([w.copy() for w in weights])
+    manager.deploy(seeded_weights(dims, seed))
     return AcceleratorWorker(worker_id, single_chip_pipeline(acc), [[manager]])
 
 

@@ -57,6 +57,7 @@ from repro.telemetry.rollup import RollupStats, ServingRollup
 from repro.telemetry.session import (
     REPAIR_TIERS,
     WELL_KNOWN_COUNTERS,
+    SessionExport,
     TelemetrySession,
     active,
     counter,
@@ -87,6 +88,7 @@ __all__ = [
     "REPAIR_TIERS",
     "RollupStats",
     "ServingRollup",
+    "SessionExport",
     "SpanRecord",
     "TelemetrySession",
     "Tracer",

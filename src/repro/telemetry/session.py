@@ -28,11 +28,19 @@ metrics dump exposes them even at zero.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import json
 import threading
+from pathlib import Path
 
 from repro.telemetry.events import EventLog
-from repro.telemetry.metrics import DEFAULT_BUCKETS, NULL_INSTRUMENT, MetricsRegistry
-from repro.telemetry.tracer import NULL_SPAN, Tracer
+from repro.telemetry.metrics import (
+    DEFAULT_BUCKETS,
+    NULL_INSTRUMENT,
+    MetricsRegistry,
+    parse_prometheus_text,
+)
+from repro.telemetry.tracer import NULL_SPAN, Tracer, validate_chrome_trace
 
 #: Counters every session exposes from step zero, so dumps are complete
 #: even before (or without) the corresponding activity.
@@ -113,6 +121,19 @@ CHAOS_KINDS = (
 )
 
 
+@dataclasses.dataclass(frozen=True)
+class SessionExport:
+    """The paths :meth:`TelemetrySession.export` wrote (None: not asked
+    for), the metric samples parsed back from the dump and the schema
+    problems found in the written Chrome trace."""
+
+    trace: Path | None
+    metrics: Path | None
+    events: Path | None
+    samples: dict[str, float]
+    problems: list[str]
+
+
 class TelemetrySession:
     """One enabled telemetry scope: tracer + metrics + event log."""
 
@@ -135,6 +156,28 @@ class TelemetrySession:
                     self.metrics.counter(name, help_text, kind=kind)
             else:
                 self.metrics.counter(name, help_text)
+
+    def export(
+        self,
+        out: str | Path | None = None,
+        metrics_out: str | Path | None = None,
+        events_out: str | Path | None = None,
+    ) -> SessionExport:
+        """Write the Chrome trace to ``out`` and the metrics dump and event
+        log to ``metrics_out`` / ``events_out`` (by default beside
+        ``out``), then read them back.  An artifact with no path is not
+        written."""
+        trace = Path(out) if out else None
+        if trace is not None:
+            base = trace.with_suffix("")
+            metrics_out = metrics_out or base.with_suffix(".metrics.prom")
+            events_out = events_out or base.with_suffix(".events.jsonl")
+            self.tracer.write_chrome_trace(trace)
+        metrics = self.metrics.write_prometheus(metrics_out) if metrics_out else None
+        events = self.events.write_jsonl(events_out) if events_out else None
+        samples = parse_prometheus_text(metrics.read_text("utf-8")) if metrics else {}
+        problems = validate_chrome_trace(json.loads(trace.read_text("utf-8"))) if trace else []
+        return SessionExport(trace, metrics, events, samples, problems)
 
 
 _lock = threading.Lock()

@@ -11,6 +11,7 @@ from repro.analysis import (
 )
 from repro.errors import ConfigError
 from repro.nn import build_model
+from repro.nn.models import PAPER_MODELS
 
 
 class TestEndurance:
@@ -33,6 +34,13 @@ class TestEndurance:
     def test_activation_lifetime_hours_scale(self, resnet_report):
         # Trillion-cycle rating buys hours-to-days, not years.
         assert 1 < resnet_report.activation_lifetime_hours < 10_000
+
+    @pytest.mark.parametrize("model", PAPER_MODELS)
+    def test_every_paper_model_wears_out_activations_within_a_year(self, model):
+        report = endurance_report(build_model(model))
+        assert report.limiting_population == "activation"
+        assert report.activation_lifetime_hours < 24 * 365
+        assert report.weight_lifetime_years > 0.1
 
     def test_larger_batch_extends_weight_lifetime(self):
         net = build_model("googlenet")
@@ -93,6 +101,14 @@ class TestSensitivity:
         by_name = {r.parameter: r for r in records}
         assert by_name["write_energy_per_cell_j"].energy_elasticity > 0.05
 
+    def test_resnet50_elasticities(self):
+        by_name = {
+            r.parameter: r for r in parameter_sensitivity("resnet50", batch=8)
+        }
+        assert by_name["symbol_rate_hz"].latency_elasticity < -0.8
+        assert by_name["streaming_power_pe_w"].energy_elasticity > 0.3
+        assert by_name["write_energy_per_cell_j"].energy_elasticity > 0.05
+
     def test_sorted_by_energy_impact(self, records):
         magnitudes = [abs(r.energy_elasticity) for r in records]
         assert magnitudes == sorted(magnitudes, reverse=True)
@@ -113,6 +129,7 @@ class TestPrecision:
         by_bits = {p.bits: p for p in points}
         assert by_bits[2].insitu_accuracy < by_bits[2].deployed_accuracy - 0.1
         assert by_bits[2].insitu_accuracy < by_bits[8].insitu_accuracy - 0.2
+        assert by_bits[2].insitu_accuracy < by_bits[4].insitu_accuracy - 0.2
 
     def test_8_bits_recovers_digital_accuracy(self, points):
         by_bits = {p.bits: p for p in points}

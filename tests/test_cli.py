@@ -226,6 +226,19 @@ class TestServeCommand:
         run("serve", "--smoke", "--out", str(tmp_path / "t.trace.json"))
         assert not telemetry.enabled()
 
+    def test_metrics_and_events_written_without_out(self, run, tmp_path):
+        metrics, events = tmp_path / "m.prom", tmp_path / "e.jsonl"
+        code, out = run(
+            "serve", "--requests", "50",
+            "--metrics-out", str(metrics), "--events-out", str(events),
+        )
+        assert code == 0
+        assert f"metrics written to {metrics}" in out
+        assert "repro_requests_admitted_total" in metrics.read_text()
+        assert events.read_text().splitlines()
+        assert "trace written" not in out
+        assert sorted(tmp_path.iterdir()) == [events, metrics]
+
 
 class TestErrorHygiene:
     """Domain errors exit 2 with one structured line, never a traceback."""
@@ -279,6 +292,36 @@ class TestErrorHygiene:
         code, _, err = self._run(capsys)
         assert code == 2
         assert "RepairError: spare pool exhausted" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("serve", "--seed", "-1"),
+            ("shard", "--seed", "-1"),
+            ("integrity", "--seed", "-1"),
+            ("fleet", "--seed", "-1"),
+            ("train", "--seed", "-1"),
+            ("profile", "--seed", "-1"),
+            ("trace", "--smoke", "--seed", "-1"),
+            ("faults", "--smoke", "--seed", "-1"),
+            ("soak", "--seed-base", "-1", "--seeds", "1", "--scenarios", "serve"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_a_usage_error(self, capsys, argv):
+        flag = next(arg for arg in argv if arg.startswith("--seed"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert f"error: argument {flag}: must be non-negative, got -1" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_resume_without_a_directory_errors_on_stderr(self, capsys):
+        code, out, err = self._run(capsys, "resume")
+        assert code == 2
+        assert out == ""
+        assert err == "repro resume: --checkpoint-dir is required (or use --smoke)\n"
 
     def test_corrupt_checkpoint_reports_invalid_not_traceback(
         self, capsys, tmp_path

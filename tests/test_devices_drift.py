@@ -98,6 +98,10 @@ class TestRefresh:
         rows = {r["temperature_c"]: r for r in refresh_schedule()}
         assert 1 < rows[85.0]["refresh_interval_days"] < 60
 
+    def test_schedule_room_temperature_never_refreshes(self):
+        rows = {r["temperature_c"]: r for r in refresh_schedule()}
+        assert rows[25.0]["refresh_interval_days"] > 365 * 100
+
     def test_schedule_validation(self):
         with pytest.raises(ConfigError):
             refresh_schedule(weight_bits=1)

@@ -137,6 +137,25 @@ class TestGracefulDegradation:
         clean = self._deployed_accuracy(mlp, test, 0.0, seed=0)
         assert heavy < clean
 
+    def _mean_accuracy(self, mlp, test, fault_fraction):
+        return np.mean(
+            [
+                self._deployed_accuracy(mlp, test, fault_fraction, seed=100 + trial)
+                for trial in range(5)
+            ]
+        )
+
+    def test_five_percent_dead_cells_are_survivable(self, task):
+        """Stuck-at-zero cells act like dropout."""
+        mlp, test = task
+        clean = self._deployed_accuracy(mlp, test, 0.0, seed=0)
+        assert self._mean_accuracy(mlp, test, 0.05) >= clean - 0.1
+
+    def test_majority_dead_banks_collapse(self, task):
+        mlp, test = task
+        clean = self._deployed_accuracy(mlp, test, 0.0, seed=0)
+        assert self._mean_accuracy(mlp, test, 0.8) < clean - 0.05
+
     def test_monotone_on_average(self, task):
         mlp, test = task
         levels = [0.0, 0.05, 0.3, 0.8]

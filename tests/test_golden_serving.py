@@ -30,7 +30,7 @@ everywhere; the digest of the results text and ``paper_max_rel_err`` on
 the recorded fingerprint only.
 
 ``trace.json`` pins the observability gate, ``repro trace --smoke``, run
-in-process and read back from its three artifacts:
+in-process (the trace scenario) and read back from its three artifacts:
 
 - portable fields: the sorted metric sample keys, every integer-valued
   sample, the event kinds in order and, per span name, the span count
@@ -38,21 +38,29 @@ in-process and read back from its three artifacts:
 - on the recorded fingerprint only: the non-integer samples (modeled
   energy and time, the power gauge, the loss sum).
 
+``gates.json`` pins four more CLI scenarios, each run in-process at its
+defaults: ``repro faults --smoke``, ``repro resume --smoke``, ``repro
+train --inject-nan-step 3`` and the soak ``train`` cells at seeds 0-3
+with chaos on:
+
+- portable fields: counts, verdicts, failed-check lists and applied
+  injections;
+- on the recorded fingerprint only: the losses and the digests.
+
 Each workload is built and run twice in one process, so state leaking
 from one build into the next fails the test too.
 
-Regenerate the four ledgers (and print what moved) after an intended change:
+Regenerate the five ledgers (and print what moved) after an intended change:
 
     PYTHONPATH=src python tests/test_golden_serving.py
 """
 
 from __future__ import annotations
 
-import contextlib
 import difflib
+import functools
 import hashlib
 import importlib.util
-import io
 import json
 import platform
 import sys
@@ -67,10 +75,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "serving.json"
 CHIP_GOLDEN = GOLDEN.with_name("chip.json")
 PAPER_GOLDEN = GOLDEN.with_name("paper.json")
 TRACE_GOLDEN = GOLDEN.with_name("trace.json")
+GATES_GOLDEN = GOLDEN.with_name("gates.json")
 WORKLOADS = ("serve-burst", "shard-pipeline", "fleet-diurnal")
 #: Chip workload -> ops replayed (the smoke size's check window).
 CHIP_OPS = {"infer-tiled": 4, "train-insitu": 20}
 SEED = 0
+#: Soak ``train`` cells pinned (chaos on, the soak's two repeats each).
+SOAK_TRAIN_SEEDS = (0, 1, 2, 3)
 
 
 def _load_workloads():
@@ -176,17 +187,15 @@ def record_paper(bench, name: str) -> dict:
 
 
 def record_trace(_bench, name: str) -> dict:
-    """Run ``repro trace --smoke`` at :data:`SEED` and read its artifacts."""
-    from repro.cli import build_parser
+    """Run the ``repro trace --smoke`` scenario at :data:`SEED` and read
+    its artifacts back."""
+    from repro.scenarios import run_trace, trace_gate
     from repro.telemetry import parse_prometheus_text
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run.trace.json"
-        args = build_parser().parse_args(
-            ["trace", "--smoke", "--seed", str(SEED), "--out", str(out)]
-        )
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert args.func(args) == 0, f"{name} gate failed"
+        run = run_trace(steps=6, seed=SEED, out=out)
+        assert trace_gate(run).ok, f"{name} gate failed"
         events = json.loads(out.read_text())["traceEvents"]
         samples = parse_prometheus_text(
             out.with_name("run.metrics.prom").read_text()
@@ -217,6 +226,126 @@ def record_trace(_bench, name: str) -> dict:
     }
 
 
+def _doc_digest(doc) -> str:
+    text = json.dumps(doc, sort_keys=True, default=repr)
+    return _hex(hashlib.sha256(text.encode()).digest())
+
+
+def campaign_entry(report) -> dict:
+    """A fault campaign's ledger entry: sweep cells and repair counts
+    everywhere, the accuracies and losses by digest."""
+    rows = [row.as_dict() for row in report.rows]
+    counts = ("n_stuck", "retries", "row_remaps", "migrations", "tiles_unrepaired")
+    return {
+        "portable": {
+            "complete": report.complete,
+            "parity_ok": report.parity_ok,
+            "cells": [
+                [row["fraction"], row["policy"], row["trial"]]
+                + [row[key] for key in counts]
+                for row in rows
+            ],
+        },
+        "machine": {
+            "rows_digest": _doc_digest(
+                {"clean": report.clean_accuracy, "rows": rows}
+            ),
+        },
+    }
+
+
+def resume_entry(baseline, partial, resumed, ok: bool, failed: list) -> dict:
+    """The crash-resume check: the resumed campaign plus the verdict."""
+    entry = campaign_entry(resumed)
+    entry["portable"].update(
+        ok=ok,
+        failed=failed,
+        halted_cells=len(partial.rows),
+        baseline_cells=len(baseline.rows),
+    )
+    return entry
+
+
+def train_entry(report, ok: bool, failed: list) -> dict:
+    """A resilient training run: the step, rollback and checkpoint
+    ledger everywhere, the losses on the recorded machine."""
+    return {
+        "portable": {
+            "ok": ok,
+            "failed": failed,
+            "completed": report.completed,
+            "steps_completed": report.steps_completed,
+            "total_steps": report.total_steps,
+            "rollbacks": report.rollbacks,
+            "checkpoints_written": report.checkpoints_written,
+            "resumed_from_step": report.resumed_from_step,
+            "final_lr": report.final_lr,
+            "incidents": [
+                [i.step, i.reason, i.restored_step, i.lr_after]
+                for i in report.incidents
+            ],
+        },
+        "machine": {"losses": [repr(loss) for loss in report.losses]},
+    }
+
+
+def cell_entry(cell: dict) -> dict:
+    """One soak cell: its verdict, checks and injections everywhere."""
+    keys = ("ok", "repeats", "failed_checks", "injections_applied", "detail")
+    return {
+        "portable": {key: cell[key] for key in keys},
+        "machine": {"digest": cell["digest"][:16]},
+    }
+
+
+def _record_faults() -> dict:
+    from repro.faults import CampaignConfig, run_campaign
+
+    return campaign_entry(run_campaign(CampaignConfig.smoke()))
+
+
+def _record_resume() -> dict:
+    from repro.faults.campaign import resume_gate, run_resume_check
+
+    check = run_resume_check()
+    result = resume_gate(check)
+    return resume_entry(
+        check.baseline, check.partial, check.resumed, result.ok, result.failed()
+    )
+
+
+def _record_train() -> dict:
+    from repro.scenarios import run_train, train_gate
+
+    with tempfile.TemporaryDirectory() as tmp:
+        run = run_train(inject_nan_step=3, checkpoint_dir=tmp)
+    result = train_gate(run)
+    return train_entry(run.report, result.ok, result.failed())
+
+
+def _record_soak_train(seed: int) -> dict:
+    from repro.chaos.soak import run_cell
+
+    return cell_entry(run_cell("train", seed, 2, True))
+
+
+#: Gate ledger entry -> its in-process scenario run.
+GATE_RECORDERS = {
+    "faults-smoke": _record_faults,
+    "resume-smoke": _record_resume,
+    "train-nan": _record_train,
+    **{
+        f"soak-train-{seed}": functools.partial(_record_soak_train, seed)
+        for seed in SOAK_TRAIN_SEEDS
+    },
+}
+
+
+def record_gate(_bench, name: str) -> dict:
+    """Run one pinned CLI scenario in-process."""
+    return GATE_RECORDERS[name]()
+
+
 def ledger(bench, recorder, names) -> dict:
     return {
         "fingerprint": fingerprint(),
@@ -242,6 +371,11 @@ def paper_golden():
 @pytest.fixture(scope="module")
 def trace_golden():
     return json.loads(TRACE_GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def gates_golden():
+    return json.loads(GATES_GOLDEN.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +425,17 @@ def test_trace_ledger_replays(trace_golden):
             assert got["machine"] == expected["machine"]
 
 
+@pytest.mark.parametrize("name", sorted(GATE_RECORDERS))
+def test_gate_ledger_replays(gates_golden, name):
+    expected = gates_golden["workloads"][name]
+    same_machine = gates_golden["fingerprint"] == fingerprint()
+    for _ in range(2):
+        got = record_gate(None, name)
+        assert got["portable"] == expected["portable"]
+        if same_machine:
+            assert got["machine"] == expected["machine"]
+
+
 def test_fingerprint_ignores_kernel_release(monkeypatch):
     before = fingerprint()
     monkeypatch.setattr(platform, "platform", lambda *a, **k: "Linux-0.0-other-x86_64")
@@ -315,6 +460,7 @@ def main() -> int:
     regenerate(CHIP_GOLDEN, ledger(bench, record_chip, CHIP_OPS))
     regenerate(PAPER_GOLDEN, ledger(bench, record_paper, ("paper-repro",)))
     regenerate(TRACE_GOLDEN, ledger(bench, record_trace, ("trace-smoke",)))
+    regenerate(GATES_GOLDEN, ledger(bench, record_gate, GATE_RECORDERS))
     return 0
 
 

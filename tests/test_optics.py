@@ -208,6 +208,11 @@ class TestLinkBudget:
         p = budget.required_channel_power_w(16, 16, 8)
         assert 0.5e-3 < p < 20e-3
 
+    def test_8_bit_needs_more_power_than_6_bit(self, budget):
+        p8 = budget.required_channel_power_w(16, 16, 8)
+        p6 = budget.required_channel_power_w(16, 16, 6)
+        assert p8 > p6 > 0
+
     def test_report_waterfall_includes_splitter(self, budget):
         rep = budget.report(16, 16)
         names = [n for n, _ in rep.waterfall_db]
@@ -263,6 +268,15 @@ class TestRingDesign:
         assert best.worst_leakage_db <= -8.0 or best == min(
             [p for p in points if p.viable], key=lambda p: p.worst_leakage_db
         )
+
+    def test_default_space_holds_both_verdicts(self):
+        """The 16-channel default grid has viable signed-weight points and
+        the Q/loss tension (some high-Q long-patch points are not)."""
+        points = design_space()
+        assert any(p.viable for p in points)
+        assert any(not p.viable for p in points)
+        best = best_design(points)
+        assert best.viable and best.d_sym > 0
 
     def test_best_design_rejects_empty(self):
         with pytest.raises(ConfigError):

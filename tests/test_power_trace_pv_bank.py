@@ -49,6 +49,19 @@ class TestPowerTrace:
         plateau = trace.power_w[mid]
         assert np.allclose(plateau, arch.n_pes * arch.streaming_power_pe_w)
 
+    def test_resident_layer_peaks_at_sizing_power(self, arch):
+        """A full-bank tile set with long streaming: the write burst peaks
+        at PEs x sizing power within the 30 W budget, and streaming draws
+        Table III's 83.34% less."""
+        sim = simulate_layer("l", sched(44 * 16, 16, 5000), arch)
+        trace = power_trace(sim, arch, n_samples=4000)
+        assert trace.peak_w <= 30.0
+        assert trace.peak_w == pytest.approx(
+            arch.n_pes * arch.sizing_power_pe_w, rel=0.01
+        )
+        drop = 1 - arch.streaming_power_pe_w / arch.sizing_power_pe_w
+        assert drop == pytest.approx(0.8334, abs=0.001)
+
     def test_trace_energy_matches_event_energy(self, arch):
         """Integrating the trace reproduces the closed-form energy.
 

@@ -74,6 +74,10 @@ class TestResolution:
         rows = {r["adjacent_coupling"]: r["usable_bits"] for r in thermal_resolution_sweep()}
         assert rows[0.0035] == 6
 
+    def test_sweep_includes_gst_like_zero_coupling(self):
+        rows = {r["adjacent_coupling"]: r["usable_bits"] for r in thermal_resolution_sweep()}
+        assert rows[0.0] == 16
+
     def test_monte_carlo_below_worst_case(self):
         model = ThermalCrosstalkModel()
         assert model.monte_carlo_error() <= model.worst_case_error()
