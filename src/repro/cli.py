@@ -95,14 +95,22 @@ def _campaign_verdict(report, export_dir: str | None) -> int:
     return _parity_verdict(report.parity_ok)
 
 
-def _print_export(t, export) -> None:
-    """One line per artifact a telemetry session's export wrote."""
+def _print_export(t, export, removed: str | None = None) -> None:
+    """One line per artifact a telemetry session's export wrote; one in
+    the directory ``removed`` (a temporary one, gone by now) says so."""
+
+    def note(path) -> str:
+        return "; temporary, now removed" if str(path.parent) == removed else ""
+
     if export.trace:
-        print(f"trace written to {export.trace} ({len(t.tracer.records)} spans)")
+        print(f"trace written to {export.trace} "
+              f"({len(t.tracer.records)} spans{note(export.trace)})")
     if export.metrics:
-        print(f"metrics written to {export.metrics} ({len(export.samples)} samples)")
+        print(f"metrics written to {export.metrics} "
+              f"({len(export.samples)} samples{note(export.metrics)})")
     if export.events:
-        print(f"events written to {export.events} ({len(t.events.records)} events)")
+        print(f"events written to {export.events} "
+              f"({len(t.events.records)} events{note(export.events)})")
 
 
 def _seed(text: str) -> int:
@@ -388,11 +396,22 @@ def cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import CampaignConfig, run_campaign
 
     if args.smoke:
+        sweep = {"--fractions": args.fractions, "--policies": args.policies,
+                 "--trials": args.trials, "--seed": args.seed}
+        given = [flag for flag, value in sweep.items() if value is not None]
+        if given:
+            print(
+                f"repro faults: error: {', '.join(given)} cannot be used with "
+                "--smoke (its sweep is fixed)",
+                file=sys.stderr,
+            )
+            return 2
         config = CampaignConfig.smoke()
     else:
-        config = CampaignConfig(
-            fault_fractions=tuple(args.fractions),
-            policies=tuple(args.policies),
+        config = _with_flags(
+            CampaignConfig(),
+            fault_fractions=tuple(args.fractions) if args.fractions else None,
+            policies=tuple(args.policies) if args.policies else None,
             trials=args.trials,
             seed=args.seed,
         )
@@ -425,7 +444,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             inject_nan_step=args.inject_nan_step,
         )
     print(run.report.render())
-    print(f"checkpoints in {run.directory}")
+    removed = "" if args.checkpoint_dir else " (temporary, now removed)"
+    print(f"checkpoints in {run.directory}{removed}")
     return 0 if train_gate(run).ok else 1
 
 
@@ -436,24 +456,28 @@ def cmd_trace(args: argparse.Namespace) -> int:
     a JSONL event log, and audit them (:func:`repro.scenarios.trace_gate`);
     with ``--smoke`` this is the CI observability gate."""
     import tempfile
+    from contextlib import nullcontext
     from pathlib import Path
 
     from repro.scenarios import run_trace, trace_gate
 
-    if args.out is None:
-        base = tempfile.mkdtemp(prefix="repro-trace-") if args.smoke else "."
-        args.out = str(Path(base) / "repro_run.trace.json")
-
-    run = run_trace(
-        args.out,
-        args.dims,
-        steps=6 if args.smoke else args.steps,
-        seed=args.seed,
-        model=args.model,
-        metrics_out=args.metrics_out,
-        events_out=args.events_out,
-    )
-    _print_export(run.session, run.export)
+    temporary = args.out is None and args.smoke
+    with (
+        tempfile.TemporaryDirectory(prefix="repro-trace-") if temporary
+        else nullcontext(".")
+    ) as base:
+        if args.out is None:
+            args.out = str(Path(base) / "repro_run.trace.json")
+        run = run_trace(
+            args.out,
+            args.dims,
+            steps=6 if args.smoke else args.steps,
+            seed=args.seed,
+            model=args.model,
+            metrics_out=args.metrics_out,
+            events_out=args.events_out,
+        )
+    _print_export(run.session, run.export, base if temporary else None)
     samples = run.export.samples
     print(f"span coverage of root wall time: {run.coverage * 100:.1f}%")
     repairs = sum(v for k, v in samples.items() if k.startswith("repro_repairs_total"))
@@ -478,6 +502,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     import dataclasses
     import tempfile
+    from contextlib import nullcontext
     from pathlib import Path
 
     from repro import telemetry
@@ -508,14 +533,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
     )
 
-    if args.smoke and args.out is None:
-        args.out = str(
-            Path(tempfile.mkdtemp(prefix="repro-serve-")) / "serve.trace.json"
-        )
-    with telemetry.session() as t:
+    temporary = args.smoke and args.out is None
+    with (
+        tempfile.TemporaryDirectory(prefix="repro-serve-") if temporary
+        else nullcontext()
+    ) as base, telemetry.session() as t:
+        if temporary:
+            args.out = str(Path(base) / "serve.trace.json")
         run = run_serve_workload(config)
         export = t.export(args.out, args.metrics_out, args.events_out)
-    _print_export(t, export)
+    _print_export(t, export, base if temporary else None)
 
     print(run.report.render())
     rates = shed_rate_by_priority(run.report)
@@ -880,17 +907,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke", action="store_true",
         help="CI-sized sweep (two fractions, two policies, one trial)",
     )
+    # The sweep flags default to None (CampaignConfig's defaults apply) so
+    # that giving one with --smoke is caught.
+    p.add_argument("--fractions", type=float, nargs="+")
     p.add_argument(
-        "--fractions", type=float, nargs="+",
-        default=[0.0, 0.05, 0.1, 0.2],
+        "--policies", nargs="+", choices=("none", "retry", "spare", "remap"),
     )
-    p.add_argument(
-        "--policies", nargs="+",
-        default=["none", "retry", "spare", "remap"],
-        choices=("none", "retry", "spare", "remap"),
-    )
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--export", metavar="DIR",
                    help="also write fault_campaign.{csv,json} to DIR")
     p.add_argument("--checkpoint-dir", metavar="DIR",

@@ -29,9 +29,10 @@ inputs without re-tuning", Sec. V-A):
   cache model; digital-activation architectures pay an extra output
   round-trip between layers.
 
-:meth:`PhotonicCostModel.layer_costs` prices all of a network's compute
-layers in one NumPy pass over its column table
-(:attr:`~repro.nn.graph.NetworkStats.compute_table`).  It runs the float64
+:meth:`PhotonicCostModel.layer_costs` prices compute layers in one NumPy
+pass over their column table: :meth:`PhotonicCostModel.model_costs` runs it
+once over a :class:`~repro.dataflow.report.NetworkStack` of networks and
+splits the columns by row range.  It runs the float64
 arithmetic of the scalar :meth:`PhotonicCostModel.layer_cost` operation for
 operation, in the same order and association, so every float it returns is
 the one the scalar method returns; ``layer_cost`` stays as the reference
@@ -48,9 +49,9 @@ import numpy as np
 
 from repro.arch.cache import CacheModel
 from repro.arch.config import TridentConfig
-from repro.dataflow.report import LayerColumns, LayerCost, ModelCost
+from repro.dataflow.report import LayerColumns, LayerCost, ModelCost, NetworkStack
 from repro.dataflow.tiling import TileSchedule
-from repro.errors import ConfigError, ScheduleError, require_finite_fields
+from repro.errors import ConfigError, require_finite_fields
 from repro.nn.graph import Network
 from repro.nn.layers import TensorShape
 from repro.telemetry.session import (
@@ -357,46 +358,57 @@ class PhotonicCostModel:
         )
 
     # ------------------------------------------------------------------
-    def model_cost(self, network: Network) -> ModelCost:
-        """Whole-network inference cost (compute layers; memory-only for
-        pool/add/concat is folded into the neighbouring layers' traffic)."""
-        stats = network.stats()
-        table = stats.compute_table
-        if not table.names:
-            raise ScheduleError(f"{network.name}: no compute layers to cost")
-        with _trace_span(
-            "model_cost", model=network.name, arch=self.arch.name
-        ):
-            columns = self.layer_costs(
-                table.names, table.m, table.k, table.n, table.groups,
-                table.input_elements, table.fused,
-            )
+    def model_costs(self, stack: NetworkStack) -> dict[str, ModelCost]:
+        """Whole-network inference cost of every network in the stack
+        (compute layers; memory-only for pool/add/concat is folded into the
+        neighbouring layers' traffic), by the stack's keys.
+
+        One :meth:`layer_costs` pass prices the stack's table and each
+        network's :class:`ModelCost` holds its own rows.  The stack keeps
+        the result, keyed by every input that pass reads, so pricing it
+        again at the same point reuses it.
+        """
+        key = (self.arch, self.cache, self.batch, self.charge_hold_power,
+               self.bytes_per_element)
+        costs = stack.priced.get(key)
+        if costs is None:
+            t = stack.table
+            with _trace_span(
+                "model_cost", model=",".join(n.name for n in stack.values()),
+                arch=self.arch.name,
+            ):
+                columns = self.layer_costs(
+                    t.names, t.m, t.k, t.n, t.groups, t.input_elements, t.fused
+                )
+            costs = stack.priced[key] = stack.split(self.arch.name, columns)
         session = _telemetry_active()
         if session is not None:
             # Export the *modeled* totals as gauges so a trace run carries
             # the analytical predictions next to the measured events.
             metrics = session.metrics
-            for name, time_s, energy_j in zip(
-                table.names, columns.time_s.tolist(), columns.energy_j.tolist()
-            ):
-                labels = {"model": network.name, "arch": self.arch.name,
-                          "layer": name}
-                metrics.gauge(
-                    "repro_modeled_layer_time_seconds",
-                    "Analytical per-inference latency of one layer",
-                    **labels,
-                ).set(time_s)
-                metrics.gauge(
-                    "repro_modeled_layer_energy_joules",
-                    "Analytical per-inference energy of one layer",
-                    **labels,
-                ).set(energy_j)
-        return ModelCost(
-            model=network.name,
-            accelerator=self.arch.name,
-            columns=columns,
-            total_macs=stats.total_macs,
-        )
+            for cost in costs.values():
+                columns = cost.columns
+                for name, time_s, energy_j in zip(
+                    columns.names, columns.time_s.tolist(), columns.energy_j.tolist()
+                ):
+                    labels = {"model": cost.model, "arch": self.arch.name,
+                              "layer": name}
+                    metrics.gauge(
+                        "repro_modeled_layer_time_seconds",
+                        "Analytical per-inference latency of one layer",
+                        **labels,
+                    ).set(time_s)
+                    metrics.gauge(
+                        "repro_modeled_layer_energy_joules",
+                        "Analytical per-inference energy of one layer",
+                        **labels,
+                    ).set(energy_j)
+        return costs
+
+    def model_cost(self, network: Network) -> ModelCost:
+        """:meth:`model_costs` of the one network."""
+        (cost,) = self.model_costs(NetworkStack.of(network)).values()
+        return cost
 
 
 # ---------------------------------------------------------------------------

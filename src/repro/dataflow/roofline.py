@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dataflow.report import LayerColumns, ModelCost
-from repro.errors import ConfigError, ScheduleError, require_finite_fields
+from repro.dataflow.report import LayerColumns, ModelCost, NetworkStack
+from repro.errors import ConfigError, require_finite_fields
 from repro.nn.graph import Network
 
 
@@ -79,15 +79,13 @@ class ElectronicAccelerator:
         return self.power_w / self.sustained_ops_per_s
 
     # ------------------------------------------------------------------
-    def model_cost(self, network: Network, batch: int = 1) -> ModelCost:
-        """Per-inference latency/energy over the layer graph, every compute
-        layer priced in one array pass."""
+    def model_costs(self, stack: NetworkStack, batch: int = 1) -> dict[str, ModelCost]:
+        """Per-inference latency/energy of every network in the stack, by
+        the stack's keys: one array pass over the stacked compute layers,
+        each network's :class:`ModelCost` holding its own rows."""
         if batch < 1:
             raise ConfigError(f"batch must be positive, got {batch}")
-        stats = network.stats()
-        table = stats.compute_table
-        if not table.names:
-            raise ScheduleError(f"{network.name}: no compute layers to cost")
+        table = stack.table
         ops = 2 * table.macs
         compute_time = ops / self.sustained_ops_per_s
         # int8 traffic: read inputs + write outputs each inference,
@@ -96,10 +94,9 @@ class ElectronicAccelerator:
         memory_time = traffic_bytes / self.dram_bandwidth_bytes_per_s
         energy = ops * self._effective_energy_per_op()
         unused = np.zeros(len(table.names), dtype=np.int64)
-        return ModelCost(
-            model=network.name,
-            accelerator=self.name,
-            columns=LayerColumns(
+        return stack.split(
+            self.name,
+            LayerColumns(
                 names=table.names,
                 macs=table.macs,
                 time_s=np.where(memory_time > compute_time, memory_time, compute_time),
@@ -109,8 +106,12 @@ class ElectronicAccelerator:
                 tiles=unused,
                 rounds=unused,
             ),
-            total_macs=stats.total_macs,
         )
+
+    def model_cost(self, network: Network, batch: int = 1) -> ModelCost:
+        """:meth:`model_costs` of the one network."""
+        (cost,) = self.model_costs(NetworkStack.of(network), batch).values()
+        return cost
 
     def training_time_s(self, network: Network, n_samples: int, batch: int = 32) -> float:
         """Time to train ``n_samples`` images, via the paper's method:

@@ -64,13 +64,6 @@ class CheckpointError(ReproError):
     the accelerator it is being loaded into."""
 
 
-class TrainingAbortedError(ReproError):
-    """A resilient training run exhausted its rollback/retry budget and
-    aborted.  Raised only by APIs asked to abort loudly; the default
-    :class:`~repro.runtime.resilient.ResilientTrainer` path returns a
-    structured ``RunReport`` instead."""
-
-
 class ServingError(ReproError):
     """An invalid serving-layer configuration or scheduling operation."""
 

@@ -4,7 +4,9 @@ Everything the paper commits to quantitatively lives in
 :class:`PaperTargets`, so benches and tests compare against one source of
 truth.  ``compare`` builds :class:`ExperimentResult` records; EXPERIMENTS.md
 is generated from them.  ``paper_networks`` gives a generator the zoo
-networks it prices: from a caller's shared mapping, or freshly built.
+networks it prices as one :class:`~repro.dataflow.report.NetworkStack`:
+the caller's shared stack, a stack of the caller's mapping, or freshly
+built.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
+from repro.dataflow.report import NetworkStack
 from repro.errors import ConfigError
 from repro.nn import Network, build_model
 
@@ -136,18 +139,22 @@ def compare(
 
 def paper_networks(
     names: Iterable[str], networks: Mapping[str, Network] | None = None
-) -> dict[str, Network]:
-    """The named zoo networks, in ``names`` order.
+) -> NetworkStack:
+    """The named zoo networks as one stack.
 
-    Taken from ``networks`` when a mapping is given (one that lacks a name
-    raises :class:`ConfigError`), otherwise built fresh.
+    A :class:`NetworkStack` that holds every name is returned as it is, so
+    its callers share what it has priced; any other mapping is stacked in
+    ``names`` order.  A mapping that lacks a name raises
+    :class:`ConfigError`.  Without one the networks are built fresh.
     """
     names = tuple(names)
     if networks is None:
-        return {m: build_model(m) for m in names}
+        return NetworkStack({m: build_model(m) for m in names})
     missing = [m for m in names if m not in networks]
     if missing:
         raise ConfigError(
             f"network mapping lacks {missing}; it has {sorted(networks)}"
         )
-    return {m: networks[m] for m in names}
+    if isinstance(networks, NetworkStack):
+        return networks
+    return NetworkStack({m: networks[m] for m in names})

@@ -77,13 +77,14 @@ def fig4_photonic_energy(
     """Per-inference energy of the four photonic architectures x 5 CNNs.
 
     ``networks`` maps each of :data:`PAPER_MODELS` to its built network;
-    without it the generator builds its own.
+    without it the generator builds its own.  Each architecture prices
+    the networks in one pass (:func:`paper_networks`).
     """
     nets = paper_networks(PAPER_MODELS, networks)
     series: dict[str, dict[str, float]] = {}
     for arch in photonic_baselines():
-        cm = PhotonicCostModel(arch, batch=batch)
-        series[arch.name] = {m: cm.model_cost(net).energy_j for m, net in nets.items()}
+        costs = PhotonicCostModel(arch, batch=batch).model_costs(nets)
+        series[arch.name] = {m: costs[m].energy_j for m in PAPER_MODELS}
     trident = series["trident"]
 
     def improvement(name: str) -> float:
@@ -147,15 +148,11 @@ def fig6_inferences_per_second(
     nets = paper_networks(PAPER_MODELS, networks)
     series: dict[str, dict[str, float]] = {}
     for arch in photonic_baselines():
-        cm = PhotonicCostModel(arch, batch=batch)
-        series[arch.name] = {
-            m: cm.model_cost(net).inferences_per_second for m, net in nets.items()
-        }
+        costs = PhotonicCostModel(arch, batch=batch).model_costs(nets)
+        series[arch.name] = {m: costs[m].inferences_per_second for m in PAPER_MODELS}
     for acc in electronic_baselines():
-        series[acc.name] = {
-            m: acc.model_cost(net, batch=electronic_batch).inferences_per_second
-            for m, net in nets.items()
-        }
+        costs = acc.model_costs(nets, batch=electronic_batch)
+        series[acc.name] = {m: costs[m].inferences_per_second for m in PAPER_MODELS}
     trident = series["trident"]
 
     def advantage(name: str) -> float:

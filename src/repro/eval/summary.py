@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
+from repro.dataflow.report import NetworkStack
 from repro.eval.experiments import ExperimentResult
 from repro.eval.figures import (
     fig3_activation_transfer,
@@ -47,12 +48,14 @@ class ReproductionSummary:
     def collect(cls) -> "ReproductionSummary":
         """Run every generator and gather its comparisons.
 
-        The five :data:`PAPER_MODELS` networks are built once per call and
-        shared by the three generators that price them (Table V, Figs 4
-        and 6), so each network is walked once.  The mapping is a local of
-        this call: nothing is cached beyond it.
+        The five :data:`PAPER_MODELS` networks are built once per call,
+        stacked once and shared by the three generators that price them
+        (Table V, Figs 4 and 6), so each network is walked once and each
+        architecture point is priced once (Figs 4 and 6 read the same
+        four).  The stack is a local of this call: nothing priced is kept
+        beyond it.
         """
-        networks = {m: build_model(m) for m in PAPER_MODELS}
+        networks = NetworkStack({m: build_model(m) for m in PAPER_MODELS})
         generators = (
             table1_tuning,
             table3_power,

@@ -15,7 +15,7 @@ the records and, on first use, their compute-layer column table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +43,8 @@ class LayerStats:
 
 @dataclass(frozen=True)
 class LayerTable:
-    """A network's compute layers as columns, one entry per layer in order.
+    """A network's compute layers as columns, one entry per layer in order
+    (or several networks', one after another: :meth:`concat`).
 
     The integer columns are read-only int64 arrays: the GEMM's ``m``,
     ``k``, ``n`` and ``groups``, the input and output element counts,
@@ -79,6 +80,20 @@ class LayerTable:
         ints.flags.writeable = False
         fused.flags.writeable = False
         return cls(tuple(s.name for s in compute), *ints, fused)
+
+    @classmethod
+    def concat(cls, tables: list[LayerTable]) -> LayerTable:
+        """The tables' rows in one table, table after table, each in its
+        own order (names may repeat across tables).  One table is itself."""
+        if len(tables) == 1:
+            return tables[0]
+        columns = [
+            np.concatenate([getattr(t, f.name) for t in tables])
+            for f in fields(cls)[1:]
+        ]
+        for column in columns:
+            column.flags.writeable = False
+        return cls(sum((t.names for t in tables), ()), *columns)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ soak harness's ``train`` cell live here once each: :func:`small_chip`,
 from __future__ import annotations
 
 import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,7 +73,8 @@ def nan_once(step: int):
 
 @dataclass(frozen=True)
 class TrainRun:
-    """One resilient training run and where its checkpoints went."""
+    """One resilient training run and where its checkpoints went (a
+    directory :func:`run_train` removed if it made it)."""
 
     report: RunReport
     directory: str
@@ -95,30 +97,34 @@ def run_train(
     """Resilient in-situ training of a small classifier.
 
     :class:`~repro.runtime.ResilientTrainer` on a two-spare-row
-    :func:`small_chip` checkpoints into ``checkpoint_dir`` (a fresh temp
-    dir by default) every ``checkpoint_every`` steps and rolls back on
-    divergence with learning-rate backoff.  ``resume`` restores the newest
-    checkpoint first, ``max_steps`` halts early (a simulated crash) and
-    ``inject_nan_step`` forces one NaN loss.
+    :func:`small_chip` checkpoints into ``checkpoint_dir`` every
+    ``checkpoint_every`` steps and rolls back on divergence with
+    learning-rate backoff.  Without ``checkpoint_dir`` it checkpoints into
+    a fresh temp dir that is removed before the call returns.  ``resume``
+    restores the newest checkpoint first, ``max_steps`` halts early (a
+    simulated crash) and ``inject_nan_step`` forces one NaN loss.
     """
     acc = small_chip(dims, seed, spare_rows=2)
     acc.set_weights(seeded_weights(dims, seed))
     data = training_data(samples, dims, seed)
-    directory = checkpoint_dir or tempfile.mkdtemp(prefix="repro-train-")
-    trainer = ResilientTrainer(
-        InSituTrainer(acc, lr=lr),
-        directory,
-        config=ResilienceConfig(checkpoint_every=checkpoint_every),
-        step_hook=None if inject_nan_step is None else nan_once(inject_nan_step),
-    )
-    report = trainer.run(
-        data,
-        steps=steps,
-        batch_size=batch,
-        seed=seed + 3,
-        resume=resume,
-        max_steps_this_run=max_steps,
-    )
+    with (
+        nullcontext(checkpoint_dir) if checkpoint_dir
+        else tempfile.TemporaryDirectory(prefix="repro-train-")
+    ) as directory:
+        trainer = ResilientTrainer(
+            InSituTrainer(acc, lr=lr),
+            directory,
+            config=ResilienceConfig(checkpoint_every=checkpoint_every),
+            step_hook=None if inject_nan_step is None else nan_once(inject_nan_step),
+        )
+        report = trainer.run(
+            data,
+            steps=steps,
+            batch_size=batch,
+            seed=seed + 3,
+            resume=resume,
+            max_steps_this_run=max_steps,
+        )
     return TrainRun(report, directory)
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.arch.cache import CacheModel
 from repro.dataflow.cost_model import PhotonicArch, PhotonicCostModel
+from repro.dataflow.report import NetworkStack
 from repro.errors import ConfigError, ScheduleError
 from repro.nn.graph import Network
 
@@ -95,13 +96,12 @@ class TrainingCostModel:
         self._cm_single = PhotonicCostModel(self.arch, cache=self.cache, batch=1)
 
     # ------------------------------------------------------------------
-    def step_costs(self, network: Network) -> TrainingPassCosts:
-        """Per-sample cost of one SGD step over the network: four array
-        passes over its compute layers (forward, W^T gradient and the two
-        outer-product orientations)."""
-        t = network.stats().compute_table
-        if not t.names:
-            raise ScheduleError(f"{network.name}: no compute layers to train")
+    def stack_step_costs(self, stack: NetworkStack) -> dict[str, TrainingPassCosts]:
+        """Per-sample cost of one SGD step over every network in the stack,
+        by the stack's keys: four array passes over the stacked compute
+        layers (forward, W^T gradient and the two outer-product
+        orientations), each network's totals summed over its own rows."""
+        t = stack.table
         B = self.batch
         no_activation = np.zeros(len(t.names), dtype=bool)
         fwd = self._cm_batched.layer_costs(
@@ -128,18 +128,29 @@ class TrainingCostModel:
         outer_energy = np.where(faster, activations.energy_j, deltas.energy_j)
         # Update: rewrite every weight cell once per batch.
         cells = t.m * t.k * t.groups
-        return TrainingPassCosts(
-            model=network.name,
-            accelerator=self.arch.name,
-            forward_time_s=_running_sum(fwd.time_s),
-            gradient_time_s=_running_sum(grad.time_s),
-            outer_time_s=_running_sum(outer_time / B),
-            update_time_s=_running_sum(fwd.rounds * self.arch.write_time_s / B),
-            forward_energy_j=_running_sum(fwd.energy_j),
-            gradient_energy_j=_running_sum(grad.energy_j),
-            outer_energy_j=_running_sum(outer_energy / B),
-            update_energy_j=_running_sum(cells * self.arch.write_energy_per_cell_j / B),
+        # In TrainingPassCosts field order, after model and accelerator.
+        passes = (
+            fwd.time_s,
+            grad.time_s,
+            outer_time / B,
+            fwd.rounds * self.arch.write_time_s / B,
+            fwd.energy_j,
+            grad.energy_j,
+            outer_energy / B,
+            cells * self.arch.write_energy_per_cell_j / B,
         )
+        return {
+            key: TrainingPassCosts(
+                network.name, self.arch.name,
+                *(_running_sum(column[rows]) for column in passes),
+            )
+            for (key, network), rows in zip(stack.items(), stack.rows)
+        }
+
+    def step_costs(self, network: Network) -> TrainingPassCosts:
+        """:meth:`stack_step_costs` of the one network."""
+        (costs,) = self.stack_step_costs(NetworkStack.of(network)).values()
+        return costs
 
     def training_time_s(self, network: Network, n_samples: int = 50_000) -> float:
         """Wall-clock to train ``n_samples`` images (Table V's metric)."""

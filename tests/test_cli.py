@@ -240,6 +240,40 @@ class TestServeCommand:
         assert sorted(tmp_path.iterdir()) == [events, metrics]
 
 
+class TestTemporaryDirectories:
+    """A command that makes its own temp directory removes it before it
+    returns, and says so where it names a path inside it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("train", "--steps", "3"), ("trace", "--smoke"), ("serve", "--smoke")],
+        ids=lambda argv: argv[0],
+    )
+    def test_nothing_left_behind(self, run, tmp_path, monkeypatch, argv):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        code, out = run(*argv)
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
+        named = [line for line in out.splitlines() if str(tmp_path) in line]
+        assert named and all("temporary, now removed" in line for line in named)
+
+    def test_a_kept_artifact_is_not_called_removed(self, run, tmp_path, monkeypatch):
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        metrics = tmp_path / "m.prom"
+        code, out = run("serve", "--smoke", "--metrics-out", str(metrics))
+        assert code == 0
+        assert f"metrics written to {metrics} (" in out
+        assert "samples)" in out
+        assert "spans; temporary, now removed)" in out
+        assert metrics.exists() and list(scratch.iterdir()) == []
+
+
 class TestErrorHygiene:
     """Domain errors exit 2 with one structured line, never a traceback."""
 
@@ -316,6 +350,22 @@ class TestErrorHygiene:
         assert exit_info.value.code == 2
         assert f"error: argument {flag}: must be non-negative, got -1" in captured.err
         assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "5"), ("--fractions", "0.5"), ("--policies", "none"),
+         ("--trials", "9")],
+    )
+    def test_faults_smoke_rejects_sweep_flags(self, capsys, flag, value):
+        # The smoke sweep is fixed (tests/golden/gates.json pins it): a
+        # sweep flag beside --smoke would be silently ignored.
+        code, out, err = self._run(capsys, "faults", "--smoke", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"repro faults: error: {flag} cannot be used with --smoke "
+            "(its sweep is fixed)\n"
+        )
 
     def test_resume_without_a_directory_errors_on_stderr(self, capsys):
         code, out, err = self._run(capsys, "resume")

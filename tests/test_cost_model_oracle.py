@@ -14,17 +14,23 @@ per-layer loops they replaced, kept as test code only:
 Every float must be equal under ``==``.  The golden ledgers check these
 bits only on their recorded machine, so this is the check that runs on
 every Python (``sum`` is compensated from 3.12 on).
+
+The three methods are the one-network case of a pass over a
+:class:`NetworkStack`; the stacked pass must give each network the same
+bits in any stacking order and subset, and a stack must never hand out a
+stored pricing for inputs that differ from the ones it was priced at.
 """
 
 from dataclasses import fields, replace
 
 import pytest
 
-from repro.arch.cache import CacheConfig
+from repro.arch.cache import CacheConfig, CacheModel
 from repro.baselines import electronic_baselines, photonic_baselines
 from repro.baselines.electronic import XAVIER_TRAINING_UTILIZATION, agx_xavier_training
-from repro.dataflow.cost_model import PhotonicCostModel
-from repro.dataflow.report import LayerCost
+from repro.dataflow.cost_model import PhotonicArch, PhotonicCostModel
+from repro.dataflow.report import LayerCost, NetworkStack
+from repro.eval import summary
 from repro.dataflow.tiling import TileSchedule
 from repro.nn import build_model
 from repro.nn.graph import INPUT
@@ -154,7 +160,11 @@ def assert_same_records(got, expected):
 
 
 def assert_same_cost(cost, network, cm):
-    records, time_s, energy_j, components = loop_model_cost(cm, network)
+    assert_matches_loop(cost, loop_model_cost(cm, network))
+
+
+def assert_matches_loop(cost, loop):
+    records, time_s, energy_j, components = loop
     assert_same_records(cost.layers, records)
     assert cost.time_s == time_s
     assert cost.energy_j == energy_j
@@ -221,3 +231,162 @@ def test_roofline_matches_layer_loop(nets, model):
             assert acc.training_time_s(network, 50_000) == (
                 50_000 * time_s * acc.training_expansion
             )
+
+
+# ---------------------------------------------------------------------------
+# The stacked pass
+# ---------------------------------------------------------------------------
+#: Stackings of the zoo: paper order, reversed, and a two-network subset.
+STACKINGS = (MODELS, MODELS[::-1], ("vgg16", "mobilenet_v2"))
+
+
+def stackings(nets):
+    return [NetworkStack({m: nets[m] for m in names}) for names in STACKINGS]
+
+
+def assert_own_rows(costs, stack, accelerator):
+    assert list(costs) == list(stack)
+    for key, cost in costs.items():
+        network = stack[key]
+        assert cost.model == network.name and cost.accelerator == accelerator
+        assert cost.total_macs == network.stats().total_macs
+        assert cost.columns.names == network.stats().compute_table.names
+        assert not cost.columns.time_s.flags.writeable
+        assert not cost.columns.energy_j.flags.writeable
+
+
+@pytest.mark.parametrize("arch_name", list(ARCHS))
+def test_stacked_model_costs_match_layer_loop(nets, arch_name):
+    for rows, cols in GEOMETRIES:
+        arch = replace(ARCHS[arch_name], bank_rows=rows, bank_cols=cols)
+        for hold in (False, True):
+            for bpe in (1, 2):
+                for batch in BATCHES:
+                    cm = PhotonicCostModel(
+                        arch, batch=batch, charge_hold_power=hold, bytes_per_element=bpe
+                    )
+                    priced = [(stack, cm.model_costs(stack)) for stack in stackings(nets)]
+                    for stack, costs in priced:
+                        assert_own_rows(costs, stack, arch.name)
+                    for model in MODELS:
+                        loop = loop_model_cost(cm, nets[model])
+                        for _, costs in priced:
+                            if model in costs:
+                                assert_matches_loop(costs[model], loop)
+
+
+def test_stacked_step_costs_match_layer_loop(nets):
+    for rows, cols in GEOMETRIES:
+        arch = replace(ARCHS["trident"], bank_rows=rows, bank_cols=cols)
+        for batch in TRAINING_BATCHES:
+            tcm = TrainingCostModel(arch, batch=batch)
+            priced = [tcm.stack_step_costs(stack) for stack in stackings(nets)]
+            for model in MODELS:
+                loop = loop_step_costs(tcm, nets[model])
+                for costs in priced:
+                    if model in costs:
+                        assert costs[model].model == nets[model].name
+                        for name, value in loop.items():
+                            assert getattr(costs[model], name) == value, (rows, batch, name)
+
+
+def test_stacked_roofline_matches_layer_loop(nets):
+    accs = electronic_baselines() + [
+        agx_xavier_training(name) for name in XAVIER_TRAINING_UTILIZATION
+    ]
+    stacks = stackings(nets)
+    for acc in accs:
+        for batch in (1, 32):
+            priced = [(stack, acc.model_costs(stack, batch=batch)) for stack in stacks]
+            for stack, costs in priced:
+                assert_own_rows(costs, stack, acc.name)
+            for model in MODELS:
+                records, time_s = loop_roofline(acc, nets[model], batch)
+                for _, costs in priced:
+                    if model in costs:
+                        assert_same_records(costs[model].layers, records)
+                        assert costs[model].time_s == time_s
+
+
+def bumped(value):
+    """A different valid value of a parameter field."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return value + "-x"
+    if isinstance(value, int):
+        return 2 * value + 1
+    return 2 * value + 1e-12
+
+
+def test_a_changed_input_never_reuses_a_stored_pricing(nets):
+    """The stack stores one pricing per point: an equal point reuses it,
+    and a point that differs in any input the pass reads gets its own."""
+    stack = NetworkStack({m: nets[m] for m in ("alexnet", "mobilenet_v2")})
+    arch, cache = ARCHS["deap-cnn"], CacheModel()
+    base = dict(arch=arch, cache=cache, batch=7, charge_hold_power=True,
+                bytes_per_element=1)
+    first = PhotonicCostModel(**base).model_costs(stack)
+    assert PhotonicCostModel(**base).model_costs(stack) is first
+    changes = [
+        ("arch", replace(arch, **{f.name: bumped(getattr(arch, f.name))}))
+        for f in fields(PhotonicArch)
+    ] + [
+        ("cache", CacheModel(replace(cache.config, **{
+            f.name: bumped(getattr(cache.config, f.name))})))
+        for f in fields(CacheConfig)
+    ] + [("batch", 8), ("charge_hold_power", False), ("bytes_per_element", 2)]
+    seen = [first]
+    for key, value in changes:
+        cm = PhotonicCostModel(**{**base, key: value})
+        costs = cm.model_costs(stack)
+        assert all(costs is not other for other in seen), (key, value)
+        seen.append(costs)
+        for model, cost in costs.items():
+            assert_matches_loop(cost, loop_model_cost(cm, stack[model]))
+    assert len(stack.priced) == len(seen)
+
+
+def test_figures_alone_match_one_collect(monkeypatch):
+    """Inside one collect Fig 6 reads the photonic points Fig 4 priced;
+    its series are those of the figure run alone."""
+    inside = {}
+    for name in ("fig4_photonic_energy", "fig6_inferences_per_second"):
+        def capture(*args, _generator=getattr(summary, name), _name=name, **kwargs):
+            inside[_name] = _generator(*args, **kwargs)
+            return inside[_name]
+
+        monkeypatch.setattr(summary, name, capture)
+    priced = []
+    layer_costs = PhotonicCostModel.layer_costs
+
+    def counting(self, *args):
+        priced.append(self.arch.name)
+        return layer_costs(self, *args)
+
+    monkeypatch.setattr(PhotonicCostModel, "layer_costs", counting)
+    summary.ReproductionSummary.collect()
+    # Four photonic points shared by Figs 4 and 6, four Table V passes.
+    assert len(priced) == 8
+    monkeypatch.undo()
+    for name, alone in (
+        ("fig4_photonic_energy", summary.fig4_photonic_energy()),
+        ("fig6_inferences_per_second", summary.fig6_inferences_per_second()),
+    ):
+        got = inside[name]
+        assert got == alone
+        assert list(got.series) == list(alone.series)
+        for key, series in alone.series.items():
+            assert list(got.series[key].items()) == list(series.items())
+
+
+def test_stack_rejects_an_empty_network_or_mapping(nets):
+    from repro.errors import ConfigError, ScheduleError
+    from repro.nn import GlobalAvgPool, Network, TensorShape
+
+    empty = Network("pool-only", TensorShape(4, 4, 3))
+    empty.add(GlobalAvgPool("gap"))
+    with pytest.raises(ScheduleError, match="pool-only"):
+        NetworkStack({"alexnet": nets["alexnet"], "pool-only": empty})
+    with pytest.raises(ConfigError):
+        NetworkStack({})
