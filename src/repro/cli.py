@@ -261,13 +261,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_train_plan(args: argparse.Namespace) -> int:
     """Table V-style training-time estimate for one model."""
     from repro.baselines.electronic import agx_xavier_training
+    from repro.errors import ConfigError
     from repro.nn import build_model
     from repro.training.latency import TrainingCostModel
 
     net = build_model(args.model)
     tcm = TrainingCostModel(batch=args.batch)
+    if args.samples < 1:
+        raise ConfigError(f"n_samples must be positive, got {args.samples}")
+    # One pricing serves both tables (``training_time_s`` would price again).
     costs = tcm.step_costs(net)
-    trident_s = tcm.training_time_s(net, args.samples)
+    trident_s = costs.time_s * args.samples
     xavier_s = agx_xavier_training(args.model).training_time_s(
         net, args.samples, batch=args.batch
     )

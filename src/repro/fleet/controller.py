@@ -124,6 +124,10 @@ class ControllerConfig:
             )
         if not 0.0 < self.tight_batch_slo_factor <= 1.0:
             raise ServingError("tight-batch SLO factor must be in (0, 1]")
+        if not self.rebalance_shed_rate >= 0.0:
+            raise ServingError(
+                f"rebalance shed rate must be >= 0, got {self.rebalance_shed_rate}"
+            )
         if self.per_worker_power_w <= 0 or self.power_budget_w <= 0:
             raise ServingError("power model values must be positive")
         if self.sdc_quarantine_count < 1:
@@ -301,12 +305,11 @@ class FleetController:
         )
         self._breach_ticks = self._breach_ticks + 1 if red else 0
 
-        healthy = server.serving_worker_count()
-        ceiling = min(cfg.max_workers, cfg.power_cap_workers(self.rung))
         if (
             self._breach_ticks >= cfg.scale_up_breach_ticks
             and self._up_cooldown == 0
-            and n_rising < ceiling
+            and n_rising
+            < (ceiling := min(cfg.max_workers, cfg.power_cap_workers(self.rung)))
         ):
             # Proportional sizing: enough workers to carry the windowed
             # demand at target utilization, with breaker-opened capacity
@@ -314,7 +317,7 @@ class FleetController:
             needed = math.ceil(
                 demand_hz / (cfg.target_utilization * per_worker_hz)
             )
-            needed += n_active - healthy
+            needed += n_active - server.serving_worker_count()
             target = min(ceiling, max(needed, n_rising + 1))
             to_add = target - n_rising
             if to_add > 0:
@@ -362,8 +365,11 @@ class FleetController:
             _metric_counter("repro_fleet_scale_downs_total").inc()
 
     def _reap_draining(self) -> None:
+        draining = self.pool.ids_in("draining")
+        if not draining:
+            return
         t0 = time.perf_counter()
-        for wid in self.pool.ids_in("draining"):
+        for wid in draining:
             self.pool.try_decommission(wid)
         self.provision_wall_s += time.perf_counter() - t0
 
@@ -464,6 +470,8 @@ class FleetController:
         cfg = self.config
         if self.rung != 0:
             return  # degraded mode owns the priority policy
+        if not stats.shed_by_tenant and not server.tenant_boost:
+            return  # no tenant shed and none holds a boost to release
         fleet_green = stats.attainment >= cfg.scale_up_attainment
         for tenant in sorted(stats.terminated_by_tenant):
             rate = stats.tenant_shed_rate(tenant)

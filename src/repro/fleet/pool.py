@@ -22,6 +22,7 @@ across any scale-up/drain schedule.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 
 import numpy as np
@@ -70,6 +71,10 @@ class WorkerPool:
         self.server = None
         #: worker id -> lifecycle state (one of :data:`WORKER_STATES`).
         self.states: dict[int, str] = {}
+        #: lifecycle state -> its worker ids, ascending.  The controller
+        #: reads these views every tick; workers change state only at
+        #: scaling events.
+        self._ids: dict[str, list[int]] = {state: [] for state in WORKER_STATES}
         #: worker id -> instant it may first take traffic.
         self.ready_s: dict[int, float] = {}
         #: worker id -> bank-state checkpoint digest at decommission.
@@ -105,7 +110,7 @@ class WorkerPool:
             wid = self._next_id
             self._next_id += 1
             workers.append(self.make_worker(wid))
-            self.states[wid] = "active"
+            self._set_state(wid, "active")
             self.ready_s[wid] = 0.0
         return workers
 
@@ -135,17 +140,18 @@ class WorkerPool:
         now = server.clock.now()
         ready = now + max(0.0, float(warmup_s))
         server.add_worker(worker, warm_at_s=ready)
-        self.states[wid] = "warming" if ready > now else "active"
+        self._set_state(wid, "warming" if ready > now else "active")
         self.ready_s[wid] = ready
         return wid
 
     def refresh(self, now_s: float) -> list[int]:
         """Promote WARMING workers whose warm-up has elapsed; returns them."""
-        promoted = []
-        for wid, state in sorted(self.states.items()):
-            if state == "warming" and self.ready_s.get(wid, 0.0) <= now_s:
-                self.states[wid] = "active"
-                promoted.append(wid)
+        warming = self._ids["warming"]
+        if not warming:
+            return []
+        promoted = [wid for wid in warming if self.ready_s.get(wid, 0.0) <= now_s]
+        for wid in promoted:
+            self._set_state(wid, "active")
         return promoted
 
     def begin_drain(self, worker_id: int) -> None:
@@ -157,7 +163,7 @@ class WorkerPool:
         if state == "draining":
             return
         server.begin_drain(worker_id)
-        self.states[worker_id] = "draining"
+        self._set_state(worker_id, "draining")
 
     def try_decommission(self, worker_id: int) -> bool:
         """Retire a DRAINING worker once idle; checkpoints its bank state.
@@ -174,27 +180,32 @@ class WorkerPool:
         worker = server.remove_worker(worker_id)
         digest = state_digest(worker.acc.state_dict())
         self.checkpoint_digests[worker_id] = digest
-        self.states[worker_id] = "decommissioned"
+        self._set_state(worker_id, "decommissioned")
         server.record_decision(
             "checkpoint_worker", worker=worker_id, digest=digest[:16]
         )
         return True
+
+    def _set_state(self, worker_id: int, state: str) -> None:
+        before = self.states.get(worker_id)
+        if before is not None:
+            self._ids[before].remove(worker_id)
+        self.states[worker_id] = state
+        bisect.insort(self._ids[state], worker_id)
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     def ids_in(self, state: str) -> list[int]:
         """Worker ids currently in ``state``, ascending."""
-        if state not in WORKER_STATES:
+        ids = self._ids.get(state)
+        if ids is None:
             raise ServingError(f"unknown worker state {state!r}")
-        return sorted(w for w, s in self.states.items() if s == state)
+        return list(ids)
 
     def counts(self) -> dict[str, int]:
         """Lifecycle-state histogram."""
-        out = {state: 0 for state in WORKER_STATES}
-        for state in self.states.values():
-            out[state] += 1
-        return out
+        return {state: len(ids) for state, ids in self._ids.items()}
 
     def unit_rate_hz(self, max_batch: int) -> float:
         """One worker's sustainable full-batch rate (template cost model)."""

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import ServingError
 from repro.serving.request import InferenceRequest
+from repro.serving.workload import requests_from_draws
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,11 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ServingError("tenant needs a non-empty name")
-        if self.weight <= 0:
-            raise ServingError(f"tenant {self.name}: weight must be positive")
+        if not 0.0 < self.weight < math.inf:
+            raise ServingError(
+                f"tenant {self.name}: weight must be positive and finite, "
+                f"got {self.weight}"
+            )
         if not 0.0 <= self.deadline_fraction <= 1.0:
             raise ServingError(
                 f"tenant {self.name}: deadline fraction must be in [0, 1]"
@@ -70,10 +74,13 @@ class Burst:
     gain: float
 
     def __post_init__(self) -> None:
-        if self.start_s < 0 or self.duration_s <= 0:
-            raise ServingError("burst window must be positive and start >= 0")
-        if self.gain < 1.0:
-            raise ServingError(f"burst gain must be >= 1, got {self.gain}")
+        if not (0.0 <= self.start_s < math.inf and 0.0 < self.duration_s < math.inf):
+            raise ServingError(
+                "burst must start at a finite time >= 0 and last a finite "
+                f"positive duration, got {self.start_s} and {self.duration_s}"
+            )
+        if not 1.0 <= self.gain < math.inf:
+            raise ServingError(f"burst gain must be finite and >= 1, got {self.gain}")
 
     @property
     def end_s(self) -> float:
@@ -120,19 +127,33 @@ class TraceConfig:
     max_requests: int = 2_000_000
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ServingError("trace duration must be positive")
-        if self.base_rate_x <= 0:
-            raise ServingError("base rate must be positive")
+        if not 0.0 < self.duration_s < math.inf:
+            raise ServingError(
+                f"trace duration must be positive and finite, got {self.duration_s}"
+            )
+        if not 0.0 < self.base_rate_x < math.inf:
+            raise ServingError(
+                f"base rate must be positive and finite, got {self.base_rate_x}"
+            )
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ServingError(
                 f"diurnal amplitude must be in [0, 1), got "
                 f"{self.diurnal_amplitude}"
             )
-        if self.period_s is not None and self.period_s <= 0:
-            raise ServingError("diurnal period must be positive")
+        if self.period_s is not None and not 0.0 < self.period_s < math.inf:
+            raise ServingError(
+                f"diurnal period must be positive and finite, got {self.period_s}"
+            )
         if not self.tenants:
             raise ServingError("trace needs at least one tenant")
+        # The total synthesize_trace normalizes the mix by: finite weights
+        # can still overflow it, and an infinite total makes the mix NaN.
+        with np.errstate(over="ignore"):
+            total = np.array([t.weight for t in self.tenants], dtype=float).sum()
+        if not total < math.inf:
+            raise ServingError(f"tenant weights must have a finite sum, got {total}")
+        if self.max_requests < 1:
+            raise ServingError(f"max_requests must be >= 1, got {self.max_requests}")
         for burst in self.bursts:
             if burst.start_s >= self.duration_s:
                 raise ServingError(
@@ -153,10 +174,21 @@ class TraceConfig:
         return self.base_rate_x * diurnal * gain
 
     def peak_rate_x(self) -> float:
-        """Upper envelope of :meth:`rate_x` (the thinning bound)."""
+        """Upper envelope of :meth:`rate_x` (the thinning bound).
+
+        Its burst factor is the largest product of gains active together.
+        Every burst active at some instant is still active at the latest
+        start among them, and every gain is >= 1, so the products at the
+        burst starts cover every instant.  Without overlap this is the
+        largest single gain.
+        """
         gain = 1.0
         for burst in self.bursts:
-            gain = max(gain, burst.gain)
+            together = 1.0
+            for other in self.bursts:
+                if other.active(burst.start_s):
+                    together *= other.gain
+            gain = max(gain, together)
         return self.base_rate_x * (1.0 + self.diurnal_amplitude) * gain
 
     def peak_window(self) -> tuple[float, float]:
@@ -176,44 +208,51 @@ def synthesize_trace(
     ``unit_rate_hz`` converts worker-equivalents to requests/s; ``n_in``
     sizes the input vectors; ``slo_latency_s`` is the latency budget
     deadlines are derived from (``arrival + slo``).
+
+    Each thinning candidate takes one scalar ``exponential`` gap and one
+    scalar ``random()`` coin; each accepted one then takes one row of
+    draws (:func:`~repro.serving.workload.requests_from_draws`).
     """
-    if unit_rate_hz <= 0:
-        raise ServingError("unit rate must be positive")
+    if not 0.0 < unit_rate_hz < math.inf:
+        raise ServingError("unit rate must be positive and finite")
     rng = np.random.default_rng(config.seed)
     weights = np.array([t.weight for t in config.tenants], dtype=float)
     weights /= weights.sum()
     envelope_hz = config.peak_rate_x() * unit_rate_hz
-    requests: list[InferenceRequest] = []
+    gap_s = 1.0 / envelope_hz
+    duration_s = config.duration_s
+    rate_x = config.rate_x
+    exponential, random = rng.exponential, rng.random
+    draws = np.empty((min(1024, config.max_requests), 2 + n_in))
+    times: list[float] = []
     t = 0.0
-    request_id = 0
     while True:
-        t += float(rng.exponential(1.0 / envelope_hz))
-        if t >= config.duration_s:
+        t += exponential(gap_s)
+        if t >= duration_s:
             break
         # Thinning: accept with probability rate(t) / envelope.
-        if float(rng.random()) * envelope_hz > config.rate_x(t) * unit_rate_hz:
+        if random() * envelope_hz > rate_x(t) * unit_rate_hz:
             continue
-        tenant = config.tenants[int(rng.choice(len(config.tenants), p=weights))]
-        deadline = (
-            t + slo_latency_s
-            if float(rng.random()) < tenant.deadline_fraction
-            else None
-        )
-        requests.append(
-            InferenceRequest(
-                request_id=request_id,
-                x=rng.uniform(-1.0, 1.0, n_in),
-                arrival_s=t,
-                deadline_s=deadline,
-                priority=tenant.priority,
-                tenant=tenant.name,
-                kind=tenant.kind,
-            )
-        )
-        request_id += 1
-        if request_id >= config.max_requests:
+        n = len(times)
+        if n == len(draws):
+            grown = np.empty((min(2 * n, config.max_requests), draws.shape[1]))
+            grown[:n] = draws
+            draws = grown
+        random(out=draws[n])
+        times.append(t)
+        if len(times) >= config.max_requests:
             raise ServingError(
                 f"trace exceeded max_requests={config.max_requests}; "
                 "lower base_rate_x or duration_s"
             )
-    return requests
+    return requests_from_draws(
+        times,
+        draws[: len(times)],
+        weights,
+        [tenant.deadline_fraction for tenant in config.tenants],
+        slo_latency_s,
+        [
+            {"priority": tenant.priority, "tenant": tenant.name, "kind": tenant.kind}
+            for tenant in config.tenants
+        ],
+    )

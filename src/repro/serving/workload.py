@@ -15,6 +15,7 @@ run and its replay, plus this scenario's own checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,11 @@ class Phase:
     def __post_init__(self) -> None:
         if self.n_requests < 0:
             raise ServingError(f"{self.name}: n_requests must be >= 0")
-        if self.rate_multiplier <= 0:
-            raise ServingError(f"{self.name}: rate multiplier must be positive")
+        if not 0.0 < self.rate_multiplier < math.inf:
+            raise ServingError(
+                f"{self.name}: rate multiplier must be positive and finite, "
+                f"got {self.rate_multiplier}"
+            )
 
 
 def three_phases(n_requests: int, burst: float = 2.0) -> tuple[Phase, ...]:
@@ -82,7 +86,12 @@ class WorkloadConfig:
             raise ServingError(f"dims must be >= 2 positive widths, got {self.dims}")
         if self.n_workers < 1:
             raise ServingError(f"n_workers must be >= 1, got {self.n_workers}")
-        if abs(sum(self.priority_probs) - 1.0) > 1e-9:
+        if not all(0.0 <= p < math.inf for p in self.priority_probs):
+            raise ServingError(
+                "priority probabilities must be finite and non-negative, "
+                f"got {self.priority_probs}"
+            )
+        if not abs(sum(self.priority_probs) - 1.0) <= 1e-9:
             raise ServingError("priority probabilities must sum to 1")
         if not 0.0 <= self.deadline_fraction <= 1.0:
             raise ServingError("deadline fraction must be in [0, 1]")
@@ -126,40 +135,97 @@ def sustainable_rate_hz(workers: list[AcceleratorWorker], max_batch: int) -> flo
 # ----------------------------------------------------------------------
 # Arrival synthesis
 # ----------------------------------------------------------------------
+def categorical(probs, u: np.ndarray) -> np.ndarray:
+    """The categories ``Generator.choice(len(probs), p=probs)`` draws
+    from the doubles ``u``.
+
+    ``choice`` builds ``cdf = p.cumsum(); cdf /= cdf[-1]`` from the
+    float64 ``p`` and returns ``cdf.searchsorted(random(), side="right")``
+    for one ``random()`` double.  This builds the same CDF once and
+    searches it for every double of ``u``.  ``choice`` also re-checks
+    ``p`` on every call; the config records check their probabilities
+    once, at construction.
+    """
+    cdf = np.asarray(probs, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
+
+
+def requests_from_draws(
+    times: list[float],
+    draws: np.ndarray,
+    probs,
+    deadline_fractions,
+    slo_s: float,
+    classes: list[dict],
+) -> list[InferenceRequest]:
+    """The requests arriving at ``times``, each drawn from its row of
+    ``draws``.
+
+    Row ``i`` holds the ``2 + n_in`` doubles request ``i`` took with one
+    ``random(out=draws[i])`` call: the double ``choice(p=probs)`` would
+    have read for its class, its deadline coin, then the ``n_in`` doubles
+    ``uniform(-1, 1, n_in)`` would have read.  Each of those takes
+    exactly one 64-bit generator output per double, so the row holds the
+    bits of the three calls it replaces.  A request of class ``k``
+    carries the fields ``classes[k]`` and the deadline ``t + slo_s`` when
+    its coin is below ``deadline_fractions[k]``.  Its input is ``2u - 1``,
+    computed in place: ``uniform`` computes ``-1 + 2u``, and ``2u`` is
+    exact, so both round once, the same way.  ``draws`` is then
+    read-only, and each request's ``x`` is one of its rows.
+    """
+    categories = categorical(probs, draws[:, 0])
+    fractions = np.array(deadline_fractions, dtype=np.float64)
+    has_deadline = (draws[:, 1] < fractions[categories]).tolist()
+    draws[:, 2:] *= 2.0
+    draws[:, 2:] -= 1.0
+    draws.flags.writeable = False
+    return [
+        InferenceRequest(
+            request_id=i,
+            x=x,
+            arrival_s=t,
+            deadline_s=t + slo_s if deadline else None,
+            **classes[k],
+        )
+        for i, (t, k, deadline, x) in enumerate(
+            zip(times, categories.tolist(), has_deadline, draws[:, 2:])
+        )
+    ]
+
+
 def synthesize_arrivals(
     config: WorkloadConfig,
     rate_hz: float,
     rng: np.random.Generator,
 ) -> tuple[list[InferenceRequest], dict[str, tuple[float, float]]]:
-    """Poisson arrivals for every phase; returns (requests, phase windows)."""
-    requests: list[InferenceRequest] = []
+    """Poisson arrivals for every phase; returns (requests, phase windows).
+
+    Each request takes one scalar ``exponential`` gap, then one row of
+    draws (:func:`requests_from_draws`).
+    """
+    draws = np.empty((sum(p.n_requests for p in config.phases), 2 + config.dims[0]))
+    times: list[float] = []
     windows: dict[str, tuple[float, float]] = {}
+    exponential, random = rng.exponential, rng.random
     t = 0.0
-    request_id = 0
-    n_in = config.dims[0]
-    slo = config.server.slo_latency_s
     for phase in config.phases:
         start = t
-        lam = rate_hz * phase.rate_multiplier
+        gap_s = 1.0 / (rate_hz * phase.rate_multiplier)
         for _ in range(phase.n_requests):
-            t += float(rng.exponential(1.0 / lam))
-            priority = int(
-                rng.choice(len(config.priority_probs), p=config.priority_probs)
-            )
-            deadline = (
-                t + slo if rng.random() < config.deadline_fraction else None
-            )
-            requests.append(
-                InferenceRequest(
-                    request_id=request_id,
-                    x=rng.uniform(-1.0, 1.0, n_in),
-                    arrival_s=t,
-                    deadline_s=deadline,
-                    priority=priority,
-                )
-            )
-            request_id += 1
+            t += exponential(gap_s)
+            random(out=draws[len(times)])
+            times.append(t)
         windows[phase.name] = (start, t)
+    n_priorities = len(config.priority_probs)
+    requests = requests_from_draws(
+        times,
+        draws,
+        config.priority_probs,
+        [config.deadline_fraction] * n_priorities,
+        config.server.slo_latency_s,
+        [{"priority": k} for k in range(n_priorities)],
+    )
     return requests, windows
 
 

@@ -34,8 +34,10 @@ controller grades on attainment, not on the quantile itself.
 from __future__ import annotations
 
 import dataclasses
+import math
 from bisect import bisect_left
 from collections import deque
+from itertools import accumulate
 
 from repro.errors import ServingError
 
@@ -46,9 +48,16 @@ P99_BOUNDS: tuple[float, ...] = tuple(
 )
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class RollupStats:
-    """One windowed reading of the serving signals the controller acts on."""
+    """One windowed reading of the serving signals the controller acts on.
+
+    A plain record, built on every controller tick: a frozen dataclass
+    sets each field through ``object.__setattr__``, which was most of
+    that build.  Nothing writes a reading after
+    :meth:`ServingRollup.window_stats` returns it.  The p99 is derived
+    from the bucket counts only when read; the controller never reads it.
+    """
 
     #: Window the stats cover, ``(now - window_s, now]``.
     window_s: float
@@ -63,11 +72,9 @@ class RollupStats:
     attainment: float
     #: Organic shed fraction over organic terminations in the window.
     shed_rate: float
-    #: p99 latency over window completions, as the upper bound of its
-    #: geometric bucket (see :data:`P99_BOUNDS`); ``inf`` when any
-    #: request was organically shed (a shed request never met its latency
-    #: target), 0.0 when the window is empty.
-    p99_latency_s: float
+    #: Window completions per latency bucket: one per bound of
+    #: :data:`P99_BOUNDS`, then one for latencies above the last.
+    latency_buckets: tuple[int, ...]
     shed_by_priority: dict[int, int]
     shed_by_reason: dict[str, int]
     shed_by_tenant: dict[str, int]
@@ -82,6 +89,21 @@ class RollupStats:
     #: pre-SDC constructions keep working.
     sdc_count: int = 0
     sdc_by_worker: dict[int, int] = dataclasses.field(default_factory=dict)
+
+    @property
+    def p99_latency_s(self) -> float:
+        """p99 latency over window completions, as the upper bound of its
+        geometric bucket (see :data:`P99_BOUNDS`); ``inf`` when any
+        request was organically shed (a shed request never met its
+        latency target), 0.0 when the window is empty."""
+        if self.shed_rate > 0.0:  # positive exactly when one shed organically
+            return math.inf
+        if self.completions == 0:
+            return 0.0
+        # The first bucket whose running count reaches the p99 rank.
+        cumulative = list(accumulate(self.latency_buckets))
+        index = bisect_left(cumulative, 0.99 * self.completions)
+        return P99_BOUNDS[index] if index < len(P99_BOUNDS) else math.inf
 
     def tenant_shed_rate(self, tenant: str) -> float:
         """Windowed shed fraction for one tenant (0.0 when silent)."""
@@ -123,7 +145,7 @@ class ServingRollup:
             raise ServingError(f"rollup window must be positive, got {window_s}")
         self.window_s = float(window_s)
         # Raw samples, time-ordered, kept only until they age out.
-        # (t, latency_s, deadline_met, priority, tenant)
+        # (t, latency_s, deadline_met, priority, tenant, latency bucket)
         self._completions: deque = deque()
         # (t, reason, priority, tenant)
         self._sheds: deque = deque()
@@ -168,11 +190,12 @@ class ServingRollup:
         t_s, latency_s = float(t_s), float(latency_s)
         deadline_met = bool(deadline_met)
         self._prune(t_s - self.window_s)
+        bucket = bisect_left(P99_BOUNDS, latency_s)
         self._completions.append(
-            (t_s, latency_s, deadline_met, int(priority), tenant)
+            (t_s, latency_s, deadline_met, int(priority), tenant, bucket)
         )
         self._n_completions += 1
-        self._latency_buckets[bisect_left(P99_BOUNDS, latency_s)] += 1
+        self._latency_buckets[bucket] += 1
         _dict_inc(self._terminated_by_tenant, tenant)
         if (
             self._armed_slo is not None
@@ -225,17 +248,22 @@ class ServingRollup:
     def _prune(self, horizon: float) -> None:
         """Expire samples at or before ``horizon``, reversing aggregates."""
         completions = self._completions
-        while completions and completions[0][0] <= horizon:
-            _, latency, deadline_met, _priority, tenant = completions.popleft()
-            self._n_completions -= 1
-            self._latency_buckets[bisect_left(P99_BOUNDS, latency)] -= 1
-            _dict_dec(self._terminated_by_tenant, tenant)
-            if (
-                self._armed_slo is not None
-                and deadline_met
-                and latency <= self._armed_slo
-            ):
-                self._met -= 1
+        if completions and completions[0][0] <= horizon:
+            # Completions expire by the hundred per window: keep the
+            # per-sample work to the aggregates it must reverse.
+            buckets = self._latency_buckets
+            terminated = self._terminated_by_tenant
+            armed = self._armed_slo
+            expired = met = 0
+            while completions and completions[0][0] <= horizon:
+                _, latency, deadline_met, _, tenant, bucket = completions.popleft()
+                expired += 1
+                buckets[bucket] -= 1
+                _dict_dec(terminated, tenant)
+                if armed is not None and deadline_met and latency <= armed:
+                    met += 1
+            self._n_completions -= expired
+            self._met -= met
         sheds = self._sheds
         while sheds and sheds[0][0] <= horizon:
             _, reason, priority, tenant = sheds.popleft()
@@ -263,22 +291,9 @@ class ServingRollup:
         self._armed_slo = slo_latency_s
         self._met = sum(
             1
-            for _, latency, deadline_met, _, _ in self._completions
+            for _, latency, deadline_met, _, _, _ in self._completions
             if deadline_met and latency <= slo_latency_s
         )
-
-    def _p99_from_buckets(self) -> float:
-        if self._n_completions == 0:
-            return 0.0
-        rank = 0.99 * self._n_completions
-        cumulative = 0
-        for index, count in enumerate(self._latency_buckets):
-            cumulative += count
-            if cumulative >= rank:
-                if index >= len(P99_BOUNDS):
-                    return float("inf")
-                return P99_BOUNDS[index]
-        return P99_BOUNDS[-1]  # pragma: no cover - rank <= total by def
 
     def window_stats(
         self, now_s: float, slo_latency_s: float, window_s: float | None = None
@@ -305,10 +320,6 @@ class ServingRollup:
         terminated = self._n_completions + self._n_organic_sheds
         attainment = self._met / terminated if terminated else 1.0
         shed_rate = self._n_organic_sheds / terminated if terminated else 0.0
-        if self._n_organic_sheds:
-            p99 = float("inf")
-        else:
-            p99 = self._p99_from_buckets()
         last = self._queue_last
         last_depth = 0 if last is None or last[0] <= now_s - window else last[1]
         return RollupStats(
@@ -317,7 +328,7 @@ class ServingRollup:
             sheds=self._n_sheds,
             attainment=attainment,
             shed_rate=shed_rate,
-            p99_latency_s=p99,
+            latency_buckets=tuple(self._latency_buckets),
             shed_by_priority=dict(self._shed_by_priority),
             shed_by_reason=dict(self._shed_by_reason),
             shed_by_tenant=dict(self._shed_by_tenant),

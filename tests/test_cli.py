@@ -79,6 +79,52 @@ class TestOtherCommands:
         assert "outer product" in out
         assert "trident" in out
 
+    def test_train_plan_prices_each_pass_once(self, run, monkeypatch):
+        """Four training passes, four pricings: the time table reuses the
+        per-pass costs the command prints."""
+        from repro.dataflow.cost_model import PhotonicCostModel
+
+        calls = []
+        layer_costs = PhotonicCostModel.layer_costs
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return layer_costs(self, *args, **kwargs)
+
+        monkeypatch.setattr(PhotonicCostModel, "layer_costs", counting)
+        code, out = run("train-plan", "resnet50")
+        assert code == 0
+        assert "time for 50000 samples" in out
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize(
+        "argv, samples, batch",
+        [
+            (("resnet50",), 50_000, 32),
+            (("googlenet", "--samples", "1"), 1, 32),
+            (("vgg16", "--samples", "1000", "--batch", "8"), 1000, 8),
+        ],
+    )
+    def test_train_plan_prints_training_time_s(self, run, monkeypatch, argv, samples, batch):
+        """The command derives Trident's time from the costs it prints; the
+        value must stay exactly ``TrainingCostModel.training_time_s``."""
+        import repro.cli
+        from repro.nn import build_model
+        from repro.training.latency import TrainingCostModel
+
+        printed = {}
+        format_table = repro.cli.format_table
+
+        def recording(headers, rows, title=""):
+            printed.update((row[0], row[1]) for row in rows)
+            return format_table(headers, rows, title=title)
+
+        monkeypatch.setattr(repro.cli, "format_table", recording)
+        code, _ = run("train-plan", *argv)
+        assert code == 0
+        model = TrainingCostModel(batch=batch)
+        assert printed["trident"] == model.training_time_s(build_model(argv[0]), samples)
+
     def test_link_budget(self, run):
         code, out = run("link-budget", "--rows", "8", "--cols", "8")
         assert code == 0
@@ -366,6 +412,12 @@ class TestErrorHygiene:
             f"repro faults: error: {flag} cannot be used with --smoke "
             "(its sweep is fixed)\n"
         )
+
+    def test_train_plan_rejects_zero_samples(self, capsys):
+        code, out, err = self._run(capsys, "train-plan", "googlenet", "--samples", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "repro: error: ConfigError: n_samples must be positive, got 0\n"
 
     def test_resume_without_a_directory_errors_on_stderr(self, capsys):
         code, out, err = self._run(capsys, "resume")

@@ -1,6 +1,7 @@
 """Fleet control plane: trace synthesis, pool lifecycle, rollups,
 controller behavior, and the end-to-end smoke contract."""
 
+import bisect
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.fleet import (
 )
 from repro.chaos.audit import run_digest
 from repro.serving.server import ServerConfig, TridentServer
-from repro.telemetry.rollup import ServingRollup
+from repro.telemetry.rollup import P99_BOUNDS, ServingRollup
 
 DIMS = (6, 8, 4)
 
@@ -69,6 +70,39 @@ class TestTrace:
         assert config.rate_x(0.5) == pytest.approx(3.0)
         assert config.peak_rate_x() == pytest.approx(3.0)
         assert config.peak_window() == (0.4, pytest.approx(0.6))
+
+    def test_overlapping_bursts_stay_under_the_envelope(self):
+        """The thinning bound covers the product of overlapping gains."""
+        config = TraceConfig(
+            duration_s=1.0,
+            base_rate_x=1.0,
+            diurnal_amplitude=0.5,
+            bursts=(Burst(0.2, 0.4, 3.0), Burst(0.4, 0.4, 3.0), Burst(0.5, 0.05, 1.5)),
+        )
+        grid = np.linspace(0.0, 1.0, 2001).tolist()
+        for burst in config.bursts:
+            for edge in (burst.start_s, burst.end_s):
+                grid += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+        peak = config.peak_rate_x()
+        assert max(config.rate_x(t) for t in grid) <= peak
+        assert peak == pytest.approx(1.5 * 3.0 * 3.0 * 1.5)
+
+    def test_overlapping_bursts_deliver_their_rate(self):
+        """Where two 3x bursts overlap the trace arrives at 9x base."""
+        config = TraceConfig(
+            duration_s=1.0,
+            base_rate_x=1.0,
+            diurnal_amplitude=0.0,
+            bursts=(Burst(0.2, 0.4, 3.0), Burst(0.4, 0.4, 3.0)),
+            seed=0,
+        )
+        unit_rate_hz = 2000.0
+        requests = synthesize_trace(config, unit_rate_hz, 1, 1e-5)
+        in_overlap = sum(0.4 <= r.arrival_s < 0.6 for r in requests)
+        expected = config.rate_x(0.5) * unit_rate_hz * 0.2
+        assert expected == pytest.approx(3600.0)
+        # Poisson: one standard deviation is 60 arrivals (1.7%).
+        assert in_overlap == pytest.approx(expected, rel=0.1)
 
     def test_tenant_mix_and_kinds(self):
         config = TraceConfig(duration_s=2e-4, base_rate_x=1.5, seed=0)
@@ -145,6 +179,24 @@ class TestWorkerPool:
         assert len(pool.checkpoint_digests[wid]) == 64
         assert not pool.try_decommission(wid)  # already gone
 
+    def test_state_views_stay_ascending(self):
+        """Workers entering a state out of id order still list ascending."""
+        pool, server = _pool_with_server(n=3)
+        late = pool.commission(warmup_s=1e-6)
+        pool.begin_drain(2)
+        pool.begin_drain(0)
+        assert pool.ids_in("draining") == [0, 2]
+        assert pool.ids_in("active") == [1]
+        assert pool.ids_in("warming") == [late]
+        server.clock.advance_to(2e-6)
+        assert pool.refresh(server.clock.now()) == [late]
+        assert pool.ids_in("active") == [1, late]
+        assert pool.counts() == {
+            "warming": 0, "active": 2, "draining": 2, "decommissioned": 0
+        }
+        with pytest.raises(ServingError):
+            pool.ids_in("retired")
+
     def test_decommission_requires_drain(self):
         pool, _server = _pool_with_server()
         assert not pool.try_decommission(0)  # active, not draining
@@ -215,6 +267,31 @@ class TestServingRollup:
         assert stats.tenant_shed_rate("b") == 1.0
         assert stats.tenant_shed_rate("silent") == 0.0
 
+    @pytest.mark.parametrize(
+        "n_slow, slow_s, p99_of", [(2, 5e-5, 1e-6), (3, 5e-5, 5e-5), (3, 1.0, 1.0)]
+    )
+    def test_p99_is_the_bound_of_the_rank_bucket(self, n_slow, slow_s, p99_of):
+        """200 completions put the p99 rank at 198: two slow ones leave it
+        in the fast bucket, three move it to the slow one (past 10 ms, the
+        overflow bucket reads inf)."""
+        rollup = ServingRollup(window_s=1.0)
+        for _ in range(200 - n_slow):
+            rollup.record_completion(0.1, 1e-6, True)
+        for _ in range(n_slow):
+            rollup.record_completion(0.2, slow_s, True)
+        index = bisect.bisect_left(P99_BOUNDS, p99_of)
+        expected = P99_BOUNDS[index] if index < len(P99_BOUNDS) else math.inf
+        assert rollup.window_stats(0.5, slo_latency_s=1e-5).p99_latency_s == expected
+
+    def test_p99_follows_pruning(self):
+        rollup = ServingRollup(window_s=0.1)
+        for _ in range(50):
+            rollup.record_completion(0.0, 5e-5, True)
+        rollup.record_completion(0.5, 1e-6, True)
+        stats = rollup.window_stats(0.55, slo_latency_s=1e-5)
+        assert stats.completions == 1
+        assert stats.p99_latency_s == P99_BOUNDS[bisect.bisect_left(P99_BOUNDS, 1e-6)]
+
     def test_empty_window(self):
         stats = ServingRollup(1.0).window_stats(0.0, slo_latency_s=1e-5)
         assert stats.attainment == 1.0
@@ -252,6 +329,12 @@ class TestControllerConfig:
             ControllerConfig(
                 degraded_enter_attainment=0.9, degraded_exit_attainment=0.5
             )
+
+    @pytest.mark.parametrize("rate", [-0.1, math.nan])
+    def test_rebalance_shed_rate_is_a_fraction(self, rate):
+        """A tick with no shed skips rebalancing, which needs rate >= 0."""
+        with pytest.raises(ServingError, match="rebalance shed rate"):
+            ControllerConfig(rebalance_shed_rate=rate)
 
     def test_power_cap(self):
         config = ControllerConfig(

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.fleet import (
     LADDER,
+    WORKER_STATES,
     WorkerPool,
     run_fleet_workload,
     smoke_scenario,
@@ -131,6 +132,16 @@ class TestWorkerConservation:
             assert len(pool.checkpoint_digests[wid]) == 64
             # Retired workers are off the server roster for good.
             assert all(w.worker_id != wid for w in server.workers)
+
+    @settings(max_examples=15, deadline=None)
+    @given(specs=request_specs, ops=lifecycle_ops, seed=st.integers(0, 2**16))
+    def test_state_views_match_the_states(self, specs, ops, seed):
+        """The per-state id index agrees with a scan of ``pool.states``."""
+        _report, pool, _server = run_with_lifecycle(specs, ops, seed)
+        for state in WORKER_STATES:
+            scanned = sorted(w for w, s in pool.states.items() if s == state)
+            assert pool.ids_in(state) == scanned
+            assert pool.counts()[state] == len(scanned)
 
 
 class TestControllerIdempotence:
