@@ -620,8 +620,11 @@ class TridentAccelerator:
 
         Bank writes cost their pulse energy (write power x write time ==
         cells x 660 pJ — the device- and system-level views agree); each
-        streamed symbol costs the per-PE streaming power over one symbol
-        period; activation firings cost the reset energy.
+        PE-symbol (one per bank a vector enters, so a layer with row tiles
+        counts every one of them) costs the per-PE streaming power over one
+        symbol period; activation firings cost the reset energy.  This is
+        the energy view of the same events :meth:`time_estimate_s` turns
+        into PE-busy seconds.
         """
         stats = self.bank_stats()
         symbol_energy = self.config.pe_streaming_power_w / self.config.symbol_rate_hz
@@ -629,12 +632,18 @@ class TridentAccelerator:
         return stats.write_energy_j + stats.symbols * symbol_energy + reset
 
     def time_estimate_s(self) -> float:
-        """Serialized wall-clock estimate: writes + symbol streaming.
+        """PE-busy seconds of everything executed so far: writes + symbols.
 
-        Uses the banks' *recorded* ``write_time_s`` — which includes the
-        extra rounds iterative program-and-verify writes consume — rather
-        than recomputing ``write_events x write_time()`` (which would drop
-        them).
+        Every PE-symbol counts one symbol period, including the row tiles
+        of one layer that stream at the same time on distinct PEs, so this
+        is not the wall-clock latency: on an [8, 24, 16, 4] MLP with 8 x 8
+        banks a sample charges 11 PE-symbols here against 6 symbol periods
+        on the critical path.  The critical path of a mapped chip is
+        :func:`~repro.dataflow.cost_model.forward_batch_latency_s`, which
+        serving prices batches with.  Writes use the banks' *recorded*
+        ``write_time_s`` — which includes the extra rounds iterative
+        program-and-verify writes consume — rather than recomputing
+        ``write_events x write_time()`` (which would drop them).
         """
         stats = self.bank_stats()
         return stats.write_time_s + stats.symbols / self.config.symbol_rate_hz
@@ -645,37 +654,3 @@ class TridentAccelerator:
         for pe in self.pes:
             merged = merged.merge(pe.bank.stats)
         return merged
-
-    # ------------------------------------------------------------------
-    # Layer pipelining (paper Fig 1: PE-to-PE optical forwarding)
-    # ------------------------------------------------------------------
-    def pipeline_latency_s(self) -> float:
-        """Single-sample latency with layers chained optically.
-
-        One PE per layer: a sample's layer-k output re-encodes onto fresh
-        wavelengths and feeds PE k+1 directly — no memory round-trip.  The
-        latency is one symbol period per single-tile layer (plus one per
-        reduction tile when a layer spans several PEs, since electronic
-        partial accumulation must complete first).
-        """
-        if not self.layers:
-            raise MappingError("map a network before estimating latency")
-        total_symbols = 0
-        J, N = self.config.bank_rows, self.config.bank_cols
-        for layer in self.layers:
-            tiles_k = -(-layer.in_dim // N)
-            total_symbols += tiles_k
-        return total_symbols / self.config.symbol_rate_hz
-
-    def pipeline_throughput(self) -> float:
-        """Steady-state samples/s with every PE stage busy.
-
-        The chain is a pipeline: a new sample enters each symbol period as
-        long as every layer owns its own PE tiles (the mapper guarantees
-        this), so throughput is one sample per slowest-stage symbol count.
-        """
-        if not self.layers:
-            raise MappingError("map a network before estimating throughput")
-        N = self.config.bank_cols
-        slowest = max(-(-layer.in_dim // N) for layer in self.layers)
-        return self.config.symbol_rate_hz / slowest

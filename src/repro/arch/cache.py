@@ -9,6 +9,10 @@ Per-byte access energies are standard edge-SoC figures; they matter mostly
 for the *baselines*, whose ADC + digital-activation path makes a memory
 round-trip between every pair of layers that Trident's photonic activation
 avoids (paper Sec. III-C).
+
+:meth:`CacheModel.access_columns` is the one cache path: it prices a whole
+column of tensors in one pass.  ``tests/test_cost_model_oracle.py`` keeps a
+scalar per-tensor copy as the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -50,15 +54,6 @@ class CacheConfig:
 
 
 @dataclass(frozen=True)
-class TrafficCost:
-    """Energy and transfer-time cost of a block of memory traffic."""
-
-    energy_j: float
-    dram_bytes: int
-    transfer_time_s: float
-
-
-@dataclass(frozen=True)
 class CacheModel:
     """Charges memory traffic against the hierarchy.
 
@@ -69,38 +64,6 @@ class CacheModel:
     """
 
     config: CacheConfig = CacheConfig()
-
-    def level_for(self, tensor_bytes: int) -> str:
-        """Which level serves a tensor of this size: 'l1' | 'l2' | 'dram'."""
-        if tensor_bytes < 0:
-            raise ConfigError(f"tensor size must be non-negative, got {tensor_bytes}")
-        if tensor_bytes <= self.config.l1_bytes:
-            return "l1"
-        if tensor_bytes <= self.config.l2_bytes:
-            return "l2"
-        return "dram"
-
-    def energy_per_byte(self, level: str) -> float:
-        """Access energy [J/byte] at the named level."""
-        try:
-            return {
-                "l1": self.config.l1_energy_per_byte_j,
-                "l2": self.config.l2_energy_per_byte_j,
-                "dram": self.config.dram_energy_per_byte_j,
-            }[level]
-        except KeyError:
-            raise ConfigError(f"unknown cache level {level!r}") from None
-
-    def access(self, tensor_bytes: int, times: int = 1) -> TrafficCost:
-        """Cost of streaming a tensor ``times`` times through its level."""
-        if times < 0:
-            raise ConfigError(f"times must be non-negative, got {times}")
-        level = self.level_for(tensor_bytes)
-        total = tensor_bytes * times
-        energy = total * self.energy_per_byte(level)
-        dram_bytes = total if level == "dram" else 0
-        transfer = dram_bytes / self.config.dram_bandwidth_bytes_per_s
-        return TrafficCost(energy_j=energy, dram_bytes=dram_bytes, transfer_time_s=transfer)
 
     @cached_property
     def _levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,13 +79,16 @@ class CacheModel:
     def access_columns(
         self, tensor_bytes: np.ndarray, times: np.ndarray | int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`access` over int64 columns: (energy [J], transfer time [s]).
+        """Cost of streaming each tensor ``times`` times through its level,
+        over int64 columns: (energy [J], transfer time [s]).
 
-        Each entry is the float :meth:`access` gives for that tensor size
-        and count, from the same checks, levels and operations.  One
-        ``searchsorted`` finds each tensor's level as :meth:`level_for`
-        does: 0 (L1), 1 (L2) or 2 (DRAM), and a tensor larger than L1 goes
-        to DRAM when L2 is the smaller level.
+        A tensor of ``b`` bytes is served by L1 when ``b <= l1_bytes``, else
+        by L2 when ``b <= l2_bytes``, else by DRAM; both bounds are
+        inclusive, and a tensor larger than L1 goes to DRAM when L2 is the
+        smaller level.  One ``searchsorted`` finds each level: 0 (L1), 1
+        (L2) or 2 (DRAM).  The ``b x times`` bytes cost that level's energy
+        per byte, and only DRAM bytes take transfer time, at the DRAM
+        bandwidth.  A negative size or count raises :class:`ConfigError`.
         """
         low = np.asarray(times).min(initial=0)
         if low < 0:

@@ -21,7 +21,8 @@ the derate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 from repro.constants import GHZ, KB, MB, MHZ, MW
 from repro.devices.tuning import GSTTuning, TuningModel
@@ -151,32 +152,27 @@ class TridentConfig:
 
     def scaled_to_budget(self, budget_w: float) -> "TridentConfig":
         """New config with as many PEs as the given budget allows."""
-        if budget_w <= 0:
-            raise ConfigError(f"budget must be positive, got {budget_w}")
-        n = int(budget_w // self.pe_total_power_w)
-        if n < 1:
-            raise ConfigError(
-                f"budget {budget_w} W cannot power a single "
-                f"{self.pe_total_power_w:.2f} W PE"
-            )
-        return TridentConfig(
-            n_pes=n,
-            bank_rows=self.bank_rows,
-            bank_cols=self.bank_cols,
-            spare_rows=self.spare_rows,
-            convergence_floor=self.convergence_floor,
-            max_clock_hz=self.max_clock_hz,
-            symbol_rate_hz=self.symbol_rate_hz,
-            tuning=self.tuning,
-            ldsu_power_w=self.ldsu_power_w,
-            eo_laser_power_w=self.eo_laser_power_w,
-            gst_tuning_power_w=self.gst_tuning_power_w,
-            gst_read_power_w=self.gst_read_power_w,
-            activation_reset_power_w=self.activation_reset_power_w,
-            bpd_tia_power_w=self.bpd_tia_power_w,
-            cache_power_w=self.cache_power_w,
+        return replace(
+            self, n_pes=pes_for_budget(self.pe_total_power_w, budget_w),
             power_budget_w=budget_w,
-            l1_cache_bytes=self.l1_cache_bytes,
-            l2_cache_bytes=self.l2_cache_bytes,
-            weight_bits=self.weight_bits,
         )
+
+
+def pes_for_budget(per_pe_power_w: float, budget_w: float) -> int:
+    """How many PEs drawing ``per_pe_power_w`` each fit ``budget_w``.
+
+    The one sizing rule behind the paper's 30 W scaling (Sec. IV): Trident's
+    config, its power model and the photonic baselines all size through it.
+    Raises :class:`ConfigError` unless the budget is finite and positive,
+    the per-PE power is positive and the budget powers at least one PE.
+    """
+    if not (math.isfinite(budget_w) and budget_w > 0):
+        raise ConfigError(f"budget must be finite and positive, got {budget_w}")
+    if not per_pe_power_w > 0:
+        raise ConfigError(f"per-PE power must be positive, got {per_pe_power_w}")
+    n = int(budget_w // per_pe_power_w)
+    if n < 1:
+        raise ConfigError(
+            f"budget {budget_w} W cannot power a single {per_pe_power_w:.3f} W PE"
+        )
+    return n

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.config import TridentConfig
+from repro.arch.config import TridentConfig, pes_for_budget
 from repro.errors import ConfigError
 
 
@@ -116,9 +116,7 @@ class PowerModel:
         30 W cap is never violated; that yields the 44-PE configuration.
         """
         budget = self.config.power_budget_w if budget_w is None else budget_w
-        if budget <= 0:
-            raise ConfigError(f"budget must be positive, got {budget}")
-        return int(budget // self.config.pe_total_power_w)
+        return pes_for_budget(self.config.pe_total_power_w, budget)
 
     def fits_budget(self) -> bool:
         """Whether the configured PE count respects the power budget."""

@@ -59,16 +59,6 @@ def baseline_sizing_power(extra_blocks_w: float) -> float:
     return SHARED_STREAMING_POWER_W + TUNING_SLOT_POWER_W + extra_blocks_w
 
 
-def pes_for_budget(sizing_power_w: float, budget_w: float = POWER_BUDGET_W) -> int:
-    """How many PEs of this power fit the budget."""
-    n = int(budget_w // sizing_power_w)
-    if n < 1:
-        raise ValueError(
-            f"budget {budget_w} W cannot power a {sizing_power_w:.3f} W PE"
-        )
-    return n
-
-
 def photonic_baselines(budget_w: float = POWER_BUDGET_W) -> list[PhotonicArch]:
     """All four photonic architectures, scaled to the budget, in the
     paper's presentation order (Trident, DEAP-CNN, CrossLight, PIXEL)."""

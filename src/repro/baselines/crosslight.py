@@ -14,9 +14,9 @@ Cross-layer optimized photonic accelerator:
 
 from __future__ import annotations
 
+from repro.arch.config import pes_for_budget
 from repro.baselines.base import (
     baseline_sizing_power,
-    pes_for_budget,
     POWER_BUDGET_W,
 )
 from repro.baselines.deap_cnn import ADC_ENERGY_J, CONVERSION_BLOCK_W, DAC_ENERGY_J

@@ -12,10 +12,10 @@ Broadcast-and-weight CNN accelerator:
 
 from __future__ import annotations
 
+from repro.arch.config import pes_for_budget
 from repro.baselines.base import (
     SHARED_STREAMING_POWER_W,
     baseline_sizing_power,
-    pes_for_budget,
     POWER_BUDGET_W,
 )
 from repro.constants import MHZ, MW, PJ

@@ -14,10 +14,10 @@ Mach-Zehnder-modulator (MZM) analog accumulation:
 
 from __future__ import annotations
 
+from repro.arch.config import pes_for_budget
 from repro.baselines.base import (
     SHARED_STREAMING_POWER_W,
     baseline_sizing_power,
-    pes_for_budget,
     POWER_BUDGET_W,
 )
 from repro.baselines.deap_cnn import ADC_ENERGY_J, CONVERSION_BLOCK_W, DAC_ENERGY_J

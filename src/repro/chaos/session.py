@@ -37,12 +37,7 @@ import threading
 
 import numpy as np
 
-from repro.chaos.plan import (
-    ChaosPlan,
-    FILE_KINDS,
-    INLINE_KINDS,
-    SCHEDULED_KINDS,
-)
+from repro.chaos.plan import ChaosPlan, SCHEDULED_KINDS
 from repro.errors import ChaosError
 from repro.telemetry.session import counter as _metric_counter
 from repro.telemetry.session import emit_event as _emit_event
@@ -163,7 +158,7 @@ class ChaosSession:
         return amplitude * float(self._jitter_rng.random())
 
     # ------------------------------------------------------------------
-    # Scheduled / file injections (driven by install_chaos and scenarios)
+    # Scheduled injections (driven by install_chaos and scenarios)
     # ------------------------------------------------------------------
     def scheduled_injections(self):
         """``(index, injection)`` pairs the server must schedule as actions."""
@@ -171,22 +166,6 @@ class ChaosSession:
             (index, injection)
             for index, injection in enumerate(self.plan.injections)
             if injection.kind in SCHEDULED_KINDS
-        ]
-
-    def file_injections(self):
-        """``(index, injection)`` pairs a scenario applies to files on disk."""
-        return [
-            (index, injection)
-            for index, injection in enumerate(self.plan.injections)
-            if injection.kind in FILE_KINDS
-        ]
-
-    def inline_injections(self):
-        """``(index, injection)`` pairs consumed by execute hook points."""
-        return [
-            (index, injection)
-            for index, injection in enumerate(self.plan.injections)
-            if injection.kind in INLINE_KINDS
         ]
 
     def mark_applied(self, index: int, at_s: float, **details) -> None:

@@ -23,7 +23,6 @@ from repro.dataflow.report import LayerCost, ModelCost
 from repro.dataflow.schedule_sim import (
     LayerSimResult,
     ModelSimResult,
-    analytical_makespan_s,
     simulate_layer,
     simulate_model,
 )
@@ -31,7 +30,6 @@ from repro.dataflow.roofline import ElectronicAccelerator
 from repro.dataflow.tiling import TileSchedule
 
 __all__ = [
-    "analytical_makespan_s",
     "ElectronicAccelerator",
     "LayerSimResult",
     "ModelSimResult",

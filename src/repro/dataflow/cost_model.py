@@ -29,31 +29,29 @@ inputs without re-tuning", Sec. V-A):
   cache model; digital-activation architectures pay an extra output
   round-trip between layers.
 
-:meth:`PhotonicCostModel.layer_costs` prices compute layers in one NumPy
-pass over their column table: :meth:`PhotonicCostModel.model_costs` runs it
-once over a :class:`~repro.dataflow.report.NetworkStack` of networks and
-splits the columns by row range.  It runs the float64
-arithmetic of the scalar :meth:`PhotonicCostModel.layer_cost` operation for
-operation, in the same order and association, so every float it returns is
-the one the scalar method returns; ``layer_cost`` stays as the reference
-the tests compare it against.  Only each layer's energy, the builtin
-``sum`` of its breakdown, is summed per layer in Python: that ``sum`` is
-compensated from Python 3.12 on.
+:meth:`PhotonicCostModel.layer_costs` is the one pricing path: it prices
+compute layers in one NumPy pass over their column table, and
+:meth:`PhotonicCostModel.model_costs` runs it once over a
+:class:`~repro.dataflow.report.NetworkStack` of networks and splits the
+columns by row range.  Every operation is elementwise, so a layer's floats
+do not depend on the other rows; ``tests/test_cost_model_oracle.py`` keeps
+a scalar per-layer copy of the arithmetic and checks every float under
+``==``.  Only each layer's energy, the builtin ``sum`` of its breakdown, is
+summed per layer in Python: that ``sum`` is compensated from Python 3.12
+on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.arch.cache import CacheModel
 from repro.arch.config import TridentConfig
-from repro.dataflow.report import LayerColumns, LayerCost, ModelCost, NetworkStack
-from repro.dataflow.tiling import TileSchedule
+from repro.dataflow.report import LayerColumns, ModelCost, NetworkStack
 from repro.errors import ConfigError, require_finite_fields
 from repro.nn.graph import Network
-from repro.nn.layers import TensorShape
 from repro.telemetry.session import (
     active as _telemetry_active,
     trace_span as _trace_span,
@@ -141,16 +139,6 @@ class PhotonicArch:
             self.n_pes * self.bank_rows * self.bank_cols * 2.0 * self.symbol_rate_hz / 1e12
         )
 
-    def scaled_to_budget(self, budget_w: float) -> "PhotonicArch":
-        """Resize the PE count to a power budget (paper: 30 W)."""
-        n = int(budget_w // self.sizing_power_pe_w)
-        if n < 1:
-            raise ConfigError(
-                f"{self.name}: budget {budget_w} W below one PE "
-                f"({self.sizing_power_pe_w:.3f} W)"
-            )
-        return replace(self, n_pes=n)
-
 
 class PhotonicCostModel:
     """Weight-stationary analytical cost model for one architecture."""
@@ -174,102 +162,6 @@ class PhotonicCostModel:
         self.bytes_per_element = bytes_per_element
 
     # ------------------------------------------------------------------
-    def layer_cost(
-        self,
-        name: str,
-        schedule: TileSchedule,
-        input_shape: TensorShape,
-        fused_activation: bool,
-    ) -> LayerCost:
-        """Per-inference cost of one compute layer."""
-        arch = self.arch
-        B = self.batch
-        rounds = schedule.rounds(arch.n_pes)
-
-        # --- latency ----------------------------------------------------
-        round_time = arch.write_time_s + B * schedule.positions / arch.symbol_rate_hz
-        compute_time = rounds * round_time / B
-
-        # --- tuning -------------------------------------------------------
-        tuning_j = schedule.cells * arch.write_energy_per_cell_j / B
-
-        # --- streaming ------------------------------------------------------
-        streaming_j = schedule.symbols * arch.symbol_energy_j
-
-        # --- volatile hold (off by default; see module docstring) -----------
-        hold_j = 0.0
-        if self.charge_hold_power and arch.hold_power_per_cell_w > 0:
-            stream_time_per_tile = schedule.positions / arch.symbol_rate_hz
-            cells_per_tile = schedule.cells / schedule.n_tiles
-            hold_j = (
-                arch.hold_power_per_cell_w
-                * cells_per_tile
-                * stream_time_per_tile
-                * schedule.n_tiles
-            )
-
-        # --- conversions ------------------------------------------------------
-        conversion_j = 0.0
-        if arch.digital_activation:
-            samples = schedule.output_elements * schedule.tiles_k
-            conversion_j = (
-                samples * arch.adc_energy_per_sample_j
-                + schedule.output_elements * arch.dac_energy_per_sample_j
-            )
-
-        # --- memory traffic --------------------------------------------------
-        bpe = self.bytes_per_element
-        ifmap_bytes = input_shape.bytes(bpe)
-        # Inputs are re-streamed once per row-tile (weight-stationary).
-        input_traffic = self.cache.access(ifmap_bytes, times=schedule.tiles_m)
-        # Partial sums: the working set is one output stripe; each extra
-        # reduction tile reads and rewrites it once.
-        out_bytes = schedule.output_elements * bpe
-        partial_traffic = (
-            self.cache.access(out_bytes, times=2 * (schedule.tiles_k - 1))
-            if schedule.tiles_k > 1
-            else None
-        )
-        # Outputs written once; digital activation adds a read-modify-write
-        # round-trip (the ADC -> memory -> activation -> DAC path Trident
-        # eliminates, Sec. III-C).
-        out_bytes = schedule.output_elements * bpe
-        out_times = 3 if arch.digital_activation and fused_activation else 1
-        output_traffic = self.cache.access(out_bytes, times=out_times)
-        # Weights fetched from backing store once per batch.
-        weight_traffic = self.cache.access(schedule.cells * bpe, times=1)
-
-        memory_j = (
-            input_traffic.energy_j
-            + (partial_traffic.energy_j if partial_traffic else 0.0)
-            + output_traffic.energy_j
-            + weight_traffic.energy_j / B
-        )
-        dram_time = (
-            input_traffic.transfer_time_s
-            + (partial_traffic.transfer_time_s if partial_traffic else 0.0)
-            + output_traffic.transfer_time_s
-            + weight_traffic.transfer_time_s / B
-        )
-
-        breakdown = {
-            "tuning": tuning_j,
-            "streaming": streaming_j,
-            "hold": hold_j,
-            "conversion": conversion_j,
-            "memory": memory_j,
-        }
-        return LayerCost(
-            name=name,
-            macs=schedule.gemm.macs,
-            time_s=max(compute_time, dram_time),
-            energy_j=sum(breakdown.values()),
-            energy_breakdown=breakdown,
-            symbols=schedule.symbols,
-            tiles=schedule.n_tiles,
-            rounds=rounds,
-        )
-
     def layer_costs(
         self,
         names: tuple[str, ...],
@@ -280,13 +172,14 @@ class PhotonicCostModel:
         input_elements: np.ndarray,
         fused: np.ndarray,
     ) -> LayerColumns:
-        """:meth:`layer_cost` of many layers in one array pass.
+        """Per-inference cost of many compute layers in one array pass.
 
         Layer ``i`` is the GEMM ``(m[i] x k[i]) @ (k[i] x n[i])``, run
         ``groups[i]`` times, reading an input of ``input_elements[i]``
-        elements; ``fused[i]`` is its fused-activation flag.  The integer
-        columns are int64 with every value below 2**53, so each float
-        equals the scalar method's.
+        elements; ``fused[i]`` is its fused-activation flag.  Its tiles
+        spread over the PEs in ``rounds``, and the cost terms are the ones
+        the module docstring lists.  The integer columns are int64 with
+        every value below 2**53, so every float is exact in its operands.
         """
         arch = self.arch
         B = self.batch
@@ -426,11 +319,13 @@ def forward_batch_latency_s(
     this estimate: weights are already programmed (no write time), each
     layer streams its B-sample slab through its row tiles in parallel
     (they live on distinct PEs) while column *reduction* tiles serialize
-    electronically — the same per-layer ``tiles_k`` term the functional
-    engine's :meth:`~repro.arch.TridentAccelerator.pipeline_latency_s`
-    charges, scaled by the batch.  ``overhead_s`` is the fixed
-    per-dispatch cost (control-unit setup, DAC staging) that makes
-    coalescing worthwhile in the first place.
+    electronically, so each layer adds ``batch x tiles_k`` symbol periods
+    to the critical path.  It is the one critical-path formula for a
+    mapped chip; the functional engine's PE-busy view
+    (:meth:`~repro.arch.TridentAccelerator.time_estimate_s`) counts every
+    row tile instead.  ``overhead_s`` is the fixed per-dispatch cost
+    (control-unit setup, DAC staging) that makes coalescing worthwhile in
+    the first place.
 
     ``layer_reduction_tiles`` holds each mapped layer's column-tile count
     (``ceil(in_dim / bank_cols)``).

@@ -130,13 +130,6 @@ class ModelCost:
         """Achieved tera-ops/s (2 ops per MAC)."""
         return 2.0 * self.total_macs * self.inferences_per_second / 1e12
 
-    @property
-    def energy_per_mac_j(self) -> float:
-        """Average energy per MAC [J]."""
-        if self.total_macs <= 0:
-            raise ScheduleError(f"{self.model}: no MACs")
-        return self.energy_j / self.total_macs
-
     def energy_component(self, key: str) -> float:
         """Sum one energy-breakdown component across layers [J]."""
         column = self.columns.breakdown.get(key)

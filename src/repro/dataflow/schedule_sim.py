@@ -7,9 +7,10 @@ that schedule: tiles are dispatched to the earliest-free PE, each occupying
 it for its write + streaming duration, and the makespan and event-level
 energy are measured from the resulting timeline.
 
-Purpose: validation (tests assert the closed forms match the simulation
-exactly for the uniform-tile case) and extensibility (non-uniform tiles,
-stragglers, or PE heterogeneity can be studied by perturbing the events).
+Purpose: validation (``tests/test_schedule_sim.py`` keeps the closed form
+and asserts it matches the simulation exactly for the uniform-tile case)
+and extensibility (non-uniform tiles, stragglers, or PE heterogeneity can
+be studied by perturbing the events).
 """
 
 from __future__ import annotations
@@ -203,10 +204,3 @@ def simulate_model(
         raise ScheduleError(f"{network.name}: no compute layers to simulate")
     return ModelSimResult(model=network.name, layers=tuple(results))
 
-
-def analytical_makespan_s(
-    schedule: TileSchedule, arch: PhotonicArch, batch: int = 1
-) -> float:
-    """The cost model's closed form, for comparison with the simulation."""
-    round_time = arch.write_time_s + batch * schedule.positions / arch.symbol_rate_hz
-    return schedule.rounds(arch.n_pes) * round_time

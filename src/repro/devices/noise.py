@@ -36,9 +36,6 @@ class NoiseModel:
     rin_coeff:
         Relative-intensity-noise coefficient: multiplicative noise whose
         standard deviation is ``rin_coeff * |signal|``.
-    crosstalk_floor:
-        Residual inter-channel crosstalk power fraction leaking between WDM
-        channels after filtering (applied by bank-level models).
     seed:
         Seed for the owned generator.
     """
@@ -47,12 +44,11 @@ class NoiseModel:
     shot_noise_coeff: float = 0.002
     thermal_noise_std: float = 0.001
     rin_coeff: float = 0.001
-    crosstalk_floor: float = 1e-4
     seed: int = 0
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("shot_noise_coeff", "thermal_noise_std", "rin_coeff", "crosstalk_floor"):
+        for name in ("shot_noise_coeff", "thermal_noise_std", "rin_coeff"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")

@@ -123,11 +123,6 @@ class BankFaultMap:
             int(s): int(self.faulty[s, :c].sum()) for s in bank.free_spare_rows
         }
 
-    @property
-    def faulty_fraction(self) -> float:
-        """Fraction of physical cells currently flagged faulty."""
-        return float(self.faulty.mean())
-
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Snapshot of the strike counters and inferred-faulty flags."""

@@ -1,13 +1,14 @@
-"""Multi-accelerator model sharding: planner + pipeline executor.
+"""Multi-accelerator model sharding: planner + pipeline builder.
 
 One Trident has a fixed bank budget; a model that overflows it is served
 by splitting it across several accelerators as a layer pipeline (with
 wide layers optionally row-sharded across chips).  :func:`plan_pipeline`
 chooses the cut points from the dataflow cost model;
 :func:`build_pipeline` programs one accelerator per stage part and
-returns a :class:`ShardedPipeline` whose outputs are bit-identical to a
-single large reference accelerator; :func:`single_chip_pipeline` wraps
-one mapped accelerator as the one-stage case.  The serving-side worker
+returns the :class:`ShardedPipeline` structure, whose stage-by-stage
+outputs are bit-identical to a single large reference accelerator;
+:func:`single_chip_pipeline` wraps one mapped accelerator as the
+one-stage case.  The serving-side worker that runs every pipeline
 (overlapped stage execution, per-stage breakers/fault managers) lives in
 :mod:`repro.serving.worker`.
 """

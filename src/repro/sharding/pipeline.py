@@ -4,11 +4,12 @@
 plus the model's true-valued weight matrices and instantiates one
 :class:`~repro.arch.TridentAccelerator` per stage part, each mapping its
 contiguous layer range (or its row slice of a wide layer).  The resulting
-:class:`ShardedPipeline` exposes the single-accelerator batched
-inference surface — ``forward_batch``, merged :class:`~repro.arch.
-accelerator.EventCounters`, energy/time estimates, ``state_dict`` /
-``load_state_dict`` — so callers swap a pipeline in wherever an
-accelerator fit before.  :func:`single_chip_pipeline` wraps one mapped
+:class:`ShardedPipeline` is structure only: the plan, its stages
+(:class:`PipelineStage`), every accelerator in pipeline order and their
+merged :class:`~repro.arch.accelerator.EventCounters`.  One loop runs it:
+:meth:`repro.serving.worker.AcceleratorWorker.execute` forwards a batch
+stage by stage through :meth:`PipelineStage.forward_batch`, under the
+worker's health gates.  :func:`single_chip_pipeline` wraps one mapped
 accelerator as the one-stage, one-part case, which is how the serving
 layer runs every worker through the same stage loop.
 
@@ -38,8 +39,8 @@ Why the outputs are bit-identical to one large reference accelerator:
 Event/energy accounting is conserved, not just approximated: the union
 of all parts' tiles is the reference tile set, so ``bank_writes``,
 ``cells_written``, ``symbols``, and ``activation_events`` sum to the
-reference counts, and the energy/time estimates (pure functions of
-those events) sum likewise.  Only ``mode_switches`` scales with the
+reference counts, and each accelerator's energy and PE-busy time
+estimates (pure functions of those events) sum likewise.  Only ``mode_switches`` scales with the
 accelerator count — every chip pays its own inference-mode entry.
 """
 
@@ -53,9 +54,8 @@ from repro.arch.accelerator import EventCounters, TridentAccelerator
 from repro.arch.config import TridentConfig
 from repro.devices.noise import NoiseModel
 from repro.devices.program_verify import ProgramVerifyConfig
-from repro.errors import CheckpointError, ShapeError, ShardingError
+from repro.errors import ShapeError, ShardingError
 from repro.sharding.planner import ShardPlan, StageSpec, plan_from_cuts
-from repro.telemetry.session import trace_span as _trace_span
 
 
 def reference_weight_scale(weights: np.ndarray) -> float:
@@ -104,44 +104,9 @@ class ShardedPipeline:
         return self.plan.dims[0]
 
     @property
-    def output_dim(self) -> int:
-        """Model output width."""
-        return self.plan.dims[-1]
-
-    @property
     def accelerators(self) -> list[TridentAccelerator]:
         """Every accelerator in pipeline order (stage-major, then part)."""
         return [part for stage in self.stages for part in stage.parts]
-
-    # ------------------------------------------------------------------
-    # Inference
-    # ------------------------------------------------------------------
-    def forward_batch(self, xs: np.ndarray, record: bool = False) -> np.ndarray:
-        """Forward a (B, input_dim) batch stage by stage.
-
-        Functionally identical (bit for bit, under deterministic
-        programming) to ``forward_batch`` on one large accelerator
-        mapping the full model — see the module docstring for why.
-        """
-        value = np.asarray(xs, dtype=np.float64)
-        if value.ndim != 2 or value.shape[1] != self.input_dim:
-            raise ShapeError(
-                f"expected a (B, {self.input_dim}) batch, got {value.shape}"
-            )
-        with _trace_span(
-            "sharded_forward_batch",
-            stages=len(self.stages),
-            batch=value.shape[0],
-        ):
-            for stage in self.stages:
-                with _trace_span(
-                    "pipeline_stage",
-                    stage=stage.spec.index,
-                    parts=len(stage.parts),
-                    batch=value.shape[0],
-                ):
-                    value = stage.forward_batch(value, record=record)
-        return value
 
     # ------------------------------------------------------------------
     # Merged accounting
@@ -157,40 +122,6 @@ class ShardedPipeline:
             merged.activation_events += c.activation_events
             merged.mode_switches += c.mode_switches
         return merged
-
-    def energy_estimate_j(self) -> float:
-        """Total energy across all accelerators."""
-        return sum(acc.energy_estimate_j() for acc in self.accelerators)
-
-    def time_estimate_s(self) -> float:
-        """Total serialized hardware time across all accelerators."""
-        return sum(acc.time_estimate_s() for acc in self.accelerators)
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Snapshot the plan shape plus every accelerator's full state."""
-        return {
-            "dims": list(self.plan.dims),
-            "stage_parts": [len(stage.parts) for stage in self.stages],
-            "accelerators": [acc.state_dict() for acc in self.accelerators],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot onto this pipeline."""
-        if list(state["dims"]) != list(self.plan.dims):
-            raise CheckpointError(
-                f"snapshot is for dims {state['dims']}, "
-                f"this pipeline maps {list(self.plan.dims)}"
-            )
-        if state["stage_parts"] != [len(s.parts) for s in self.stages]:
-            raise CheckpointError(
-                f"snapshot stage shape {state['stage_parts']} != this "
-                f"pipeline's {[len(s.parts) for s in self.stages]}"
-            )
-        for acc, snapshot in zip(self.accelerators, state["accelerators"]):
-            acc.load_state_dict(snapshot)
 
 
 def slice_stage_weights(

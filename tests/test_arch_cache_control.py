@@ -11,61 +11,61 @@ from repro.arch.control import (
     table2_mapping,
 )
 from repro.errors import ConfigError, DeviceError
+from tests.test_cost_model_oracle import access
+
+
+def energy_per_byte(cm, tensor_bytes):
+    """Access energy per byte of the level that serves one tensor."""
+    energy, _ = cm.access_columns(np.array([tensor_bytes]), 1)
+    return energy[0] / tensor_bytes
 
 
 class TestCacheModel:
     def test_level_selection(self):
         cm = CacheModel()
-        assert cm.level_for(1024) == "l1"
-        assert cm.level_for(1024 * 1024) == "l2"
-        assert cm.level_for(64 * 1024 * 1024) == "dram"
+        cfg = cm.config
+        assert energy_per_byte(cm, 1024) == cfg.l1_energy_per_byte_j
+        assert energy_per_byte(cm, 1024 * 1024) == cfg.l2_energy_per_byte_j
+        assert energy_per_byte(cm, 64 * 1024 * 1024) == cfg.dram_energy_per_byte_j
 
     def test_level_boundaries_inclusive(self):
         cm = CacheModel()
-        assert cm.level_for(cm.config.l1_bytes) == "l1"
-        assert cm.level_for(cm.config.l1_bytes + 1) == "l2"
-        assert cm.level_for(cm.config.l2_bytes) == "l2"
+        cfg = cm.config
+        assert energy_per_byte(cm, cfg.l1_bytes) == cfg.l1_energy_per_byte_j
+        assert energy_per_byte(cm, cfg.l1_bytes + 1) == cfg.l2_energy_per_byte_j
+        assert energy_per_byte(cm, cfg.l2_bytes) == cfg.l2_energy_per_byte_j
+        assert energy_per_byte(cm, cfg.l2_bytes + 1) == cfg.dram_energy_per_byte_j
 
     def test_energy_ordering(self):
         cm = CacheModel()
         assert (
-            cm.energy_per_byte("l1")
-            < cm.energy_per_byte("l2")
-            < cm.energy_per_byte("dram")
+            energy_per_byte(cm, 1024)
+            < energy_per_byte(cm, 1024 * 1024)
+            < energy_per_byte(cm, 64 * 1024 * 1024)
         )
 
     def test_access_cost_scales_with_times(self):
         cm = CacheModel()
-        once = cm.access(1000, times=1)
-        thrice = cm.access(1000, times=3)
-        assert thrice.energy_j == pytest.approx(3 * once.energy_j)
+        energy, _ = cm.access_columns(np.array([1000, 1000]), np.array([1, 3]))
+        assert energy[1] == pytest.approx(3 * energy[0])
 
     def test_only_dram_costs_transfer_time(self):
         cm = CacheModel()
-        on_chip = cm.access(1024 * 1024, times=2)
-        assert on_chip.transfer_time_s == 0.0
-        off_chip = cm.access(64 * 1024 * 1024)
-        assert off_chip.transfer_time_s > 0
-        assert off_chip.dram_bytes == 64 * 1024 * 1024
+        sizes = np.array([1024 * 1024, 64 * 1024 * 1024])
+        _, transfer = cm.access_columns(sizes, np.array([2, 1]))
+        assert transfer[0] == 0.0
+        assert transfer[1] > 0
 
     def test_transfer_time_matches_bandwidth(self):
         cm = CacheModel()
         size = 256 * 1024 * 1024
-        cost = cm.access(size)
-        assert cost.transfer_time_s == pytest.approx(
+        _, transfer = cm.access_columns(np.array([size]), 1)
+        assert transfer[0] == pytest.approx(
             size / cm.config.dram_bandwidth_bytes_per_s
         )
 
-    def test_rejects_unknown_level(self):
-        with pytest.raises(ConfigError):
-            CacheModel().energy_per_byte("l3")
-
     def test_rejects_negative_inputs(self):
         cm = CacheModel()
-        with pytest.raises(ConfigError):
-            cm.level_for(-1)
-        with pytest.raises(ConfigError):
-            cm.access(10, times=-1)
         with pytest.raises(ConfigError):
             cm.access_columns(np.array([10, 10]), np.array([1, -1]))
         with pytest.raises(ConfigError):
@@ -75,8 +75,8 @@ class TestCacheModel:
         "config", [CacheConfig(), CacheConfig(l1_bytes=1000, l2_bytes=100)]
     )
     def test_access_columns_equal_access(self, config):
-        """Every entry is :meth:`access`'s float, across all three levels
-        and their boundaries (also with an L1 larger than the L2)."""
+        """Every entry is the scalar cache path's float, across all three
+        levels and their boundaries (also with an L1 larger than the L2)."""
         cm = CacheModel(config)
         edges = [config.l1_bytes, config.l2_bytes]
         sizes = np.array(
@@ -87,7 +87,7 @@ class TestCacheModel:
         for t in (times, 3):
             energy, transfer = cm.access_columns(sizes, t)
             for i, size in enumerate(sizes.tolist()):
-                ref = cm.access(size, times=int(np.broadcast_to(t, sizes.shape)[i]))
+                ref = access(cm, size, times=int(np.broadcast_to(t, sizes.shape)[i]))
                 assert (energy[i], transfer[i]) == (ref.energy_j, ref.transfer_time_s)
 
     def test_config_validation(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.arch.area import AreaModel, PEAreaBreakdown
 from repro.arch.config import TridentConfig
 from repro.arch.power import PEPowerBreakdown, PowerModel
+from repro.baselines import photonic_baselines
 from repro.devices.tuning import ThermalTuning
 from repro.errors import ConfigError
 
@@ -109,6 +110,35 @@ class TestPowerModel:
     def test_rejects_bad_budget(self, config):
         with pytest.raises(ConfigError):
             PowerModel(config).max_pes_for_budget(-5.0)
+
+
+class TestPesForBudget:
+    """One sizing rule behind Trident's config, its power model and the
+    photonic baselines: a budget that is not finite and positive, or that
+    cannot power one PE, raises ConfigError on every path."""
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 0.1])
+    def test_every_sizing_path_rejects_a_bad_budget(self, config, budget):
+        for size in (
+            config.scaled_to_budget,
+            PowerModel(config).max_pes_for_budget,
+            photonic_baselines,
+        ):
+            with pytest.raises(ConfigError):
+                size(budget)
+
+    def test_rejects_a_zero_power_pe(self):
+        """Every Table III power may be zero; the rule must not divide by
+        their sum."""
+        zero = TridentConfig(**{
+            name: 0.0 for name in (
+                "ldsu_power_w", "eo_laser_power_w", "gst_tuning_power_w",
+                "gst_read_power_w", "activation_reset_power_w", "bpd_tia_power_w",
+                "cache_power_w",
+            )
+        })
+        with pytest.raises(ConfigError, match="per-PE power"):
+            PowerModel(zero).max_pes_for_budget()
 
 
 class TestAreaModel:

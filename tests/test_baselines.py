@@ -11,7 +11,8 @@ from repro.baselines import (
     photonic_baselines,
     pixel_arch,
 )
-from repro.baselines.base import baseline_sizing_power, pes_for_budget
+from repro.arch.config import pes_for_budget
+from repro.baselines.base import baseline_sizing_power
 from repro.baselines.electronic import (
     XAVIER_TRAINING_UTILIZATION,
     agx_xavier,
@@ -20,6 +21,7 @@ from repro.baselines.electronic import (
     google_coral,
 )
 from repro.dataflow.cost_model import PhotonicCostModel
+from repro.errors import ConfigError
 from repro.nn import build_model
 
 
@@ -35,7 +37,7 @@ class TestSizingMethodology:
         assert pes_for_budget(0.676, 30.0) == 44
 
     def test_pes_for_budget_rejects_oversized_pe(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="cannot power a single"):
             pes_for_budget(40.0, 30.0)
 
     def test_all_archs_respect_budget(self):

@@ -335,6 +335,16 @@ class TestErrorHygiene:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err + out
 
+    @pytest.mark.parametrize("budget", ["0.7", "0.9", "nan", "inf"])
+    def test_bad_compare_budget_exits_2_with_one_line(self, capsys, budget):
+        """NaN, infinity, and budgets that power a Trident PE but not a
+        CrossLight (0.842 W) or PIXEL (1.002 W) one."""
+        code, out, err = self._run(capsys, "compare", "resnet50", "--budget", budget)
+        assert code == 2
+        assert err.startswith("repro: error: ConfigError:")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err + out
+
     def test_fault_error_exits_2(self, capsys, monkeypatch):
         import argparse
 

@@ -3,10 +3,12 @@
 :meth:`PhotonicCostModel.model_cost`, :meth:`ElectronicAccelerator.model_cost`
 and :meth:`TrainingCostModel.step_costs` price every compute layer of a
 network in NumPy passes over its column table.  The oracles below are the
-per-layer loops they replaced, kept as test code only:
+scalar paths and per-layer loops they replaced, kept as test code only:
 
-- ``loop_model_cost``: :meth:`PhotonicCostModel.layer_cost` per layer, then
-  the builtin ``sum`` over the records;
+- ``layer_cost``: the scalar per-layer pricing, reading memory traffic
+  through ``access``, the scalar cache path (one tensor at a time);
+- ``loop_model_cost``: ``layer_cost`` per layer, then the builtin ``sum``
+  over the records;
 - ``loop_step_costs``: four ``layer_cost`` calls per layer, the faster
   outer-product orientation by ``min``, and a running ``+=`` per pass;
 - ``loop_roofline``: the electronic roofline per layer.
@@ -22,6 +24,7 @@ stored pricing for inputs that differ from the ones it was priced at.
 """
 
 from dataclasses import fields, replace
+from typing import NamedTuple
 
 import pytest
 
@@ -56,6 +59,114 @@ def input_shape_of(network, name):
     return network.input_shape if src == INPUT else network.shape_of(src)
 
 
+# ---------------------------------------------------------------------------
+# The scalar pricing path
+# ---------------------------------------------------------------------------
+class Traffic(NamedTuple):
+    """Energy and transfer time of a block of memory traffic."""
+
+    energy_j: float
+    transfer_time_s: float
+
+
+def level_for(cache, tensor_bytes):
+    """Which level serves a tensor of this size: 'l1' | 'l2' | 'dram'."""
+    if tensor_bytes <= cache.config.l1_bytes:
+        return "l1"
+    if tensor_bytes <= cache.config.l2_bytes:
+        return "l2"
+    return "dram"
+
+
+def access(cache, tensor_bytes, times=1):
+    """Cost of streaming one tensor ``times`` times through its level."""
+    cfg = cache.config
+    level = level_for(cache, tensor_bytes)
+    energy_per_byte = {
+        "l1": cfg.l1_energy_per_byte_j,
+        "l2": cfg.l2_energy_per_byte_j,
+        "dram": cfg.dram_energy_per_byte_j,
+    }[level]
+    total = tensor_bytes * times
+    dram_bytes = total if level == "dram" else 0
+    return Traffic(total * energy_per_byte, dram_bytes / cfg.dram_bandwidth_bytes_per_s)
+
+
+def layer_cost(cm, name, schedule, input_shape, fused_activation):
+    """Per-inference cost of one compute layer under cost model ``cm``."""
+    arch = cm.arch
+    B = cm.batch
+    rounds = schedule.rounds(arch.n_pes)
+
+    round_time = arch.write_time_s + B * schedule.positions / arch.symbol_rate_hz
+    compute_time = rounds * round_time / B
+    tuning_j = schedule.cells * arch.write_energy_per_cell_j / B
+    streaming_j = schedule.symbols * arch.symbol_energy_j
+    hold_j = 0.0
+    if cm.charge_hold_power and arch.hold_power_per_cell_w > 0:
+        stream_time_per_tile = schedule.positions / arch.symbol_rate_hz
+        cells_per_tile = schedule.cells / schedule.n_tiles
+        hold_j = (
+            arch.hold_power_per_cell_w
+            * cells_per_tile
+            * stream_time_per_tile
+            * schedule.n_tiles
+        )
+    conversion_j = 0.0
+    if arch.digital_activation:
+        samples = schedule.output_elements * schedule.tiles_k
+        conversion_j = (
+            samples * arch.adc_energy_per_sample_j
+            + schedule.output_elements * arch.dac_energy_per_sample_j
+        )
+
+    # Inputs re-stream once per row tile; each extra reduction tile reads
+    # and rewrites the output stripe; outputs are written once (a digital
+    # activation adds a read-modify-write round trip); weights are fetched
+    # once per batch.
+    bpe = cm.bytes_per_element
+    input_traffic = access(cm.cache, input_shape.bytes(bpe), times=schedule.tiles_m)
+    out_bytes = schedule.output_elements * bpe
+    partial_traffic = (
+        access(cm.cache, out_bytes, times=2 * (schedule.tiles_k - 1))
+        if schedule.tiles_k > 1
+        else None
+    )
+    out_times = 3 if arch.digital_activation and fused_activation else 1
+    output_traffic = access(cm.cache, out_bytes, times=out_times)
+    weight_traffic = access(cm.cache, schedule.cells * bpe, times=1)
+    memory_j = (
+        input_traffic.energy_j
+        + (partial_traffic.energy_j if partial_traffic else 0.0)
+        + output_traffic.energy_j
+        + weight_traffic.energy_j / B
+    )
+    dram_time = (
+        input_traffic.transfer_time_s
+        + (partial_traffic.transfer_time_s if partial_traffic else 0.0)
+        + output_traffic.transfer_time_s
+        + weight_traffic.transfer_time_s / B
+    )
+
+    breakdown = {
+        "tuning": tuning_j,
+        "streaming": streaming_j,
+        "hold": hold_j,
+        "conversion": conversion_j,
+        "memory": memory_j,
+    }
+    return LayerCost(
+        name=name,
+        macs=schedule.gemm.macs,
+        time_s=max(compute_time, dram_time),
+        energy_j=sum(breakdown.values()),
+        energy_breakdown=breakdown,
+        symbols=schedule.symbols,
+        tiles=schedule.n_tiles,
+        rounds=rounds,
+    )
+
+
 def loop_model_cost(cm, network):
     """(records, time_s, energy_j, {key: component}) from the layer loop."""
     records = []
@@ -64,8 +175,8 @@ def loop_model_cost(cm, network):
             continue
         schedule = TileSchedule(record.gemm, cm.arch.bank_rows, cm.arch.bank_cols)
         records.append(
-            cm.layer_cost(
-                record.name, schedule, input_shape_of(network, record.name),
+            layer_cost(
+                cm, record.name, schedule, input_shape_of(network, record.name),
                 record.fused_activation,
             )
         )
@@ -93,8 +204,8 @@ def loop_step_costs(tcm, network):
         if gemm is None:
             continue
         fwd_sched = TileSchedule(gemm, rows, cols)
-        fwd = batched.layer_cost(
-            record.name, fwd_sched, input_shape_of(network, record.name),
+        fwd = layer_cost(
+            batched, record.name, fwd_sched, input_shape_of(network, record.name),
             record.fused_activation,
         )
         fwd_t += fwd.time_s
@@ -102,13 +213,13 @@ def loop_step_costs(tcm, network):
         grad_sched = TileSchedule(
             GEMMShape(m=gemm.k, k=gemm.m, n=gemm.n, groups=gemm.groups), rows, cols
         )
-        grad = batched.layer_cost(record.name, grad_sched, record.output, False)
+        grad = layer_cost(batched, record.name, grad_sched, record.output, False)
         grad_t += grad.time_s
         grad_e += grad.energy_j
         outer = min(
             (
-                single.layer_cost(record.name, TileSchedule(shape, rows, cols),
-                                  record.output, False)
+                layer_cost(single, record.name, TileSchedule(shape, rows, cols),
+                           record.output, False)
                 for shape in (
                     GEMMShape(m=gemm.m, k=gemm.n * B, n=gemm.k, groups=gemm.groups),
                     GEMMShape(m=gemm.k, k=gemm.n * B, n=gemm.m, groups=gemm.groups),

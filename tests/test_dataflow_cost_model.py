@@ -8,11 +8,10 @@ from repro.arch.config import TridentConfig
 from repro.dataflow.cost_model import PhotonicArch, PhotonicCostModel
 from repro.dataflow.report import LayerColumns, LayerCost
 from repro.dataflow.roofline import ElectronicAccelerator
-from repro.dataflow.tiling import TileSchedule
 from repro.errors import ConfigError, ScheduleError
 from repro.nn import build_model
 from repro.nn.graph import Network
-from repro.nn.layers import GEMMShape, TensorShape
+from repro.nn.layers import TensorShape
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +39,13 @@ class TestPhotonicArch:
     def test_peak_tops(self, trident):
         assert trident.peak_tops == pytest.approx(7.8, rel=0.01)
 
-    def test_scaled_to_budget(self, trident):
-        half = trident.scaled_to_budget(15.0)
+    def test_scaled_to_budget(self):
+        half = PhotonicArch.trident(TridentConfig().scaled_to_budget(15.0))
         assert half.n_pes == 22
 
-    def test_scaled_rejects_tiny_budget(self, trident):
+    def test_scaled_rejects_tiny_budget(self):
         with pytest.raises(ConfigError):
-            trident.scaled_to_budget(0.1)
+            PhotonicArch.trident(TridentConfig().scaled_to_budget(0.1))
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -103,11 +102,18 @@ def test_parameter_records_reject_bad_values(make, kwargs):
         make(**kwargs)
 
 
+def one_layer(cm):
+    """:meth:`PhotonicCostModel.layer_costs` of one fused 16 x 16 GEMM layer
+    streaming 100 positions of a 10 x 10 x 16 input, as a record."""
+    (cost,) = cm.layer_costs(
+        ("l",), *(np.array([v]) for v in (16, 16, 100, 1, 10 * 10 * 16, True))
+    ).records()
+    return cost
+
+
 class TestLayerCost:
     def test_single_tile_layer(self, trident):
-        cm = PhotonicCostModel(trident, batch=1)
-        schedule = TileSchedule(GEMMShape(m=16, k=16, n=100), 16, 16)
-        cost = cm.layer_cost("l", schedule, TensorShape(10, 10, 16), True)
+        cost = one_layer(PhotonicCostModel(trident, batch=1))
         # One round: write + 100 symbols.
         expected_time = trident.write_time_s + 100 / trident.symbol_rate_hz
         assert cost.time_s == pytest.approx(expected_time)
@@ -118,10 +124,8 @@ class TestLayerCost:
         assert cost.energy_breakdown["conversion"] == 0.0
 
     def test_batch_amortizes_tuning(self, trident):
-        schedule = TileSchedule(GEMMShape(m=16, k=16, n=100), 16, 16)
-        shape = TensorShape(10, 10, 16)
-        e1 = PhotonicCostModel(trident, batch=1).layer_cost("l", schedule, shape, True)
-        e64 = PhotonicCostModel(trident, batch=64).layer_cost("l", schedule, shape, True)
+        e1 = one_layer(PhotonicCostModel(trident, batch=1))
+        e64 = one_layer(PhotonicCostModel(trident, batch=64))
         assert e64.energy_breakdown["tuning"] == pytest.approx(
             e1.energy_breakdown["tuning"] / 64
         )
@@ -138,12 +142,8 @@ class TestLayerCost:
             streaming_power_pe_w=0.1, sizing_power_pe_w=0.6,
             hold_power_per_cell_w=1.7e-3,
         )
-        schedule = TileSchedule(GEMMShape(m=16, k=16, n=100), 16, 16)
-        shape = TensorShape(10, 10, 16)
-        off = PhotonicCostModel(arch, batch=1).layer_cost("l", schedule, shape, True)
-        on = PhotonicCostModel(arch, batch=1, charge_hold_power=True).layer_cost(
-            "l", schedule, shape, True
-        )
+        off = one_layer(PhotonicCostModel(arch, batch=1))
+        on = one_layer(PhotonicCostModel(arch, batch=1, charge_hold_power=True))
         assert off.energy_breakdown["hold"] == 0.0
         expected_hold = 1.7e-3 * 256 * 100 / 1e8
         assert on.energy_breakdown["hold"] == pytest.approx(expected_hold)
@@ -155,10 +155,8 @@ class TestLayerCost:
             trident, name="digital", digital_activation=True,
             adc_energy_per_sample_j=10e-12, dac_energy_per_sample_j=5e-12,
         )
-        schedule = TileSchedule(GEMMShape(m=16, k=16, n=100), 16, 16)
-        shape = TensorShape(10, 10, 16)
-        photonic = PhotonicCostModel(trident, batch=1).layer_cost("l", schedule, shape, True)
-        adc = PhotonicCostModel(digital, batch=1).layer_cost("l", schedule, shape, True)
+        photonic = one_layer(PhotonicCostModel(trident, batch=1))
+        adc = one_layer(PhotonicCostModel(digital, batch=1))
         assert adc.energy_breakdown["conversion"] == pytest.approx(
             1600 * 10e-12 + 1600 * 5e-12
         )

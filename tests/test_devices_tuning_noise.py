@@ -147,9 +147,7 @@ class TestNoiseModel:
         with pytest.raises(ConfigError):
             NoiseModel(shot_noise_coeff=-0.1)
 
-    @pytest.mark.parametrize(
-        "field", ["shot_noise_coeff", "thermal_noise_std", "rin_coeff", "crosstalk_floor"]
-    )
+    @pytest.mark.parametrize("field", ["shot_noise_coeff", "thermal_noise_std", "rin_coeff"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_coefficients(self, field, value):
         with pytest.raises(ConfigError, match=field):

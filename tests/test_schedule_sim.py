@@ -1,15 +1,12 @@
 """Tests: the discrete-event schedule simulator validates the closed forms."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow.cost_model import PhotonicArch, PhotonicCostModel
-from repro.dataflow.schedule_sim import (
-    analytical_makespan_s,
-    simulate_layer,
-    simulate_model,
-)
+from repro.dataflow.schedule_sim import simulate_layer, simulate_model
 from repro.dataflow.tiling import TileSchedule
 from repro.errors import ConfigError, ScheduleError
 from repro.nn import build_model
@@ -24,6 +21,13 @@ def arch():
 
 def sched(m, k, n, groups=1):
     return TileSchedule(GEMMShape(m=m, k=k, n=n, groups=groups), 16, 16)
+
+
+def analytical_makespan_s(schedule, arch, batch=1):
+    """The cost model's closed form for one layer's compute time:
+    ``rounds x (t_write + batch x positions / f)``."""
+    round_time = arch.write_time_s + batch * schedule.positions / arch.symbol_rate_hz
+    return schedule.rounds(arch.n_pes) * round_time
 
 
 class TestLayerSimulation:
@@ -77,7 +81,9 @@ class TestLayerSimulation:
         batch = 8
         sim = simulate_layer("l", s, arch, batch=batch, keep_events=False)
         cm = PhotonicCostModel(arch, batch=batch)
-        cost = cm.layer_cost("l", s, TensorShape(56, 56, 64), True)
+        (cost,) = cm.layer_costs(
+            ("l",), *(np.array([v]) for v in (256, 2304, 3136, 1, 56 * 56 * 64, True))
+        ).records()
         # Cost model reports per-inference; simulation is per-batch.
         assert sim.tuning_energy_j == pytest.approx(
             cost.energy_breakdown["tuning"] * batch

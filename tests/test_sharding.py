@@ -12,13 +12,13 @@ from repro import telemetry
 from repro.arch import TridentAccelerator, TridentConfig
 from repro.devices.program_verify import ProgramVerifyConfig
 from repro.errors import (
-    CheckpointError,
     MappingError,
     ServingError,
     ShardingError,
     WorkerFault,
 )
 from repro.serving import (
+    AcceleratorWorker,
     InferenceRequest,
     ServerConfig,
     ShardedWorker,
@@ -50,6 +50,11 @@ def make_weights(dims, seed=0, sigma=0.6):
         rng.normal(0.0, sigma, (dims[i + 1], dims[i]))
         for i in range(len(dims) - 1)
     ]
+
+
+def run(pipe, xs):
+    """Forward a batch through the loop serving runs a pipeline with."""
+    return AcceleratorWorker(0, pipe).execute(xs)
 
 
 def make_reference(dims, weights, config=SHARD, program_verify=None):
@@ -155,7 +160,7 @@ class TestPipelineEquivalence:
         pipe = build_pipeline(plan, weights, config=SHARD)
         ref = make_reference(self.DIMS, weights)
         xs = np.random.default_rng(2).uniform(-1, 1, (5, 8))
-        assert np.array_equal(pipe.forward_batch(xs), ref.forward_batch(xs))
+        assert np.array_equal(run(pipe, xs), ref.forward_batch(xs))
 
     def test_bit_identical_with_deterministic_verify(self):
         weights = make_weights(self.DIMS, seed=1)
@@ -167,7 +172,7 @@ class TestPipelineEquivalence:
             self.DIMS, weights, program_verify=DETERMINISTIC_PV
         )
         xs = np.random.default_rng(3).uniform(-1, 1, (4, 8))
-        assert np.array_equal(pipe.forward_batch(xs), ref.forward_batch(xs))
+        assert np.array_equal(run(pipe, xs), ref.forward_batch(xs))
 
     def test_row_sharded_wide_layer_bit_identical(self):
         dims = [8, 128]
@@ -177,7 +182,7 @@ class TestPipelineEquivalence:
         pipe = build_pipeline(plan, weights, config=SHARD)
         ref = make_reference(dims, weights)
         xs = np.random.default_rng(5).uniform(-1, 1, (3, 8))
-        assert np.array_equal(pipe.forward_batch(xs), ref.forward_batch(xs))
+        assert np.array_equal(run(pipe, xs), ref.forward_batch(xs))
 
     def test_event_accounting_conserved(self):
         weights = make_weights(self.DIMS, seed=1)
@@ -185,43 +190,31 @@ class TestPipelineEquivalence:
         pipe = build_pipeline(plan, weights, config=SHARD)
         ref = make_reference(self.DIMS, weights)
         xs = np.random.default_rng(6).uniform(-1, 1, (5, 8))
-        pipe.forward_batch(xs)
+        run(pipe, xs)
         ref.forward_batch(xs)
         got = pipe.counters().as_dict()
         want = ref.counters.as_dict()
         for key in ("bank_writes", "cells_written", "symbols",
                     "activation_events"):
             assert got[key] == want[key], key
-        assert pipe.energy_estimate_j() == pytest.approx(
-            ref.energy_estimate_j(), rel=1e-12
+        assert sum(acc.energy_estimate_j() for acc in pipe.accelerators) == (
+            pytest.approx(ref.energy_estimate_j(), rel=1e-12)
         )
-        assert pipe.time_estimate_s() == pytest.approx(
-            ref.time_estimate_s(), rel=1e-12
+        assert sum(acc.time_estimate_s() for acc in pipe.accelerators) == (
+            pytest.approx(ref.time_estimate_s(), rel=1e-12)
         )
 
     def test_checkpoint_roundtrip_preserves_outputs(self):
+        """Each accelerator's own snapshot restores its part of the pipe."""
         weights = make_weights(self.DIMS, seed=1)
         plan = plan_pipeline(self.DIMS, SHARD)
         pipe = build_pipeline(plan, weights, config=SHARD)
         xs = np.random.default_rng(7).uniform(-1, 1, (4, 8))
-        expected = pipe.forward_batch(xs)
-        snapshot = pipe.state_dict()
+        expected = run(pipe, xs)
         restored = build_pipeline(plan, weights, config=SHARD)
-        restored.load_state_dict(snapshot)
-        assert np.array_equal(restored.forward_batch(xs), expected)
-
-    def test_checkpoint_shape_mismatch_raises(self):
-        weights = make_weights(self.DIMS, seed=1)
-        plan = plan_pipeline(self.DIMS, SHARD)
-        pipe = build_pipeline(plan, weights, config=SHARD)
-        other_dims = [8, 16, 8]
-        other = build_pipeline(
-            plan_pipeline(other_dims, SHARD),
-            make_weights(other_dims, seed=2),
-            config=SHARD,
-        )
-        with pytest.raises(CheckpointError):
-            other.load_state_dict(pipe.state_dict())
+        for acc, source in zip(restored.accelerators, pipe.accelerators):
+            acc.load_state_dict(source.state_dict())
+        assert np.array_equal(run(restored, xs), expected)
 
     def test_weight_scale_override_guard(self):
         acc = TridentAccelerator(config=SHARD)
@@ -275,19 +268,20 @@ class TestShardingProperties:
         xs = np.random.default_rng(seed + 1).uniform(-1, 1, (batch, dims[0]))
 
         if checkpoint:
-            snapshot = pipe.state_dict()
+            snapshots = [acc.state_dict() for acc in pipe.accelerators]
             pipe = build_pipeline(
                 plan, weights, config=self.PROP, program_verify=pv
             )
-            pipe.load_state_dict(snapshot)
+            for acc, snapshot in zip(pipe.accelerators, snapshots):
+                acc.load_state_dict(snapshot)
 
         pipe_before = pipe.counters().as_dict()
         ref_before = ref.counters.as_dict()
         if trace:
             with telemetry.session():
-                got = pipe.forward_batch(xs)
+                got = run(pipe, xs)
         else:
-            got = pipe.forward_batch(xs)
+            got = run(pipe, xs)
         want = ref.forward_batch(xs)
         assert np.array_equal(got, want)
 
@@ -303,8 +297,8 @@ class TestShardingProperties:
         if not checkpoint:
             for key in ("bank_writes", "cells_written"):
                 assert pipe_after[key] == ref_after[key], key
-            assert pipe.energy_estimate_j() == pytest.approx(
-                ref.energy_estimate_j(), rel=1e-9
+            assert sum(acc.energy_estimate_j() for acc in pipe.accelerators) == (
+                pytest.approx(ref.energy_estimate_j(), rel=1e-9)
             )
 
 
@@ -397,9 +391,16 @@ class TestShardServing:
                 assert np.array_equal(np.asarray(c.output), expected[i])
 
     def test_overlap_beats_serialized(self):
-        overlap_report = run_shard_workload(self.CFG, overlap=True).report
-        serial_report = run_shard_workload(self.CFG, overlap=False).report
-        assert 0.0 < makespan_s(overlap_report) < makespan_s(serial_report)
+        """On the full 240-request burst both schedules complete every
+        request and overlap is at least 1.2x faster (virtual clock, so the
+        bar is deterministic)."""
+        config = ShardWorkloadConfig()
+        overlap_report = run_shard_workload(config, overlap=True).report
+        serial_report = run_shard_workload(config, overlap=False).report
+        assert overlap_report.completion_rate == 1.0
+        assert serial_report.completion_rate == 1.0
+        assert 0.0 < makespan_s(overlap_report)
+        assert makespan_s(serial_report) >= 1.2 * makespan_s(overlap_report)
 
     def test_overlap_keeps_multiple_batches_in_flight(self):
         server = run_shard_workload(self.CFG, overlap=True).server

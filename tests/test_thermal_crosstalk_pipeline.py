@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import TridentAccelerator
+from repro.arch.config import TridentConfig
+from repro.dataflow.cost_model import PhotonicArch, forward_batch_latency_s
 from repro.devices.thermal_crosstalk import (
     ThermalCrosstalkModel,
     thermal_resolution_sweep,
 )
 from repro.errors import ConfigError, MappingError
+from repro.serving.worker import DISPATCH_OVERHEAD_S, AcceleratorWorker
+from repro.sharding import layer_tile_count, reduction_tile_count, single_chip_pipeline
 
 
 class TestCouplingMatrix:
@@ -91,37 +97,75 @@ class TestResolution:
             ThermalCrosstalkModel().monte_carlo_error(n_patterns=0)
 
 
+def critical_path_s(acc):
+    """One sample's critical path on the mapped chip: ``forward_batch_latency_s``
+    over each layer's reduction (column) tiles, without dispatch overhead."""
+    tiles = [reduction_tile_count(layer.in_dim, acc.config.bank_cols)
+             for layer in acc.layers]
+    return forward_batch_latency_s(PhotonicArch.trident(acc.config), tiles, 1)
+
+
+def mapped_mlp(dims, config=None):
+    """A chip with ``dims`` mapped and uniform(-1, 1) weights programmed."""
+    acc = TridentAccelerator(config=config)
+    acc.map_mlp(list(dims))
+    rng = np.random.default_rng(0)
+    acc.set_weights([rng.uniform(-1, 1, (o, i)) for i, o in zip(dims[:-1], dims[1:])])
+    return acc, rng
+
+
 class TestPipelining:
+    """A chip's energy view counts every PE-symbol; its time view is the
+    critical path, where the row tiles of one layer stream in parallel."""
+
     def test_latency_is_nanoseconds_for_small_mlp(self):
         acc = TridentAccelerator()
         acc.map_mlp([16, 16, 4])
         # Two single-tile layers: 2 symbol periods at 346 MHz ~ 5.8 ns.
-        assert acc.pipeline_latency_s() == pytest.approx(2 / acc.config.symbol_rate_hz)
+        assert critical_path_s(acc) == pytest.approx(2 / acc.config.symbol_rate_hz)
 
     def test_tiled_layer_adds_reduction_stages(self):
         acc = TridentAccelerator()
         acc.map_mlp([40, 24, 4])
         # Layer 0: ceil(40/16)=3 reduction tiles; layer 1: ceil(24/16)=2.
-        assert acc.pipeline_latency_s() == pytest.approx(5 / acc.config.symbol_rate_hz)
-
-    def test_throughput_set_by_slowest_stage(self):
-        acc = TridentAccelerator()
-        acc.map_mlp([40, 24, 4])
-        assert acc.pipeline_throughput() == pytest.approx(acc.config.symbol_rate_hz / 3)
+        assert critical_path_s(acc) == pytest.approx(5 / acc.config.symbol_rate_hz)
 
     def test_requires_mapping(self):
-        acc = TridentAccelerator()
         with pytest.raises(MappingError):
-            acc.pipeline_latency_s()
-        with pytest.raises(MappingError):
-            acc.pipeline_throughput()
+            single_chip_pipeline(TridentAccelerator())
 
     def test_pipeline_faster_than_serial_estimate(self):
-        acc = TridentAccelerator()
-        acc.map_mlp([16, 16, 4])
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        acc.set_weights([rng.uniform(-1, 1, (16, 16)), rng.uniform(-1, 1, (4, 16))])
+        acc, rng = mapped_mlp([16, 16, 4])
         acc.forward_batch(rng.uniform(-1, 1, (1, 16)))
-        assert acc.pipeline_latency_s() < acc.time_estimate_s()
+        assert critical_path_s(acc) < acc.time_estimate_s()
+
+    @settings(max_examples=100, deadline=None)
+    # shard-pipeline's model: per sample 11 PE-symbols (3 + 6 + 2) against
+    # 6 symbol periods (1 + 3 + 2) on the critical path.
+    @example(dims=[8, 24, 16, 4], rows=8, cols=8, batch=3)
+    @given(
+        dims=st.lists(st.integers(1, 40), min_size=3, max_size=5),
+        rows=st.integers(1, 16),
+        cols=st.integers(1, 16),
+        batch=st.integers(1, 64),
+    )
+    def test_energy_view_and_time_view(self, dims, rows, cols, batch):
+        layers = list(zip(dims[:-1], dims[1:]))
+        tiles = [layer_tile_count(o, i, rows, cols) for i, o in layers]
+        reduction = [reduction_tile_count(i, cols) for i, _ in layers]
+        config = TridentConfig(n_pes=sum(tiles), bank_rows=rows, bank_cols=cols)
+        acc, rng = mapped_mlp(dims, config)
+        symbols, stats = acc.counters.symbols, acc.bank_stats().symbols
+        acc.forward_batch(rng.uniform(-1, 1, (batch, dims[0])))
+        # Energy view: one symbol per bank a sample's vector enters.
+        assert acc.counters.symbols - symbols == batch * sum(tiles)
+        assert acc.bank_stats().symbols - stats == batch * sum(tiles)
+        # Time view: what serving charges a dispatch of this batch.
+        worker = AcceleratorWorker(0, single_chip_pipeline(acc))
+        assert worker.service_time_s(batch) == forward_batch_latency_s(
+            PhotonicArch.trident(config), reduction, batch, DISPATCH_OVERHEAD_S
+        )
+        # Row tiles stream in parallel: they cost energy, not time.
+        for (_, out), layer_tiles, layer_reduction in zip(layers, tiles, reduction):
+            assert layer_reduction <= layer_tiles
+            assert (layer_reduction == layer_tiles) == (out <= rows)
