@@ -47,7 +47,9 @@ def single_device_walkthrough() -> None:
             [f"PE {pe_index} remapped rows", str(bank.remapped_rows)]
         )
     rows.append(["deploy+repair energy (uJ)", acc.energy_estimate_j() * 1e6])
-    rows.append(["deploy+repair time (us)", acc.time_estimate_s() * 1e6])
+    rows.append(
+        ["deploy+repair PE-busy time (us)", acc.time_estimate_s() * 1e6]
+    )
     print(format_table(["quantity", "value"], rows,
                        title="Worn device: detect -> remap -> reprogram"))
     print()

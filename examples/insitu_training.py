@@ -87,7 +87,7 @@ def main() -> None:
                 ["analog symbols", stats.symbols],
                 ["mode switches (Table II)", acc.counters.mode_switches],
                 ["energy (uJ)", acc.energy_estimate_j() * 1e6],
-                ["time (ms)", acc.time_estimate_s() * 1e3],
+                ["PE-busy time (ms)", acc.time_estimate_s() * 1e3],
             ],
             title="",
         )

@@ -73,7 +73,7 @@ def main() -> None:
                 ["analog symbols streamed", stats.symbols],
                 ["activation firings", acc.counters.activation_events],
                 ["energy (nJ)", acc.energy_estimate_j() * 1e9],
-                ["time (us)", acc.time_estimate_s() * 1e6],
+                ["PE-busy time (us)", acc.time_estimate_s() * 1e6],
             ],
             title="Hardware events for one programmed inference",
         )

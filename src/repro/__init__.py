@@ -38,7 +38,7 @@ from repro.arch.config import TridentConfig
 from repro.dataflow.cost_model import PhotonicArch, PhotonicCostModel
 from repro.devices.noise import NoiseModel
 from repro.faults import FaultDetector, FaultManager, RepairConfig, RepairPolicy
-from repro.runtime import CheckpointStore, ResilienceConfig, ResilientTrainer
+from repro.runtime import CheckpointStore, ResilientTrainer
 from repro.training.insitu import InSituTrainer
 
 __version__ = "1.0.0"
@@ -53,7 +53,6 @@ __all__ = [
     "PhotonicCostModel",
     "RepairConfig",
     "RepairPolicy",
-    "ResilienceConfig",
     "ResilientTrainer",
     "TridentAccelerator",
     "TridentConfig",

@@ -6,7 +6,8 @@ Every number the paper commits to lives here, with its provenance:
   (Sec. IV: "a maximum of 44 PEs can be utilized, each with 256 MRRs").
 - Table III per-PE power components summing to ~0.67 W.
 - 1.37 GHz maximum clock (Sec. IV).
-- 16 kB L1 cache per PE, 32 MB shared L2 (Sec. IV).
+- 16 kB L1 cache per PE, 32 MB shared L2 (Sec. IV): sized by
+  :class:`~repro.arch.cache.CacheConfig`, not here.
 - 604.6 mm^2 total area for 44 PEs (Sec. IV).
 
 Calibrated parameter
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from repro.constants import GHZ, KB, MB, MHZ, MW
+from repro.constants import GHZ, MHZ, MW
 from repro.devices.tuning import GSTTuning, TuningModel
 from repro.errors import ConfigError, require_finite_fields
 
@@ -64,10 +65,6 @@ class TridentConfig:
 
     # --- system budget ---------------------------------------------------
     power_budget_w: float = 30.0
-
-    # --- memory -----------------------------------------------------------
-    l1_cache_bytes: int = 16 * KB
-    l2_cache_bytes: int = 32 * MB
 
     # --- numerics ----------------------------------------------------------
     weight_bits: int = 8  # GST: 255 levels

@@ -1,6 +1,6 @@
 """GST photonic activation cell — the paper's Fig 2e / Fig 3 nonlinearity.
 
-A 60 um ring with a GST patch at the ring/waveguide crossing.  Below a
+A 60 um-radius ring with a GST patch at the ring/waveguide crossing.  Below a
 threshold pulse energy (430 pJ) the weighted-sum pulse couples into the ring
 and no output emerges; above it, the pulse switches the GST amorphous, the
 ring falls out of resonance and the pulse is transmitted.  The measured
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.constants import ACTIVATION_WAVELENGTH, PJ, UM
+from repro.constants import ACTIVATION_WAVELENGTH, PJ
 from repro.devices.gst import DEFAULT_ENDURANCE_CYCLES
 from repro.errors import ConfigError, DeviceError, EnduranceExceededError
 
@@ -41,8 +41,6 @@ class GSTActivationConfig:
     slope: float = 0.34
     #: Sub-threshold leakage as a fraction of the input (ideally 0).
     leakage: float = 0.0
-    #: Ring radius [m] (paper: 60 um).
-    ring_radius_m: float = 60.0 * UM
     #: Measurement wavelength [m] (paper Fig 3: 1553.4 nm).
     wavelength_m: float = ACTIVATION_WAVELENGTH
     #: Recrystallization (reset) energy per firing event [J].  Derived from

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -72,51 +73,42 @@ class RepairPolicy(enum.Enum):
 
 @dataclass(frozen=True)
 class RepairConfig:
-    """Knobs for the repair ladder."""
+    """Knobs for the repair ladder.
+
+    The ladder's thresholds are class constants: every caller repairs
+    with the same retry budget, health criterion and remap trigger.
+    """
 
     policy: RepairPolicy = RepairPolicy.SPARE
-    #: Escalated-rewrite attempts per tile before moving up the ladder.
-    max_retries: int = 2
-    #: Pulse-budget multiplier per retry (attempt k uses backoff**k).
-    backoff: float = 2.0
-    #: A tile is healthy when its last readback's worst |achieved-target|
-    #: is within this many levels (default: well beyond verify tolerance
-    #: but far below a stuck cell's typical error).
-    tile_error_budget_levels: float = 4.0
     #: When set, a tile is healthy only if its last verified write also
     #: left at most this fraction of cells unconverged — the criterion a
     #: caller that gates on ``unconverged_fraction`` must repair to, or
     #: a tile within the error budget could still fail that gate with
     #: nothing left to repair it.  None judges by the error budget alone.
     max_unconverged_fraction: float | None = None
-    #: Remap a logical row once this many of its cells are flagged faulty.
-    row_fault_threshold: int = 1
     #: Tile migrations allowed per repair sweep (PEs are the scarcest
     #: resource — a migration permanently consumes one).
     max_migrations: int = 1
-    #: Self-test a bank (spares included) before its first remap, so
-    #: spare choice is informed instead of optimistic.  Costs two
-    #: full-array writes per screened bank — charged like any write.
-    screen_spares: bool = True
+
+    #: Escalated-rewrite attempts per tile before moving up the ladder.
+    max_retries: ClassVar[int] = 2
+    #: Pulse-budget multiplier per retry (attempt k uses backoff**k).
+    backoff: ClassVar[float] = 2.0
+    #: A tile is healthy when its last readback's worst |achieved-target|
+    #: is within this many levels (well beyond verify tolerance but far
+    #: below a stuck cell's typical error).
+    tile_error_budget_levels: ClassVar[float] = 4.0
+    #: Remap a logical row once this many of its cells are flagged faulty.
+    row_fault_threshold: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "policy", RepairPolicy.parse(self.policy))
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff < 1.0:
-            raise ConfigError(f"backoff must be >= 1, got {self.backoff}")
-        if self.tile_error_budget_levels <= 0:
-            raise ConfigError("tile error budget must be positive")
         if self.max_unconverged_fraction is not None and not (
             0.0 <= self.max_unconverged_fraction < 1.0
         ):
             raise ConfigError(
                 "max_unconverged_fraction must be in [0, 1), got "
                 f"{self.max_unconverged_fraction}"
-            )
-        if self.row_fault_threshold < 1:
-            raise ConfigError(
-                f"row_fault_threshold must be >= 1, got {self.row_fault_threshold}"
             )
         if self.max_migrations < 0:
             raise ConfigError(
@@ -243,13 +235,13 @@ class FaultManager:
 
         # Tier 2: remap worn logical rows onto spare ring rows.  Screen
         # the bank first (once) so the spare choice rests on measured
-        # health, not on optimism about never-written rings.
+        # health, not on optimism about never-written rings.  Screening
+        # costs two full-array writes per bank, charged like any write.
         if policy.tier >= RepairPolicy.SPARE.tier:
-            if self.config.screen_spares:
-                self._screen(layer_index, tile_index)
-                if self._tile_healthy(self._pe_of(layer_index, tile_index)):
-                    self._repaired("retry", layer_index, tile_index)
-                    return
+            self._screen(layer_index, tile_index)
+            if self._tile_healthy(self._pe_of(layer_index, tile_index)):
+                self._repaired("retry", layer_index, tile_index)
+                return
             if self._remap_worn_rows(layer_index, tile_index):
                 if self._tile_healthy(self._pe_of(layer_index, tile_index)):
                     self._repaired("spare", layer_index, tile_index)

@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.errors import ServingError
 from repro.serving.breaker import BreakerState
@@ -54,7 +55,12 @@ LADDER = ("nominal", "tight_batch", "shed_low", "freeze_training", "brownout")
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Knobs for the control loop (all times virtual seconds)."""
+    """Knobs for the control loop (all times virtual seconds).
+
+    The fields are what the fleet presets set.  The policy thresholds
+    below them are class constants: every preset runs the same ladder,
+    hysteresis and power model.
+    """
 
     #: Tick period and the trailing window each tick aggregates.
     interval_s: float = 1e-5
@@ -66,46 +72,51 @@ class ControllerConfig:
     max_workers: int = 16
     #: Warm-up delay before a commissioned worker takes traffic.
     warmup_s: float = 5e-6
+    #: Modeled fleet power budget (W); BROWNOUT caps the fleet at a
+    #: fraction of it.
+    power_budget_w: float = 1.0
+
     #: Utilization headroom scale-up sizes toward (fraction of capacity).
-    target_utilization: float = 0.8
+    target_utilization: ClassVar[float] = 0.8
     # -- scale-up hysteresis -----------------------------------------
-    scale_up_attainment: float = 0.92
-    scale_up_queue_frac: float = 0.5
+    scale_up_attainment: ClassVar[float] = 0.92
+    scale_up_queue_frac: ClassVar[float] = 0.5
     #: Proactive trigger: scale up when windowed demand exceeds this
     #: fraction of active capacity, *before* attainment breaks.  A step
     #: burst costs one detection tick regardless; this keeps the slower
     #: diurnal ramp from ever eating into the SLO.
-    scale_up_utilization: float = 0.9
-    scale_up_breach_ticks: int = 1
-    scale_up_cooldown_ticks: int = 1
+    scale_up_utilization: ClassVar[float] = 0.9
+    scale_up_breach_ticks: ClassVar[int] = 1
+    scale_up_cooldown_ticks: ClassVar[int] = 1
     # -- scale-down hysteresis ---------------------------------------
-    scale_down_utilization: float = 0.4
-    scale_down_clear_ticks: int = 3
-    scale_down_cooldown_ticks: int = 2
+    scale_down_utilization: ClassVar[float] = 0.4
+    scale_down_clear_ticks: ClassVar[int] = 3
+    scale_down_cooldown_ticks: ClassVar[int] = 2
     # -- degraded-mode ladder ----------------------------------------
-    degraded_enter_attainment: float = 0.45
-    degraded_enter_ticks: int = 2
-    degraded_exit_attainment: float = 0.90
-    degraded_exit_ticks: int = 2
+    #: The gap between the enter and exit thresholds is the ladder's
+    #: hysteresis.
+    degraded_enter_attainment: ClassVar[float] = 0.45
+    degraded_enter_ticks: ClassVar[int] = 2
+    degraded_exit_attainment: ClassVar[float] = 0.90
+    degraded_exit_ticks: ClassVar[int] = 2
     #: TIGHT_BATCH shrinks the micro-batch SLO target by this factor.
-    tight_batch_slo_factor: float = 0.5
+    tight_batch_slo_factor: ClassVar[float] = 0.5
     #: SHED_LOW admission floor; BROWNOUT raises it further.
-    shed_low_floor: int = 1
-    brownout_floor: int = 2
+    shed_low_floor: ClassVar[int] = 1
+    brownout_floor: ClassVar[int] = 2
     # -- power model --------------------------------------------------
-    per_worker_power_w: float = 0.025
-    power_budget_w: float = 1.0
-    brownout_power_fraction: float = 0.5
+    per_worker_power_w: ClassVar[float] = 0.025
+    brownout_power_fraction: ClassVar[float] = 0.5
     # -- tenant rebalancing -------------------------------------------
-    rebalance_shed_rate: float = 0.30
-    rebalance_max_boost: int = 2
+    rebalance_shed_rate: ClassVar[float] = 0.30
+    rebalance_max_boost: ClassVar[int] = 2
     # -- SDC quarantine -----------------------------------------------
     #: Escalated ABFT attestation failures a single worker may rack up
     #: in one rollup window before the controller force-trips its
     #: breaker.  The breaker's own failure threshold catches fast bursts
     #: on its shorter memory; this catches the slow corrupter whose
     #: occasional escalations keep slipping past it.
-    sdc_quarantine_count: int = 3
+    sdc_quarantine_count: ClassVar[int] = 3
 
     def __post_init__(self) -> None:
         if self.interval_s <= 0 or self.window_s <= 0:
@@ -115,26 +126,8 @@ class ControllerConfig:
                 f"need 1 <= min_workers <= max_workers, got "
                 f"{self.min_workers}..{self.max_workers}"
             )
-        if not 0.0 < self.target_utilization <= 1.0:
-            raise ServingError("target utilization must be in (0, 1]")
-        if self.degraded_exit_attainment <= self.degraded_enter_attainment:
-            raise ServingError(
-                "degraded exit threshold must exceed the enter threshold "
-                "(that gap is the ladder's hysteresis)"
-            )
-        if not 0.0 < self.tight_batch_slo_factor <= 1.0:
-            raise ServingError("tight-batch SLO factor must be in (0, 1]")
-        if not self.rebalance_shed_rate >= 0.0:
-            raise ServingError(
-                f"rebalance shed rate must be >= 0, got {self.rebalance_shed_rate}"
-            )
-        if self.per_worker_power_w <= 0 or self.power_budget_w <= 0:
-            raise ServingError("power model values must be positive")
-        if self.sdc_quarantine_count < 1:
-            raise ServingError(
-                f"SDC quarantine count must be >= 1, "
-                f"got {self.sdc_quarantine_count}"
-            )
+        if self.power_budget_w <= 0:
+            raise ServingError("power budget must be positive")
 
     def power_cap_workers(self, rung: int) -> int:
         """Fleet-size ceiling the power budget allows at ``rung``."""
@@ -471,7 +464,10 @@ class FleetController:
         if self.rung != 0:
             return  # degraded mode owns the priority policy
         if not stats.shed_by_tenant and not server.tenant_boost:
-            return  # no tenant shed and none holds a boost to release
+            # No tenant shed and none holds a boost to release.  Every
+            # tenant's shed rate is then 0, which never exceeds
+            # ``rebalance_shed_rate`` because that constant is >= 0.
+            return
         fleet_green = stats.attainment >= cfg.scale_up_attainment
         for tenant in sorted(stats.terminated_by_tenant):
             rate = stats.tenant_shed_rate(tenant)

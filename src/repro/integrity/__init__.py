@@ -26,7 +26,7 @@ the Huang–Abraham checksum construction adapted to the PCM-MRR banks:
 """
 
 from repro.errors import IntegrityError, IntegrityFault
-from repro.integrity.abft import ChecksumUnit, IntegrityConfig, Violation
+from repro.integrity.abft import ChecksumUnit, Violation
 from repro.integrity.checker import (
     IntegrityCounters,
     PipelineChecker,
@@ -42,7 +42,6 @@ from repro.integrity.workload import (
 
 __all__ = [
     "ChecksumUnit",
-    "IntegrityConfig",
     "IntegrityCounters",
     "IntegrityError",
     "IntegrityFault",

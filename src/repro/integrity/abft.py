@@ -22,11 +22,11 @@ layer and its checksum row quantize independently on the GST level
 grid, program-verify leaves per-cell residue, and detection noise (when
 enabled) perturbs both.  Each layer's threshold is therefore
 
-    tau_k = quant_bound_k + margin * worst_calibration_residual_k
+    tau_k = quant_bound_k + MARGIN * worst_calibration_residual_k
 
 where ``quant_bound_k`` is the analytic worst case of per-cell level
 error over one input column (``(out_k * scale_k + cs_scale_k) * step *
-quant_margin_levels``) and the calibration term is measured on a seeded
+QUANT_MARGIN_LEVELS``) and the calibration term is measured on a seeded
 pass over the *realized* banks — programming residue, stuck survivors,
 and noise are all in the baseline.  Residuals are normalized by
 ``1 + ||x||_1`` so the bound is input-scale free; for noise-free
@@ -50,39 +50,20 @@ from repro.arch.pe import stream_tiles
 from repro.errors import IntegrityError
 
 
-@dataclasses.dataclass(frozen=True)
-class IntegrityConfig:
-    """Knobs for checksum attachment and tolerance calibration."""
-
-    #: Seeded calibration pass: batches x batch size of uniform inputs.
-    calibration_batches: int = 4
-    calibration_batch_size: int = 32
-    #: Half-width of the uniform calibration input distribution.
-    calibration_input_scale: float = 1.5
-    #: Multiplier on the worst calibration residual (noise headroom).
-    margin: float = 2.0
-    #: Per-cell level error the analytic quantization bound allows for.
-    #: 1.0 is provable for converged cells either way the bank was
-    #: programmed: the program-verify acceptance tolerance is ±1 level
-    #: *total* (rounding included), and nominal writes round to ≤ 0.5
-    #: level.  Unconverged survivors and detection noise are what the
-    #: measured ``margin`` term exists to absorb.
-    quant_margin_levels: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.calibration_batches < 1 or self.calibration_batch_size < 1:
-            raise IntegrityError(
-                "calibration needs at least one batch of at least one sample"
-            )
-        if self.calibration_input_scale <= 0:
-            raise IntegrityError("calibration input scale must be positive")
-        if self.margin < 1.0:
-            raise IntegrityError(
-                f"margin must be >= 1 (it multiplies a worst case), "
-                f"got {self.margin}"
-            )
-        if self.quant_margin_levels <= 0:
-            raise IntegrityError("quantization margin must be positive")
+#: Seeded calibration pass: batches x batch size of uniform inputs.
+CALIBRATION_BATCHES = 4
+CALIBRATION_BATCH_SIZE = 32
+#: Half-width of the uniform calibration input distribution.
+CALIBRATION_INPUT_SCALE = 1.5
+#: Multiplier on the worst calibration residual (noise headroom).
+MARGIN = 2.0
+#: Per-cell level error the analytic quantization bound allows for.
+#: 1.0 is provable for converged cells either way the bank was
+#: programmed: the program-verify acceptance tolerance is ±1 level
+#: *total* (rounding included), and nominal writes round to ≤ 0.5
+#: level.  Unconverged survivors and detection noise are what the
+#: measured ``MARGIN`` term exists to absorb.
+QUANT_MARGIN_LEVELS = 1.0
 
 
 @dataclasses.dataclass
@@ -120,15 +101,12 @@ class ChecksumUnit:
     says so.
     """
 
-    def __init__(
-        self, acc, config: IntegrityConfig | None = None, seed: int = 0
-    ) -> None:
+    def __init__(self, acc, seed: int = 0) -> None:
         if not acc.layers:
             raise IntegrityError("map and program a network before attaching")
         if any(layer.weights is None for layer in acc.layers):
             raise IntegrityError("all layers need programmed weights")
         self.acc = acc
-        self.config = config or IntegrityConfig()
         self.seed = int(seed)
         #: Per layer: list of (c0, c1, pe_index) checksum tiles.
         self.tiles: list[list[tuple[int, int, int]]] = []
@@ -334,11 +312,10 @@ class ChecksumUnit:
         ``(seed, calibration_round)`` (re-calibrating after a repair
         sweep measures the repaired state, deterministically), records
         forward passes, and sets each layer's threshold to the analytic
-        quantization bound plus ``margin`` times the worst observed
+        quantization bound plus ``MARGIN`` times the worst observed
         residual.  The calibration forwards run the real physics and are
         charged like any other traffic.  Returns the analog thresholds.
         """
-        cfg = self.config
         acc = self.acc
         rng = np.random.default_rng(
             (0x5DC, self.seed, self._calibrations)
@@ -348,11 +325,11 @@ class ChecksumUnit:
         worst_analog = np.zeros(n_layers)
         worst_digital = np.zeros(n_layers)
         in_dim = acc.layers[0].in_dim
-        for _ in range(cfg.calibration_batches):
+        for _ in range(CALIBRATION_BATCHES):
             xs = rng.uniform(
-                -cfg.calibration_input_scale,
-                cfg.calibration_input_scale,
-                (cfg.calibration_batch_size, in_dim),
+                -CALIBRATION_INPUT_SCALE,
+                CALIBRATION_INPUT_SCALE,
+                (CALIBRATION_BATCH_SIZE, in_dim),
             )
             acc.forward_batch(xs, record=True)
             worst_analog = np.maximum(worst_analog, self.analog_residuals())
@@ -360,21 +337,20 @@ class ChecksumUnit:
                 worst_digital, self.digital_residuals()
             )
         step = self._weight_step()
-        lev = cfg.quant_margin_levels
         quant_analog = np.array(
             [
                 (layer.out_dim * layer.weight_scale + self.scales[k])
                 * step
-                * lev
+                * QUANT_MARGIN_LEVELS
                 for k, layer in enumerate(acc.layers)
             ]
         )
         quant_digital = np.array(
             [
-                layer.out_dim * layer.weight_scale * step * lev
+                layer.out_dim * layer.weight_scale * step * QUANT_MARGIN_LEVELS
                 for layer in acc.layers
             ]
         )
-        self.thresholds = quant_analog + cfg.margin * worst_analog
-        self.digital_thresholds = quant_digital + cfg.margin * worst_digital
+        self.thresholds = quant_analog + MARGIN * worst_analog
+        self.digital_thresholds = quant_digital + MARGIN * worst_digital
         return self.thresholds

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import IntegrityError, IntegrityFault
-from repro.integrity.abft import ChecksumUnit, IntegrityConfig
+from repro.integrity.abft import ChecksumUnit
 
 
 @dataclasses.dataclass
@@ -75,10 +75,7 @@ class PipelineChecker:
     ranges.
     """
 
-    def __init__(
-        self, pipeline, config: IntegrityConfig | None = None, seed: int = 0
-    ) -> None:
-        self.config = config or IntegrityConfig()
+    def __init__(self, pipeline, seed: int = 0) -> None:
         self.pipeline = pipeline
         #: Per stage, one unit per part.
         self.units: list[list[ChecksumUnit]] = []
@@ -86,7 +83,7 @@ class PipelineChecker:
         for stage in pipeline.stages:
             row = []
             for part in stage.parts:
-                unit = ChecksumUnit(part, self.config, seed=seed + ordinal)
+                unit = ChecksumUnit(part, seed=seed + ordinal)
                 ordinal += 1
                 unit.calibrate()
                 row.append(unit)

@@ -21,7 +21,6 @@ from repro.runtime.checkpoint import (
     state_digest,
 )
 from repro.runtime.resilient import (
-    ResilienceConfig,
     ResilientTrainer,
     RunIncident,
     RunReport,
@@ -36,7 +35,6 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "state_digest",
-    "ResilienceConfig",
     "ResilientTrainer",
     "RunIncident",
     "RunReport",

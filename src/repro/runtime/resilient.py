@@ -16,14 +16,14 @@ durable deployment needs:
   :class:`~repro.faults.FaultManager` is attached, its detector strike
   maps, so a resumed run's repair decisions match an uninterrupted one.
 - **Detect divergence**: a non-finite loss, a loss above
-  ``spike_factor`` x the recent median, or a hardware-model exception
+  ``SPIKE_FACTOR`` x the recent median, or a hardware-model exception
   mid-step all count.
 - **Roll back + back off**: restore the last good checkpoint, multiply
-  the learning rate by ``lr_backoff`` per consecutive retry (exponential
-  backoff, floored at ``min_lr``), and run a
+  the learning rate by ``LR_BACKOFF`` per consecutive retry (exponential
+  backoff, floored at ``MIN_LR``), and run a
   :meth:`~repro.faults.FaultManager.repair` sweep first — divergence
   caused by freshly stuck cells gets *repaired*, not blindly retried.
-- **Abort gracefully**: after ``max_retries`` consecutive failed retries
+- **Abort gracefully**: after ``MAX_RETRIES`` consecutive failed retries
   the run stops with a structured :class:`RunReport` (never a stack
   trace), its checkpoints intact for post-mortem or manual resume.
 
@@ -55,47 +55,17 @@ _CHECKPOINT_KIND = "training"
 _log = get_logger("repro.runtime.resilient")
 
 
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Knobs for the checkpoint/rollback harness."""
-
-    #: Write a checkpoint every this many completed steps.
-    checkpoint_every: int = 5
-    #: Consecutive rollbacks tolerated before the run aborts gracefully.
-    max_retries: int = 3
-    #: Learning-rate multiplier per consecutive retry (exponential).
-    lr_backoff: float = 0.5
-    #: Floor under the backed-off learning rate.
-    min_lr: float = 1e-4
-    #: A finite loss counts as divergence above this multiple of the
-    #: recent-median loss (guards against blow-ups that never reach inf).
-    spike_factor: float = 25.0
-    #: Number of recent losses the spike detector medians over.
-    spike_window: int = 5
-    #: Checkpoints retained on disk.
-    keep_last: int = 3
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_every < 1:
-            raise ConfigError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not 0.0 < self.lr_backoff <= 1.0:
-            raise ConfigError(
-                f"lr_backoff must lie in (0, 1], got {self.lr_backoff}"
-            )
-        if self.min_lr <= 0:
-            raise ConfigError(f"min_lr must be positive, got {self.min_lr}")
-        if self.spike_factor <= 1.0:
-            raise ConfigError(
-                f"spike_factor must exceed 1, got {self.spike_factor}"
-            )
-        if self.spike_window < 1:
-            raise ConfigError(f"spike_window must be >= 1, got {self.spike_window}")
-        if self.keep_last < 1:
-            raise ConfigError(f"keep_last must be >= 1, got {self.keep_last}")
+#: Consecutive rollbacks tolerated before the run aborts gracefully.
+MAX_RETRIES = 3
+#: Learning-rate multiplier per consecutive retry (exponential).
+LR_BACKOFF = 0.5
+#: Floor under the backed-off learning rate.
+MIN_LR = 1e-4
+#: A finite loss counts as divergence above this multiple of the
+#: recent-median loss (guards against blow-ups that never reach inf).
+SPIKE_FACTOR = 25.0
+#: Number of recent losses the spike detector medians over.
+SPIKE_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -176,7 +146,9 @@ class RunReport:
 class ResilientTrainer:
     """Checkpointing, self-healing wrapper around an in-situ trainer.
 
-    ``step_hook`` is an instrumentation seam: called before each step with
+    A checkpoint is written every ``checkpoint_every`` completed steps
+    (the store keeps its default three on disk).  ``step_hook`` is an
+    instrumentation seam: called before each step with
     the step index, and if it returns a float that value is taken as the
     step's observed loss (the hardware step is skipped) — how tests and
     the CLI inject a NaN-loss step to exercise the rollback ladder without
@@ -187,13 +159,17 @@ class ResilientTrainer:
         self,
         trainer,
         checkpoint_dir,
-        config: ResilienceConfig | None = None,
+        checkpoint_every: int = 5,
         manager=None,
         step_hook=None,
     ) -> None:
+        if checkpoint_every < 1:
+            raise ConfigError(
+                f"checkpoint_every must be >= 1, got {checkpoint_every}"
+            )
         self.trainer = trainer
-        self.config = config or ResilienceConfig()
-        self.store = CheckpointStore(checkpoint_dir, keep_last=self.config.keep_last)
+        self.checkpoint_every = checkpoint_every
+        self.store = CheckpointStore(checkpoint_dir)
         self.manager = manager
         self.step_hook = step_hook
         self._last_payload: dict | None = None
@@ -262,12 +238,12 @@ class ResilientTrainer:
         """Reason string if this step's loss means divergence, else None."""
         if not np.isfinite(loss):
             return "non-finite loss"
-        window = [v for v in losses[-self.config.spike_window :] if np.isfinite(v)]
+        window = [v for v in losses[-SPIKE_WINDOW:] if np.isfinite(v)]
         if window:
             baseline = float(np.median(window))
-            if baseline > 0 and loss > self.config.spike_factor * baseline:
+            if baseline > 0 and loss > SPIKE_FACTOR * baseline:
                 return (
-                    f"loss spike ({loss:.3g} > {self.config.spike_factor:g} x "
+                    f"loss spike ({loss:.3g} > {SPIKE_FACTOR:g} x "
                     f"median {baseline:.3g})"
                 )
         return None
@@ -381,7 +357,7 @@ class ResilientTrainer:
             if reason is not None:
                 rollbacks += 1
                 retries += 1
-                if retries > self.config.max_retries:
+                if retries > MAX_RETRIES:
                     incidents.append(
                         RunIncident(
                             step=step,
@@ -393,26 +369,26 @@ class ResilientTrainer:
                     )
                     _log.error(
                         "aborting at step %d: %s; %d retries exhausted",
-                        step, reason, self.config.max_retries,
+                        step, reason, MAX_RETRIES,
                     )
                     _metric_counter("repro_run_aborts_total").inc()
                     _emit_event(
                         "training_abort",
                         step=step,
                         reason=reason,
-                        retries=self.config.max_retries,
+                        retries=MAX_RETRIES,
                     )
                     return report(
                         False,
                         f"{reason} at step {step}; "
-                        f"{self.config.max_retries} retries exhausted",
+                        f"{MAX_RETRIES} retries exhausted",
                     )
                 payload = self._last_payload
                 self._restore(payload)
                 # Exponential backoff from the checkpoint's learning rate.
                 self.trainer.lr = max(
-                    self.config.min_lr,
-                    float(payload["lr"]) * self.config.lr_backoff**retries,
+                    MIN_LR,
+                    float(payload["lr"]) * LR_BACKOFF**retries,
                 )
                 if self.manager is not None:
                     # Repair before retrying: divergence driven by freshly
@@ -446,7 +422,7 @@ class ResilientTrainer:
 
             losses.append(loss)
             step += 1
-            if step % self.config.checkpoint_every == 0:
+            if step % self.checkpoint_every == 0:
                 self._snapshot(step, losses, rollbacks, incidents, fingerprint)
                 checkpoints_written += 1
                 retries = 0

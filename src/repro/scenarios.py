@@ -27,7 +27,7 @@ from repro.errors import ConfigError
 from repro.faults import FaultManager, RepairConfig
 from repro.nn import build_model
 from repro.nn.datasets import Dataset, clipped_blobs
-from repro.runtime import ResilienceConfig, ResilientTrainer, RunReport
+from repro.runtime import ResilientTrainer, RunReport
 from repro.telemetry import SessionExport, TelemetrySession
 from repro.training.insitu import InSituTrainer
 
@@ -114,7 +114,7 @@ def run_train(
         trainer = ResilientTrainer(
             InSituTrainer(acc, lr=lr),
             directory,
-            config=ResilienceConfig(checkpoint_every=checkpoint_every),
+            checkpoint_every=checkpoint_every,
             step_hook=None if inject_nan_step is None else nan_once(inject_nan_step),
         )
         report = trainer.run(
@@ -182,7 +182,7 @@ def run_trace(
                     trainer = ResilientTrainer(
                         InSituTrainer(acc, lr=0.05),
                         ckpt_dir,
-                        config=ResilienceConfig(checkpoint_every=3),
+                        checkpoint_every=3,
                         manager=manager,
                         step_hook=nan_once(2),
                     )

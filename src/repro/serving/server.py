@@ -41,6 +41,7 @@ import dataclasses
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -77,7 +78,11 @@ LATENCY_BUCKETS = (
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Knobs for the serving loop."""
+    """Knobs for the serving loop.
+
+    The retry delay's shape is a class constant: every caller uses the
+    same backoff and jitter.
+    """
 
     #: Admission-queue depth bound (backpressure point).
     max_queue_depth: int = 64
@@ -87,18 +92,19 @@ class ServerConfig:
     slo_latency_s: float = 1e-5
     #: Execution attempts per request beyond the first.
     max_retries: int = 2
-    #: First retry delay; attempt k waits ``backoff * factor**(k-1)``.
-    retry_backoff_s: float = 5e-7
-    retry_backoff_factor: float = 2.0
-    #: Uniform jitter added to each retry delay (decorrelates thundering
-    #: herds; drawn from the server's seeded generator).
-    retry_jitter_s: float = 1e-7
     #: Consecutive batch failures before a worker's breaker opens.
     breaker_failure_threshold: int = 3
     #: Quarantine length before a half-open probe.
     breaker_cooldown_s: float = 2e-5
     #: Seed for the retry-jitter generator.
     seed: int = 0
+
+    #: First retry delay; attempt k waits ``backoff * factor**(k-1)``.
+    retry_backoff_s: ClassVar[float] = 5e-7
+    retry_backoff_factor: ClassVar[float] = 2.0
+    #: Uniform jitter added to each retry delay (decorrelates thundering
+    #: herds; drawn from the server's seeded generator).
+    retry_jitter_s: ClassVar[float] = 1e-7
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -114,13 +120,6 @@ class ServerConfig:
         if self.max_retries < 0:
             raise ServingError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.retry_backoff_s < 0 or self.retry_jitter_s < 0:
-            raise ServingError("retry backoff and jitter must be non-negative")
-        if self.retry_backoff_factor < 1.0:
-            raise ServingError(
-                f"retry_backoff_factor must be >= 1, got "
-                f"{self.retry_backoff_factor}"
             )
 
 

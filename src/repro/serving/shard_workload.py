@@ -28,6 +28,7 @@ than merely plausible:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,44 +47,44 @@ from repro.sharding import ShardPlan, plan_pipeline
 
 @dataclass(frozen=True)
 class ShardWorkloadConfig:
-    """Shape of the sharded smoke run."""
+    """Shape of the sharded smoke run.
 
-    #: Model widths — must overflow one shard (the gate checks it does).
-    dims: tuple[int, ...] = (8, 24, 16, 4)
-    #: Shard geometry: per-chip PE budget and bank size.
-    shard_n_pes: int = 6
-    bank_rows: int = 8
-    bank_cols: int = 8
-    #: Spare rows per bank plus spare PEs per chip — repair headroom.
-    spare_rows: int = 4
-    spare_pes: int = 4
+    The seed, the burst and the fault's timing are settable; the model,
+    the shard geometry and the fault itself are class constants.
+    """
+
     seed: int = 11
     #: Burst of best-effort requests (no deadlines, so the overlap vs
     #: serialized makespans compare the same completed set).
     n_requests: int = 240
     arrival_window_s: float = 4e-6
-    #: Mid-run fault: stuck-cell fraction, target stage, injection time.
-    degrade_fraction: float = 0.04
-    degrade_stage: int = 1
+    #: Mid-run fault injection time.
     degrade_at_s: float = 8e-6
-    #: Stage-breaker cooldown (shorter than the server's, so a repaired
-    #: stage is probeable by the time the server's half-open window runs).
-    stage_cooldown_s: float = 2.5e-6
     server: ServerConfig = ServerConfig(
         max_queue_depth=512, max_retries=5, breaker_cooldown_s=5e-6, seed=11
     )
 
+    #: Model widths — must overflow one shard (the gate checks it does).
+    dims: ClassVar[tuple[int, ...]] = (8, 24, 16, 4)
+    #: Shard geometry: per-chip PE budget and bank size.
+    shard_n_pes: ClassVar[int] = 6
+    bank_rows: ClassVar[int] = 8
+    bank_cols: ClassVar[int] = 8
+    #: Spare rows per bank plus spare PEs per chip — repair headroom.
+    spare_rows: ClassVar[int] = 4
+    spare_pes: ClassVar[int] = 4
+    #: Mid-run fault: stuck-cell fraction and target stage.
+    degrade_fraction: ClassVar[float] = 0.04
+    degrade_stage: ClassVar[int] = 1
+    #: Stage-breaker cooldown (shorter than the server's, so a repaired
+    #: stage is probeable by the time the server's half-open window runs).
+    stage_cooldown_s: ClassVar[float] = 2.5e-6
+
     def __post_init__(self) -> None:
-        if len(self.dims) < 2 or any(d < 1 for d in self.dims):
-            raise ServingError(
-                f"dims must be >= 2 positive widths, got {self.dims}"
-            )
         if self.n_requests < 1:
             raise ServingError(
                 f"n_requests must be >= 1, got {self.n_requests}"
             )
-        if not 0.0 < self.degrade_fraction < 1.0:
-            raise ServingError("degrade fraction must be in (0, 1)")
 
     def shard_config(self):
         """The per-chip configuration the planner budgets against."""

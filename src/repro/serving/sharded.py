@@ -45,7 +45,6 @@ def build_sharded_worker(
     spare_pes: int = 0,
     stage_cooldown_s: float = 1e-5,
     with_integrity: bool = False,
-    integrity_config=None,
 ) -> AcceleratorWorker:
     """Build, program, and (optionally) make repairable a pipeline worker.
 
@@ -99,9 +98,7 @@ def build_sharded_worker(
     if with_integrity:
         from repro.integrity.checker import PipelineChecker
 
-        integrity = PipelineChecker(
-            pipeline, config=integrity_config, seed=seed
-        )
+        integrity = PipelineChecker(pipeline, seed=seed)
     return AcceleratorWorker(
         worker_id,
         pipeline,

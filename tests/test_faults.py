@@ -375,9 +375,7 @@ class TestRepairLadder:
     def test_migration_respects_pe_budget(self, rng):
         acc = _verified_acc(seed=1, spare_rows=0, n_pes=2)
         acc.inject_stuck_faults(0.3, stuck_level=254)
-        manager = FaultManager(
-            acc, config=RepairConfig(policy="remap", screen_spares=False)
-        )
+        manager = FaultManager(acc, config=RepairConfig(policy="remap"))
         log = manager.deploy(
             [rng.uniform(-1, 1, (14, 10)), rng.uniform(-1, 1, (3, 14))]
         )

@@ -12,7 +12,6 @@ from repro.devices.program_verify import ProgramVerifyConfig
 from repro.errors import IntegrityError, IntegrityFault
 from repro.integrity import (
     ChecksumUnit,
-    IntegrityConfig,
     IntegrityCounters,
     attest_batch,
     build_integrity_worker,
@@ -58,24 +57,8 @@ def _upset_data_tiles(worker, seed=SEED, cells=48, delta=0.6):
 
 
 # ---------------------------------------------------------------------------
-# Config / attachment
+# Attachment
 # ---------------------------------------------------------------------------
-class TestIntegrityConfig:
-    def test_margin_must_cover_worst_case(self):
-        with pytest.raises(IntegrityError, match="margin"):
-            IntegrityConfig(margin=0.5)
-
-    def test_quant_margin_must_be_positive(self):
-        with pytest.raises(IntegrityError, match="quantization"):
-            IntegrityConfig(quant_margin_levels=0.0)
-
-    def test_calibration_needs_samples(self):
-        with pytest.raises(IntegrityError, match="calibration"):
-            IntegrityConfig(calibration_batches=0)
-        with pytest.raises(IntegrityError, match="scale"):
-            IntegrityConfig(calibration_input_scale=0.0)
-
-
 class TestChecksumAttachment:
     def test_attach_requires_mapped_network(self):
         acc = TridentAccelerator(config=TridentConfig(n_pes=2))

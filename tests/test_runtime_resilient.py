@@ -7,7 +7,8 @@ from repro import TridentAccelerator, TridentConfig
 from repro.devices.program_verify import ProgramVerifyConfig
 from repro.errors import CheckpointError, ConfigError
 from repro.nn.datasets import Dataset, make_blobs, standardize
-from repro.runtime import ResilienceConfig, ResilientTrainer
+from repro.runtime import ResilientTrainer
+from repro.runtime.resilient import LR_BACKOFF, MAX_RETRIES, MIN_LR
 from repro.training.insitu import InSituTrainer
 
 DIMS = (6, 8, 3)
@@ -39,12 +40,9 @@ def data():
     return Dataset(x=np.clip(standardize(raw.x) / 3, -1, 1), y=raw.y)
 
 
-RCFG = ResilienceConfig(checkpoint_every=3, max_retries=2)
-
-
 class TestHappyPath:
     def test_run_completes_and_checkpoints(self, data, tmp_path):
-        rt = ResilientTrainer(_trainer(), tmp_path, config=RCFG)
+        rt = ResilientTrainer(_trainer(), tmp_path, checkpoint_every=3)
         report = rt.run(data, steps=7, batch_size=8, seed=5)
         assert report.completed and report.aborted_reason is None
         assert report.steps_completed == 7
@@ -54,19 +52,9 @@ class TestHappyPath:
         assert report.checkpoints_written == 4
         assert rt.store.latest() is not None
 
-    def test_config_validation(self):
+    def test_config_validation(self, tmp_path):
         with pytest.raises(ConfigError):
-            ResilienceConfig(checkpoint_every=0)
-        with pytest.raises(ConfigError):
-            ResilienceConfig(lr_backoff=0.0)
-        with pytest.raises(ConfigError):
-            ResilienceConfig(lr_backoff=1.5)
-        with pytest.raises(ConfigError):
-            ResilienceConfig(min_lr=0.0)
-        with pytest.raises(ConfigError):
-            ResilienceConfig(spike_factor=1.0)
-        with pytest.raises(ConfigError):
-            ResilienceConfig(max_retries=-1)
+            ResilientTrainer(_trainer(), tmp_path, checkpoint_every=0)
 
 
 class TestCrashResume:
@@ -75,18 +63,18 @@ class TestCrashResume:
         reproduce the uninterrupted run exactly: losses, realized weights,
         and event counters."""
         uninterrupted = ResilientTrainer(
-            _trainer(), tmp_path / "a", config=RCFG
+            _trainer(), tmp_path / "a", checkpoint_every=3
         )
         ref = uninterrupted.run(data, steps=10, batch_size=8, seed=5)
 
-        first = ResilientTrainer(_trainer(), tmp_path / "b", config=RCFG)
+        first = ResilientTrainer(_trainer(), tmp_path / "b", checkpoint_every=3)
         halted = first.run(
             data, steps=10, batch_size=8, seed=5, max_steps_this_run=5
         )
         assert not halted.completed
         # Fresh trainer objects simulate a new process after the crash.
         second = ResilientTrainer(
-            _trainer(seed=404), tmp_path / "b", config=RCFG
+            _trainer(seed=404), tmp_path / "b", checkpoint_every=3
         )
         resumed = second.run(data, steps=10, batch_size=8, seed=5, resume=True)
 
@@ -105,14 +93,14 @@ class TestCrashResume:
         )
 
     def test_resume_with_mismatched_run_rejected(self, data, tmp_path):
-        rt = ResilientTrainer(_trainer(), tmp_path, config=RCFG)
+        rt = ResilientTrainer(_trainer(), tmp_path, checkpoint_every=3)
         rt.run(data, steps=4, batch_size=8, seed=5)
-        fresh = ResilientTrainer(_trainer(), tmp_path, config=RCFG)
+        fresh = ResilientTrainer(_trainer(), tmp_path, checkpoint_every=3)
         with pytest.raises(CheckpointError, match="does not match"):
             fresh.run(data, steps=4, batch_size=4, seed=5, resume=True)
 
     def test_resume_on_empty_store_starts_fresh(self, data, tmp_path):
-        rt = ResilientTrainer(_trainer(), tmp_path, config=RCFG)
+        rt = ResilientTrainer(_trainer(), tmp_path, checkpoint_every=3)
         report = rt.run(data, steps=4, batch_size=8, seed=5, resume=True)
         assert report.completed and report.resumed_from_step is None
 
@@ -128,7 +116,7 @@ class TestDivergence:
             return None
 
         rt = ResilientTrainer(
-            _trainer(lr=0.05), tmp_path, config=RCFG, step_hook=hook
+            _trainer(lr=0.05), tmp_path, checkpoint_every=3, step_hook=hook
         )
         report = rt.run(data, steps=8, batch_size=8, seed=5)
         assert report.completed
@@ -137,7 +125,7 @@ class TestDivergence:
         assert incident.step == 4
         assert incident.reason == "non-finite loss"
         assert incident.restored_step == 3
-        assert incident.lr_after == pytest.approx(0.05 * RCFG.lr_backoff)
+        assert incident.lr_after == pytest.approx(0.05 * LR_BACKOFF)
         assert len(report.losses) == 8
         assert all(np.isfinite(report.losses))
 
@@ -151,7 +139,7 @@ class TestDivergence:
             return None
 
         rt = ResilientTrainer(
-            _trainer(), tmp_path, config=RCFG, step_hook=hook
+            _trainer(), tmp_path, checkpoint_every=3, step_hook=hook
         )
         report = rt.run(data, steps=8, batch_size=8, seed=5)
         assert report.completed
@@ -163,12 +151,12 @@ class TestDivergence:
             return float("nan") if step == 2 else None
 
         rt = ResilientTrainer(
-            _trainer(), tmp_path, config=RCFG, step_hook=hook
+            _trainer(), tmp_path, checkpoint_every=3, step_hook=hook
         )
         report = rt.run(data, steps=8, batch_size=8, seed=5)
         assert not report.completed
         assert "retries exhausted" in report.aborted_reason
-        assert report.rollbacks == RCFG.max_retries + 1
+        assert report.rollbacks == MAX_RETRIES + 1
         # Each retry halves the LR again from the checkpointed value.
         lrs = [i.lr_after for i in report.incidents[:-1]]
         assert lrs == sorted(lrs, reverse=True)
@@ -179,17 +167,18 @@ class TestDivergence:
         def hook(step):
             return float("nan") if step == 1 else None
 
-        config = ResilienceConfig(
-            checkpoint_every=3, max_retries=3, lr_backoff=0.01, min_lr=1e-3
-        )
+        # Two halvings take 3e-4 below the 1e-4 floor.
         rt = ResilientTrainer(
-            _trainer(lr=0.05), tmp_path, config=config, step_hook=hook
+            _trainer(lr=3e-4), tmp_path, checkpoint_every=3, step_hook=hook
         )
         report = rt.run(data, steps=4, batch_size=8, seed=5)
-        assert all(i.lr_after >= 1e-3 for i in report.incidents)
+        lrs = [i.lr_after for i in report.incidents]
+        assert 3e-4 * LR_BACKOFF**2 < MIN_LR
+        assert lrs[0] == pytest.approx(3e-4 * LR_BACKOFF)
+        assert min(lrs) == MIN_LR
 
     def test_report_render_and_as_dict(self, data, tmp_path):
-        rt = ResilientTrainer(_trainer(), tmp_path, config=RCFG)
+        rt = ResilientTrainer(_trainer(), tmp_path, checkpoint_every=3)
         report = rt.run(data, steps=4, batch_size=8, seed=5)
         text = report.render()
         assert "4/4 steps completed" in text

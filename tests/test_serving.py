@@ -609,8 +609,6 @@ class TestTridentServer:
             ServerConfig(max_queue_depth=0)
         with pytest.raises(ServingError):
             ServerConfig(slo_latency_s=0.0)
-        with pytest.raises(ServingError):
-            ServerConfig(retry_backoff_factor=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.devices.program_verify import ProgramVerifyConfig
 from repro.errors import ConfigError
 from repro.faults import FaultManager, RepairConfig
 from repro.nn.datasets import Dataset, make_blobs, standardize
-from repro.runtime import ResilienceConfig, ResilientTrainer
+from repro.runtime import ResilientTrainer
 from repro.telemetry.metrics import NULL_INSTRUMENT
 from repro.telemetry.tracer import NULL_SPAN
 from repro.training.insitu import InSituTrainer
@@ -464,7 +464,7 @@ class TestNonPerturbation:
             trainer = ResilientTrainer(
                 InSituTrainer(acc, lr=0.05),
                 directory,
-                config=ResilienceConfig(checkpoint_every=2),
+                checkpoint_every=2,
             )
             raw = make_blobs(n_samples=40, n_features=6, n_classes=3, seed=9)
             data = Dataset(x=np.clip(standardize(raw.x) / 3, -1, 1), y=raw.y)

@@ -7,12 +7,18 @@ from hypothesis import strategies as st
 
 from repro import TridentAccelerator
 from repro.arch.config import TridentConfig
-from repro.dataflow.cost_model import PhotonicArch, forward_batch_latency_s
+from repro.dataflow.cost_model import (
+    PhotonicArch,
+    PhotonicCostModel,
+    forward_batch_latency_s,
+)
 from repro.devices.thermal_crosstalk import (
     ThermalCrosstalkModel,
     thermal_resolution_sweep,
 )
 from repro.errors import ConfigError, MappingError
+from repro.nn.graph import Network
+from repro.nn.layers import Dense, TensorShape
 from repro.serving.worker import DISPATCH_OVERHEAD_S, AcceleratorWorker
 from repro.sharding import layer_tile_count, reduction_tile_count, single_chip_pipeline
 
@@ -116,7 +122,9 @@ def mapped_mlp(dims, config=None):
 
 class TestPipelining:
     """A chip's energy view counts every PE-symbol; its time view is the
-    critical path, where the row tiles of one layer stream in parallel."""
+    critical path, where the row tiles of one layer stream in parallel.
+    The cost model prices the same mapping's tiles, symbols, cells and
+    write energy."""
 
     def test_latency_is_nanoseconds_for_small_mlp(self):
         acc = TridentAccelerator()
@@ -154,12 +162,31 @@ class TestPipelining:
         tiles = [layer_tile_count(o, i, rows, cols) for i, o in layers]
         reduction = [reduction_tile_count(i, cols) for i, _ in layers]
         config = TridentConfig(n_pes=sum(tiles), bank_rows=rows, bank_cols=cols)
+        net = Network("mlp", TensorShape(1, 1, dims[0]))
+        for k, (_, out) in enumerate(layers):
+            net.add(Dense(f"fc{k}", out))
+        model = PhotonicCostModel(PhotonicArch.trident(config), batch=1)
+        columns = model.model_cost(net).columns
         acc, rng = mapped_mlp(dims, config)
+        # The model's tuning energy (batch 1) is the engine's nominal writes.
+        written = acc.bank_stats()
+        assert int(columns.macs.sum()) == written.cells_written
+        assert sum(columns.breakdown["tuning"]) == pytest.approx(
+            written.write_energy_j, rel=1e-12, abs=0.0
+        )
+        banks = [[acc.pes[t[4]].bank for t in layer.tiles] for layer in acc.layers]
+        before = [sum(bank.stats.symbols for bank in layer) for layer in banks]
         symbols, stats = acc.counters.symbols, acc.bank_stats().symbols
         acc.forward_batch(rng.uniform(-1, 1, (batch, dims[0])))
         # Energy view: one symbol per bank a sample's vector enters.
         assert acc.counters.symbols - symbols == batch * sum(tiles)
         assert acc.bank_stats().symbols - stats == batch * sum(tiles)
+        assert columns.tiles.tolist() == [len(layer) for layer in banks] == tiles
+        streamed = [
+            sum(bank.stats.symbols for bank in layer) - start
+            for layer, start in zip(banks, before)
+        ]
+        assert [batch * int(n) for n in columns.symbols] == streamed
         # Time view: what serving charges a dispatch of this batch.
         worker = AcceleratorWorker(0, single_chip_pipeline(acc))
         assert worker.service_time_s(batch) == forward_batch_latency_s(
