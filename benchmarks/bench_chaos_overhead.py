@@ -64,7 +64,7 @@ def test_disabled_chaos_under_one_percent(record_report):
     crash_cost = _per_call(lambda: crash_check(0, "dispatch", 0.0))
     corrupt_cost = _per_call(lambda: corrupt_output(0, 0.0, outputs))
     gate_cost = _per_call(
-        lambda: np.all(np.isfinite(outputs)), iters=MICRO_ITERS // 10
+        lambda: np.isfinite(outputs).all(), iters=MICRO_ITERS // 10
     )
 
     # Hook sites one worker.execute runs per batch: crash checks at

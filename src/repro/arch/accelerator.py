@@ -589,7 +589,9 @@ class TridentAccelerator:
                     # B streamed symbols per bank the slab enters (module
                     # docstring).
                     self.counters.symbols += batch * len(layer.tiles)
-                    logits = logits_norm * scales * layer.weight_scale
+                    logits = logits_norm  # scaled in place: (logits * scales) * weight_scale
+                    logits *= scales
+                    logits *= layer.weight_scale
                     if record:
                         layer.last_logits_batch = logits.T  # fresh per layer
                     if layer.apply_activation:

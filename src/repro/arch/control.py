@@ -115,10 +115,10 @@ class RangeNormalizer:
         v = np.asarray(values, dtype=np.float64)
         if v.ndim != 2:
             raise DeviceError(f"expected a (features, B) batch, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise DeviceError("cannot encode non-finite values onto the laser array")
         magnitudes = np.abs(v)
-        peaks = np.max(magnitudes, axis=0) if v.shape[0] else np.zeros(v.shape[1])
+        peaks = magnitudes.max(axis=0) if v.shape[0] else np.zeros(v.shape[1])
         scales = np.maximum(peaks, 1.0)
         if return_l1:
             return v / scales, scales, magnitudes.sum(axis=0)

@@ -116,10 +116,14 @@ class ProcessingElement:
         diff = self.bank.matmat(x, validate=validate)
         logits = self.bpd.detect_normalized(diff, variance=variance)
         if capture_derivative:
-            padded = np.zeros((self.bank.rows, x.shape[1]), dtype=np.float64)
-            padded[: logits.shape[0]] = logits
-            self.ldsu.capture_batch(padded)
+            self.latch_derivative(logits)
         return logits
+
+    def latch_derivative(self, logits: np.ndarray) -> None:
+        """Latch the LDSU bit plane of detected (rows_used, B) logits."""
+        padded = np.zeros((self.bank.rows, logits.shape[1]), dtype=np.float64)
+        padded[: logits.shape[0]] = logits
+        self.ldsu.capture_batch(padded)
 
     # ------------------------------------------------------------------
     # Mode 2: gradient vector (Table II column 2)
@@ -249,27 +253,33 @@ def stream_tiles(
     Each ``(r0, r1, c0, c1, pe_index)`` tile streams ``slab[c0:c1]`` (an
     encoder-bounded (cols, B) slab) through its PE's
     :meth:`ProcessingElement.forward_batch`, and the detected partial adds
-    into output rows ``r0:r1``.  Detection noise is drawn once per observed
-    sum.  When the tiles reduce over more than one column block and the
-    receivers are noisy, each tile returns its exact partial and adds the
-    partial's variance into an accumulator; one draw then covers each
+    into output rows ``r0:r1``.  Detection noise is drawn once per layer:
+    with noisy receivers each tile returns its exact partial and adds the
+    partial's variance into an accumulator, and one draw covers each
     (output, sample), because a sum of independent Gaussians is one
-    Gaussian with the summed variance.  Otherwise each tile draws for its
-    own rows, which is already once per output.  Noise-free runs allocate
-    no accumulator.
+    Gaussian with the summed variance.  Noise-free runs allocate no
+    accumulator.  With ``capture_derivative`` each tile's LDSU latches its
+    rows of the detected sum, after the draw.
+
+    The one (rows, B) draw reads the standard normals in C order, so where
+    each output row has a single tile (one column block) it reads exactly
+    the per-tile draws of that block's tiles in tile order, as long as the
+    block's tiles ascend by ``r0`` and cover the rows.  Every mapper builds
+    its tiles row-major, which keeps that true.
     """
     out = np.zeros((rows, slab.shape[1]), dtype=np.float64)
     noise = pes[tiles[0][4]].bpd.noise
-    variance = None
-    if noise.enabled and any(c0 > 0 for _, _, c0, _, _ in tiles):
-        variance = np.zeros_like(out)
+    variance = np.zeros_like(out) if noise.enabled else None
     for r0, r1, c0, c1, pe_index in tiles:
         out[r0:r1] += pes[pe_index].forward_batch(
             slab[c0:c1],
-            capture_derivative=capture_derivative,
+            capture_derivative=False,
             validate=False,
             variance=None if variance is None else variance[r0:r1],
         )
-    if variance is None:
-        return out
-    return noise.apply_detection_noise(out, variance)
+    if variance is not None:
+        out = noise.apply_detection_noise(out, variance)
+    if capture_derivative:
+        for r0, r1, _, _, pe_index in tiles:
+            pes[pe_index].latch_derivative(out[r0:r1])
+    return out

@@ -125,7 +125,8 @@ class BalancedPhotodetector:
         With ``variance`` (an accumulator shaped like the output) the
         detection is one partial of an electronically summed output: the
         exact detected value is returned and its noise variance is added
-        into ``variance``, so the caller draws once for the sum.
+        into ``variance``, so the caller draws once for the sum.  With the
+        noise model off the exact value is returned as is (a fresh array).
         """
         if not scale_w > 0:
             raise DeviceError(f"scale_w must be positive, got {scale_w}")
@@ -135,7 +136,10 @@ class BalancedPhotodetector:
         if r != 1.0:
             exact *= r
         exact /= r * scale_w
+        noise = self.noise
+        if not noise.enabled:
+            return exact
         if variance is None:
-            return self.noise.apply_detection_noise(exact)  # coefficients: normalized units
-        variance += self.noise.detection_variance(np.abs(exact), exact)
+            return noise.apply_detection_noise(exact)  # coefficients: normalized units
+        variance += noise.detection_variance(np.abs(exact), exact)
         return exact

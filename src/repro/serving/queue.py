@@ -46,6 +46,8 @@ class AdmissionQueue:
         #: Deadline per resident (inf for best-effort), aligned with
         #: ``_items`` — lets :meth:`drop_hopeless` skip its scan.
         self._deadlines: list[float] = []
+        #: ``min(_deadlines)``, or None once the resident holding it left.
+        self._earliest: float | None = math.inf
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -69,9 +71,11 @@ class AdmissionQueue:
         self._keys.insert(index, key)
         self._items.insert(index, request)
         self._seqs.insert(index, self._next_seq)
-        deadline = request.deadline_s
-        self._deadlines.insert(index, math.inf if deadline is None else deadline)
+        deadline = math.inf if request.deadline_s is None else request.deadline_s
+        self._deadlines.insert(index, deadline)
         self._next_seq += 1
+        if self._earliest is not None and deadline < self._earliest:
+            self._earliest = deadline
 
     def _victim_index(self) -> int:
         """Index of the displacement victim: last-admitted of the lowest tier.
@@ -107,6 +111,8 @@ class AdmissionQueue:
         return True, victim
 
     def _delete(self, index: int) -> None:
+        if self._deadlines[index] == self._earliest:
+            self._earliest = None
         del self._keys[index]
         del self._items[index]
         del self._seqs[index]
@@ -117,6 +123,8 @@ class AdmissionQueue:
         if limit < 1:
             raise ServingError(f"batch limit must be >= 1, got {limit}")
         taken = self._items[:limit]
+        if self._earliest in self._deadlines[:limit]:
+            self._earliest = None
         del self._items[:limit]
         del self._keys[:limit]
         del self._seqs[:limit]
@@ -134,9 +142,15 @@ class AdmissionQueue:
 
         The scan runs only when the earliest deadline is hopeless: IEEE
         subtraction is monotone, so if ``min(deadlines) - now_s`` still
-        covers ``min_service_s``, every later deadline does too.
+        covers ``min_service_s``, every later deadline does too.  The
+        minimum is queue state (``push`` lowers it; it is recomputed on
+        the first check after the resident holding it leaves), so the
+        check is O(1) between departures.
         """
-        if min(self._deadlines, default=math.inf) - now_s >= min_service_s:
+        earliest = self._earliest
+        if earliest is None:
+            earliest = self._earliest = min(self._deadlines, default=math.inf)
+        if earliest - now_s >= min_service_s:
             return []
         kept_keys: list[tuple] = []
         kept_items: list[InferenceRequest] = []
@@ -155,6 +169,7 @@ class AdmissionQueue:
                 kept_deadlines.append(deadline)
         self._keys, self._items, self._seqs = kept_keys, kept_items, kept_seqs
         self._deadlines = kept_deadlines
+        self._earliest = None
         return dropped
 
     def snapshot(self) -> tuple[InferenceRequest, ...]:

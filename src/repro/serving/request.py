@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,9 +65,12 @@ class InferenceRequest:
         return self.deadline_s - now_s
 
 
-@dataclass(frozen=True)
-class CompletedRequest:
-    """A served request: output plus where/when it ran."""
+class CompletedRequest(NamedTuple):
+    """A served request: output plus where/when it ran.
+
+    A read-only named tuple: the server builds one per served request,
+    and a positional tuple builds several times faster than a dataclass.
+    """
 
     request: InferenceRequest
     #: (n_out,) output vector from the worker's ``forward_batch``.
@@ -89,8 +93,7 @@ class CompletedRequest:
         return deadline is None or self.finish_s <= deadline
 
 
-@dataclass(frozen=True)
-class RejectedRequest:
+class RejectedRequest(NamedTuple):
     """A shed request: always carries the reason and the decision time."""
 
     request: InferenceRequest
@@ -99,4 +102,4 @@ class RejectedRequest:
     #: Execution attempts made before shedding (0 = shed pre-dispatch).
     attempts: int = 0
     #: Human-readable amplification of the reason.
-    detail: str = field(default="", compare=False)
+    detail: str = ""

@@ -324,6 +324,10 @@ class TridentServer:
             self._classify(worker)
         self._serving: list[AcceleratorWorker] | None = None
         self._free: list[AcceleratorWorker] | None = None
+        #: Earliest busy-until over the serving set, -inf while one of
+        #: them is idle; None when stale (see _earliest_free_s).  Dropped
+        #: with the serving set and whenever a busy-until is written.
+        self._earliest_free: float | None = None
         self._serving_until = self._free_until = self._fastest_s = math.inf
         self._full_batch_s: dict[int, float] = {}
         # -- results ----------------------------------------------------
@@ -337,8 +341,10 @@ class TridentServer:
     # Decision log + telemetry plumbing
     # ------------------------------------------------------------------
     def _decide(self, kind: str, **fields) -> None:
-        record = {"seq": self._decision_seq, "t": self.clock.now(), "kind": kind}
-        record.update(fields)
+        record = {
+            "seq": self._decision_seq, "t": self.clock.now(), "kind": kind,
+            **fields,
+        }
         self._decision_seq += 1
         self.decisions.append(record)
         if _telemetry_enabled():
@@ -374,24 +380,23 @@ class TridentServer:
     def _record_shed(
         self, request: InferenceRequest, reason: ShedReason, detail: str = ""
     ) -> None:
-        rejection = RejectedRequest(
-            request=request,
-            reason=reason,
-            shed_s=self.clock.now(),
-            attempts=self._attempts.get(request.request_id, 0),
-            detail=detail,
-        )
-        self.shed.append(rejection)
+        now = self.clock.now()
+        self.shed.append(RejectedRequest(
+            request, reason, now, self._attempts.get(request.request_id, 0),
+            detail,
+        ))
         self._decide(
             "shed", request=request.request_id, reason=reason.value,
             priority=request.priority,
         )
         if self.rollup is not None:
             self.rollup.record_shed(
-                self.clock.now(), reason.value, request.priority,
-                request.tenant,
+                now, reason.value, request.priority, request.tenant
             )
-        _metric_counter("repro_requests_shed_total", reason=reason.value).inc()
+        if _telemetry_enabled():
+            _metric_counter(
+                "repro_requests_shed_total", reason=reason.value
+            ).inc()
 
     # ------------------------------------------------------------------
     # Fleet lifecycle (the control plane's actuation surface)
@@ -563,6 +568,7 @@ class TridentServer:
                 w.service_time_s(1) for w in self._serving or self.workers
             )
             self._full_batch_s = {}
+            self._earliest_free = None
         return self._serving
 
     def _free_workers(self, now: float) -> list[AcceleratorWorker]:
@@ -600,16 +606,22 @@ class TridentServer:
         self._serving_workers()
         return self._fastest_s
 
-    def _worker_free_s(self, worker_id: int, now_s: float) -> float:
-        """Instant the worker can ingest a new batch (``now_s`` if idle).
+    def _earliest_free_s(self, serving: list[AcceleratorWorker]) -> float:
+        """Earliest busy-until over ``serving``, or -inf if one is idle.
 
-        An explicit ``None`` check: ``busy_until or now_s`` would also
-        coerce a legitimate ``busy_until == 0.0`` — a dispatch issued at
-        clock start — into ``now_s``, silently misreading "busy until
-        t=0" as "idle".
+        ``max(now_s, ·)`` of it is the instant the first serving worker
+        can ingest a new batch.  Idle means a busy-until of ``None``,
+        checked explicitly: a falsy test would misread a legitimate
+        ``0.0`` (a dispatch issued at clock start) as idle.  Cached until
+        :meth:`_serving_workers` rebuilds the set (every roster change
+        and warm-up end) or a dispatch or completion writes a busy-until.
         """
-        busy_until = self._busy_until[worker_id]
-        return now_s if busy_until is None else busy_until
+        earliest = self._earliest_free
+        if earliest is None:
+            busy = [self._busy_until[w.worker_id] for w in serving]
+            earliest = -math.inf if None in busy else min(busy)
+            self._earliest_free = earliest
+        return earliest
 
     def _estimate_completion_s(self, now_s: float) -> float:
         """Conservative finish estimate for a request admitted at ``now_s``.
@@ -630,12 +642,9 @@ class TridentServer:
         if full_batch_s is None:
             full_batch_s = max(w.service_time_s(max_batch) for w in serving)
             self._full_batch_s[max_batch] = full_batch_s
-        earliest_free = min(
-            self._worker_free_s(w.worker_id, now_s) for w in serving
-        )
         batches = -(-(len(self.queue) + 1) // max_batch)
         drain_s = batches * full_batch_s / len(serving)
-        return max(now_s, earliest_free) + drain_s
+        return max(now_s, self._earliest_free_s(serving)) + drain_s
 
     # ------------------------------------------------------------------
     # Admission
@@ -684,20 +693,22 @@ class TridentServer:
                 f"displaced by request {request.request_id} "
                 f"(priority {request.priority})",
             )
+        depth = len(self.queue)
         self._decide(
             "admit",
             request=request.request_id,
             priority=request.priority,
             retry=is_retry,
-            depth=len(self.queue),
+            depth=depth,
         )
-        if not is_retry:
-            _metric_counter("repro_requests_admitted_total").inc()
         if self.rollup is not None:
-            self.rollup.record_queue_depth(now, len(self.queue))
-        _metric_gauge(
-            "repro_serve_queue_depth", "Admission-queue depth"
-        ).set(len(self.queue))
+            self.rollup.record_queue_depth(now, depth)
+        if _telemetry_enabled():
+            if not is_retry:
+                _metric_counter("repro_requests_admitted_total").inc()
+            _metric_gauge(
+                "repro_serve_queue_depth", "Admission-queue depth"
+            ).set(depth)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -764,7 +775,7 @@ class TridentServer:
             waiting.clear()
             ingest_free, finish = worker.dispatch_times_s(now, len(batch))
             self._busy_until[wid] = ingest_free
-            self._free = None
+            self._free = self._earliest_free = None
             self._event_seq += 1
             heapq.heappush(
                 self._completions,
@@ -784,16 +795,18 @@ class TridentServer:
                 batch=len(batch),
                 probe=breaker.state is BreakerState.HALF_OPEN,
             )
-            _metric_histogram(
-                "repro_serve_batch_occupancy",
-                "Dispatched micro-batch size / max_batch",
-                buckets=(0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0),
-            ).observe(len(batch) / self.batcher.max_batch)
+            depth = len(self.queue)
             if self.rollup is not None:
-                self.rollup.record_queue_depth(now, len(self.queue))
-            _metric_gauge(
-                "repro_serve_queue_depth", "Admission-queue depth"
-            ).set(len(self.queue))
+                self.rollup.record_queue_depth(now, depth)
+            if _telemetry_enabled():
+                _metric_histogram(
+                    "repro_serve_batch_occupancy",
+                    "Dispatched micro-batch size / max_batch",
+                    buckets=(0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0),
+                ).observe(len(batch) / self.batcher.max_batch)
+                _metric_gauge(
+                    "repro_serve_queue_depth", "Admission-queue depth"
+                ).set(depth)
 
     def _probe_repair(self, worker: AcceleratorWorker) -> None:
         """Half-open maintenance: try to repair before risking a probe."""
@@ -833,6 +846,7 @@ class TridentServer:
             # future — an overlapped worker can complete batch i while
             # batch i+1 still occupies its first stage.
             self._busy_until[wid] = None
+            self._earliest_free = None
         breaker = self.breakers[wid]
         was_probe = breaker.state is BreakerState.HALF_OPEN
         if was_probe:
@@ -859,32 +873,31 @@ class TridentServer:
             breaker.trip(now, "health_signal")
         else:
             breaker.record_success(now)
-        latency_histogram = _metric_histogram(
-            "repro_serve_latency_seconds",
-            "Arrival-to-completion latency of served requests",
-            buckets=LATENCY_BUCKETS,
-        )
-        for request, output in zip(batch, outcome):
-            attempts = self._attempts.get(request.request_id, 0) + 1
-            completion = CompletedRequest(
-                request=request,
-                output=np.asarray(output),
-                worker_id=wid,
-                dispatch_s=dispatch_s,
-                finish_s=now,
-                attempts=attempts,
+        live = _telemetry_enabled()
+        if live:
+            latency_histogram = _metric_histogram(
+                "repro_serve_latency_seconds",
+                "Arrival-to-completion latency of served requests",
+                buckets=LATENCY_BUCKETS,
             )
-            self.completed.append(completion)
-            if self.rollup is not None:
-                self.rollup.record_completion(
-                    now,
-                    completion.latency_s,
-                    completion.deadline_met,
-                    request.priority,
-                    request.tenant,
+        attempts_of, completed, rollup = self._attempts, self.completed, self.rollup
+        for request, output in zip(batch, outcome):
+            # ``CompletedRequest.latency_s`` and ``deadline_met``, once.
+            latency = now - request.arrival_s
+            deadline = request.deadline_s
+            completed.append(CompletedRequest(
+                request, output, wid, dispatch_s, now,
+                attempts_of.get(request.request_id, 0) + 1,
+            ))
+            if rollup is not None:
+                rollup.record_completion(
+                    now, latency, deadline is None or now <= deadline,
+                    request.priority, request.tenant,
                 )
-            latency_histogram.observe(completion.latency_s)
-        _metric_counter("repro_requests_completed_total").inc(len(batch))
+            if live:
+                latency_histogram.observe(latency)
+        if live:
+            _metric_counter("repro_requests_completed_total").inc(len(batch))
         self._decide(
             "complete",
             worker=wid,

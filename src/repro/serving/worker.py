@@ -433,7 +433,7 @@ class AcceleratorWorker:
             except WorkerFault:
                 self.batches_failed += 1
                 raise
-        if not np.all(np.isfinite(xs)):
+        if not np.isfinite(xs).all():
             raise self._fail(
                 f"worker {self.worker_id} output integrity check failed: "
                 "non-finite values in batch output"

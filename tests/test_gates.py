@@ -41,7 +41,7 @@ def _drop_first_complete(run):
 def _shift_first_output(run):
     """The run with its first completed output changed."""
     first, *rest = run.report.completed
-    changed = dataclasses.replace(first, output=np.asarray(first.output) + 1.0)
+    changed = first._replace(output=np.asarray(first.output) + 1.0)
     report = dataclasses.replace(run.report, completed=[changed, *rest])
     return dataclasses.replace(run, report=report)
 

@@ -13,6 +13,9 @@ are summed.
   noise off, the two paths agree.
 - Statistical: over many seeds the two paths have the same per-cell means
   and the same pooled variance.
+- Bits: where every output has one tile (one column block), the single
+  draw equals the per-tile draws under ``==`` at the same seed, because
+  every mapper lays its tiles out row-major (also checked here).
 """
 
 import numpy as np
@@ -20,10 +23,12 @@ import pytest
 
 from repro.arch import TridentAccelerator, TridentConfig
 from repro.arch.control import RangeNormalizer
+from repro.arch.convnet import FunctionalConvNet
 from repro.arch.pe import ProcessingElement
 from repro.arch.weight_bank import WeightBank
 from repro.devices.noise import NoiseModel
 from repro.devices.photodetector import BalancedPhotodetector
+from repro.integrity.abft import ChecksumUnit
 
 SEEDS = 400
 #: One 64-wide layer on 16x16 banks: every output sums four reduction tiles.
@@ -60,15 +65,15 @@ class DrawSpy:
 # ---------------------------------------------------------------------------
 # Tiled layer
 # ---------------------------------------------------------------------------
-def tiled_layer(enabled: bool = True) -> TridentAccelerator:
+def tiled_layer(enabled: bool = True, n_in: int = WIDTH, n_out: int = WIDTH) -> TridentAccelerator:
     acc = TridentAccelerator(
         config=TridentConfig(n_pes=32, bank_rows=BANK, bank_cols=BANK),
         noise=NoiseModel(enabled=enabled, seed=0),
         seed=0,
     )
-    acc.map_mlp([WIDTH, WIDTH])
+    acc.map_mlp([n_in, n_out])
     rng = np.random.default_rng(1)
-    acc.set_weights([rng.normal(0.0, 0.3, (WIDTH, WIDTH))])
+    acc.set_weights([rng.normal(0.0, 0.3, (n_out, n_in))])
     return acc
 
 
@@ -84,8 +89,8 @@ def per_partial_forward(acc: TridentAccelerator, xs: np.ndarray) -> np.ndarray:
     return (logits * scales * layer.weight_scale).T
 
 
-def layer_inputs() -> np.ndarray:
-    return np.random.default_rng(2).uniform(-1.0, 1.0, (BATCH, WIDTH))
+def layer_inputs(n_in: int = WIDTH) -> np.ndarray:
+    return np.random.default_rng(2).uniform(-1.0, 1.0, (BATCH, n_in))
 
 
 def test_tiled_layer_draws_once_with_summed_variance(monkeypatch):
@@ -125,6 +130,87 @@ def test_tiled_layer_matches_oracle_in_distribution():
         acc.noise.reseed(SEEDS + seed)  # independent of the new path's draws
         oracle.append(per_partial_forward(acc, xs))
     assert_same_distribution(np.array(new), np.array(oracle))
+
+
+def test_one_column_block_draws_once_with_the_per_tile_bits(monkeypatch):
+    """Row tiles of one column block: one draw, equal to per-tile draws.
+
+    The (rows, B) draw reads the standard normals in C order, which is
+    the order the per-tile draws read them when the tiles ascend by row.
+    """
+    acc, xs = tiled_layer(n_in=BANK), layer_inputs(BANK)
+    tiles = acc.layers[0].tiles
+    assert len(tiles) == WIDTH // BANK and {c0 for _, _, c0, _, _ in tiles} == {0}
+    spy = DrawSpy(monkeypatch)
+    for seed in range(3):
+        spy.calls.clear()
+        acc.noise.reseed(seed)
+        out = acc.forward_batch(xs)
+        ((_, variance),) = spy.calls
+        assert variance.shape == (WIDTH, BATCH)
+        acc.noise.reseed(seed)
+        oracle = per_partial_forward(acc, xs)
+        assert np.array_equal(out, oracle)
+        assert not np.array_equal(out, tiled_layer(False, BANK).forward_batch(xs))
+
+
+def test_single_tile_latches_the_noisy_output():
+    """A one-tile layer's LDSU bits come from the detected, noisy sum."""
+    acc, xs = tiled_layer(n_in=BANK, n_out=BANK), layer_inputs(BANK)
+    ((_, _, _, _, pe_index),) = acc.layers[0].tiles
+    pe = acc.pes[pe_index]
+    enc, scales = RangeNormalizer.normalize_columns(xs.T)
+    acc.noise.reseed(0)
+    out = acc.forward_batch(xs)
+    bits = pe.ldsu.derivative_gains_batch()
+    acc.noise.reseed(0)
+    # The per-tile path: the PE draws inside detection, then latches.
+    logits = pe.forward_batch(enc, capture_derivative=True, validate=False)
+    assert np.array_equal(out, (logits * scales * acc.layers[0].weight_scale).T)
+    assert np.array_equal(bits, pe.ldsu.derivative_gains_batch())
+
+
+def column_blocks_ascend_and_cover(tiles, rows: int) -> bool:
+    """Each column block's tiles ascend by ``r0`` and tile ``[0, rows)``."""
+    blocks: dict[int, list[tuple[int, int]]] = {}
+    for r0, r1, c0, _, _ in tiles:
+        blocks.setdefault(c0, []).append((r0, r1))
+    return all(
+        [r0 for r0, _ in spans] == [0] + [r1 for _, r1 in spans[:-1]]
+        and spans[-1][1] == rows
+        for spans in blocks.values()
+    )
+
+
+@pytest.mark.parametrize("bank", [(4, 4), (8, 4), (4, 8), (16, 16)])
+@pytest.mark.parametrize("dims", [[3, 5], [8, 24, 16, 4], [17, 9, 33]])
+def test_every_mapper_builds_tiles_row_major(bank, dims):
+    """The layout the single draw's bits rely on (see ``stream_tiles``)."""
+    rows, cols = bank
+    config = TridentConfig(n_pes=2048, bank_rows=rows, bank_cols=cols)
+    acc = TridentAccelerator(config=config, seed=0)
+    acc.map_mlp(dims)
+    for layer in acc.layers:
+        assert column_blocks_ascend_and_cover(layer.tiles, layer.out_dim)
+    rng = np.random.default_rng(0)
+    acc.set_weights([rng.normal(0.0, 0.3, (o, i)) for i, o in zip(dims, dims[1:])])
+    checksums = ChecksumUnit(acc)
+    for layer_tiles in checksums.tiles:
+        tiles = [(0, 1, c0, c1, pe_index) for c0, c1, pe_index in layer_tiles]
+        assert column_blocks_ascend_and_cover(tiles, 1)
+    net = FunctionalConvNet(
+        (6, 6, 2), [("conv", dims[1], 3, 1, 1), ("flatten",), ("dense", dims[-1])],
+        config=config,
+    )
+    net.set_weights([
+        rng.normal(0.0, 0.3, (dims[1], 3, 3, 2)),
+        rng.normal(0.0, 0.3, (dims[-1], 6 * 6 * dims[1])),
+    ])
+    assert len(net._pe_of_layer) == 2
+    for index, tiles in net._pe_of_layer.items():
+        kind, layer = net.layers[index]
+        m = layer.out_channels if kind == "conv" else layer.out_features
+        assert column_blocks_ascend_and_cover(tiles, m)
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,20 @@ class AdmissionQueueMachine(RuleBasedStateMachine):
             for r in self.real.snapshot()
         ]
 
+    @invariant()
+    def earliest_deadline_cached(self):
+        """The cached minimum is exact unless marked stale (None).
+
+        Reads the cache without refreshing it, so ``drop_hopeless`` still
+        meets the stale state and recomputes it on its own.
+        """
+        cached = self.real._earliest
+        deadlines = [
+            math.inf if r.deadline_s is None else r.deadline_s
+            for r in self.ref.snapshot()
+        ]
+        assert cached is None or cached == min(deadlines, default=math.inf)
+
 
 TestAdmissionQueueModel = AdmissionQueueMachine.TestCase
 TestAdmissionQueueModel.settings = settings(
@@ -759,10 +773,12 @@ class TestEstimateBusyUntilZero:
     def test_worker_free_at_zero_not_coerced_to_now(self):
         server = TridentServer([make_worker(0, (6, 4))],
                                config=ServerConfig())
+        serving = server._serving_workers()
         server._busy_until[0] = 0.0  # a dispatch issued at clock start
-        assert server._worker_free_s(0, now_s=7.0) == 0.0
+        assert server._earliest_free_s(serving) == 0.0
         server._busy_until[0] = None
-        assert server._worker_free_s(0, now_s=7.0) == 7.0
+        server._earliest_free = None  # what a completion does
+        assert server._earliest_free_s(serving) == -math.inf
 
     def test_t0_admission_estimate_matches_idle(self):
         server = TridentServer([make_worker(0, (6, 4))],

@@ -6,7 +6,9 @@
 dispatch pass walks every worker and asks the batcher once per free
 worker.  A Hypothesis property serves generated scenarios through both
 servers and requires the same decisions, breaker transitions, sheds and
-completions, bit for bit.
+completions, bit for bit.  The indexed side also checks, at every
+admission, its cached earliest-free instant against the O(workers) scan
+(:class:`CheckedServer`).
 
 The scenarios mix two single-chip price classes with a three-stage
 overlapped pipeline, whose ingest wake-ups free it before its batch
@@ -21,6 +23,7 @@ from __future__ import annotations
 import copy
 import functools
 import heapq
+import math
 
 import numpy as np
 from hypothesis import HealthCheck, Phase, example, given, settings
@@ -40,6 +43,12 @@ from repro.serving import (
 )
 from repro.serving.server import _metric_gauge, _metric_histogram
 from repro.sharding import plan_pipeline
+
+
+def worker_free_s(server, worker_id: int, now_s: float) -> float:
+    """Instant the worker can ingest a new batch (``now_s`` if idle)."""
+    busy_until = server._busy_until[worker_id]
+    return now_s if busy_until is None else busy_until
 
 
 class ScanningServer(TridentServer):
@@ -80,7 +89,7 @@ class ScanningServer(TridentServer):
         max_batch = self.batcher.max_batch
         full_batch_s = max(w.service_time_s(max_batch) for w in serving)
         earliest_free = min(
-            self._worker_free_s(w.worker_id, now_s) for w in serving
+            worker_free_s(self, w.worker_id, now_s) for w in serving
         )
         batches = -(-(len(self.queue) + 1) // max_batch)
         drain_s = batches * full_batch_s / len(serving)
@@ -161,6 +170,21 @@ class ScanningServer(TridentServer):
             _metric_gauge(
                 "repro_serve_queue_depth", "Admission-queue depth"
             ).set(len(self.queue))
+
+
+class CheckedServer(TridentServer):
+    """The indexed server, checking its earliest-free cache per admission."""
+
+    def _estimate_completion_s(self, now_s: float) -> float:
+        serving = self._serving_workers()
+        if serving:
+            cached = self._earliest_free_s(serving)
+            busy = [self._busy_until[w.worker_id] for w in serving]
+            assert cached == (-math.inf if None in busy else min(busy))
+            # The O(workers) scan the estimate used to run.
+            scan = min(worker_free_s(self, w.worker_id, now_s) for w in serving)
+            assert max(now_s, cached) == max(now_s, scan)
+        return super()._estimate_completion_s(now_s)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +440,24 @@ PINNED = [
         ["small"], [(3, 0, "boundary", "small", 0)],
         [(1, "add", 0, 1, "small")],
     ),
+    # The tight request is priced against the busy worker and shed, so
+    # the completion at 1 us dispatches nothing: the earliest-free
+    # instant it clears must not outlive it into the 2 us admission.
+    pinned(
+        ["small"],
+        [(0, 0, *BEST_EFFORT), (1, 0, "tight", "small", 0),
+         (8, 0, "loose", "small", 0)],
+        [], max_batch=1,
+    ),
+    # As above, but an idle worker ends its warm-up at 0.5 us while the
+    # first is still busy: the serving set grows, the earliest-free
+    # instant drops to "now", and the 0.75 us admission must see it.
+    pinned(
+        ["small"],
+        [(0, 0, *BEST_EFFORT), (1, 0, "tight", "small", 0),
+         (3, 0, "loose", "small", 0)],
+        [(0, "add", 0, 2, "small")], max_batch=1,
+    ),
 ]
 
 
@@ -435,6 +477,6 @@ def with_pinned(test):
 @with_pinned
 def test_index_matches_full_scan(hang_guard, scenario):
     with hang_guard(20):
-        indexed = serve(TridentServer, scenario)
+        indexed = serve(CheckedServer, scenario)
         scanned = serve(ScanningServer, scenario)
     assert_same_run(indexed, scanned)
