@@ -10,7 +10,6 @@ simulator.
 import numpy as np
 
 from repro import InSituTrainer, NoiseModel, TridentAccelerator
-from repro.eval.formatting import format_table
 from repro.nn.datasets import Dataset, make_blobs, standardize
 from repro.nn.reference import DigitalMLP
 from repro.training.trainer import train_classifier
@@ -58,14 +57,8 @@ def insitu_ablation(seed: int = 5):
     ]
 
 
-def test_ablation_insitu_vs_offline(benchmark, record_report):
-    rows = benchmark.pedantic(insitu_ablation, rounds=1, iterations=1)
-    text = format_table(
-        ["configuration", "test accuracy"],
-        rows,
-        title="Ablation: in-situ training vs offline deployment (noisy 8-bit hardware)",
-    )
-    record_report("ablation_insitu", text)
+def test_ablation_insitu_vs_offline():
+    rows = insitu_ablation()
     by_name = {r[0]: r[1] for r in rows}
     insitu = by_name["in-situ trained on hardware"]
     offline = by_name["offline-trained, deployed"]

@@ -16,7 +16,7 @@ explicit hook points — no monkey-patching anywhere — and logs every
 applied injection.  Each injection draws from its own derived stream
 (``default_rng((plan.seed, index))``), so the same (workload seed,
 chaos seed) pair reproduces a run bit-for-bit, and a disabled session
-costs one global read per hook (``benchmarks/bench_chaos_overhead.py``
+costs one global read per hook (``benchmarks/test_timing_gates.py``
 enforces < 1% on the batched forward path).
 
 ``python -m repro soak`` sweeps the serve/shard/resume/train/fleet/sdc

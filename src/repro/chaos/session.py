@@ -4,8 +4,8 @@ Chaos is **off by default**.  The hook points woven through the serving
 layer (worker dispatch/drain, sharded pipeline drain, clock advance) all
 route through the module-level accessors here; with no session active
 each costs one global read and returns the input unchanged — the same
-pattern (and the same <1% overhead budget, enforced by
-``benchmarks/bench_chaos_overhead.py``) as :mod:`repro.telemetry`.
+pattern as :mod:`repro.telemetry`, under a <1% overhead budget that
+``benchmarks/test_timing_gates.py`` enforces.
 
 A :class:`ChaosSession` holds one compiled :class:`~repro.chaos.plan.ChaosPlan`
 and tracks which injections have fired.  Inline injections

@@ -70,8 +70,10 @@ class LinkBudget:
     # ------------------------------------------------------------------
     def power_at_bank_w(self, channel_power_w: float, rows: int) -> float:
         """Per-channel power reaching one row's rings [W]."""
-        if channel_power_w <= 0:
-            raise ConfigError("channel power must be positive")
+        if not 0 < channel_power_w < math.inf:
+            raise ConfigError(
+                f"channel power must be positive and finite, got {channel_power_w}"
+            )
         if rows < 1:
             raise ConfigError("rows must be positive")
         return (

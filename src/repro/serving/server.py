@@ -45,7 +45,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import IntegrityFault, ServingError, WorkerFault
+from repro.errors import IntegrityFault, ServingError, WorkerFault, require_finite_fields
 from repro.runtime.clock import VirtualClock
 from repro.serving.batcher import MicroBatcher
 from repro.serving.breaker import BreakerState, CircuitBreaker
@@ -107,6 +107,7 @@ class ServerConfig:
     retry_jitter_s: ClassVar[float] = 1e-7
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.max_queue_depth < 1:
             raise ServingError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"

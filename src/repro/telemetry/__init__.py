@@ -24,7 +24,7 @@ Guarantees:
 
 - **Opt-in, near-zero overhead when disabled**: no session → every hook
   is one global read returning a shared no-op
-  (``benchmarks/bench_telemetry_overhead.py`` enforces < 2% on the
+  (``benchmarks/test_timing_gates.py`` enforces < 2% on the
   batched forward path).
 - **Non-perturbing**: hooks only *read* event counters and never touch
   an RNG; telemetry-enabled runs are bit-identical to disabled runs

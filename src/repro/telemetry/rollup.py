@@ -19,7 +19,7 @@ when a sample is recorded and reversed when it ages out of the window —
 so a controller tick reads the rollup in O(pruned samples), amortized
 O(1) per sample over the run, instead of rescanning the whole window.
 That is what keeps the control loop under the < 1%-of-serve-wall gate
-(``benchmarks/bench_fleet_controller.py``) even when a large fleet
+(``benchmarks/test_timing_gates.py``) even when a large fleet
 pushes thousands of completions through one tick window.  The one
 slo-dependent counter (SLO-met completions) is re-armed by a single
 scan if a caller switches grading targets mid-run; every other

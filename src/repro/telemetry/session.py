@@ -5,7 +5,7 @@ the functional and performance layers all route through the module-level
 accessors here, and when no session is active they cost one global read
 plus (for spans) one shared no-op context manager — no allocation, no
 locking, no branches inside the hot loops themselves.  The overhead gate
-(``benchmarks/bench_telemetry_overhead.py``) holds this to < 2% of the
+(``benchmarks/test_timing_gates.py``) holds this to < 2% of the
 batched forward path.
 
 Enable explicitly::

@@ -135,6 +135,7 @@ class TestMatmat:
         bank.program(rng.uniform(-1, 1, (8, 8)))
         x = rng.uniform(-1, 1, (8, 5))
         batched = bank.matmat(x)
+        assert batched.shape == (8, 5)
         for j in range(5):
             assert np.allclose(batched[:, j], bank.matmat(x[:, j : j + 1])[:, 0])
 

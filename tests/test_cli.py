@@ -345,6 +345,23 @@ class TestErrorHygiene:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err + out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("link-budget", "--power-mw", "nan"),
+            ("link-budget", "--power-mw", "inf"),
+            ("serve", "--slo-us", "nan"),
+            ("serve", "--slo-us", "inf"),
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_value_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = self._run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("repro: error: ConfigError:")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err + out
+
     def test_fault_error_exits_2(self, capsys, monkeypatch):
         import argparse
 

@@ -1,6 +1,6 @@
 """Cost-model ablations: how the photonic cost model responds when one
 design choice moves (power budget, bank geometry, tuning technology,
-streaming batch, hold-power accounting).
+streaming batch, hold-power accounting, activation path, dataflow).
 
 Every sweep prices its networks as one :class:`NetworkStack` per
 architecture point (:meth:`PhotonicCostModel.model_costs`).
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import photonic_baselines
+from repro.baselines.deap_cnn import ADC_ENERGY_J, DAC_ENERGY_J
 from repro.dataflow.cost_model import PhotonicArch, PhotonicCostModel
 from repro.dataflow.report import NetworkStack
 from repro.devices.tuning import ElectricTuning, GSTTuning, ThermalTuning
@@ -132,3 +133,48 @@ class TestHoldPower:
             assert honest > event_only, name
         event_only, honest = gaps["deap-cnn"]
         assert honest > 2 * event_only
+
+
+class TestActivationPath:
+    """Trident with its layer outputs routed through the baselines'
+    ADC -> memory -> digital activation -> DAC path instead of the GST
+    cell (the five CNNs, batch 128)."""
+
+    def test_photonic_activation_saves_material_energy(self, zoo):
+        base = PhotonicArch.trident()
+        digital = replace(
+            base,
+            name="trident-digital-act",
+            digital_activation=True,
+            adc_energy_per_sample_j=ADC_ENERGY_J,
+            dac_energy_per_sample_j=DAC_ENERGY_J,
+        )
+        photonic = costs(base, zoo, batch=128)
+        adc = costs(digital, zoo, batch=128)
+        for model in zoo:
+            assert adc[model].energy_j > photonic[model].energy_j, model
+            # The overhead is material (the HolyLight argument, ref [23]).
+            assert adc[model].energy_j / photonic[model].energy_j - 1 > 0.01, model
+
+
+class TestDataflow:
+    """Weight-stationary (the paper's dataflow) against an output-stationary
+    counterfactual in closed form: outputs rest in the accumulators while
+    weights stream through the bank, so every MAC is a 660 pJ cell write
+    and every bank symbol waits on a 300 ns one (batch 128)."""
+
+    def test_weight_stationary_wins_by_orders_of_magnitude(self, zoo):
+        arch = PhotonicArch.trident()
+        priced = costs(arch, zoo, batch=128)
+        for model in ("googlenet", "resnet50"):
+            ws = priced[model]
+            symbols = ws.total_macs / (arch.bank_rows * arch.bank_cols)
+            os_energy_j = (
+                ws.total_macs * arch.write_energy_per_cell_j
+                + symbols * arch.symbol_energy_j
+            )
+            os_time_s = (
+                symbols * (arch.write_time_s + 1.0 / arch.symbol_rate_hz) / arch.n_pes
+            )
+            assert os_energy_j / ws.energy_j > 100, model
+            assert os_time_s / ws.time_s > 50, model

@@ -50,6 +50,7 @@ class TestActivationNormalized:
         cell = GSTActivationCell()
         h = np.array([-2.0, -0.1, 0.0, 0.5, 3.0])
         out = cell.activate(h)
+        assert out.shape == h.shape
         assert np.allclose(out, 0.34 * np.maximum(h, 0))
 
     def test_derivative_two_valued(self):

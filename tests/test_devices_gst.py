@@ -49,6 +49,7 @@ class TestPatchTransmission:
     def test_bounded_in_unit_interval(self):
         c = np.linspace(0, 1, 100)
         t = patch_transmission(c, 0.5e-6)
+        assert t.shape == c.shape
         assert np.all(t > 0)
         assert np.all(t <= 1)
 

@@ -452,6 +452,38 @@ class TestCampaign:
         ]
         assert all(p.exists() and p.stat().st_size > 0 for p in paths)
 
+    def test_full_campaign_repairs_damaging_faults(self):
+        """At a damaging stuck-cell rate (>= 5 %, stuck at weight +1) the
+        spare-remap ladder recovers at least half of the accuracy the
+        unrepaired chip loses, pays for every repair through the event
+        accounting, and never breaks batch invariance."""
+        report = run_campaign(CampaignConfig())
+        config = report.config
+        assert report.parity_ok
+        damaging = [
+            f
+            for f in config.fault_fractions
+            if f >= 0.05 and report.clean_accuracy - report.mean_accuracy(f, "none") > 0.01
+        ]
+        assert damaging, "campaign produced no damaging fault rate to repair"
+        for fraction in damaging:
+            assert report.recovery(fraction, "spare") >= 0.5
+            energy, time_s = report.repair_overhead(fraction, "spare")
+            assert energy > 0 and time_s > 0
+            # Retry alone cannot fix stuck cells.
+            assert (
+                report.mean_accuracy(fraction, "retry")
+                <= report.mean_accuracy(fraction, "spare") + 1e-9
+            )
+        # Repair never leaves a chip worse than no repair.
+        for fraction in config.fault_fractions:
+            none_acc = report.mean_accuracy(fraction, "none")
+            for policy in ("spare", "remap"):
+                assert report.mean_accuracy(fraction, policy) >= none_acc - 0.02
+        # In-situ training survived every run.
+        losses = [(r.train_loss_first, r.train_loss_last) for r in report.rows]
+        assert not np.isnan(losses).any()
+
     def test_campaign_validation(self):
         # Structural mistakes stay ConfigError...
         with pytest.raises(ConfigError):

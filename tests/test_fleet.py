@@ -411,6 +411,11 @@ class TestFleetRuns:
         assert LADDER[controller.rung] == "nominal"
         counts = result.pool.counts()
         assert counts["warming"] == 0 and counts["draining"] == 0
+        # Actuation payloads land in provision_wall_s, not the loop wall.
+        assert controller.provision_wall_s > 0.0
+        report = controller.report()
+        assert report["wall_s"] == controller.wall_s
+        assert report["provision_wall_s"] == controller.provision_wall_s
 
     def test_replay_digest_is_stable(self):
         scenario = _tiny_scenario()

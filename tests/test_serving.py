@@ -10,7 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro import telemetry
 from repro.dataflow.cost_model import PhotonicArch, forward_batch_latency_s
-from repro.errors import ServingError, WorkerFault
+from repro.errors import ConfigError, ServingError, WorkerFault
 from repro.fleet import WorkerPool
 from repro.integrity import build_integrity_worker
 from repro.runtime import VirtualClock
@@ -623,6 +623,10 @@ class TestTridentServer:
             ServerConfig(max_queue_depth=0)
         with pytest.raises(ServingError):
             ServerConfig(slo_latency_s=0.0)
+        for name in ("slo_latency_s", "breaker_cooldown_s"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ConfigError, match=name):
+                    ServerConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------
