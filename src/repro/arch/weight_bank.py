@@ -717,7 +717,9 @@ class WeightBank:
         The bank must have been constructed with the same geometry and
         level grid; a mismatch raises
         :class:`~repro.errors.CheckpointError` rather than silently
-        loading a foreign snapshot.
+        loading a foreign snapshot.  Arrays are copied: later writes to
+        this bank never reach the snapshot, so one snapshot can seed many
+        banks, or be restored again.
         """
         from repro.errors import CheckpointError
 
@@ -733,15 +735,15 @@ class WeightBank:
                     f"bank's {name}={expected}"
                 )
         shape = (self.physical_rows, self.cols)
-        self._levels = np.asarray(state["levels_array"], dtype=np.int64).reshape(shape)
-        self._realized = np.asarray(state["realized"], dtype=np.float64).reshape(shape)
-        self._mask = np.asarray(state["mask"], dtype=bool).reshape(shape)
+        self._levels = np.array(state["levels_array"], dtype=np.int64).reshape(shape)
+        self._realized = np.array(state["realized"], dtype=np.float64).reshape(shape)
+        self._mask = np.array(state["mask"], dtype=bool).reshape(shape)
         self._occupancy = None
-        self._stuck_mask = np.asarray(state["stuck_mask"], dtype=bool).reshape(shape)
-        self._stuck_levels = np.asarray(state["stuck_levels"], dtype=np.int64).reshape(
+        self._stuck_mask = np.array(state["stuck_mask"], dtype=bool).reshape(shape)
+        self._stuck_levels = np.array(state["stuck_levels"], dtype=np.int64).reshape(
             shape
         )
-        self._row_map = np.asarray(state["row_map"], dtype=np.int64).reshape(self.rows)
+        self._row_map = np.array(state["row_map"], dtype=np.int64).reshape(self.rows)
         self._row_map_is_identity = bool(
             np.array_equal(self._row_map, np.arange(self.rows))
         )
@@ -750,15 +752,15 @@ class WeightBank:
         self._last_converged = (
             None
             if state["last_converged"] is None
-            else np.asarray(state["last_converged"], dtype=bool)
+            else np.array(state["last_converged"], dtype=bool)
         )
         self._unconverged_fraction = None
         self._last_level_errors = (
             None
             if state["last_level_errors"] is None
-            else np.asarray(state["last_level_errors"], dtype=np.float64)
+            else np.array(state["last_level_errors"], dtype=np.float64)
         )
-        self._unconverged_mask = np.asarray(
+        self._unconverged_mask = np.array(
             state["unconverged_mask"], dtype=bool
         ).reshape(shape)
         stats = state["stats"]

@@ -8,8 +8,8 @@ stack's contracts (request conservation, structured sheds, atomic
 batches, finite outputs, charged repairs, bit-identical replay) held
 anyway.
 
-Everything is seeded and replayable.  A :class:`ChaosPlan` is a
-JSON-serializable schedule of :class:`Injection` records (compile one
+Everything is seeded and replayable.  A :class:`ChaosPlan` is an
+in-memory schedule of :class:`Injection` records (compile one
 from a :class:`ChaosProfile` with :func:`compile_plan`); a
 :class:`~repro.chaos.session.ChaosSession` activates a plan through
 explicit hook points — no monkey-patching anywhere — and logs every
@@ -38,9 +38,7 @@ from repro.chaos.injectors import (
 from repro.chaos.plan import (
     CORRUPT_MODES,
     CRASH_PHASES,
-    FILE_KINDS,
     INJECTION_KINDS,
-    INLINE_KINDS,
     SCHEDULED_KINDS,
     ChaosPlan,
     ChaosProfile,
@@ -76,9 +74,7 @@ __all__ = [
     "ChaosPlan",
     "ChaosProfile",
     "ChaosSession",
-    "FILE_KINDS",
     "INJECTION_KINDS",
-    "INLINE_KINDS",
     "Injection",
     "MATRIX_SCHEMA",
     "SCENARIO_NAMES",

@@ -1,4 +1,4 @@
-"""Compiled, JSON-serializable chaos schedules.
+"""Compiled chaos schedules.
 
 A :class:`ChaosPlan` is the *entire* chaos a run will experience,
 decided ahead of time: a seed, an optional clock-jitter amplitude, and a
@@ -9,9 +9,14 @@ order in which hook points consume injections (or the thread that
 happens to execute a batch) cannot perturb replay.  Two runs driven by
 the same workload seed and the same plan are bit-identical.
 
-Plans are plain data: ``as_dict``/``from_dict`` round-trip through JSON
-losslessly, so a failing soak cell can ship its plan in the flake matrix
-and anyone can replay it.
+Plans are in-memory data, compiled from a profile and a seed (or built
+by hand); nothing writes them to disk.  A soak cell replays by building
+its plan again: the flake matrix records each cell's ``(scenario,
+seed)`` and the injection counts it applied, every cell derives its
+plan from exactly those two (chaos seed ``10_000 + seed`` for the serve,
+shard, resume and train cells; the fleet and sdc plans follow from the
+scenario built at that seed), so ``repro soak --scenarios S --seed-base
+N --seeds 1`` reruns cell ``(S, N)`` under the same chaos.
 
 :func:`compile_plan` is the standard generator: given a
 :class:`ChaosProfile` (how much of each failure kind, over which window,
@@ -23,8 +28,6 @@ times, and parameters on construction.
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -49,12 +52,6 @@ INJECTION_KINDS = (
 
 #: Kinds wired into the server event loop via ``install_chaos``.
 SCHEDULED_KINDS = ("stuck_burst", "drift_burst", "breaker_storm", "sabotage")
-
-#: Kinds consumed inline by worker/stage execute hooks.
-INLINE_KINDS = ("worker_crash", "corrupt_output", "silent_corrupt")
-
-#: Kinds applied to files on disk by scenario harnesses.
-FILE_KINDS = ("checkpoint_corrupt", "ledger_tear")
 
 #: Valid ``phase`` parameter values for ``worker_crash``.
 CRASH_PHASES = ("dispatch", "drain")
@@ -119,28 +116,6 @@ class Injection:
                     f"corruption magnitude must be positive, got {magnitude}"
                 )
 
-    def as_dict(self) -> dict:
-        """JSON-safe record (inverse of :meth:`from_dict`)."""
-        return {
-            "t_s": float(self.t_s),
-            "kind": self.kind,
-            "target": self.target,
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Injection":
-        """Rebuild from :meth:`as_dict` output (validates)."""
-        try:
-            return cls(
-                t_s=float(doc["t_s"]),
-                kind=str(doc["kind"]),
-                target=None if doc.get("target") is None else int(doc["target"]),
-                params=dict(doc.get("params", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ChaosError(f"malformed injection record: {exc}") from exc
-
 
 @dataclasses.dataclass(frozen=True)
 class ChaosPlan:
@@ -182,44 +157,6 @@ class ChaosPlan:
                 f"[0, {len(self.injections)})"
             )
         return np.random.default_rng((int(self.seed), int(index)))
-
-    def as_dict(self) -> dict:
-        """JSON-safe document (inverse of :meth:`from_dict`)."""
-        return {
-            "seed": int(self.seed),
-            "clock_jitter_s": float(self.clock_jitter_s),
-            "injections": [inj.as_dict() for inj in self.injections],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ChaosPlan":
-        """Rebuild from :meth:`as_dict` output (validates)."""
-        try:
-            return cls(
-                seed=int(doc["seed"]),
-                clock_jitter_s=float(doc.get("clock_jitter_s", 0.0)),
-                injections=tuple(
-                    Injection.from_dict(d) for d in doc.get("injections", ())
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ChaosError(f"malformed chaos plan: {exc}") from exc
-
-    def to_json(self, path: str | Path) -> Path:
-        """Write the plan as a JSON file; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.as_dict(), indent=2), encoding="utf-8")
-        return path
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ChaosPlan":
-        """Load a plan previously written by :meth:`to_json`."""
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ChaosError(f"unreadable chaos plan {path}: {exc}") from exc
-        return cls.from_dict(doc)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -307,6 +307,12 @@ class PhotonicCostModel:
 # ---------------------------------------------------------------------------
 # Serving-path latency estimate
 # ---------------------------------------------------------------------------
+#: Fixed per-dispatch cost (control-unit setup, DAC staging) of one
+#: serving stage [s]: the ``overhead_s`` serving workers and the sharding
+#: planner both price a batch with.
+DISPATCH_OVERHEAD_S = 1e-6
+
+
 def forward_batch_latency_s(
     arch: PhotonicArch,
     layer_reduction_tiles: "list[int] | tuple[int, ...]",

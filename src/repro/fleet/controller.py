@@ -62,7 +62,9 @@ class ControllerConfig:
     hysteresis and power model.
     """
 
-    #: Tick period and the trailing window each tick aggregates.
+    #: Tick period, and the trailing window each tick aggregates (the
+    #: window the fleet run builds its :class:`~repro.telemetry.rollup.
+    #: ServingRollup` with).
     interval_s: float = 1e-5
     window_s: float = 3e-5
     #: Latency target attainment is graded against.
@@ -223,9 +225,7 @@ class FleetController:
             self._actuate("stop", ticks=self.ticks)
             return
 
-        stats = self.rollup.window_stats(
-            now, cfg.slo_latency_s, window_s=cfg.window_s
-        )
+        stats = self.rollup.window_stats(now, cfg.slo_latency_s)
         active = self.pool.ids_in("active")
         warming = self.pool.ids_in("warming")
         n_active = len(active)

@@ -7,10 +7,10 @@ a monotonically advancing float the owning event loop moves explicitly.
 Nothing here reads the wall clock, so two runs that advance the clock
 through the same sequence of instants are bit-identical by construction.
 
-Chaos jitter rides on the same contract: an optional ``jitter_fn`` (set
-via :meth:`VirtualClock.set_jitter`, normally by
-``TridentServer.install_chaos``) perturbs *forward* jumps by a
-non-negative offset drawn from the chaos plan's seeded stream.  Because
+Every clock starts at t = 0.  Chaos jitter rides on the same contract:
+an optional ``jitter_fn`` (installed with :meth:`VirtualClock.set_jitter`,
+normally by ``TridentServer.install_chaos``) perturbs *forward* jumps by
+a non-negative offset drawn from the chaos plan's seeded stream.  Because
 the perturbation is itself a pure function of the chaos seed and the
 jump sequence, jittered runs stay bit-identical under replay.
 """
@@ -25,11 +25,9 @@ class VirtualClock:
 
     __slots__ = ("_now_s", "_jitter_fn")
 
-    def __init__(self, start_s: float = 0.0, jitter_fn=None) -> None:
-        if not start_s >= 0.0:
-            raise ServingError(f"clock must start at t >= 0, got {start_s}")
-        self._now_s = float(start_s)
-        self._jitter_fn = jitter_fn
+    def __init__(self) -> None:
+        self._now_s = 0.0
+        self._jitter_fn = None
 
     def now(self) -> float:
         """Current virtual time [s]."""

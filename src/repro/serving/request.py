@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,9 +37,14 @@ class ShedReason(enum.Enum):
     DEGRADED_SHED = "degraded_shed"
 
 
-@dataclass(frozen=True)
-class InferenceRequest:
-    """One inference sample plus its service constraints."""
+class InferenceRequest(NamedTuple):
+    """One inference sample plus its service constraints.
+
+    A read-only named tuple, like the two outcome records below: arrival
+    synthesis builds one per request, and a named tuple builds in under
+    half the time of a frozen dataclass.  Derive a changed copy with
+    ``_replace``.
+    """
 
     request_id: int
     #: (n_in,) input vector for the mapped network.

@@ -37,7 +37,6 @@ Every outcome is a structured object; the loop never lets a
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -249,7 +248,6 @@ class TridentServer:
         self,
         workers: list[AcceleratorWorker],
         config: ServerConfig | None = None,
-        clock: VirtualClock | None = None,
         rollup=None,
     ) -> None:
         if not workers:
@@ -264,7 +262,7 @@ class TridentServer:
             )
         self.workers = sorted(workers, key=lambda w: w.worker_id)
         self.config = config or ServerConfig()
-        self.clock = clock or VirtualClock()
+        self.clock = VirtualClock()
         for worker in self.workers:
             worker.bind_clock(self.clock)
         self.queue = AdmissionQueue(self.config.max_queue_depth)
@@ -391,9 +389,7 @@ class TridentServer:
             priority=request.priority,
         )
         if self.rollup is not None:
-            self.rollup.record_shed(
-                now, reason.value, request.priority, request.tenant
-            )
+            self.rollup.record_shed(now, reason.value, request.tenant)
         if _telemetry_enabled():
             _metric_counter(
                 "repro_requests_shed_total", reason=reason.value
@@ -655,9 +651,7 @@ class TridentServer:
         if not is_retry:
             boost = self.tenant_boost.get(request.tenant, 0)
             if boost:
-                request = dataclasses.replace(
-                    request, priority=request.priority + boost
-                )
+                request = request._replace(priority=request.priority + boost)
         if request.kind in self.frozen_kinds:
             self._record_shed(
                 request,
@@ -893,7 +887,7 @@ class TridentServer:
             if rollup is not None:
                 rollup.record_completion(
                     now, latency, deadline is None or now <= deadline,
-                    request.priority, request.tenant,
+                    request.tenant,
                 )
             if live:
                 latency_histogram.observe(latency)

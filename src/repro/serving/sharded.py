@@ -3,8 +3,8 @@
 :func:`build_sharded_worker` plans nothing itself: it programs one
 accelerator per part of a :class:`~repro.sharding.ShardPlan` (optionally
 over-provisioned with spare PEs for migrate-tier repairs), attaches a
-remap-policy fault manager per part and an ABFT checker on request, and
-hands the pipeline to the one serving worker,
+remap-policy fault manager per part on request, and hands the pipeline
+to the one serving worker,
 :class:`~repro.serving.worker.AcceleratorWorker` — the same class, the
 same ``execute`` and the same ``repair`` a single chip runs, here with
 two or more stages, each behind its own breaker, on an overlapped
@@ -44,7 +44,6 @@ def build_sharded_worker(
     with_managers: bool = False,
     spare_pes: int = 0,
     stage_cooldown_s: float = 1e-5,
-    with_integrity: bool = False,
 ) -> AcceleratorWorker:
     """Build, program, and (optionally) make repairable a pipeline worker.
 
@@ -54,10 +53,10 @@ def build_sharded_worker(
     every tile once so the managers' detectors hold a readback baseline.
     ``spare_pes`` over-provisions each part's chip beyond the plan
     capacity so migrate-tier repairs have somewhere to go — it never
-    changes outputs, only repair headroom.  ``with_integrity`` attaches
-    a :class:`~repro.integrity.PipelineChecker` (ABFT checksum rows per
-    part, calibrated thresholds, escalation ladder) — size ``spare_pes``
-    to leave one PE per column tile of each part's layers free.
+    changes outputs, only repair headroom.  To ABFT-attest the worker,
+    set its ``integrity`` to a :class:`~repro.integrity.PipelineChecker`
+    over ``worker.pipeline`` — size ``spare_pes`` to leave one PE per
+    column tile of each part's layers free for the checksum rows.
     """
     from repro.arch.config import TridentConfig
     from repro.sharding.pipeline import build_pipeline
@@ -94,18 +93,12 @@ def build_sharded_worker(
                 # detector sees a baseline readback per tile.
                 rewrite_tiles(acc)
             stage_managers.append(managers)
-    integrity = None
-    if with_integrity:
-        from repro.integrity.checker import PipelineChecker
-
-        integrity = PipelineChecker(pipeline, seed=seed)
     return AcceleratorWorker(
         worker_id,
         pipeline,
         stage_managers,
         overlap=overlap,
         stage_cooldown_s=stage_cooldown_s,
-        integrity=integrity,
     )
 
 

@@ -53,7 +53,11 @@ from repro.chaos.session import (
     corrupt_output as _chaos_corrupt,
     crash_check as _chaos_crash,
 )
-from repro.dataflow.cost_model import PhotonicArch, forward_batch_latency_s
+from repro.dataflow.cost_model import (
+    DISPATCH_OVERHEAD_S,
+    PhotonicArch,
+    forward_batch_latency_s,
+)
 from repro.errors import ChaosError, ServingError, WorkerFault
 from repro.integrity.checker import attest_batch as _attest_batch
 from repro.serving.breaker import BreakerState, CircuitBreaker
@@ -70,8 +74,6 @@ _log = get_logger("repro.serving.worker")
 
 #: Worst program-verify non-convergence a stage may show and still serve.
 UNHEALTHY_THRESHOLD = 0.02
-#: Fixed per-dispatch cost (control-unit setup, DAC staging) of a stage [s].
-DISPATCH_OVERHEAD_S = 1e-6
 #: Consecutive failed batches that open a stage breaker.
 STAGE_FAILURE_THRESHOLD = 3
 
@@ -180,7 +182,6 @@ class AcceleratorWorker:
         *,
         overlap: bool = True,
         stage_cooldown_s: float = 1e-5,
-        integrity=None,
     ) -> None:
         for stage in pipeline.stages:
             for acc in stage.parts:
@@ -207,8 +208,9 @@ class AcceleratorWorker:
         #: Every accelerator in pipeline order (stage-major, then part).
         self.accelerators = pipeline.accelerators
         #: Optional :class:`~repro.integrity.PipelineChecker` attesting
-        #: every executed batch (per-part ABFT checksums + ladder).
-        self.integrity = integrity
+        #: every executed batch (per-part ABFT checksums + ladder); the
+        #: integrity presets attach one after building the worker.
+        self.integrity = None
         self.overlap = bool(overlap)
         self.batches_executed = 0
         self.batches_failed = 0

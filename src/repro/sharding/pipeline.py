@@ -52,7 +52,6 @@ import numpy as np
 
 from repro.arch.accelerator import EventCounters, TridentAccelerator
 from repro.arch.config import TridentConfig
-from repro.devices.noise import NoiseModel
 from repro.devices.program_verify import ProgramVerifyConfig
 from repro.errors import ShapeError, ShardingError
 from repro.sharding.planner import ShardPlan, StageSpec, plan_from_cuts
@@ -164,39 +163,32 @@ def build_pipeline(
     weights: "list[np.ndarray]",
     *,
     config: TridentConfig | None = None,
-    activate_last: bool = False,
-    noise: NoiseModel | None = None,
     program_verify: ProgramVerifyConfig | None = None,
     seed: int = 0,
 ) -> ShardedPipeline:
     """Instantiate and program accelerators for every stage of ``plan``.
 
-    Each part gets its own accelerator (seeded ``seed + part ordinal``)
-    built on the plan's shard ``config``.  Activation placement follows
-    the full model: every non-final layer activates, the final layer
-    follows ``activate_last`` — so a stage boundary never adds or drops
-    a nonlinearity.  For bit-identical outputs vs a reference
-    accelerator, pass a deterministic ``program_verify``
-    (``write_std_levels=0, read_std_levels=0``) or none at all, and do
-    the same on the reference.
+    Each part gets its own noise-free accelerator (seeded ``seed + part
+    ordinal``) built on the plan's shard ``config``.  Activation
+    placement follows the full model: every layer but the model's last
+    activates — so a stage boundary never adds or drops a nonlinearity.
+    For bit-identical outputs vs a reference accelerator, pass a
+    deterministic ``program_verify`` (``write_std_levels=0,
+    read_std_levels=0``) or none at all, and do the same on the reference.
     """
     config = config or TridentConfig()
     staged_weights = slice_stage_weights(plan, weights)
     stages: list[PipelineStage] = []
     ordinal = 0
-    last_stage = plan.n_stages - 1
     for spec, part_specs in zip(plan.stages, staged_weights):
         # Does this stage's final layer activate in the full model?
-        stage_activate_last = (
-            activate_last if spec.index == last_stage else True
-        )
+        stage_activate_last = spec.index != plan.n_stages - 1
         parts: list[TridentAccelerator] = []
         for (part_weights, scales), (r0, r1) in zip(
             part_specs, spec.row_splits
         ):
             acc = TridentAccelerator(
                 config=config,
-                noise=noise,
                 seed=seed + ordinal,
                 program_verify=program_verify,
             )

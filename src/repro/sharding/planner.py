@@ -38,7 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.config import TridentConfig
-from repro.dataflow.cost_model import PhotonicArch, forward_batch_latency_s
+from repro.dataflow.cost_model import (
+    DISPATCH_OVERHEAD_S,
+    PhotonicArch,
+    forward_batch_latency_s,
+)
 from repro.errors import ShardingError
 
 
@@ -225,7 +229,6 @@ def _stage_spec(
     arch: PhotonicArch,
     config: TridentConfig,
     batch: int,
-    overhead_s: float,
 ) -> StageSpec:
     """Build one StageSpec (row-sharding the layer if it alone overflows)."""
     J, N = config.bank_rows, config.bank_cols
@@ -252,7 +255,7 @@ def _stage_spec(
         reduction_tile_count(i, N) for i in stage_dims[:-1]
     ]
     service = forward_batch_latency_s(
-        arch, reduction, batch, overhead_s=overhead_s
+        arch, reduction, batch, overhead_s=DISPATCH_OVERHEAD_S
     )
     return StageSpec(
         index=index,
@@ -271,7 +274,6 @@ def plan_pipeline(
     *,
     n_stages: int | None = None,
     batch: int = 16,
-    overhead_s: float = 1e-6,
 ) -> ShardPlan:
     """Choose pipeline cut points for ``dims`` under a per-shard budget.
 
@@ -281,7 +283,8 @@ def plan_pipeline(
     bottleneck stage latency and, among ties, the pipeline fill time.
     A stage is feasible when its tiles fit one accelerator, or when it
     is a single wide layer that row-sharding can spread (each row strip's
-    reduction tiles must fit).  ``batch`` and ``overhead_s`` parameterize
+    reduction tiles must fit).  ``batch`` and the dispatch overhead
+    (:data:`~repro.dataflow.cost_model.DISPATCH_OVERHEAD_S`) parameterize
     the cost model exactly as serving dispatch does.
     """
     config = config or TridentConfig()
@@ -311,7 +314,7 @@ def plan_pipeline(
     def cost(i: int, j: int) -> float:
         reduction = [reduction_tile_count(d, N) for d in dims[i:j]]
         return forward_batch_latency_s(
-            arch, reduction, batch, overhead_s=overhead_s
+            arch, reduction, batch, overhead_s=DISPATCH_OVERHEAD_S
         )
 
     INF = float("inf")
@@ -368,9 +371,7 @@ def plan_pipeline(
     while k > 0:
         j = cut[k][i]
         stages.append(
-            _stage_spec(
-                len(stages), i, j, dims, arch, config, batch, overhead_s
-            )
+            _stage_spec(len(stages), i, j, dims, arch, config, batch)
         )
         i, k = j, k - 1
     return ShardPlan(
@@ -387,7 +388,6 @@ def plan_from_cuts(
     config: TridentConfig | None = None,
     *,
     batch: int = 16,
-    overhead_s: float = 1e-6,
 ) -> ShardPlan:
     """Build a plan from explicit cut points (for tests and what-ifs).
 
@@ -411,7 +411,7 @@ def plan_from_cuts(
         raise ShardingError(f"duplicate cut points in {list(cuts)}")
     arch = PhotonicArch.trident(config)
     stages = [
-        _stage_spec(index, a, b, dims, arch, config, batch, overhead_s)
+        _stage_spec(index, a, b, dims, arch, config, batch)
         for index, (a, b) in enumerate(zip(boundaries[:-1], boundaries[1:]))
     ]
     for stage in stages:

@@ -53,8 +53,10 @@ class InSituTrainer:
     """SGD trainer whose every linear-algebra step runs on the photonic PEs."""
 
     def __init__(self, accelerator: TridentAccelerator, lr: float = 0.05) -> None:
-        if lr <= 0:
-            raise MappingError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < np.inf:  # NaN fails both comparisons
+            raise MappingError(
+                f"learning rate must be positive and finite, got {lr}"
+            )
         for layer in accelerator.layers:
             if len(layer.tiles) != 1:
                 raise MappingError(

@@ -77,17 +77,6 @@ class TestChaosPlan:
         )
         assert [inj.t_s for inj in plan.injections] == [1.0, 2.0]
 
-    def test_round_trip_dict_and_json(self, tmp_path):
-        plan = compile_plan(
-            ChaosProfile(window_s=1e-4, workers=(0, 1), stages=(0,)), seed=9
-        )
-        assert ChaosPlan.from_dict(plan.as_dict()) == plan
-        path = plan.to_json(tmp_path / "plan.json")
-        assert ChaosPlan.from_json(path) == plan
-        # The on-disk form is plain JSON, editable by hand.
-        doc = json.loads(path.read_text())
-        assert doc["seed"] == 9
-
     def test_compile_is_deterministic(self):
         profile = ChaosProfile(window_s=1e-3, workers=(0, 1, 2))
         assert compile_plan(profile, 5) == compile_plan(profile, 5)
@@ -339,7 +328,8 @@ class TestClockJitter:
     def test_jitter_delays_but_never_reorders(self):
         from repro.errors import ServingError
 
-        clock = VirtualClock(jitter_fn=lambda t: 1e-9)
+        clock = VirtualClock()
+        clock.set_jitter(lambda t: 1e-9)
         clock.advance_to(1e-6)
         assert clock.now() == pytest.approx(1e-6 + 1e-9)
         before = clock.now()
@@ -349,7 +339,8 @@ class TestClockJitter:
             clock.advance_to(0.0)  # rewinding stays forbidden
 
     def test_negative_jitter_clamped(self):
-        clock = VirtualClock(jitter_fn=lambda t: -5.0)
+        clock = VirtualClock()
+        clock.set_jitter(lambda t: -5.0)
         clock.advance_to(1.0)
         assert clock.now() == 1.0
 

@@ -362,6 +362,16 @@ class TestErrorHygiene:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err + out
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_exits_2_with_one_line(self, capsys, lr):
+        """NaN passes an ``lr <= 0`` check: the trainer must reject both
+        at construction, before a rollback backoff can swallow them."""
+        code, out, err = self._run(capsys, "train", "--lr", lr)
+        assert code == 2
+        assert err.startswith("repro: error: MappingError:")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err + out
+
     def test_fault_error_exits_2(self, capsys, monkeypatch):
         import argparse
 

@@ -13,6 +13,7 @@ from repro.errors import IntegrityError, IntegrityFault
 from repro.integrity import (
     ChecksumUnit,
     IntegrityCounters,
+    PipelineChecker,
     attest_batch,
     build_integrity_worker,
 )
@@ -274,7 +275,7 @@ def _sharded(with_integrity=True, with_managers=True, seed=3):
         rng.normal(0.0, 0.6, (SHARD_DIMS[i + 1], SHARD_DIMS[i]))
         for i in range(len(SHARD_DIMS) - 1)
     ]
-    return build_sharded_worker(
+    worker = build_sharded_worker(
         0,
         plan_pipeline(SHARD_DIMS, SHARD),
         weights,
@@ -283,8 +284,10 @@ def _sharded(with_integrity=True, with_managers=True, seed=3):
         program_verify=DETERMINISTIC_PV,
         with_managers=with_managers,
         spare_pes=8,
-        with_integrity=with_integrity,
     )
+    if with_integrity:
+        worker.integrity = PipelineChecker(worker.pipeline, seed=seed)
+    return worker
 
 
 class TestShardedIntegrity:

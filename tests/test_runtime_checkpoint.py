@@ -189,6 +189,26 @@ class TestAcceleratorStateDict:
             assert a.train_step(xb, yb) == b.train_step(xb, yb)
         assert acc.counters.as_dict() == twin.counters.as_dict()
 
+    def test_restoring_one_snapshot_twice_after_a_write(self):
+        """Writes after a restore stay out of the snapshot: restoring the
+        same snapshot again gives identical banks and outputs."""
+        acc = _built_acc(seed=3)
+        state = acc.state_dict()
+        twin = _built_acc(seed=7)
+        twin.load_state_dict(state)
+        rng = np.random.default_rng(5)
+        twin.set_weights(
+            [rng.normal(0.0, 0.4, (8, 6)), rng.normal(0.0, 0.4, (3, 8))]
+        )
+        twin.inject_stuck_faults(0.1, stuck_level=254)
+        twin.pes[0].bank.remap_row(1)
+        twin.load_state_dict(state)
+        assert state_digest(encode_state(twin.state_dict())) == state_digest(
+            encode_state(acc.state_dict())
+        )
+        x = rng.normal(0, 0.5, (4, 6))
+        assert np.array_equal(twin.forward_batch(x), acc.forward_batch(x))
+
     def test_survives_disk_round_trip(self, tmp_path):
         acc = _built_acc(seed=9)
         path = tmp_path / "acc.ckpt"

@@ -5,9 +5,9 @@ import pytest
 
 from repro import TridentAccelerator, TridentConfig
 from repro.devices.program_verify import ProgramVerifyConfig
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import CheckpointError, ConfigError, MappingError
 from repro.nn.datasets import Dataset, make_blobs, standardize
-from repro.runtime import ResilientTrainer
+from repro.runtime import ResilientTrainer, encode_state, state_digest
 from repro.runtime.resilient import LR_BACKOFF, MAX_RETRIES, MIN_LR
 from repro.training.insitu import InSituTrainer
 
@@ -128,6 +128,30 @@ class TestDivergence:
         assert incident.lr_after == pytest.approx(0.05 * LR_BACKOFF)
         assert len(report.losses) == 8
         assert all(np.isfinite(report.losses))
+
+    def test_every_retry_restores_the_checkpointed_banks(self, data, tmp_path):
+        """A step that programs the banks and then fails must leave the
+        in-memory checkpoint as it was: both retries start from it."""
+        trainer = _trainer()
+        train_step = trainer.train_step
+        entry_digests = []
+
+        def writes_then_fails(xb, yb):
+            entry_digests.append(
+                state_digest(encode_state(trainer.acc.state_dict()))
+            )
+            loss = train_step(xb, yb)  # programs the updated weights
+            if len(entry_digests) <= 2:
+                raise MappingError("injected failure after the write")
+            return loss
+
+        trainer.train_step = writes_then_fails
+        rt = ResilientTrainer(trainer, tmp_path, checkpoint_every=3)
+        report = rt.run(data, steps=1, batch_size=8, seed=5)
+        assert report.completed and report.rollbacks == 2
+        assert len(entry_digests) == 3
+        assert entry_digests[1] == entry_digests[0]
+        assert entry_digests[2] == entry_digests[0]
 
     def test_spike_triggers_rollback(self, data, tmp_path):
         fired = {"done": False}

@@ -61,7 +61,8 @@ class TestVirtualClock:
         assert clock.now() == 2.0
 
     def test_rejects_rewind(self):
-        clock = VirtualClock(start_s=1.0)
+        clock = VirtualClock()
+        clock.advance_to(1.0)
         with pytest.raises(ServingError):
             clock.advance(-0.1)
         with pytest.raises(ServingError):

@@ -78,6 +78,9 @@ class TestConstruction:
         acc, _ = make_accelerator([8, 4])
         with pytest.raises(MappingError):
             InSituTrainer(acc, lr=0.0)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(MappingError, match="finite"):
+                InSituTrainer(acc, lr=lr)
 
 
 class TestGradientFidelity:
